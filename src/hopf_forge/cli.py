@@ -22,6 +22,19 @@ from .scalars import DEFAULT_SPEC_POINTS, ScalarError, parse_spec_points
 SPEC_POINTS_ENV = "HOPF_FORGE_SPEC_POINTS"
 
 
+def degree_arg(text: str) -> int:
+    """A word degree bound: an integer that is 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "must be 0 or more, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopf-forge",
@@ -35,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
         if degree:
-            p.add_argument("--degree", type=int, default=None, metavar="N",
+            p.add_argument("--degree", type=degree_arg, default=None,
+                           metavar="N",
                            help="degree bound for word enumeration")
         if spec:
             p.add_argument("--spec-points", default=None, metavar="LIST",

@@ -13,7 +13,7 @@ canonical splitting recursion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .definition import PairingDefinition, PresentationDefinition
 from .errors import StructureError
@@ -333,7 +333,7 @@ class GenMap:
                  target, anti: bool = False, conjugate: bool = False):
         self.name = name
         self.pres = pres
-        self.images = images
+        self.images = dict(images)
         self.target = target
         self.anti = anti
         self.conjugate = conjugate
@@ -341,11 +341,26 @@ class GenMap:
         if missing:
             raise StructureError(
                 "map %r lacks images for %s" % (name, ", ".join(missing)))
+        # fold order (the word, reversed for an anti map) -> image
+        self._memo: dict = {EMPTY_WORD: target.one}
 
     def apply_word(self, w: tuple):
-        acc = self.target.one
-        for g in (reversed(w) if self.anti else w):
-            acc = self.target.mul(acc, self.images[g])
+        """Image of a word: the product of the letter images, folded left to
+        right over the word (right to left for an anti-multiplicative map).
+        Every fold prefix is memoized, so a word whose prefix is known costs
+        one product."""
+        seq = w[::-1] if self.anti else w
+        memo = self._memo
+        got = memo.get(seq)
+        if got is not None:
+            return got
+        k = len(seq) - 1
+        while seq[:k] not in memo:
+            k -= 1
+        acc = memo[seq[:k]]
+        for j in range(k, len(seq)):
+            acc = self.target.mul(acc, self.images[seq[j]])
+            memo[seq[:j + 1]] = acc
         return acc
 
     def apply_terms(self, terms):
@@ -416,9 +431,22 @@ class PresentedQG:
     antipode: GenMap
     star: GenMap | None
     actions: dict
+    # the passed rule checks: the maps, then the actions sorted by name
+    checks: list
+    _words: list = field(default_factory=list, repr=False)
+    _words_degree: int = -1
 
     def antipode_squared(self, terms):
         return self.antipode.apply_terms(self.antipode.apply_terms(terms))
+
+    def normal_words(self, degree: int) -> list:
+        """Irreducible words up to the degree, in ascending word order.  The
+        words are enumerated once, at the largest degree asked for; a
+        smaller degree keeps the words of that list up to its length."""
+        if degree > self._words_degree:
+            self._words = self.pres.normal_words(degree)
+            self._words_degree = degree
+        return [w for w in self._words if len(w) <= degree]
 
 
 def build_presented(defn: PresentationDefinition) -> PresentedQG:
@@ -447,15 +475,16 @@ def build_presented(defn: PresentationDefinition) -> PresentedQG:
                       alg_target, anti=True, conjugate=True)
     actions = {name: DiagonalAction(name, pres, dict(weights))
                for name, weights in defn.diagonal_actions.items()}
-    for m in (coproduct, counit, antipode) + ((star,) if star else ()):
+    maps = (coproduct, counit, antipode) + ((star,) if star else ())
+    checks = []
+    for m in maps + tuple(actions.values()):
         item = m.check_rules()
         if not item.ok:
             raise StructureError(item.name + ": " + item.detail)
-    for act in actions.values():
-        item = act.check_rules()
-        if not item.ok:
-            raise StructureError(item.name + ": " + item.detail)
-    return PresentedQG(pres, coproduct, counit, antipode, star, actions)
+        checks.append(item)
+    checks[len(maps):] = sorted(checks[len(maps):], key=lambda it: it.name)
+    return PresentedQG(pres, coproduct, counit, antipode, star, actions,
+                       checks)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +555,8 @@ class PairedPresentations:
         slot ranges over every irreducible word within the degree; products
         of irreducible words are rewritten to normal form before pairing."""
         row_gens = [(g,) for g in self.row.pres.generators]
-        col_words = self.col.pres.normal_words(degree)
-        row_words = self.row.pres.normal_words(degree)
+        col_words = self.col.normal_words(degree)
+        row_words = self.row.normal_words(degree)
         items = []
 
         bad = []
@@ -616,8 +645,9 @@ class PairedPresentations:
         """counit(action(c)) must agree with pairing against row_word on
         every irreducible column word up to the degree."""
         act = self.col.actions[action_name]
+        col_words = self.col.normal_words(degree)
         bad = []
-        for c in self.col.pres.normal_words(degree):
+        for c in col_words:
             lhs = self.col.counit.apply_terms(
                 act.apply_terms(((c, SC_ONE),)))
             if lhs != self.pair_words(tuple(row_word), c):
@@ -626,13 +656,13 @@ class PairedPresentations:
             item_name, not bad,
             "counit after %s pairs as <%s, .> on all %d words"
             % (action_name, self.row.pres.format_word(tuple(row_word)),
-               len(self.col.pres.normal_words(degree))) if not bad
+               len(col_words)) if not bad
             else "fails at " + ", ".join(bad[:5]))
 
     def gram_rank(self, degree: int):
         """Rank of the evaluation matrix on irreducible words up to the
         degree, reported as evidence of (non)degeneracy at that size."""
-        row_words = self.row.pres.normal_words(degree)
-        col_words = self.col.pres.normal_words(degree)
+        row_words = self.row.normal_words(degree)
+        col_words = self.col.normal_words(degree)
         g = [[self.pair_words(x, c) for c in col_words] for x in row_words]
         return len(row_words), len(col_words), rank(g)

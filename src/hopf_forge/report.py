@@ -284,16 +284,11 @@ def _presentation_checks(rep: Report, defn: PresentationDefinition,
     except HopfForgeError as exc:
         rep.fail_from(prefix + "generator-maps", exc)
         return None
-    maps = [pqg.coproduct, pqg.counit, pqg.antipode]
-    if pqg.star is not None:
-        maps.append(pqg.star)
-    maps.extend(pqg.actions[name] for name in sorted(pqg.actions))
-    for m in maps:
-        item = m.check_rules()
+    for item in pqg.checks + pqg.pres.check_confluence(degree):
         rep.add(prefix + item.name, item.ok, item.detail)
-    for item in pqg.pres.check_confluence(degree):
-        rep.add(prefix + item.name, item.ok, item.detail)
-    counts = [str(len(pqg.pres.normal_words(d))) for d in range(degree + 1)]
+    words = pqg.normal_words(degree)
+    counts = [str(sum(1 for w in words if len(w) <= d))
+              for d in range(degree + 1)]
     rep.objects.append((prefix + "irreducible-word-counts",
                         "[" + ", ".join(counts) + "] by degree"))
     return pqg

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hopf_forge.fixtures import packaged_fixture_path
 
 
@@ -125,6 +127,24 @@ class TestPair:
     def test_pair_rejects_structure_input(self):
         proc = run_cli("pair", "c_z2")
         assert proc.returncode == 2
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("args", [
+        ("validate", "suq2", "--degree", "-2"),
+        ("analyze", "suq2", "--degree", "-1"),
+        ("pair", "pairing-uqsu2-suq2", "--degree", "-1"),
+    ])
+    def test_negative_degree_is_a_usage_error(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert "--degree" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_degree_zero_is_valid(self):
+        proc = run_cli("validate", "suq2", "--degree", "0")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all 1 words up to degree 0" in proc.stdout
 
 
 class TestExamples:

@@ -1,9 +1,14 @@
 """The bilinear pairing between the two shipped presentations."""
 
+import hashlib
+import shutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopf_forge.cli import main
 from hopf_forge.errors import StructureError
+from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.presentations import (PairedPresentations, build_presented)
 from hopf_forge.presets import pairing_uqsu2_suq2
 from hopf_forge.scalars import SC_ONE, SC_ZERO, parse_scalar
@@ -133,3 +138,22 @@ class TestFiniteShadow:
             assert pres.normal_form_word(w) == ((w, SC_ONE),)
             seen.add(w)
         assert len(seen) == 5
+
+
+class TestReportBytes:
+    # sha256 of the text report of `pair --degree 3`, run on a copy of the
+    # packaged fixture named by a relative path, so that the checkout path
+    # does not enter the report
+    PAIR_DEGREE_3_SHA256 = (
+        "80f7fa43078b96c0f740e31950f5ca51e5ec3e3099b1ad55a2678c1de86ce109")
+
+    def test_pair_degree_three_report_is_pinned(self, tmp_path, monkeypatch,
+                                                capsys):
+        name = "pairing-uqsu2-suq2.qg"
+        shutil.copyfile(packaged_fixture_path("pairing-uqsu2-suq2"),
+                        tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        assert main(["pair", name, "--degree", "3"]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.PAIR_DEGREE_3_SHA256

@@ -149,6 +149,40 @@ class TestGenMaps:
                 assert pq.pres.format_terms(out) == text, (defn.name, g)
 
 
+def fold_word(m, w):
+    """The unmemoized image of a word: the product of the letter images
+    folded left to right (right to left for an anti-multiplicative map)."""
+    acc = m.target.one
+    for g in (reversed(w) if m.anti else w):
+        acc = m.target.mul(acc, m.images[g])
+    return acc
+
+
+class TestApplyWordMemo:
+    def test_memo_matches_the_fold_on_every_map(self):
+        for defn in (suq2(), uq_su2()):
+            pq = build_presented(defn)
+            words = pq.pres.normal_words(4)
+            for m in (pq.coproduct, pq.counit, pq.antipode, pq.star):
+                for w in words:
+                    first = m.apply_word(w)
+                    assert first == fold_word(m, w), (defn.name, m.name, w)
+                    again = m.apply_word(w)
+                    assert again is first, (defn.name, m.name, w)
+
+    def test_maps_do_not_share_cached_images(self):
+        pres = Presentation(q_plane())
+        images = {"x": sc("2"), "y": sc("3")}
+        a = GenMap("a", pres, {"x": SC_ONE, "y": SC_ONE}, ScalarTarget())
+        b = GenMap("b", pres, images, ScalarTarget())
+        assert a.apply_word(("x", "y", "y")) == SC_ONE
+        assert b.apply_word(("x", "y", "y")) == sc("18")
+        # the map keeps its own copy of the images
+        images["y"] = SC_ZERO
+        assert b.apply_word(("x", "y")) == sc("6")
+        assert a.apply_word(("x", "y")) == SC_ONE
+
+
 class TestDiagonalActions:
     def test_weight_inhomogeneous_action_is_reported(self):
         # y.x -> 1 relates words with different letters, so any weights
