@@ -246,6 +246,72 @@ def pvaluation(p: tuple) -> int:
     return 0
 
 
+def _is_monomial(p: tuple) -> bool:
+    """True for a nonzero c*s^k (p is trimmed)."""
+    for c in p[:-1]:
+        if c.a or c.b:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# modular coprimality certificate
+# ---------------------------------------------------------------------------
+
+_MOD_P = 998244353                          # prime, = 1 (mod 4)
+_MOD_I = pow(3, (_MOD_P - 1) // 4, _MOD_P)  # a square root of -1 mod p
+
+
+def _pmod(p: tuple):
+    """Image of p under (a + b*i)/d -> (a + b*iota) * d^-1 mod p, as a list
+    of residues; None when p divides some coefficient denominator."""
+    out = []
+    for c in p:
+        v = (c.a + c.b * _MOD_I) % _MOD_P
+        if c.d != 1:
+            if c.d % _MOD_P == 0:
+                return None
+            v = v * pow(c.d, -1, _MOD_P) % _MOD_P
+        out.append(v)
+    return out
+
+
+def _coprime_mod_p(num: tuple, den: tuple) -> bool:
+    """True only when num and den are certainly coprime over Q(i).
+
+    Let phi be the map of _pmod, a ring map onto Z/p from R, the
+    localization of Z[i] at the prime kernel of i -> iota.  R is a discrete
+    valuation ring and holds every coefficient whose denominator p does not
+    divide.  A common factor
+    h of positive degree can be taken primitive in R[s] (Gauss's lemma), and
+    then it divides num and den in R[s], with lc(h) dividing lc(num).  If
+    phi(lc(num)) != 0, phi(h) keeps the degree of h and divides phi(num)
+    and phi(den), so their gcd over Z/p is not constant.  Hence a constant
+    modular gcd proves coprimality.  False means inconclusive: p divides a
+    coefficient denominator, lc(num) maps to 0, or the modular gcd is not
+    constant; the caller then runs the exact pgcd.
+    """
+    f = _pmod(num)
+    g = _pmod(den)
+    if f is None or g is None or not f[-1]:
+        return False
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, _MOD_P)
+        for top in range(len(f) - 1 - dg, -1, -1):
+            c = f[top + dg] * inv % _MOD_P
+            if c:
+                for k in range(dg):
+                    f[top + k] = (f[top + k] - c * g[k]) % _MOD_P
+        del f[dg:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 # ---------------------------------------------------------------------------
 # Scalar: canonical rational function num/den
 # ---------------------------------------------------------------------------
@@ -273,20 +339,28 @@ class Scalar:
             self.num = P_ZERO
             self.den = P_ONE
             return
+        if len(den) == 1:
+            lc = den[0]
+            self.num = num if lc == GR_ONE else pscale(num, lc.inverse())
+            self.den = P_ONE
+            return
         v = min(pvaluation(num), pvaluation(den))
         if v:
             num = num[v:]
             den = den[v:]
-        if den != P_ONE:
+        # After the shift one side has a nonzero constant term, so a
+        # monomial on either side cannot share a factor with the other.
+        if not (_is_monomial(num) or _is_monomial(den)
+                or _coprime_mod_p(num, den)):
             g = pgcd(num, den)
             if len(g) > 1:
                 num, _ = pdivmod(num, g)
                 den, _ = pdivmod(den, g)
-            lc = den[-1]
-            if lc != GR_ONE:
-                inv = lc.inverse()
-                num = pscale(num, inv)
-                den = pscale(den, inv)
+        lc = den[-1]
+        if lc != GR_ONE:
+            inv = lc.inverse()
+            num = pscale(num, inv)
+            den = pscale(den, inv)
         self.num = num
         self.den = den
 
@@ -337,15 +411,15 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         a, b = self, other
-        if a.den == P_ONE and b.den == P_ONE:
-            return Scalar(padd(a.num, b.num), P_ONE)
+        if a.den == b.den:
+            return Scalar(padd(a.num, b.num), a.den)
         return Scalar(padd(pmul(a.num, b.den), pmul(b.num, a.den)),
                       pmul(a.den, b.den))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         a, b = self, other
-        if a.den == P_ONE and b.den == P_ONE:
-            return Scalar(psub(a.num, b.num), P_ONE)
+        if a.den == b.den:
+            return Scalar(psub(a.num, b.num), a.den)
         return Scalar(psub(pmul(a.num, b.den), pmul(b.num, a.den)),
                       pmul(a.den, b.den))
 
@@ -519,6 +593,11 @@ def _poly_literal(p: tuple) -> tuple[str, int]:
 
 _OPS = set("+-*/^()")
 
+# A power in a literal may have |exponent| and deg_s(base) * |exponent| up to
+# this, and coefficients of at most this squared in bits, so that every
+# literal is cheap to build.
+POWER_BUDGET = 1024
+
 
 def _tokenize(text: str):
     tokens = []
@@ -533,7 +612,12 @@ def _tokenize(text: str):
             start = pos
             while pos < n and text[pos].isdigit():
                 pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
+            try:
+                value = int(text[start:pos])
+            except ValueError:  # over the interpreter's digit limit
+                raise ScalarParseError(text, start,
+                                       "integer literal too long") from None
+            tokens.append(("int", value, start))
             continue
         if ch in ("i", "s"):
             tokens.append(("sym", ch, pos))
@@ -610,7 +694,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            kind, val, _ = self.peek()
+            kind, val, start = self.peek()
             neg = False
             if kind == "op" and val == "-":
                 self.next()
@@ -618,6 +702,17 @@ class _Parser:
                 kind, val, _ = self.peek()
             if kind != "int":
                 self.fail("exponent must be an integer")
+            degree = max(len(base.num), len(base.den)) - 1
+            bits = max(max(c.a.bit_length(), c.b.bit_length(),
+                           c.d.bit_length()) for c in base.num + base.den)
+            if (val > POWER_BUDGET or degree * val > POWER_BUDGET
+                    or bits * val > POWER_BUDGET ** 2):
+                raise ScalarParseError(
+                    self.text, start,
+                    "power over the literal budget: |exponent| and degree "
+                    "in s times |exponent| are limited to %d, coefficient "
+                    "bits times |exponent| to %d"
+                    % (POWER_BUDGET, POWER_BUDGET ** 2))
             self.next()
             exp = -val if neg else val
             if base.is_zero and exp < 0:

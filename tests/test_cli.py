@@ -147,6 +147,27 @@ class TestDegreeBound:
         assert "all 1 words up to degree 0" in proc.stdout
 
 
+class TestLiteralBudget:
+    @pytest.mark.parametrize("literal, message", [
+        ("s^1000000000", "literal budget"),
+        ("2^1000000000", "literal budget"),
+        ("(1+s)^100000", "literal budget"),
+        ("1" * 5000, "integer literal too long"),
+    ])
+    def test_huge_literal_in_a_definition_exits_two(self, tmp_path, literal,
+                                                    message):
+        with open(packaged_fixture_path("c_z2"), encoding="utf-8") as f:
+            body = json.load(f)
+        body["mul"][0][3] = literal
+        target = tmp_path / "huge.qg"
+        target.write_text(json.dumps(body), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopf_forge", "validate", str(target)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+
+
 class TestExamples:
     def test_writes_all_packaged_files(self, tmp_path):
         out = tmp_path / "ex"

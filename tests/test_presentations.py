@@ -1,10 +1,15 @@
 """Rewriting systems, generator maps, and the two shipped presentations."""
 
+import hashlib
+import shutil
+
 import pytest
 from hypothesis import given, strategies as st
 
+from hopf_forge.cli import main
 from hopf_forge.errors import StructureError
 from hopf_forge.definition import PresentationDefinition
+from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.presentations import (DiagonalAction, GenMap, Presentation,
                                       ScalarTarget, build_presented)
 from hopf_forge.presets import pairing_uqsu2_suq2, suq2, uq_su2
@@ -114,6 +119,20 @@ class TestConfluence:
         items = pres.check_confluence(2)
         assert not items[1].ok
 
+    def test_disagreement_at_a_later_redex_is_caught(self):
+        # z.y.x rewrites at its leftmost redex to x.x, but at y.x it goes
+        # z.x.y -> 2 x.z.y -> 2 x.x; only the second redex disagrees
+        defn = PresentationDefinition(
+            name="xyz", description="", generators=["x", "y", "z"],
+            rules=[(("z", "y"), [(SC_ONE, ("x",))]),
+                   (("y", "x"), [(SC_ONE, ("x", "y"))]),
+                   (("z", "x"), [(sc("2"), ("x", "z"))])],
+            coproduct={}, counit={}, antipode={})
+        items = Presentation(defn).check_confluence(3)
+        assert items[1].name == "exhaustive-confluence"
+        assert not items[1].ok
+        assert items[1].detail == "inconsistent at z.y.x"
+
 
 class TestGenMaps:
     def test_counit_violating_a_rule_is_reported(self):
@@ -221,3 +240,25 @@ class TestPresetShapes:
 
     def test_letter_order_of_the_matrix_presentation(self):
         assert suq2().generators == ["b", "bs", "a", "as"]
+
+
+class TestReportBytes:
+    # sha256 of the text report of `validate --degree 4`, run on a copy of
+    # the packaged fixture named by a relative path, so that the checkout
+    # path does not enter the report
+    VALIDATE_DEGREE_4_SHA256 = {
+        "uq-su2":
+            "179269425ecac0c7bd5fb4bb5ad8e77d844834c97c9f1933e136ae4e8d039610",
+        "suq2":
+            "0cd6b27dd200def612e9dc469e1107615318447dfad0b1054eecdb5ae52c667e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(VALIDATE_DEGREE_4_SHA256))
+    def test_validate_degree_four_report_is_pinned(self, name, tmp_path,
+                                                   monkeypatch, capsys):
+        shutil.copyfile(packaged_fixture_path(name), tmp_path / (name + ".qg"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", name + ".qg", "--degree", "4"]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.VALIDATE_DEGREE_4_SHA256[name]

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic against an independent sympy oracle."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
-                                GaussRat, Scalar, ScalarError,
-                                ScalarParseError, SpecializationPoleError,
-                                parse_scalar, parse_spec_points,
-                                validate_spec_points)
+from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, P_ONE, P_ZERO,
+                                POWER_BUDGET, SC_ONE, SC_ZERO, GaussRat,
+                                Scalar, ScalarError, ScalarParseError,
+                                SpecializationPoleError, _coprime_mod_p,
+                                padd, pdivmod, pgcd, pmul, pscale, psub,
+                                ptrim, pvaluation, parse_scalar,
+                                parse_spec_points, validate_spec_points)
 
 from oracles import S, gauss_to_sympy, sympy_equal, to_sympy
 
@@ -142,6 +145,123 @@ class TestScalarArithmetic:
         assert Scalar.s_power(-3) == Scalar.s_power(3).inverse()
 
 
+def reference_canon(num, den):
+    """Canonical (num, den) by the valuation shift and Euclid alone, with
+    none of the shortcuts that Scalar takes."""
+    num, den = ptrim(num), ptrim(den)
+    if not num:
+        return P_ZERO, P_ONE
+    v = min(pvaluation(num), pvaluation(den))
+    num, den = num[v:], den[v:]
+    g = pgcd(num, den)
+    if len(g) > 1:
+        num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    inv = den[-1].inverse()
+    return pscale(num, inv), pscale(den, inv)
+
+
+def poly_to_sympy(p):
+    return sum((gauss_to_sympy(c) * S ** k for k, c in enumerate(p)),
+               sympy.Integer(0))
+
+
+def poly(*coeffs):
+    """Polynomial in s from its coefficients, lowest degree first."""
+    return ptrim(c if isinstance(c, GaussRat) else GaussRat(c)
+                 for c in coeffs)
+
+
+@st.composite
+def polys(draw, min_size=1, max_size=4):
+    p = ptrim(draw(st.lists(gauss_rats(), min_size=min_size,
+                            max_size=max_size)))
+    return p if p else P_ONE
+
+
+@st.composite
+def fraction_pairs(draw):
+    """A (num, den) pair of one of the shapes the canonical form
+    distinguishes: a planted common factor, a monomial side, or a constant
+    denominator."""
+    shape = draw(st.sampled_from(
+        ["planted", "monomial-num", "monomial-den", "constant-den"]))
+    num, den = draw(polys()), draw(polys())
+    k = draw(st.integers(min_value=0, max_value=3))
+    if shape == "planted":
+        h = draw(polys(min_size=2))
+        num, den = pmul(num, h), pmul(den, h)
+    elif shape == "monomial-num":
+        num = poly(*[0] * k, num[-1])
+    elif shape == "monomial-den":
+        den = poly(*[0] * k, den[-1])
+    else:
+        den = (den[-1],)
+    # a power of s on one side exercises the valuation shift
+    shift = poly(*[0] * draw(st.integers(0, 2)), 1)
+    if draw(st.booleans()):
+        return pmul(num, shift), den
+    return num, pmul(den, shift)
+
+
+class TestCanonicalForm:
+    @settings(max_examples=80)
+    @given(fraction_pairs())
+    def test_matches_euclid_and_sympy(self, pair):
+        num, den = pair
+        x = Scalar(num, den)
+        assert (x.num, x.den) == reference_canon(num, den)
+        assert sympy.cancel(to_sympy(x) - poly_to_sympy(num)
+                            / poly_to_sympy(den)) == 0
+
+    @settings(max_examples=60)
+    @given(polys(), polys(), polys(min_size=2))
+    def test_sums_over_one_denominator(self, n1, n2, d):
+        x, y = Scalar(n1, d), Scalar(n2, d)
+        for got, combine in ((x + y, padd), (x - y, psub)):
+            want = reference_canon(
+                combine(pmul(x.num, y.den), pmul(y.num, x.den)),
+                pmul(x.den, y.den))
+            assert (got.num, got.den) == want
+        assert sympy.cancel(to_sympy(x + y) - poly_to_sympy(padd(n1, n2))
+                            / poly_to_sympy(d)) == 0
+
+
+class TestCoprimalityCertificate:
+    P = 998244353
+
+    def test_coprime_pair_is_certified(self):
+        assert _coprime_mod_p(poly(1, 1), poly(2, 1))
+        assert _coprime_mod_p(poly(1, 0, 1), poly(GaussRat(0, 2), 1))
+        assert not _coprime_mod_p(poly(1, 0, 1), poly(GaussRat(0, 1), 1))
+
+    def test_shared_factor_is_never_certified(self):
+        num, den = poly(-1, 0, 1), poly(-1, 0, 0, 0, 1)
+        assert not _coprime_mod_p(num, den)
+        assert Scalar(num, den) == parse_scalar("1/(s^2 + 1)")
+
+    def test_denominator_divisible_by_p_falls_back(self):
+        h = poly(GaussRat(1, 0, self.P), 1)
+        num, den = pmul(h, poly(-1, 1)), pmul(h, poly(2, 1))
+        assert not _coprime_mod_p(num, den)
+        x = Scalar(num, den)
+        assert (x.num, x.den) == (poly(-1, 1), poly(2, 1))
+
+    def test_leading_coefficient_zero_mod_p_falls_back(self):
+        # p*s + 1 maps to the constant 1, so the images of num and den are
+        # coprime although num and den share that factor
+        h = poly(1, self.P)
+        num, den = pmul(h, poly(2, 1)), pmul(h, poly(3, 1))
+        assert not _coprime_mod_p(num, den)
+        x = Scalar(num, den)
+        assert (x.num, x.den) == (poly(2, 1), poly(3, 1))
+
+    def test_common_factor_only_mod_p_falls_back(self):
+        num, den = poly(-1, 1), poly(-1 - self.P, 1)
+        assert not _coprime_mod_p(num, den)
+        x = Scalar(num, den)
+        assert (x.num, x.den) == (num, den)
+
+
 class TestParsing:
     @settings(max_examples=80)
     @given(scalars())
@@ -187,3 +307,29 @@ class TestSpecPoints:
             (Fraction(1, 2),)
         with pytest.raises(ScalarError):
             validate_spec_points([Fraction(3, 2)])
+
+
+class TestLiteralBudget:
+    @pytest.mark.parametrize("text", ["s^1000000000", "2^1000000000",
+                                      "(1+s)^100000", "s^-1000000000"])
+    def test_huge_powers_are_parse_errors(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar(text)
+        assert time.perf_counter() - start < 0.5
+        assert info.value.pos == text.index("^") + 1
+        assert "literal budget" in str(info.value)
+
+    def test_powers_within_the_budget_parse(self):
+        assert parse_scalar("s^1024") == Scalar.s_power(1024)
+        assert parse_scalar("s^-1024") == Scalar.s_power(-1024)
+        assert parse_scalar("(s^2)^512") == Scalar.s_power(1024)
+        for text in ("s^%d" % (POWER_BUDGET + 1), "(s^2)^513",
+                     "(2^1024)^1024"):
+            with pytest.raises(ScalarParseError):
+                parse_scalar(text)
+
+    def test_overlong_integer_is_a_parse_error(self):
+        with pytest.raises(ScalarParseError) as info:
+            parse_scalar("s^" + "9" * 5000)
+        assert info.value.pos == 2
