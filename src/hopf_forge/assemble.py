@@ -5,8 +5,7 @@ from __future__ import annotations
 from .definition import StructureDefinition
 from .errors import StructureError
 from .finalg import FinAlgebra, LinMap, build_algebra
-from .mhopf import QGData, attach_coproduct
-from .scalars import SC_ZERO
+from .mhopf import Coproduct, QGData, attach_coproduct
 
 
 def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
@@ -25,13 +24,8 @@ def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
     return alg
 
 
-def coproduct_map(d: StructureDefinition) -> LinMap:
-    n = d.dim
-    matrix = [[SC_ZERO] * n for _ in range(n * n)]
-    for src in range(n):
-        for (left, right), c in d.coproduct[src].items():
-            matrix[left * n + right][src] = c
-    return LinMap(matrix)
+def coproduct_map(d: StructureDefinition) -> Coproduct:
+    return Coproduct(d.coproduct)
 
 
 def build_qg(d: StructureDefinition) -> QGData:
@@ -44,16 +38,8 @@ def definition_from_qg(qg: QGData, name: str,
     """Serialize a verified quantum group back into a definition (the
     inverse of build_qg), so derived objects such as duals can be saved."""
     alg = qg.algebra
-    n = alg.dim
     mul = {k: dict(v) for k, v in alg.mul.items()}
-    coproduct = []
-    for src in range(n):
-        d = qg.delta(alg.basis(src))
-        ent = {}
-        for idx in range(n * n):
-            if not d[idx].is_zero:
-                ent[divmod(idx, n)] = d[idx]
-        coproduct.append(ent)
+    coproduct = [dict(col) for col in qg.coproduct.columns]
     return StructureDefinition(
         name=name,
         description=description,

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 from .errors import CheckFailure, NotFaithful, StructureError
 from .exactla import eigensplit, invert, matmul, matvec, rank, solve_affine
-from .finalg import (FinAlgebra, LinMap, apply_functional, basis_vector,
-                     build_algebra, tensor_algebra, vec_is_zero, zero_vector)
-from .haar_modular import ModularData, modular_element, solve_left_haar
-from .mhopf import (CheckItem, QGData, attach_coproduct, check_star_compat,
-                    check_tmaps, derive_counit_antipode, tensor_vec)
+from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
+                     zero_vector)
+from .haar_modular import ModularData, left_haar, modular_element
+from .mhopf import (CheckItem, Coproduct, QGData, TensorMap, attach_coproduct,
+                    check_star_compat, check_tmaps, derive_counit_antipode,
+                    tensor_vec)
 from .scalars import SC_ONE, SC_ZERO
 
 
@@ -56,19 +57,14 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
             "functional is not faithful; the dual basis does not span")
     labels = ["w_" + lab for lab in alg.labels]
 
-    deltas = [qg.delta(alg.basis(k)) for k in range(n)]
+    cols = qg.coproduct.columns
     mul = {}
     for i in range(n):
         for j in range(n):
             values = []
             for k in range(n):
-                dk = deltas[k]
                 acc = SC_ZERO
-                for idx in range(n * n):
-                    c = dk[idx]
-                    if c.is_zero:
-                        continue
-                    a, b = divmod(idx, n)
+                for (a, b), c in cols[k].items():
                     acc = acc + c * b_mat[a][i] * b_mat[b][j]
                 values.append(acc)
             coords = matvec(b_inv, values)
@@ -78,16 +74,14 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
 
     star_lin = None
     if alg.star is not None:
-        cols = []
+        starred = [alg.apply_star(qg.antipode.apply(alg.basis(j)))
+                   for j in range(n)]
+        cols_star = []
         for i in range(n):
-            values = []
-            for j in range(n):
-                u = alg.apply_star(qg.antipode.apply(alg.basis(j)))
-                values.append(
-                    apply_functional(phi, alg.multiply(u, alg.basis(i)))
-                    .conjugate())
-            cols.append(matvec(b_inv, values))
-        star_lin = LinMap(LinMap.from_images(cols).matrix,
+            values = [apply_functional(phi, alg.multiply(u, alg.basis(i)))
+                      .conjugate() for u in starred]
+            cols_star.append(matvec(b_inv, values))
+        star_lin = LinMap(LinMap.from_images(cols_star).matrix,
                           conjugate_linear=True)
 
     dual_alg = build_algebra(labels, mul, unit=None, star=star_lin,
@@ -96,29 +90,31 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
     counit_coords = matvec(b_inv, list(qg.counit))
     unit_is_counit = dual_alg.unit == counit_coords
 
-    cop = [[SC_ZERO] * n for _ in range(n * n)]
+    # D(w_k)(w_i (x) w_j) is read off V[a][b] = phi(e_b e_a e_k) through
+    # B^-1 on both legs: sum_a B^-1[i][a] sum_b B^-1[j][b] V[a][b]
+    b_inv_cols = [[(i, b_inv[i][a]) for i in range(n)
+                   if not b_inv[i][a].is_zero] for a in range(n)]
+    dual_cols = []
     for k in range(n):
-        values = []
-        for a in range(n):
-            for b in range(n):
-                prod = alg.multiply(alg.multiply(alg.basis(b), alg.basis(a)),
-                                    alg.basis(k))
-                values.append(apply_functional(phi, prod))
-        for i in range(n):
-            for j in range(n):
-                acc = SC_ZERO
-                for a in range(n):
-                    bia = b_inv[i][a]
-                    if bia.is_zero:
-                        continue
-                    for b in range(n):
-                        v = values[a * n + b]
-                        if not v.is_zero:
-                            acc = acc + bia * b_inv[j][b] * v
-                if not acc.is_zero:
-                    cop[i * n + j][k] = acc
+        v_rows = {}
+        for (b, a), ent in alg.mul.items():
+            v = SC_ZERO
+            for t, m in ent.items():
+                v = v + m * b_mat[t][k]
+            if not v.is_zero:
+                v_rows.setdefault(a, []).append((b, v))
+        col = {}
+        for a, terms in v_rows.items():
+            w_a = {}
+            for b, v in terms:
+                for j, bjb in b_inv_cols[b]:
+                    w_a[j] = w_a.get(j, SC_ZERO) + bjb * v
+            for i, bia in b_inv_cols[a]:
+                for j, w in w_a.items():
+                    col[(i, j)] = col.get((i, j), SC_ZERO) + bia * w
+        dual_cols.append(col)
 
-    dual_qg = attach_coproduct(dual_alg, LinMap(cop))
+    dual_qg = attach_coproduct(dual_alg, Coproduct(dual_cols))
     tmaps = check_tmaps(dual_qg)
     if not tmaps.all_bijective:
         raise CheckFailure(
@@ -153,20 +149,6 @@ class IsoReport:
         return all(it.ok for it in self.items)
 
 
-def _tensor_apply(m1: LinMap, m2: LinMap, vec: list) -> list:
-    n2 = m2.n_in
-    cols1 = [m1.apply(basis_vector(m1.n_in, a)) for a in range(m1.n_in)]
-    cols2 = [m2.apply(basis_vector(n2, b)) for b in range(n2)]
-    out = [SC_ZERO] * (m1.n_out * m2.n_out)
-    for idx, c in enumerate(vec):
-        if c.is_zero:
-            continue
-        a, b = divmod(idx, n2)
-        t = tensor_vec(cols1[a], cols2[b])
-        out = [x + c * y for x, y in zip(out, t)]
-    return out
-
-
 def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
                        require_bijective: bool = True) -> IsoReport:
     """Check that lin respects product, unit, coproduct, counit, antipode
@@ -184,8 +166,9 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
                            else "fails at " + str(bad[:3])))
     items.append(CheckItem("morphism-unit", lin.apply(a.unit) == b.unit,
                            "f(1) = 1"))
+    lin2 = TensorMap(lin, lin)
     bad = [a.labels[k] for k in range(n)
-           if _tensor_apply(lin, lin, src.delta(a.basis(k)))
+           if lin2.apply_terms(src.coproduct.columns[k].items())
            != dst.delta(lin.apply(a.basis(k)))]
     items.append(CheckItem("morphism-coproduct", not bad,
                            "(f (x) f) D = D f" if not bad
@@ -231,7 +214,7 @@ class BidualityResult:
 def biduality(qg: QGData, dual_build: DualBuild) -> BidualityResult:
     """The canonical map a -> (w -> w(S^(-1) a)) into the double dual,
     verified to be an isomorphism of quantum groups."""
-    haar2 = solve_left_haar(dual_build.qg)
+    haar2 = left_haar(dual_build.qg)
     bidual = build_dual(dual_build.qg, haar2.phi,
                         name="double dual of " + qg.algebra.name)
     alg = qg.algebra
@@ -263,7 +246,7 @@ def dual_modular_check(qg: QGData, md: ModularData,
     """The modular element of the dual must be the functional counit after
     kappa, in coordinates and against every evaluation pair."""
     dual_qg = dual_build.qg
-    haar2 = solve_left_haar(dual_qg)
+    haar2 = left_haar(dual_qg)
     delta_hat = modular_element(dual_qg, haar2.phi)
     alg = qg.algebra
     n = alg.dim
@@ -369,22 +352,11 @@ def group_table_from_coproduct(qg: QGData, idems: list):
     p_inv = invert(p_cols)
     if p_inv is None:
         raise CheckFailure("group-recovery", "idempotents do not span")
+    # D(p_g) in the idempotent basis: P^-1 on both tensor legs
+    to_idem = TensorMap(LinMap(p_inv), LinMap(p_inv))
     table = {}
     for g in range(n):
-        d = qg.delta(idems[g])
-        coords = [SC_ZERO] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                acc = SC_ZERO
-                for a in range(n):
-                    pia = p_inv[i][a]
-                    if pia.is_zero:
-                        continue
-                    for b in range(n):
-                        v = d[a * n + b]
-                        if not v.is_zero:
-                            acc = acc + pia * p_inv[j][b] * v
-                coords[i * n + j] = acc
+        coords = to_idem.apply(qg.delta(idems[g]))
         for idx, c in enumerate(coords):
             if c.is_zero:
                 continue
@@ -514,7 +486,7 @@ def dual_imbedding(qg: QGData, phi: list, sub, dual_build: DualBuild,
     if not nonzero:
         return ImbeddingReport(LinMap.identity(0), items)
 
-    haar0 = solve_left_haar(qg0)
+    haar0 = left_haar(qg0)
     pivot = next(i for i in range(d) if not haar0.phi[i].is_zero)
     scale = phi0[pivot] * haar0.phi[pivot].inverse()
     invariant = phi0 == [scale * x for x in haar0.phi]
@@ -553,8 +525,9 @@ def dual_imbedding(qg: QGData, phi: list, sub, dual_build: DualBuild,
                                "j(w*) = j(w)*" if not bad
                                else "fails at " + str(bad)))
 
-    t0 = tensor_algebra(d0_alg, d0_alg)
-    t1 = tensor_algebra(d_alg, d_alg)
+    t0 = dual0.qg.tensor_sq
+    t1 = dual_build.qg.tensor_sq
+    j2 = TensorMap(j_map, j_map)
     unit0 = d0_alg.unit
     unit1 = d_alg.unit
     bad1, bad2 = [], []
@@ -562,16 +535,13 @@ def dual_imbedding(qg: QGData, phi: list, sub, dual_build: DualBuild,
         cop0 = dual0.qg.delta(d0_alg.basis(a))
         cop1 = dual_build.qg.delta(j_cols[a])
         for b in range(d):
-            lhs = _tensor_apply(j_map, j_map,
-                                t0.multiply(cop0,
-                                            tensor_vec(unit0,
-                                                       d0_alg.basis(b))))
+            lhs = j2.apply(t0.multiply(cop0,
+                                       tensor_vec(unit0, d0_alg.basis(b))))
             rhs = t1.multiply(cop1, tensor_vec(unit1, j_cols[b]))
             if lhs != rhs:
                 bad1.append((a, b))
-            lhs = _tensor_apply(j_map, j_map,
-                                t0.multiply(tensor_vec(d0_alg.basis(b),
-                                                       unit0), cop0))
+            lhs = j2.apply(t0.multiply(tensor_vec(d0_alg.basis(b), unit0),
+                                       cop0))
             rhs = t1.multiply(tensor_vec(j_cols[b], unit1), cop1)
             if lhs != rhs:
                 bad2.append((a, b))

@@ -95,7 +95,12 @@ def mat_eq(a, b) -> bool:
 
 
 def rref(rows):
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Elimination touches only the pivot row's nonzero columns: elsewhere
+    x - f*0 = x, so the other cells are left as they are.  Each changed row
+    is a new list; the caller's row lists are never written to.
+    """
     if not rows:
         return []
     nrows, ncols = len(rows), len(rows[0])
@@ -112,13 +117,20 @@ def rref(rows):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rowr = list(rows[r])
+        # columns before c are zero in every row from r on
+        support = [j for j in range(c, ncols) if not rowr[j].is_zero]
+        inv = rowr[c].inverse()
+        for j in support:
+            rowr[j] = rowr[j] * inv
+        rows[r] = rowr
         for k in range(nrows):
             if k != r and not rows[k][c].is_zero:
                 f = rows[k][c]
-                rowr = rows[r]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rowr)]
+                rowk = list(rows[k])
+                for j in support:
+                    rowk[j] = rowk[j] - f * rowr[j]
+                rows[k] = rowk
         pivots.append(c)
         r += 1
     return pivots

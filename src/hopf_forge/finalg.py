@@ -130,12 +130,11 @@ class FinAlgebra:
 
     def multiply(self, x: list, y: list) -> list:
         out = [SC_ZERO] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero]
         for i, xi in enumerate(x):
             if xi.is_zero:
                 continue
-            for j, yj in enumerate(y):
-                if yj.is_zero:
-                    continue
+            for j, yj in ys:
                 ent = self.mul.get((i, j))
                 if not ent:
                     continue
@@ -264,35 +263,102 @@ def build_algebra(labels, mul, unit=None, star=None, name="") -> FinAlgebra:
     return alg
 
 
-def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
-    """Tensor product algebra; construction is componentwise so the axioms
-    are inherited and not re-verified."""
-    na, nb = a.dim, b.dim
-    labels = ["%s(x)%s" % (la, lb) for la in a.labels for lb in b.labels]
-    mul = {}
-    for (i1, j1), ent1 in a.mul.items():
-        for (i2, j2), ent2 in b.mul.items():
-            out = {}
-            for k1, c1 in ent1.items():
-                for k2, c2 in ent2.items():
-                    out[k1 * nb + k2] = c1 * c2
-            mul[(i1 * nb + i2, j1 * nb + j2)] = out
-    unit = [x * y for x in a.unit for y in b.unit]
-    star = None
-    if a.star is not None and b.star is not None:
-        sa, sb = a.star.matrix, b.star.matrix
-        m = [[SC_ZERO] * (na * nb) for _ in range(na * nb)]
-        for i1 in range(na):
-            for j1 in range(na):
-                if sa[i1][j1].is_zero:
+def nonzero_columns(m: LinMap) -> list:
+    """Column j of m as the list of its nonzero (row, coefficient) pairs."""
+    return [[(i, row[j]) for i, row in enumerate(m.matrix)
+             if not row[j].is_zero] for j in range(m.n_in)]
+
+
+def _rows_of(terms: dict) -> dict:
+    """{(i, j): c} regrouped by i as {i: [(j, c), ...]}."""
+    rows = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(i, []).append((j, c))
+    return rows
+
+
+class TensorAlgebra(FinAlgebra):
+    """The tensor product a(x)b on the basis e_i(x)f_j at index i*b.dim + j.
+
+    No product table is kept: (e_i(x)f_j)(e_k(x)f_m) = e_i e_k (x) f_j f_m
+    is expanded from the factors' sparse tables over the nonzero
+    coordinates of both operands, and the star is applied factor by factor.
+    The construction is componentwise, so the axioms are inherited and not
+    re-verified.
+    """
+
+    def __init__(self, a: FinAlgebra, b: FinAlgebra):
+        super().__init__(
+            ["%s(x)%s" % (la, lb) for la in a.labels for lb in b.labels],
+            None, [x * y for x in a.unit for y in b.unit], None,
+            name="%s(x)%s" % (a.name or "A", b.name or "B"))
+        self.factors = (a, b)
+        self._star_columns = None
+        if a.star is not None and b.star is not None:
+            self._star_columns = (nonzero_columns(a.star),
+                                  nonzero_columns(b.star))
+
+    def terms(self, x: list) -> dict:
+        """The nonzero coordinates of x as {(i, j): c}."""
+        nb = self.factors[1].dim
+        return {divmod(idx, nb): c for idx, c in enumerate(x)
+                if not c.is_zero}
+
+    def multiply(self, x: list, y: list) -> list:
+        return self.multiply_terms(self.terms(x), self.terms(y))
+
+    def multiply_terms(self, x: dict, y: dict) -> list:
+        """The product of x and y given as {(i, j): c} (the shape of a
+        Coproduct column), in dense coordinates."""
+        a, b = self.factors
+        nb = b.dim
+        out = [SC_ZERO] * self.dim
+        xs = _rows_of(x)
+        ys = _rows_of(y)
+        for i, xrow in xs.items():
+            for k, yrow in ys.items():
+                left = a.mul.get((i, k))
+                if not left:
                     continue
-                for i2 in range(nb):
-                    for j2 in range(nb):
-                        if not sb[i2][j2].is_zero:
-                            m[i1 * nb + i2][j1 * nb + j2] = sa[i1][j1] * sb[i2][j2]
-        star = LinMap(m, conjugate_linear=True)
-    return FinAlgebra(labels, mul, unit, star,
-                      name="%s(x)%s" % (a.name or "A", b.name or "B"))
+                for j, xij in xrow:
+                    for m, ykm in yrow:
+                        right = b.mul.get((j, m))
+                        if not right:
+                            continue
+                        c = xij * ykm
+                        for p, cp in left.items():
+                            cl = c if cp.is_one else c * cp
+                            base = p * nb
+                            for q, cq in right.items():
+                                t = base + q
+                                out[t] = out[t] + (cl if cq.is_one
+                                                   else cl * cq)
+        return out
+
+    def apply_star(self, x: list) -> list:
+        if self._star_columns is None:
+            raise StructureError("algebra %r has no star structure"
+                                 % self.name)
+        cols_a, cols_b = self._star_columns
+        nb = self.factors[1].dim
+        out = [SC_ZERO] * self.dim
+        for idx, c in enumerate(x):
+            if c.is_zero:
+                continue
+            j, m = divmod(idx, nb)
+            cc = c.conjugate()
+            for i, sa in cols_a[j]:
+                ca = cc * sa
+                for k, sb in cols_b[m]:
+                    t = i * nb + k
+                    out[t] = out[t] + ca * sb
+        return out
+
+
+def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
+    """Tensor product algebra; products are computed on demand from the
+    factors (see TensorAlgebra)."""
+    return TensorAlgebra(a, b)
 
 
 def transform_basis(alg: FinAlgebra, p_cols: list, labels=None) -> FinAlgebra:

@@ -18,7 +18,7 @@ from .exactla import (eigensplit, invert, kernel_basis, matmul, matvec, rank,
                       rref, solve_affine)
 from .finalg import (LinMap, apply_functional, basis_vector, vec_is_zero,
                      zero_vector)
-from .mhopf import CheckItem, QGData, tensor_vec
+from .mhopf import CheckItem, QGData, TensorMap
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
 
 
@@ -58,15 +58,11 @@ def solve_left_haar(qg: QGData) -> HaarSolution:
     n = alg.dim
     rows = []
     for k in range(n):
-        dk = qg.delta(alg.basis(k))
+        dk = qg.coproduct.columns[k]
         for b in range(n):
             # sum_{i,j} dk[i,j] phi_j (e_i e_b) = phi_k e_b, coordinatewise
             coeff = [[SC_ZERO] * n for _ in range(n)]  # [t][j]
-            for idx in range(n * n):
-                c = dk[idx]
-                if c.is_zero:
-                    continue
-                i, j = divmod(idx, n)
+            for (i, j), c in dk.items():
                 ent = alg.mul.get((i, b))
                 if not ent:
                     continue
@@ -96,6 +92,32 @@ def solve_left_haar(qg: QGData) -> HaarSolution:
     return HaarSolution(phi, dim)
 
 
+def left_haar(qg: QGData) -> HaarSolution:
+    """The left Haar functional of qg, solved once and kept on qg.
+
+    The algebra and the coproduct do not change after attach_coproduct, so
+    every later stage reads the same solution; none of them may mutate it.
+    """
+    if qg.haar is None:
+        qg.haar = solve_left_haar(qg)
+    return qg.haar
+
+
+def _delta_action(qg, phi, a_idx, b_idx, right):
+    """(phi(x)i) of D(e_a)(1(x)e_b), or of (1(x)e_b)D(e_a) when right."""
+    alg = qg.algebra
+    out = zero_vector(alg.dim)
+    for (i, j), c in qg.coproduct.columns[a_idx].items():
+        w = c * phi[i]
+        if w.is_zero:
+            continue
+        ent = alg.mul.get((b_idx, j) if right else (j, b_idx))
+        if ent:
+            for t, m in ent.items():
+                out[t] = out[t] + w * m
+    return out
+
+
 def right_haar(qg: QGData, phi: list) -> list:
     """psi = phi after S, verified right invariant on all basis pairs."""
     alg = qg.algebra
@@ -103,17 +125,8 @@ def right_haar(qg: QGData, phi: list) -> list:
     psi = [apply_functional(phi, qg.antipode.apply(alg.basis(i)))
            for i in range(n)]
     for k in range(n):
-        dk = qg.delta(alg.basis(k))
         for b in range(n):
-            lhs = zero_vector(n)
-            for idx in range(n * n):
-                c = dk[idx]
-                if c.is_zero:
-                    continue
-                i, j = divmod(idx, n)
-                term = alg.multiply(alg.basis(j), alg.basis(b))
-                w = c * psi[i]
-                lhs = [x + w * y for x, y in zip(lhs, term)]
+            lhs = _delta_action(qg, psi, k, b, right=False)
             rhs = [psi[k] * x for x in alg.basis(b)]
             if lhs != rhs:
                 raise StructureError(
@@ -163,44 +176,6 @@ def modular_automorphism(qg: QGData, omega: list) -> LinMap:
     return sigma
 
 
-def _left_action_of_delta(qg, phi, a_idx, b_idx):
-    """(phi(x)i)(D(e_a)(1(x)e_b)) as a vector."""
-    alg = qg.algebra
-    n = alg.dim
-    dk = qg.delta(alg.basis(a_idx))
-    out = zero_vector(n)
-    for idx in range(n * n):
-        c = dk[idx]
-        if c.is_zero:
-            continue
-        i, j = divmod(idx, n)
-        w = c * phi[i]
-        if w.is_zero:
-            continue
-        term = alg.multiply(alg.basis(j), alg.basis(b_idx))
-        out = [x + w * y for x, y in zip(out, term)]
-    return out
-
-
-def _right_action_of_delta(qg, phi, a_idx, b_idx):
-    """(phi(x)i)((1(x)e_b)D(e_a)) as a vector."""
-    alg = qg.algebra
-    n = alg.dim
-    dk = qg.delta(alg.basis(a_idx))
-    out = zero_vector(n)
-    for idx in range(n * n):
-        c = dk[idx]
-        if c.is_zero:
-            continue
-        i, j = divmod(idx, n)
-        w = c * phi[i]
-        if w.is_zero:
-            continue
-        term = alg.multiply(alg.basis(b_idx), alg.basis(j))
-        out = [x + w * y for x, y in zip(out, term)]
-    return out
-
-
 def modular_element(qg: QGData, phi: list) -> list:
     """Solve (phi(x)i)(D(a)(1(x)b)) = phi(a) delta b from one pivot element,
     then verify both defining equations on every basis pair."""
@@ -213,7 +188,7 @@ def modular_element(qg: QGData, phi: list) -> list:
     rhs = []
     fa = phi[a_idx]
     for b in range(n):
-        lhs = _left_action_of_delta(qg, phi, a_idx, b)
+        lhs = _delta_action(qg, phi, a_idx, b, right=False)
         for t in range(n):
             rows.append([fa * alg.mul.get((r, b), {}).get(t, SC_ZERO)
                          for r in range(n)])
@@ -230,13 +205,13 @@ def modular_element(qg: QGData, phi: list) -> list:
         for b in range(n):
             want = [phi[a] * x for x in
                     alg.multiply(delta, alg.basis(b))]
-            if _left_action_of_delta(qg, phi, a, b) != want:
+            if _delta_action(qg, phi, a, b, right=False) != want:
                 raise StructureError(
                     "left modular-element law fails at (%s, %s)"
                     % (alg.labels[a], alg.labels[b]))
             want = [phi[a] * x for x in
                     alg.multiply(alg.basis(b), delta)]
-            if _right_action_of_delta(qg, phi, a, b) != want:
+            if _delta_action(qg, phi, a, b, right=True) != want:
                 raise StructureError(
                     "right modular-element law fails at (%s, %s)"
                     % (alg.labels[a], alg.labels[b]))
@@ -380,12 +355,9 @@ class OrbitReport:
         return all(it.ok for it in self.items)
 
 
-def orbit_analysis(qg: QGData, md: ModularData, a: list,
-                   window: int = 4) -> OrbitReport:
-    """Span of the kappa-orbit of a (kappa and its inverse), plus the
-    nonvanishing check b* (sigma'^n S^(2n))(b) != 0 for even |n| <= window."""
-    alg = qg.algebra
-    n = alg.dim
+def orbit_span(md: ModularData, a: list) -> list:
+    """Basis of the span of the kappa-orbit of a (kappa and its inverse)."""
+    n = len(a)
     kappa = md.kappa
     kappa_inv = kappa.inverse()
     vecs = [list(a)]
@@ -402,13 +374,17 @@ def orbit_analysis(qg: QGData, md: ModularData, a: list,
                     changed = True
     reduced = [list(r) for r in vecs]
     rref(reduced)
-    span = [r for r in reduced if not vec_is_zero(r)]
+    return [r for r in reduced if not vec_is_zero(r)]
 
-    items = []
+
+def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:
+    """The check b* (sigma'^n S^(2n))(b) != 0 for every basis b and even
+    |n| <= window, as a one-item list of CheckItems."""
+    alg = qg.algebra
+    n = alg.dim
     if alg.star is None:
-        items.append(CheckItem("nonvanishing-window", True,
-                               "skipped: no star structure"))
-        return OrbitReport(span, items)
+        return [CheckItem("nonvanishing-window", True,
+                          "skipped: no star structure")]
     s2 = qg.antipode.compose(qg.antipode)
     sp = md.sigma_prime
     sp_inv = sp.inverse()
@@ -427,11 +403,17 @@ def orbit_analysis(qg: QGData, md: ModularData, a: list,
                                 m.apply(alg.basis(b)))
             if vec_is_zero(prod):
                 failures.append("b = %s, n = %d" % (alg.labels[b], even))
-    items.append(CheckItem(
+    return [CheckItem(
         "nonvanishing-window", not failures,
         "b*(sigma'^n S^(2n))(b) != 0 for all basis b, even |n| <= %d" % window
-        if not failures else "vanishing at " + "; ".join(failures)))
-    return OrbitReport(span, items)
+        if not failures else "vanishing at " + "; ".join(failures))]
+
+
+def orbit_analysis(qg: QGData, md: ModularData, a: list,
+                   window: int = 4) -> OrbitReport:
+    """Span of the kappa-orbit of a, plus the nonvanishing window (which
+    does not depend on a)."""
+    return OrbitReport(orbit_span(md, a), nonvanishing_window(qg, md, window))
 
 
 # ---------------------------------------------------------------------------
@@ -587,22 +569,10 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
     """D(sigma(a)) = (S^2 (x) sigma)(D(a)) on every basis element."""
     alg = qg.algebra
     n = alg.dim
-    s2 = qg.antipode.compose(qg.antipode)
-    bad = []
-    for k in range(n):
-        lhs = qg.delta(md.sigma.apply(alg.basis(k)))
-        d = qg.delta(alg.basis(k))
-        rhs = [SC_ZERO] * (n * n)
-        for idx in range(n * n):
-            c = d[idx]
-            if c.is_zero:
-                continue
-            i, j = divmod(idx, n)
-            term = tensor_vec(s2.apply(basis_vector(n, i)),
-                              md.sigma.apply(basis_vector(n, j)))
-            rhs = [x + c * y for x, y in zip(rhs, term)]
-        if lhs != rhs:
-            bad.append(alg.labels[k])
+    s2_sigma = TensorMap(qg.antipode.compose(qg.antipode), md.sigma)
+    bad = [alg.labels[k] for k in range(n)
+           if qg.delta(md.sigma.apply(alg.basis(k)))
+           != s2_sigma.apply_terms(qg.coproduct.columns[k].items())]
     return CheckItem(
         "coproduct-modular-rule", not bad,
         "D(sigma(a)) = (S^2 (x) sigma) D(a) on every basis element"
@@ -617,7 +587,7 @@ def compute_modular_data(qg: QGData, spec_points,
                          positive_mode: bool) -> ModularData:
     """Full modular pipeline; delta_half failures become notes when not in
     positive mode (they are obstructions, not bugs, without positivity)."""
-    haar = solve_left_haar(qg)
+    haar = left_haar(qg)
     phi = haar.phi
     psi = right_haar(qg, phi)
     sigma = modular_automorphism(qg, phi)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .errors import CheckFailure, StructureError
 from .exactla import rank as _rank
 from .exactla import solve_affine
-from .finalg import (FinAlgebra, LinMap, apply_functional, basis_vector,
-                     build_algebra, tensor_algebra, vec_is_zero, zero_vector)
+from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
+                     nonzero_columns, tensor_algebra, vec_is_zero, zero_vector)
 from .scalars import SC_ONE, SC_ZERO
 
 
@@ -32,15 +32,102 @@ def tensor_vec(x: list, y: list) -> list:
     return out
 
 
+class TensorMap:
+    """f(x)g for linear maps f and g, with their column images read once."""
+
+    def __init__(self, f: LinMap, g: LinMap):
+        self.cols_f = nonzero_columns(f)
+        self.cols_g = nonzero_columns(g)
+        self.n_in_g = g.n_in
+        self.n_out_g = g.n_out
+        self.n_out = f.n_out * g.n_out
+
+    def apply_terms(self, terms) -> list:
+        """(f(x)g)(sum c e_a(x)e_b) over the ((a, b), c) pairs of terms."""
+        m = self.n_out_g
+        out = [SC_ZERO] * self.n_out
+        for (a, b), c in terms:
+            for i, fa in self.cols_f[a]:
+                w = c * fa
+                for j, gb in self.cols_g[b]:
+                    t = i * m + j
+                    out[t] = out[t] + w * gb
+        return out
+
+    def apply(self, v: list) -> list:
+        return self.apply_terms((divmod(idx, self.n_in_g), c)
+                                for idx, c in enumerate(v) if not c.is_zero)
+
+
+class Coproduct:
+    """A coproduct A -> A(x)A stored as one sparse column per basis element.
+
+    columns[k] maps (i, j) to the nonzero coefficient of e_i(x)e_j in D(e_k),
+    the shape of StructureDefinition.coproduct.  Dense coordinates use the
+    tensor-square index i*n + j.
+    """
+
+    def __init__(self, columns: list):
+        self.columns = [{key: c for key, c in col.items() if not c.is_zero}
+                        for col in columns]
+
+    @staticmethod
+    def from_linmap(m: LinMap, n: int) -> "Coproduct":
+        """Read the columns of a linear n^2 x n map."""
+        if m.conjugate_linear:
+            raise StructureError("a coproduct must be linear")
+        columns = [{} for _ in range(m.n_in)]
+        for idx, row in enumerate(m.matrix):
+            key = divmod(idx, n)
+            for k, c in enumerate(row):
+                if not c.is_zero:
+                    columns[k][key] = c
+        return Coproduct(columns)
+
+    @property
+    def n_in(self) -> int:
+        return len(self.columns)
+
+    @property
+    def n_out(self) -> int:
+        return self.n_in * self.n_in
+
+    def combine(self, terms) -> list:
+        """sum x_k D(e_k) over the (k, x_k) pairs of terms, dense."""
+        n = self.n_in
+        out = [SC_ZERO] * (n * n)
+        for k, xk in terms:
+            for (i, j), c in self.columns[k].items():
+                idx = i * n + j
+                out[idx] = out[idx] + (c if xk.is_one else xk * c)
+        return out
+
+    def apply(self, x: list) -> list:
+        return self.combine((k, xk) for k, xk in enumerate(x)
+                            if not xk.is_zero)
+
+    @property
+    def matrix(self) -> list:
+        """The dense n^2 x n matrix, built on each call."""
+        n = self.n_in
+        rows = [[SC_ZERO] * n for _ in range(n * n)]
+        for k, col in enumerate(self.columns):
+            for (i, j), c in col.items():
+                rows[i * n + j][k] = c
+        return rows
+
+
 @dataclass
 class QGData:
-    """Algebra plus verified coproduct; counit and antipode once derived."""
+    """Algebra plus verified coproduct; counit and antipode once derived,
+    and the left Haar functional once solved (haar_modular.left_haar)."""
 
     algebra: FinAlgebra
-    coproduct: LinMap
+    coproduct: Coproduct
     tensor_sq: FinAlgebra
     counit: list | None = None
     antipode: LinMap | None = None
+    haar: object | None = None
 
     @property
     def dim(self) -> int:
@@ -53,24 +140,27 @@ class QGData:
         return self.algebra.star is not None
 
 
-def attach_coproduct(alg: FinAlgebra, coproduct: LinMap) -> QGData:
+def attach_coproduct(alg: FinAlgebra, coproduct) -> QGData:
     """Verify the coproduct is an algebra morphism and coassociative.
 
-    Unitality of the coproduct is deliberately not required here; it is
-    re-examined with the T-maps, so that morphism-level acceptance and
-    bijectivity-level rejection stay separate stages.
+    coproduct is a Coproduct or a linear n^2 x n LinMap.  Unitality of the
+    coproduct is deliberately not required here; it is re-examined with the
+    T-maps, so that morphism-level acceptance and bijectivity-level
+    rejection stay separate stages.
     """
     n = alg.dim
     if coproduct.n_in != n or coproduct.n_out != n * n:
         raise StructureError(
             "coproduct must map the %d-dim algebra into its tensor square" % n)
+    if isinstance(coproduct, LinMap):
+        coproduct = Coproduct.from_linmap(coproduct, n)
     tsq = tensor_algebra(alg, alg)
     qg = QGData(alg, coproduct, tsq)
+    cols = coproduct.columns
     for i in range(n):
-        di = coproduct.apply(alg.basis(i))
         for j in range(n):
-            lhs = coproduct.apply(alg.multiply(alg.basis(i), alg.basis(j)))
-            rhs = tsq.multiply(di, coproduct.apply(alg.basis(j)))
+            lhs = coproduct.combine(alg.mul.get((i, j), {}).items())
+            rhs = tsq.multiply_terms(cols[i], cols[j])
             if lhs != rhs:
                 raise StructureError(
                     "coproduct is not multiplicative at (%s, %s)"
@@ -83,29 +173,16 @@ def attach_coproduct(alg: FinAlgebra, coproduct: LinMap) -> QGData:
 
 
 def _coassoc_defect(qg: QGData, k: int) -> bool:
-    n = qg.dim
-    d = qg.delta(qg.algebra.basis(k))
+    cols = qg.coproduct.columns
     left = {}
     right = {}
-    for idx in range(n * n):
-        c = d[idx]
-        if c.is_zero:
-            continue
-        i, j = divmod(idx, n)
-        di = qg.delta(qg.algebra.basis(i))
-        for idx2 in range(n * n):
-            c2 = di[idx2]
-            if not c2.is_zero:
-                a, b = divmod(idx2, n)
-                key = (a, b, j)
-                left[key] = left.get(key, SC_ZERO) + c * c2
-        dj = qg.delta(qg.algebra.basis(j))
-        for idx2 in range(n * n):
-            c2 = dj[idx2]
-            if not c2.is_zero:
-                a, b = divmod(idx2, n)
-                key = (i, a, b)
-                right[key] = right.get(key, SC_ZERO) + c * c2
+    for (i, j), c in cols[k].items():
+        for (a, b), c2 in cols[i].items():
+            key = (a, b, j)
+            left[key] = left.get(key, SC_ZERO) + c * c2
+        for (a, b), c2 in cols[j].items():
+            key = (i, a, b)
+            right[key] = right.get(key, SC_ZERO) + c * c2
     keys = set(left) | set(right)
     return any(left.get(key, SC_ZERO) != right.get(key, SC_ZERO) for key in keys)
 
@@ -142,25 +219,24 @@ class TMapReport:
 
 
 def _tmap_columns(qg: QGData, which: int) -> list:
+    """The images of the basis e_i(x)e_j under T-map number which."""
     alg, tsq = qg.algebra, qg.tensor_sq
     n = alg.dim
-    cols = []
-    unit = alg.unit
+    cols = qg.coproduct.columns
+    unit = [(t, u) for t, u in enumerate(alg.unit) if not u.is_zero]
+    images = []
     for i in range(n):
-        ei = alg.basis(i)
-        di = qg.delta(ei)
         for j in range(n):
-            ej = alg.basis(j)
             if which == 0:
-                col = tsq.multiply(di, tensor_vec(unit, ej))
+                img = tsq.multiply_terms(cols[i], {(t, j): u for t, u in unit})
             elif which == 1:
-                col = tsq.multiply(tensor_vec(ei, unit), qg.delta(ej))
+                img = tsq.multiply_terms({(i, t): u for t, u in unit}, cols[j])
             elif which == 2:
-                col = tsq.multiply(di, tensor_vec(ej, unit))
+                img = tsq.multiply_terms(cols[i], {(j, t): u for t, u in unit})
             else:
-                col = tsq.multiply(tensor_vec(unit, ei), qg.delta(ej))
-            cols.append(col)
-    return [[cols[c][r] for c in range(n * n)] for r in range(n * n)]
+                img = tsq.multiply_terms({(t, i): u for t, u in unit}, cols[j])
+            images.append(img)
+    return images
 
 
 def check_tmaps(qg: QGData) -> TMapReport:
@@ -172,8 +248,8 @@ def check_tmaps(qg: QGData) -> TMapReport:
     n2 = qg.dim * qg.dim
     views = []
     for which, formula in enumerate(TMAP_FORMULAS):
-        m = _tmap_columns(qg, which)
-        views.append(TMapView(formula, _rank(m), n2))
+        # a matrix and its transpose have the same rank
+        views.append(TMapView(formula, _rank(_tmap_columns(qg, which)), n2))
     unital = qg.delta(qg.algebra.unit) == tensor_vec(qg.algebra.unit, qg.algebra.unit)
     return TMapReport(views, unital)
 
@@ -194,16 +270,21 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     """
     alg = qg.algebra
     n = alg.dim
-    deltas = [qg.delta(alg.basis(k)) for k in range(n)]
+    cols = qg.coproduct.columns
 
     rows = []
     rhs = []
     for k in range(n):
-        dk = deltas[k]
+        # [t][i] = D(e_k)[i, t] and [t][j] = D(e_k)[t, j]
+        left = [[SC_ZERO] * n for _ in range(n)]
+        right = [[SC_ZERO] * n for _ in range(n)]
+        for (i, j), c in cols[k].items():
+            left[j][i] = c
+            right[i][j] = c
         for t in range(n):
-            rows.append([dk[i * n + t] for i in range(n)])
+            rows.append(left[t])
             rhs.append(SC_ONE if t == k else SC_ZERO)
-            rows.append([dk[t * n + j] for j in range(n)])
+            rows.append(right[t])
             rhs.append(SC_ONE if t == k else SC_ZERO)
     sol = solve_affine(rows, rhs)
     if sol.is_empty:
@@ -223,25 +304,25 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     if apply_functional(eps, alg.unit) != SC_ONE:
         raise StructureError("solved counit does not send the unit to 1")
 
+    # e_r e_j and e_i e_r have coefficient m at e_t:
+    # by_right[j][t] and by_left[i][t] list those (r, m)
+    by_right = [[[] for _ in range(n)] for _ in range(n)]
+    by_left = [[[] for _ in range(n)] for _ in range(n)]
+    for (a, b), ent in alg.mul.items():
+        for t, m in ent.items():
+            by_right[b][t].append((a, m))
+            by_left[a][t].append((b, m))
     rows = []
     rhs = []
     for k in range(n):
-        dk = deltas[k]
         for t in range(n):
             row1 = [SC_ZERO] * (n * n)
             row2 = [SC_ZERO] * (n * n)
-            for i in range(n):
-                for j in range(n):
-                    c = dk[i * n + j]
-                    if c.is_zero:
-                        continue
-                    for r in range(n):
-                        ent = alg.mul.get((r, j))
-                        if ent and t in ent:
-                            row1[r * n + i] = row1[r * n + i] + c * ent[t]
-                        ent = alg.mul.get((i, r))
-                        if ent and t in ent:
-                            row2[r * n + j] = row2[r * n + j] + c * ent[t]
+            for (i, j), c in cols[k].items():
+                for r, m in by_right[j][t]:
+                    row1[r * n + i] = row1[r * n + i] + c * m
+                for r, m in by_left[i][t]:
+                    row2[r * n + j] = row2[r * n + j] + c * m
             target = eps[k] * alg.unit[t]
             rows.append(row1)
             rhs.append(target)
@@ -324,22 +405,9 @@ def check_star_compat(qg: QGData) -> StarCompatReport:
         "S(S(a)*)* = a on every basis element" if not bad
         else "fails at " + ", ".join(bad)))
 
-    bad = []
-    for i in range(n):
-        lhs = qg.delta(star.apply(alg.basis(i)))
-        d = qg.delta(alg.basis(i))
-        rhs = [SC_ZERO] * (n * n)
-        for idx in range(n * n):
-            c = d[idx]
-            if c.is_zero:
-                continue
-            a, b = divmod(idx, n)
-            term = tensor_vec(star.apply(basis_vector(n, a)),
-                              star.apply(basis_vector(n, b)))
-            cc = c.conjugate()
-            rhs = [x + cc * y for x, y in zip(rhs, term)]
-        if lhs != rhs:
-            bad.append(alg.labels[i])
+    bad = [alg.labels[i] for i in range(n)
+           if qg.delta(star.apply(alg.basis(i)))
+           != qg.tensor_sq.apply_star(qg.delta(alg.basis(i)))]
     items.append(CheckItem(
         "coproduct-star-compatibility",
         not bad,

@@ -23,10 +23,10 @@ from .errors import CheckFailure, DefinitionError, HopfForgeError
 from .exactla import POSITIVE_DEFINITE
 from .finalg import gram_psd
 from .haar_modular import (ModularData, check_sigma_coproduct_rule,
-                           delta_square_root, modular_automorphism,
-                           modular_element, orbit_analysis, psi_positivity,
-                           right_haar, scaling_constant,
-                           simultaneous_eigenbasis, solve_left_haar)
+                           delta_square_root, left_haar, modular_automorphism,
+                           modular_element, nonvanishing_window, orbit_span,
+                           psi_positivity, right_haar, scaling_constant,
+                           simultaneous_eigenbasis)
 from .mhopf import (CheckItem, attach_coproduct, check_star_compat,
                     check_sub_mha, check_tmaps, derive_counit_antipode)
 from .presentations import PairedPresentations, build_presented
@@ -211,7 +211,7 @@ def _modular_core(rep: Report, qg, positive_mode: bool):
     """
     alg = qg.algebra
     try:
-        haar = solve_left_haar(qg)
+        haar = left_haar(qg)
     except HopfForgeError as exc:
         rep.fail_from("haar-functional", exc)
         return None
@@ -324,7 +324,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
     positive_mode = False
     if alg.star is not None:
         try:
-            haar_probe = solve_left_haar(qg)
+            haar_probe = left_haar(qg)
         except HopfForgeError as exc:
             rep.fail_from("haar-functional", exc)
             return
@@ -404,23 +404,18 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
             else:
                 rep.notes.append("psi-positivity: " + detail)
 
-    spans = []
-    window_items = None
-    for i in range(alg.dim):
-        orbit = orbit_analysis(qg, md, alg.basis(i))
-        spans.append("%s: dimension %d" % (alg.labels[i], len(orbit.span)))
-        if window_items is None:
-            window_items = orbit.items
+    spans = ["%s: dimension %d" % (alg.labels[i],
+                                   len(orbit_span(md, alg.basis(i))))
+             for i in range(alg.dim)]
     rep.objects.append(("map-orbit-span-dimensions", spans))
-    if window_items:
-        if positive_mode:
-            rep.checks.extend(window_items)
-        else:
-            for item in window_items:
-                rep.notes.append(
-                    "%s: %s" % (item.name, item.detail) if item.ok else
-                    "window obstruction at %s: %s"
-                    % (item.name, item.detail))
+    window_items = nonvanishing_window(qg, md)
+    if positive_mode:
+        rep.checks.extend(window_items)
+    else:
+        for item in window_items:
+            rep.notes.append(
+                "%s: %s" % (item.name, item.detail) if item.ok else
+                "window obstruction at %s: %s" % (item.name, item.detail))
 
 
 def _analyze_presentation(rep: Report, pqg, degree: int):
@@ -491,7 +486,7 @@ def run_dual(defn, source: str, sha256: str, output=None,
             "the unit of the dual is the counit functional")
 
     try:
-        haar2 = solve_left_haar(build.qg)
+        haar2 = left_haar(build.qg)
     except HopfForgeError as exc:
         rep.fail_from("dual-haar-functional", exc)
         return rep
