@@ -569,10 +569,9 @@ class PairedPresentations:
         bad = []
         for x in row_gens:
             for y in row_gens:
+                xy = self.row.pres.normal_form_word(x + y)
                 for c in col_words:
-                    lhs = self.pair_terms(
-                        self.row.pres.normal_form_word(x + y),
-                        ((c, SC_ONE),))
+                    lhs = self.pair_terms(xy, ((c, SC_ONE),))
                     rhs = SC_ZERO
                     for (w1, w2), coef in self.col.coproduct.apply_word(c):
                         v = self.pair_words(x, w1)
@@ -588,28 +587,24 @@ class PairedPresentations:
             "<XY, c> = <X (x) Y, D(c)> for generators X, Y and all words c"
             if not bad else "fails at " + ", ".join(bad[:3])))
 
+        # the normal forms of the products cd do not depend on X
+        products = [(c, d, self.col.pres.normal_form_word(c + d))
+                    for c in col_words if c for d in col_words if d]
         bad = []
         for x in row_gens:
             dx = self.row.coproduct.apply_word(x)
-            for c in col_words:
-                if not c:
-                    continue
-                for d in col_words:
-                    if not d:
-                        continue
-                    lhs = self.pair_terms(
-                        ((x, SC_ONE),),
-                        self.col.pres.normal_form_word(c + d))
-                    rhs = SC_ZERO
-                    for (w1, w2), coef in dx:
-                        v = self.pair_words(w1, c)
-                        if not v.is_zero:
-                            rhs = rhs + coef * v * self.pair_words(w2, d)
-                    if lhs != rhs:
-                        bad.append("(%s, %s.%s)"
-                                   % (self.row.pres.format_word(x),
-                                      self.col.pres.format_word(c),
-                                      self.col.pres.format_word(d)))
+            for c, d, cd in products:
+                lhs = self.pair_terms(((x, SC_ONE),), cd)
+                rhs = SC_ZERO
+                for (w1, w2), coef in dx:
+                    v = self.pair_words(w1, c)
+                    if not v.is_zero:
+                        rhs = rhs + coef * v * self.pair_words(w2, d)
+                if lhs != rhs:
+                    bad.append("(%s, %s.%s)"
+                               % (self.row.pres.format_word(x),
+                                  self.col.pres.format_word(c),
+                                  self.col.pres.format_word(d)))
         items.append(CheckItem(
             "pairing-product-right", not bad,
             "<X, cd> = <D(X), c (x) d> for generators X and all words c, d"

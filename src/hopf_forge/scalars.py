@@ -321,7 +321,9 @@ class Scalar:
 
     Canonical means: numerator and denominator are coprime, the denominator
     is monic, and zero is stored as num=(), den=(1,).  Structural equality
-    then decides value equality, and rendering is deterministic.
+    then decides value equality, and rendering is deterministic.  A Scalar
+    is immutable: only __init__ assigns num and den, so arithmetic may
+    return an operand itself.
     """
 
     __slots__ = ("num", "den")
@@ -411,23 +413,48 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         a, b = self, other
+        if not a.num:
+            return b
+        if not b.num:
+            return a
         if a.den == b.den:
-            return Scalar(padd(a.num, b.num), a.den)
-        return Scalar(padd(pmul(a.num, b.den), pmul(b.num, a.den)),
-                      pmul(a.den, b.den))
+            return _over_den(padd(a.num, b.num), a.den)
+        return _henrici(a, b, padd)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         a, b = self, other
+        if not b.num:
+            return a
+        if not a.num:
+            return -b
         if a.den == b.den:
-            return Scalar(psub(a.num, b.num), a.den)
-        return Scalar(psub(pmul(a.num, b.den), pmul(b.num, a.den)),
-                      pmul(a.den, b.den))
+            return _over_den(psub(a.num, b.num), a.den)
+        return _henrici(a, b, psub)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = self, other
         if not a.num or not b.num:
             return SC_ZERO
-        return Scalar(pmul(a.num, b.num), pmul(a.den, b.den))
+        ad, bd = a.den, b.den
+        # An s-free constant factor: one returns the other operand, and any
+        # other constant scales the other numerator, which stays coprime to
+        # its monic denominator.
+        a_const = len(ad) == 1 and len(a.num) == 1
+        b_const = len(bd) == 1 and len(b.num) == 1
+        if a_const and a.num[0] == GR_ONE:
+            return b
+        if b_const and b.num[0] == GR_ONE:
+            return a
+        if a_const:
+            if b_const:
+                return Scalar((a.num[0] * b.num[0],), P_ONE, _canonical=True)
+            return Scalar(pscale(b.num, a.num[0]), bd, _canonical=True)
+        if b_const:
+            return Scalar(pscale(a.num, b.num[0]), ad, _canonical=True)
+        # Two Laurent polynomials: the denominators are s^ka and s^kb.
+        if _is_monomial(ad) and _is_monomial(bd):
+            return _over_s_power(pmul(a.num, b.num), len(ad) + len(bd) - 2)
+        return Scalar(pmul(a.num, b.num), pmul(ad, bd))
 
     def __neg__(self) -> "Scalar":
         return Scalar(pneg(self.num), self.den, _canonical=True)
@@ -435,7 +462,11 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self.num:
             raise ScalarError("division by zero in scalar field")
-        return Scalar(self.den, self.num)
+        # num and den are coprime already; only the new denominator is made
+        # monic
+        inv = self.num[-1].inverse()
+        return Scalar(pscale(self.den, inv), pscale(self.num, inv),
+                      _canonical=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -506,6 +537,59 @@ class Scalar:
         if not _is_bare_monomial(self.den):
             den_str = "(" + den_str + ")"
         return num_str + "/" + den_str
+
+
+def _over_s_power(num: tuple, k: int) -> Scalar:
+    """num / s^k, canonical after shifting out the common power of s."""
+    if not num:
+        return SC_ZERO
+    v = min(pvaluation(num), k)
+    return Scalar(num[v:] if v else num, (GR_ZERO,) * (k - v) + P_ONE,
+                  _canonical=True)
+
+
+def _over_den(num: tuple, den: tuple) -> Scalar:
+    """num / den for the canonical denominator den of a summand."""
+    if _is_monomial(den):
+        return _over_s_power(num, len(den) - 1)
+    return Scalar(num, den)
+
+
+def _monic_gcd(p: tuple, q: tuple) -> tuple:
+    """Monic gcd of a monic p and a nonzero q.
+
+    The common power of s is split off first; then a monomial side or the
+    modular certificate settles a trivial gcd, and only an inconclusive
+    certificate runs the exact pgcd.
+    """
+    v = min(pvaluation(p), pvaluation(q))
+    p, q = p[v:], q[v:]
+    if _is_monomial(p) or _is_monomial(q) or _coprime_mod_p(p, q):
+        g = P_ONE
+    else:
+        g = pgcd(p, q)
+    return (GR_ZERO,) * v + g if v else g
+
+
+def _henrici(a: Scalar, b: Scalar, combine) -> Scalar:
+    """a + b (combine=padd) or a - b (combine=psub) for nonzero a and b with
+    different denominators, by Henrici's rule: with d1 = gcd(a.den, b.den)
+    and t = a.num*(b.den/d1) +- b.num*(a.den/d1), the sum is
+    (t/d2) / ((a.den/d1)*(b.den/d2)) with d2 = gcd(t, d1), already coprime
+    and monic.  Only denominators are ever taken gcds of.  The sum is
+    nonzero, since equal values have equal canonical denominators.
+    """
+    d1 = _monic_gcd(a.den, b.den)
+    if len(d1) == 1:
+        return Scalar(combine(pmul(a.num, b.den), pmul(b.num, a.den)),
+                      pmul(a.den, b.den), _canonical=True)
+    ad = pdivmod(a.den, d1)[0]
+    t = combine(pmul(a.num, pdivmod(b.den, d1)[0]), pmul(b.num, ad))
+    d2 = _monic_gcd(d1, t)
+    if len(d2) == 1:
+        return Scalar(t, pmul(ad, b.den), _canonical=True)
+    return Scalar(pdivmod(t, d2)[0], pmul(ad, pdivmod(b.den, d2)[0]),
+                  _canonical=True)
 
 
 SC_ZERO = Scalar(P_ZERO, P_ONE, _canonical=True)
@@ -594,9 +678,15 @@ def _poly_literal(p: tuple) -> tuple[str, int]:
 _OPS = set("+-*/^()")
 
 # A power in a literal may have |exponent| and deg_s(base) * |exponent| up to
-# this, and coefficients of at most this squared in bits, so that every
-# literal is cheap to build.
+# this, and coefficients of at most this squared in bits; a product or
+# quotient may have numerator and denominator degrees up to this.  This keeps
+# a literal from growing without limit; the largest in-budget powers, such
+# as (1+s)^1024, still take seconds to build.
 POWER_BUDGET = 1024
+
+
+def _degree(p: tuple) -> int:
+    return max(len(p) - 1, 0)
 
 
 def _tokenize(text: str):
@@ -669,10 +759,20 @@ class _Parser:
     def term(self) -> Scalar:
         value = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
+                top, bottom = ((rhs.num, rhs.den) if val == "*"
+                               else (rhs.den, rhs.num))
+                if (_degree(value.num) + _degree(top) > POWER_BUDGET
+                        or _degree(value.den) + _degree(bottom)
+                        > POWER_BUDGET):
+                    raise ScalarParseError(
+                        self.text, pos,
+                        "product over the literal budget: the degrees in s "
+                        "of its numerator and of its denominator are "
+                        "limited to %d" % POWER_BUDGET)
                 if val == "*":
                     value = value * rhs
                 else:

@@ -152,6 +152,7 @@ class TestLiteralBudget:
         ("s^1000000000", "literal budget"),
         ("2^1000000000", "literal budget"),
         ("(1+s)^100000", "literal budget"),
+        ("s^1024*s^1024", "literal budget"),
         ("1" * 5000, "integer literal too long"),
     ])
     def test_huge_literal_in_a_definition_exits_two(self, tmp_path, literal,

@@ -72,6 +72,16 @@ class TestAxioms:
         for it in items:
             assert it.ok, it.name
 
+    def test_failure_text_lists_the_first_bad_entries_in_order(self):
+        defn = pairing_uqsu2_suq2()
+        defn.table[("K", "b")] = SC_ONE
+        paired = PairedPresentations(defn, build_presented(defn.rows),
+                                     build_presented(defn.cols))
+        left, right = paired.check_axioms(2)[:2]
+        assert left.detail == \
+            "fails at (K.K, b.b), (K.Kinv, b), (K.Kinv, b.b)"
+        assert right.detail == "fails at (K, a.b), (K, a.b.b), (K, a.b.a)"
+
     @given(st.lists(st.sampled_from(["K", "Kinv", "E", "F"]),
                     min_size=1, max_size=3).map(tuple),
            st.lists(st.sampled_from(["b", "bs", "a", "as"]),

@@ -262,3 +262,27 @@ class TestReportBytes:
         out = capsys.readouterr().out
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == self.VALIDATE_DEGREE_4_SHA256[name]
+
+    # sha256 of the text and JSON reports of `analyze --degree 5`, run the
+    # same way
+    ANALYZE_DEGREE_5_SHA256 = {
+        ("uq-su2", "text"):
+            "85d413be442bc9e31ea5d933b6a00df866cee4d0f7c012b0a5d84033cea6b7a6",
+        ("uq-su2", "json"):
+            "640267a6f2262bdbec72e3b13857fcc79ca880f583f1cb4c02e8208cd439a617",
+        ("suq2", "text"):
+            "9cf733e214f85c46c150cca49bc4992887895213ae3f49742cf053a14a94e7eb",
+        ("suq2", "json"):
+            "d09e05eaeb7a8b65319ffa9c707a1c84191d83ab9aee036a887f62070e84a231",
+    }
+
+    @pytest.mark.parametrize("name,fmt", sorted(ANALYZE_DEGREE_5_SHA256))
+    def test_analyze_degree_five_report_is_pinned(self, name, fmt, tmp_path,
+                                                  monkeypatch, capsys):
+        shutil.copyfile(packaged_fixture_path(name), tmp_path / (name + ".qg"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", name + ".qg", "--degree", "5",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.ANALYZE_DEGREE_5_SHA256[(name, fmt)]

@@ -226,6 +226,79 @@ class TestCanonicalForm:
                             / poly_to_sympy(d)) == 0
 
 
+@st.composite
+def constants(draw):
+    return Scalar.const(draw(gauss_rats()))
+
+
+@st.composite
+def laurents(draw):
+    """A Laurent polynomial p / s^k."""
+    return Scalar(draw(polys()),
+                  poly(*[0] * draw(st.integers(0, 3)), 1))
+
+
+def operands():
+    """Scalars of every shape the arithmetic distinguishes."""
+    return st.one_of(scalars(), constants(), laurents(),
+                     st.sampled_from([SC_ONE, SC_ZERO, -SC_ONE]))
+
+
+def general_mul(a, b):
+    return Scalar(pmul(a.num, b.num), pmul(a.den, b.den))
+
+
+def general_sum(a, b, combine):
+    """The cross-product sum over a.den * b.den, whatever the shapes."""
+    return Scalar(combine(pmul(a.num, b.den), pmul(b.num, a.den)),
+                  pmul(a.den, b.den))
+
+
+class TestArithmeticShortcuts:
+    @settings(max_examples=80)
+    @given(operands(), operands())
+    def test_matches_the_general_path_and_sympy(self, a, b):
+        sa, sb = to_sympy(a), to_sympy(b)
+        for got, want, expr in ((a * b, general_mul(a, b), sa * sb),
+                                (a + b, general_sum(a, b, padd), sa + sb),
+                                (a - b, general_sum(a, b, psub), sa - sb)):
+            assert (got.num, got.den) == (want.num, want.den)
+            assert sympy.cancel(to_sympy(got) - expr) == 0
+        if not a.is_zero:
+            got, want = a.inverse(), Scalar(a.den, a.num)
+            assert (got.num, got.den) == (want.num, want.den)
+
+    @pytest.mark.parametrize("text", ["0", "3/4", "i*s^2", "(s + 1)/s^3",
+                                      "s^2/(s^4 - 1)"])
+    def test_units_and_zeros_return_the_other_operand(self, text):
+        x = parse_scalar(text)
+        assert SC_ONE * x is x and x * SC_ONE is x
+        assert SC_ZERO + x is x and x + SC_ZERO is x
+        assert x - SC_ZERO is x
+        assert SC_ZERO - x == -x
+
+    def test_henrici_sum_cancels_the_gcd_of_the_denominators(self):
+        # d1 = s - 1 and t = -(s - 1)/3, so d2 = s - 1
+        a = Scalar(P_ONE, pmul(poly(-1, 1), poly(2, 1)))
+        b = Scalar(poly(GaussRat(4, 0, 3)), pmul(poly(-1, 1), poly(3, 1)))
+        got = a - b
+        assert (got.num, got.den) == (poly(GaussRat(-1, 0, 3)),
+                                      poly(6, 5, 1))
+
+    def test_henrici_sum_cancels_a_common_power_of_s(self):
+        # d1 = s and t = 2s, so d2 = s
+        a = Scalar(P_ONE, pmul(poly(0, 1), poly(-1, 1)))
+        b = Scalar(P_ONE, pmul(poly(0, 1), poly(1, 1)))
+        got = a + b
+        assert (got.num, got.den) == (poly(2), poly(-1, 0, 1))
+
+    def test_laurent_product_shifts_out_the_valuation(self):
+        got = Scalar.s_power(2) * Scalar.s_power(-3)
+        assert (got.num, got.den) == (P_ONE, poly(0, 1))
+        got = Scalar(poly(0, 1, 1)) * Scalar.s_power(-3)
+        assert (got.num, got.den) == (poly(1, 1), poly(0, 0, 1))
+
+
 class TestCoprimalityCertificate:
     P = 998244353
 
@@ -328,6 +401,20 @@ class TestLiteralBudget:
                      "(2^1024)^1024"):
             with pytest.raises(ScalarParseError):
                 parse_scalar(text)
+
+    def test_products_over_the_budget_are_parse_errors(self):
+        for text in ("s^1024*s", "(1+s)^512*(1+s)^513", "1/s^1024/s",
+                     "s/s^-1024"):
+            with pytest.raises(ScalarParseError) as info:
+                parse_scalar(text)
+            assert info.value.pos == text.rindex("*" if "*" in text
+                                                 else "/")
+            assert "literal budget" in str(info.value)
+
+    def test_products_within_the_budget_parse(self):
+        assert parse_scalar("s^512*s^512") == Scalar.s_power(1024)
+        assert parse_scalar("s^1024*s^-1024") == SC_ONE
+        assert parse_scalar("s^1024/s^1024") == SC_ONE
 
     def test_overlong_integer_is_a_parse_error(self):
         with pytest.raises(ScalarParseError) as info:
