@@ -40,10 +40,6 @@ def functional_values(build: DualBuild, coords: list) -> list:
     return matvec(build.b_matrix, coords)
 
 
-def functional_coords(build: DualBuild, values: list) -> list:
-    return matvec(build.b_inv, values)
-
-
 def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
     """Construct the dual on the basis w_i = phi(. e_i) and re-run the whole
     structural suite on it.  phi must be faithful; it need not be normalized."""

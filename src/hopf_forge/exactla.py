@@ -90,10 +90,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def rref(rows):
     """In-place reduced row echelon form; returns the pivot column list.
 

@@ -136,9 +136,6 @@ class QGData:
     def delta(self, x: list) -> list:
         return self.coproduct.apply(x)
 
-    def has_star(self) -> bool:
-        return self.algebra.star is not None
-
 
 def attach_coproduct(alg: FinAlgebra, coproduct) -> QGData:
     """Verify the coproduct is an algebra morphism and coassociative.

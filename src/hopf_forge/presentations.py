@@ -16,12 +16,31 @@ import itertools
 from dataclasses import dataclass, field
 
 from .definition import PairingDefinition, PresentationDefinition
-from .errors import StructureError
+from .errors import DefinitionError, StructureError
 from .exactla import rank
 from .mhopf import CheckItem
 from .scalars import SC_ONE, SC_ZERO, Scalar
 
 EMPTY_WORD = ()
+
+# The most words a degree bound may enumerate, counting every word of every
+# degree up to it: 4^0 + ... + 4^9, so four generators go up to degree 9.
+WORD_BUDGET = 349525
+
+
+def check_word_budget(n_generators: int, degree: int) -> None:
+    """Refuse a degree bound whose words number more than WORD_BUDGET."""
+    total, layer = 0, 1
+    for _ in range(degree + 1):
+        total += layer
+        if total > WORD_BUDGET:
+            raise DefinitionError(
+                "degree %d over %d generator(s) enumerates more than the "
+                "word budget of %d words" % (degree, n_generators,
+                                             WORD_BUDGET))
+        layer *= n_generators
+        if not layer:
+            return
 
 
 def _tadd(acc: dict, word: tuple, coeff: Scalar) -> None:
@@ -52,6 +71,11 @@ class Presentation:
                     raise StructureError(
                         "rule %s does not decrease the word order at %s"
                         % (self.format_word(lhs), self.format_word(w)))
+        # the rules by the first letter of their left side, each list in
+        # declaration order
+        self._rules_from: dict = {}
+        for lhs, rhs in self.rules:
+            self._rules_from.setdefault(lhs[0], []).append((lhs, rhs))
         self._nf_memo: dict = {}
 
     # -- word order and rendering -------------------------------------------
@@ -96,7 +120,7 @@ class Presentation:
                 continue
             hit = None
             for p in range(len(cur)):
-                for lhs, rhs in self.rules:
+                for lhs, rhs in self._rules_from.get(cur[p], ()):
                     if cur[p:p + len(lhs)] == lhs:
                         hit = (p, lhs, rhs)
                         break
@@ -137,11 +161,6 @@ class Presentation:
                     _tadd(acc, w3, c1 * c2 * c3)
         return self._canon(acc)
 
-    def is_normal_word(self, w: tuple) -> bool:
-        return all(w[p:p + len(lhs)] != lhs
-                   for p in range(len(w))
-                   for lhs, _ in self.rules)
-
     def normal_words(self, max_degree: int) -> list:
         """All rewriting-irreducible words of length up to max_degree, in
         ascending word order."""
@@ -159,6 +178,52 @@ class Presentation:
         return out
 
     # -- confluence ----------------------------------------------------------
+
+    def inconsistent_words(self, max_degree: int,
+                           overlaps_only: bool = True) -> list:
+        """Words up to max_degree, in ascending word order, at which a later
+        redex reaches another normal form than the first redex; a word is
+        listed once per such redex.
+
+        The first redex (leftmost position, rules in declaration order) is
+        the one normal_form_word rewrites, so the word's normal form is the
+        target.  With overlaps_only, a redex at q is compared only when it
+        starts inside the first redex [p, p + len(lhs)), a second rule at p
+        included.
+
+        Both passes list no word, or the same first word (Bergman's diamond
+        lemma, Adv. Math. 29, 1978, up to degree max_degree).  Rewrites go
+        strictly down the deg-lex order, which is compatible with
+        concatenation; induct up that order.  Suppose every redex of every
+        smaller word reaches that word's normal form.  Rewriting a disjoint
+        redex at q, then the first redex, gives the same sum of words as the
+        other order, through words smaller than w, so by linearity
+        nf(step_q(w)) = nf(step_p(w)) = nf(w).  Hence the smallest word with
+        a disagreeing redex disagrees at an overlapping one.
+        """
+        bad = []
+        for d in range(max_degree + 1):
+            for letters in itertools.product(self.generators, repeat=d):
+                end = None      # where the first redex ends
+                target = None
+                for p in range(d):
+                    if overlaps_only and end is not None and p >= end:
+                        break
+                    for lhs, rhs in self._rules_from.get(letters[p], ()):
+                        if letters[p:p + len(lhs)] != lhs:
+                            continue
+                        if end is None:
+                            end = p + len(lhs)
+                            continue
+                        step = tuple(
+                            (letters[:p] + rw + letters[p + len(lhs):], c)
+                            for rw, c in rhs)
+                        nf = self.normal_form(step)
+                        if target is None:
+                            target = self.normal_form_word(letters)
+                        if nf != target:
+                            bad.append(self.format_word(letters))
+        return bad
 
     def check_confluence(self, max_degree: int) -> list:
         """Resolve every critical pair of the rules, then exhaustively verify
@@ -197,31 +262,12 @@ class Presentation:
             "%d critical pair(s) all resolve" % n_pairs if not bad
             else "unresolved at " + ", ".join(bad[:5])))
 
-        # The first redex in this visiting order is the one that
-        # normal_form_word rewrites, so its normal form is the target by
-        # definition; only the later redexes are compared with it.
-        bad = []
-        n_words = 0
-        for d in range(max_degree + 1):
-            for letters in itertools.product(self.generators, repeat=d):
-                n_words += 1
-                first = True
-                target = None
-                for p in range(d):
-                    for lhs, rhs in self.rules:
-                        if letters[p:p + len(lhs)] != lhs:
-                            continue
-                        if first:
-                            first = False
-                            continue
-                        step = tuple(
-                            (letters[:p] + rw + letters[p + len(lhs):], c)
-                            for rw, c in rhs)
-                        nf = self.normal_form(step)
-                        if target is None:
-                            target = self.normal_form_word(letters)
-                        if nf != target:
-                            bad.append(self.format_word(letters))
+        bad = self.inconsistent_words(max_degree)
+        if bad:
+            # the overlap-only list can miss words that the full comparison
+            # lists, so a failure reports the full list
+            bad = self.inconsistent_words(max_degree, overlaps_only=False)
+        n_words = sum(len(self.generators) ** d for d in range(max_degree + 1))
         items.append(CheckItem(
             "exhaustive-confluence", not bad,
             "all %d words up to degree %d rewrite consistently"

@@ -29,11 +29,21 @@ from .haar_modular import (ModularData, check_sigma_coproduct_rule,
                            simultaneous_eigenbasis)
 from .mhopf import (CheckItem, attach_coproduct, check_star_compat,
                     check_sub_mha, check_tmaps, derive_counit_antipode)
-from .presentations import PairedPresentations, build_presented
+from .presentations import (PairedPresentations, build_presented,
+                            check_word_budget)
 from .scalars import DEFAULT_SPEC_POINTS, SC_ONE
 
 DEFAULT_CONFLUENCE_DEGREE = 6
 DEFAULT_PAIRING_DEGREE = 4
+
+
+def _word_degree(degree, default: int, *presentations) -> int:
+    """The degree bound to use, refused before any rewriting when the words
+    of one of the presentations would pass the word budget."""
+    deg = degree if degree is not None else default
+    for defn in presentations:
+        check_word_budget(len(defn.generators), deg)
+    return deg
 
 
 @dataclass
@@ -301,11 +311,12 @@ def run_validate(defn, source: str, sha256: str,
     if isinstance(defn, StructureDefinition):
         _structure_checks(rep, defn)
     elif isinstance(defn, PresentationDefinition):
-        deg = degree if degree is not None else DEFAULT_CONFLUENCE_DEGREE
+        deg = _word_degree(degree, DEFAULT_CONFLUENCE_DEGREE, defn)
         rep.params.append(("degree", str(deg)))
         _presentation_checks(rep, defn, deg)
     elif isinstance(defn, PairingDefinition):
-        deg = degree if degree is not None else DEFAULT_CONFLUENCE_DEGREE
+        deg = _word_degree(degree, DEFAULT_CONFLUENCE_DEGREE, defn.rows,
+                           defn.cols)
         rep.params.append(("degree", str(deg)))
         _presentation_checks(rep, defn.rows, deg, prefix="rows: ")
         _presentation_checks(rep, defn.cols, deg, prefix="columns: ")
@@ -438,7 +449,7 @@ def run_analyze(defn, source: str, sha256: str,
         if qg is not None:
             _analyze_structure(rep, qg, spec_points, star_assert)
     elif isinstance(defn, PresentationDefinition):
-        deg = degree if degree is not None else DEFAULT_CONFLUENCE_DEGREE
+        deg = _word_degree(degree, DEFAULT_CONFLUENCE_DEGREE, defn)
         rep.params.append(("degree", str(deg)))
         pqg = _presentation_checks(rep, defn, deg)
         if pqg is not None:
@@ -593,7 +604,7 @@ def run_subcheck(defn, source: str, sha256: str, sub_name=None,
 def run_pair(defn, source: str, sha256: str, degree=None) -> Report:
     if not isinstance(defn, PairingDefinition):
         raise DefinitionError("pair expects a pairing definition")
-    deg = degree if degree is not None else DEFAULT_PAIRING_DEGREE
+    deg = _word_degree(degree, DEFAULT_PAIRING_DEGREE, defn.rows, defn.cols)
     rep = Report("pair", defn.name, source, sha256)
     rep.params.append(("degree", str(deg)))
 

@@ -678,10 +678,10 @@ def _poly_literal(p: tuple) -> tuple[str, int]:
 _OPS = set("+-*/^()")
 
 # A power in a literal may have |exponent| and deg_s(base) * |exponent| up to
-# this, and coefficients of at most this squared in bits; a product or
-# quotient may have numerator and denominator degrees up to this.  This keeps
-# a literal from growing without limit; the largest in-budget powers, such
-# as (1+s)^1024, still take seconds to build.
+# this, and coefficients of at most this squared in bits; a product,
+# quotient or sum may have numerator and denominator degrees up to this.
+# This keeps a literal from growing without limit; the largest in-budget
+# powers, such as (1+s)^1024, still take seconds to build.
 POWER_BUDGET = 1024
 
 
@@ -748,11 +748,17 @@ class _Parser:
     def expr(self) -> Scalar:
         value = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
                 value = value + rhs if val == "+" else value - rhs
+                if max(_degree(value.num), _degree(value.den)) > POWER_BUDGET:
+                    raise ScalarParseError(
+                        self.text, pos,
+                        "sum over the literal budget: the degrees in s of "
+                        "its numerator and of its denominator are limited "
+                        "to %d" % POWER_BUDGET)
             else:
                 return value
 
@@ -879,16 +885,3 @@ def parse_spec_points(text: str) -> tuple:
         except (ValueError, ZeroDivisionError):
             raise ScalarError("bad spec point %r" % item) from None
     return validate_spec_points(points)
-
-
-def specialize_and_sign(value: Scalar, point) -> tuple:
-    """Evaluate at s = point; attach a sign when the value is certifiably real.
-
-    Returns (GaussRat value, sign) where sign is -1/0/1 for self-adjoint
-    scalars (whose specializations at real points are real) and None
-    otherwise.
-    """
-    v = value.substitute(point)
-    if value.is_self_adjoint():
-        return v, v.sign()
-    return v, None

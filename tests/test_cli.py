@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +142,19 @@ class TestDegreeBound:
         assert "--degree" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        ("validate", "suq2", "--degree", "40"),
+        ("analyze", "uq-su2", "--degree", "40"),
+        ("pair", "pairing-uqsu2-suq2", "--degree", "40"),
+    ])
+    def test_degree_over_the_word_budget_exits_two(self, args):
+        start = time.perf_counter()
+        proc = run_cli(*args)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2
+        assert "word budget of 349525 words" in proc.stderr
+        assert proc.stdout == ""
+
     def test_degree_zero_is_valid(self):
         proc = run_cli("validate", "suq2", "--degree", "0")
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -153,6 +167,8 @@ class TestLiteralBudget:
         ("2^1000000000", "literal budget"),
         ("(1+s)^100000", "literal budget"),
         ("s^1024*s^1024", "literal budget"),
+        (" + ".join("1/(s^1000+%d)" % k for k in range(1, 7)),
+         "literal budget"),
         ("1" * 5000, "integer literal too long"),
     ])
     def test_huge_literal_in_a_definition_exits_two(self, tmp_path, literal,

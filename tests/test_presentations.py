@@ -1,19 +1,21 @@
 """Rewriting systems, generator maps, and the two shipped presentations."""
 
 import hashlib
+import itertools
 import shutil
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from hopf_forge.cli import main
-from hopf_forge.errors import StructureError
+from hopf_forge.errors import DefinitionError, StructureError
 from hopf_forge.definition import PresentationDefinition
 from hopf_forge.fixtures import packaged_fixture_path
-from hopf_forge.presentations import (DiagonalAction, GenMap, Presentation,
-                                      ScalarTarget, build_presented)
+from hopf_forge.presentations import (WORD_BUDGET, DiagonalAction, GenMap,
+                                      Presentation, ScalarTarget,
+                                      build_presented, check_word_budget)
 from hopf_forge.presets import pairing_uqsu2_suq2, suq2, uq_su2
-from hopf_forge.scalars import SC_ONE, SC_ZERO, parse_scalar
+from hopf_forge.scalars import SC_ONE, SC_ZERO, Scalar, parse_scalar
 
 
 def sc(text):
@@ -101,6 +103,36 @@ class TestNormalForm:
             assert pres.normal_form_word(w) == ((w, SC_ONE),)
 
 
+def xyz_system():
+    """A system whose rules disagree at z.y.x and at words containing it."""
+    return PresentationDefinition(
+        name="xyz", description="", generators=["x", "y", "z"],
+        rules=[(("z", "y"), [(SC_ONE, ("x",))]),
+               (("y", "x"), [(SC_ONE, ("x", "y"))]),
+               (("z", "x"), [(sc("2"), ("x", "z"))])],
+        coproduct={}, counit={}, antipode={})
+
+
+@st.composite
+def rule_lists(draw, gens):
+    """One to four rules, each rewriting a word of length 1 to 3 into up to
+    two strictly smaller words; a rule may repeat an earlier left side."""
+    # every word up to length 3, in ascending deg-lex order
+    words = [w for k in range(4) for w in itertools.product(gens, repeat=k)]
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        if rules and draw(st.booleans()):
+            lhs = rules[draw(st.integers(0, len(rules) - 1))][0]
+        else:
+            lhs = draw(st.sampled_from(words[1:]))
+        smaller = words[:words.index(lhs)]
+        rhs = [(Scalar.from_int(draw(st.sampled_from([1, -1, 2]))), w)
+               for w in draw(st.lists(st.sampled_from(smaller),
+                                      max_size=2))]
+        rules.append((lhs, rhs))
+    return rules
+
+
 class TestConfluence:
     def test_both_presentations_confluent_to_degree_four(self):
         for defn in (uq_su2(), suq2()):
@@ -122,16 +154,46 @@ class TestConfluence:
     def test_disagreement_at_a_later_redex_is_caught(self):
         # z.y.x rewrites at its leftmost redex to x.x, but at y.x it goes
         # z.x.y -> 2 x.z.y -> 2 x.x; only the second redex disagrees
-        defn = PresentationDefinition(
-            name="xyz", description="", generators=["x", "y", "z"],
-            rules=[(("z", "y"), [(SC_ONE, ("x",))]),
-                   (("y", "x"), [(SC_ONE, ("x", "y"))]),
-                   (("z", "x"), [(sc("2"), ("x", "z"))])],
-            coproduct={}, counit={}, antipode={})
-        items = Presentation(defn).check_confluence(3)
+        items = Presentation(xyz_system()).check_confluence(3)
         assert items[1].name == "exhaustive-confluence"
         assert not items[1].ok
         assert items[1].detail == "inconsistent at z.y.x"
+
+    def test_a_failure_lists_the_words_of_every_redex(self):
+        # only the full comparison lists z.x.y.x, whose disagreeing redex
+        # y.x is disjoint from its first redex z.x
+        pres = Presentation(xyz_system())
+        assert pres.check_confluence(4)[1].detail == (
+            "inconsistent at z.y.x, x.z.y.x, y.z.y.x, z.x.y.x, z.y.x.x")
+        assert "z.x.y.x" not in pres.inconsistent_words(4)
+        assert "z.x.y.x" in pres.inconsistent_words(4, overlaps_only=False)
+
+    @given(st.data())
+    def test_overlap_pass_agrees_with_the_full_pass(self, data):
+        n = data.draw(st.integers(2, 3), label="generators")
+        gens = ["x", "y", "z"][:n]
+        defn = PresentationDefinition(
+            name="random", description="", generators=gens,
+            rules=data.draw(rule_lists(gens), label="rules"),
+            coproduct={}, counit={}, antipode={})
+        overlaps = Presentation(defn).inconsistent_words(4)
+        full = Presentation(defn).inconsistent_words(4, overlaps_only=False)
+        event("confluent" if not full else
+              "lists differ" if overlaps != full else "lists agree")
+        assert bool(overlaps) == bool(full)
+        assert overlaps[:1] == full[:1]
+        assert set(overlaps) <= set(full)
+
+
+class TestWordBudget:
+    def test_budget_bounds_the_words_of_every_degree(self):
+        # 4^0 + ... + 4^9 and 1^0 + ... + 1^349524 are exactly the budget
+        check_word_budget(4, 9)
+        check_word_budget(1, WORD_BUDGET - 1)
+        check_word_budget(0, 10 ** 12)
+        for gens, degree in ((4, 10), (1, WORD_BUDGET), (2, 10 ** 12)):
+            with pytest.raises(DefinitionError, match="word budget"):
+                check_word_budget(gens, degree)
 
 
 class TestGenMaps:
@@ -262,6 +324,31 @@ class TestReportBytes:
         out = capsys.readouterr().out
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == self.VALIDATE_DEGREE_4_SHA256[name]
+
+    # sha256 of the text and JSON reports of `validate` at the default
+    # degree 6, run the same way
+    VALIDATE_DEFAULT_DEGREE_SHA256 = {
+        ("uq-su2", "text"):
+            "4b280aaa81d96db24013bbebd5084c914a91b93bb786c14ec03a14b872b1df22",
+        ("uq-su2", "json"):
+            "5ae2e7bda03c89fd7984f85c39d47d38bbbfed7fc5bc113171c231bb8d397d7c",
+        ("suq2", "text"):
+            "ce1e65f278c2526613ce80f2050e72615da666ed8c780821a2bc5e69b6a3d8f9",
+        ("suq2", "json"):
+            "5b0e8094de7c038ba073e2b03392ff8111ac3635135852ddf5a04edb3460d330",
+    }
+
+    @pytest.mark.parametrize("name,fmt",
+                             sorted(VALIDATE_DEFAULT_DEGREE_SHA256))
+    def test_validate_default_degree_report_is_pinned(self, name, fmt,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        shutil.copyfile(packaged_fixture_path(name), tmp_path / (name + ".qg"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", name + ".qg", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == self.VALIDATE_DEFAULT_DEGREE_SHA256[(name, fmt)]
 
     # sha256 of the text and JSON reports of `analyze --degree 5`, run the
     # same way

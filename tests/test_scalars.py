@@ -416,6 +416,24 @@ class TestLiteralBudget:
         assert parse_scalar("s^1024*s^-1024") == SC_ONE
         assert parse_scalar("s^1024/s^1024") == SC_ONE
 
+    def test_sums_over_the_budget_are_parse_errors(self):
+        six = " + ".join("1/(s^1000+%d)" % k for k in range(1, 7))
+        for text in (six, "1/(s^1000+1) - 1/(s^1000+2)",
+                     "s^1000/(s^1000+1) + s^25"):
+            start = time.perf_counter()
+            with pytest.raises(ScalarParseError) as info:
+                parse_scalar(text)
+            assert time.perf_counter() - start < 0.5
+            # the first sum already passes the budget
+            assert info.value.pos == text.index(" ") + 1
+            assert "literal budget" in str(info.value)
+
+    def test_sums_within_the_budget_parse(self):
+        twice = parse_scalar("1/(s^1000+1) + 1/(s^1000+1)")
+        assert twice == parse_scalar("2/(s^1000+1)")
+        assert parse_scalar("s^1024 + 1") == Scalar.s_power(1024) + SC_ONE
+        assert parse_scalar("1/(s^1000+1) - 1/(s^1000+1)").is_zero
+
     def test_overlong_integer_is_a_parse_error(self):
         with pytest.raises(ScalarParseError) as info:
             parse_scalar("s^" + "9" * 5000)
