@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import (GR_ONE, GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
-                      ScalarError)
+from .scalars import (_MOD_P, GR_ONE, GR_ZERO, RANK_POINTS, SC_ONE, SC_ZERO,
+                      GaussRat, Scalar, ScalarError, image_mod_p)
 
 
 class LinearAlgebraError(ScalarError):
@@ -132,9 +132,73 @@ def rref(rows):
     return pivots
 
 
+def rank_mod_p(rows) -> int:
+    """Rank over Z/p of rows given as sparse {column: residue} dicts.
+
+    Each row is reduced by the pivot rows found so far, leading column
+    first, and becomes a new pivot row unless it reduces to zero.
+    """
+    p = _MOD_P
+    pivots = {}  # leading column -> its row, scaled to lead with 1
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in prow.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def terms_mod_p(terms, s0: int):
+    """{key: image at s0} over the (key, x) pairs of terms whose image is
+    nonzero, or None when some x has no image there."""
+    out = {}
+    for key, x in terms:
+        if x.is_zero:
+            continue
+        v = image_mod_p(x, s0)
+        if v is None:
+            return None
+        if v:
+            out[key] = v
+    return out
+
+
 def rank(rows) -> int:
+    """Rank over Q(i)(s), certified mod p where the rank is full.
+
+    At the first point s0 of RANK_POINTS where every entry has an image
+    under phi (scalars.image_mod_p), a rank of min(m, n) there is returned
+    as it stands; any other outcome, or no such point, runs the exact rref.
+    Soundness:
+    - Let R be the local ring of Z[i]_(pi)[s] at the kernel of s -> s0,
+      i -> iota, with pi the prime of Z[i] over p that contains i - iota.
+      Then phi: R -> Z/p is a ring map.
+    - Every entry of the matrix M lies in R, so phi(M) is defined, and a
+      minor of phi(M) is phi of the same minor of M.
+    - A nonzero minor of phi(M) is therefore phi of a nonzero minor of M,
+      so rank phi(M) <= rank M <= min(m, n).  A full rank mod p is a
+      proof; a smaller one proves nothing.
+    """
     if not rows or not rows[0]:
         return 0
+    full = min(len(rows), len(rows[0]))
+    for s0 in RANK_POINTS:
+        image = [terms_mod_p(enumerate(row), s0) for row in rows]
+        if None not in image:
+            if rank_mod_p(image) == full:
+                return full
+            break
     return len(rref(mat_copy(rows)))
 
 

@@ -170,18 +170,33 @@ class FinAlgebra:
         return " + ".join(terms) if terms else "0"
 
 
+def _sparse_sum(pairs) -> dict:
+    """sum c * ent over the (c, ent) pairs, ent a sparse {k: coefficient}."""
+    out = {}
+    for c, ent in pairs:
+        for q, cq in ent.items():
+            out[q] = out.get(q, SC_ZERO) + c * cq
+    return {q: c for q, c in out.items() if not c.is_zero}
+
+
 def _check_associativity(alg: FinAlgebra) -> None:
+    """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, compared on the
+    sparse table.  The first failing triple in (i, j, k) order is reported,
+    with both sides rebuilt as dense products for the message."""
     n = alg.dim
+    mul = alg.mul
     for i in range(n):
-        ei = alg.basis(i)
         for j in range(n):
-            ej = alg.basis(j)
-            left_ij = alg.multiply(ei, ej)
+            left_ij = mul.get((i, j), {})
             for k in range(n):
-                ek = alg.basis(k)
-                lhs = alg.multiply(left_ij, ek)
-                rhs = alg.multiply(ei, alg.multiply(ej, ek))
+                lhs = _sparse_sum((c, mul.get((p, k), {}))
+                                  for p, c in left_ij.items())
+                rhs = _sparse_sum((c, mul.get((i, r), {}))
+                                  for r, c in mul.get((j, k), {}).items())
                 if lhs != rhs:
+                    ei, ej, ek = alg.basis(i), alg.basis(j), alg.basis(k)
+                    lhs = alg.multiply(alg.multiply(ei, ej), ek)
+                    rhs = alg.multiply(ei, alg.multiply(ej, ek))
                     raise StructureError(
                         "associativity fails at (%s, %s, %s): (ab)c = %s but a(bc) = %s"
                         % (alg.labels[i], alg.labels[j], alg.labels[k],

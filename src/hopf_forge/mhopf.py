@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from .errors import CheckFailure, StructureError
 from .exactla import rank as _rank
-from .exactla import solve_affine
+from .exactla import rank_mod_p, solve_affine, terms_mod_p
 from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
                      nonzero_columns, tensor_algebra, vec_is_zero, zero_vector)
-from .scalars import SC_ONE, SC_ZERO
+from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO
 
 
 def tensor_vec(x: list, y: list) -> list:
@@ -215,38 +215,93 @@ class TMapReport:
         return [m for m in self.maps if not m.bijective]
 
 
+def _tmap_operands(which: int, i: int, j: int, cols: list, unit: list):
+    """The two factors, as {(a, b): c} terms, whose product in A(x)A is the
+    image of e_i(x)e_j under T-map number which; unit lists the nonzero
+    (t, u) of the unit."""
+    if which == 0:
+        return cols[i], {(t, j): u for t, u in unit}
+    if which == 1:
+        return {(i, t): u for t, u in unit}, cols[j]
+    if which == 2:
+        return cols[i], {(j, t): u for t, u in unit}
+    return {(t, i): u for t, u in unit}, cols[j]
+
+
 def _tmap_columns(qg: QGData, which: int) -> list:
     """The images of the basis e_i(x)e_j under T-map number which."""
-    alg, tsq = qg.algebra, qg.tensor_sq
-    n = alg.dim
+    n = qg.dim
     cols = qg.coproduct.columns
-    unit = [(t, u) for t, u in enumerate(alg.unit) if not u.is_zero]
-    images = []
-    for i in range(n):
-        for j in range(n):
-            if which == 0:
-                img = tsq.multiply_terms(cols[i], {(t, j): u for t, u in unit})
-            elif which == 1:
-                img = tsq.multiply_terms({(i, t): u for t, u in unit}, cols[j])
-            elif which == 2:
-                img = tsq.multiply_terms(cols[i], {(j, t): u for t, u in unit})
-            else:
-                img = tsq.multiply_terms({(t, i): u for t, u in unit}, cols[j])
-            images.append(img)
-    return images
+    unit = [(t, u) for t, u in enumerate(qg.algebra.unit) if not u.is_zero]
+    return [qg.tensor_sq.multiply_terms(*_tmap_operands(which, i, j, cols,
+                                                        unit))
+            for i in range(n) for j in range(n)]
+
+
+def _structure_mod_p(qg: QGData):
+    """The product table, the coproduct columns and the unit at the first
+    point of RANK_POINTS where they all have images mod p, or None."""
+    alg = qg.algebra
+    tables = list(alg.mul.values()) + qg.coproduct.columns
+    for s0 in RANK_POINTS:
+        images = [terms_mod_p(ent.items(), s0) for ent in tables]
+        unit = terms_mod_p(enumerate(alg.unit), s0)
+        if unit is not None and None not in images:
+            mul = dict(zip(alg.mul, images))
+            return mul, images[len(mul):], list(unit.items())
+    return None
+
+
+def _multiply_terms_mod_p(mul: dict, n: int, x: dict, y: dict) -> dict:
+    """TensorAlgebra.multiply_terms of A(x)A in Z/p, for a product table
+    mul of A in residues; the product as a sparse row {a*n + b: residue}."""
+    out = {}
+    for (i, j), xv in x.items():
+        for (k, m), yv in y.items():
+            left = mul.get((i, k))
+            right = mul.get((j, m))
+            if not (left and right):
+                continue
+            c = xv * yv
+            for a, ca in left.items():
+                cl = c * ca % _MOD_P
+                base = a * n
+                for b, cb in right.items():
+                    t = base + b
+                    out[t] = (out.get(t, 0) + cl * cb) % _MOD_P
+    return {t: v for t, v in out.items() if v}
 
 
 def check_tmaps(qg: QGData) -> TMapReport:
-    """Exact ranks of the four canonical maps on the tensor square.
+    """Ranks over Q(i)(s) of the four canonical maps on the tensor square.
 
     All four bijective is the regularity condition at finite dimension.
     Also records whether the coproduct sends the unit to 1(x)1.
+
+    Each map is first built from the structure constants mapped into Z/p
+    at a point of RANK_POINTS (exactla.rank gives the argument).  Every
+    entry of a T-map is a polynomial in the product table, the coproduct
+    and the unit, so the map built from their images is the image of the
+    map, and a full rank there proves the map bijective.  Only a map that
+    is deficient at the point, or every map when no point gives all the
+    structure constants an image, is built and ranked exactly.
     """
-    n2 = qg.dim * qg.dim
+    n = qg.dim
+    n2 = n * n
+    modular = _structure_mod_p(qg)
     views = []
     for which, formula in enumerate(TMAP_FORMULAS):
-        # a matrix and its transpose have the same rank
-        views.append(TMapView(formula, _rank(_tmap_columns(qg, which)), n2))
+        r = None
+        if modular is not None:
+            mul, cols, unit = modular
+            r = rank_mod_p(
+                _multiply_terms_mod_p(mul, n,
+                                      *_tmap_operands(which, i, j, cols, unit))
+                for i in range(n) for j in range(n))
+        if r != n2:
+            # a matrix and its transpose have the same rank
+            r = _rank(_tmap_columns(qg, which))
+        views.append(TMapView(formula, r, n2))
     unital = qg.delta(qg.algebra.unit) == tensor_vec(qg.algebra.unit, qg.algebra.unit)
     return TMapReport(views, unital)
 

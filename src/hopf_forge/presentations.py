@@ -59,6 +59,7 @@ class Presentation:
         self.name = defn.name
         self.generators = tuple(defn.generators)
         self._index = {g: i for i, g in enumerate(self.generators)}
+        self._word_keys: dict = {}
         self.rules = [(tuple(lhs), tuple((tuple(w), c) for c, w in terms))
                       for lhs, terms in defn.rules]
         self.defn = defn
@@ -81,7 +82,12 @@ class Presentation:
     # -- word order and rendering -------------------------------------------
 
     def word_key(self, w: tuple):
-        return (len(w), tuple(self._index[g] for g in w))
+        """The deg-lex key of w, built once per word and presentation."""
+        key = self._word_keys.get(w)
+        if key is None:
+            key = self._word_keys[w] = (len(w),
+                                        tuple(self._index[g] for g in w))
+        return key
 
     def format_word(self, w: tuple) -> str:
         return ".".join(w) if w else "1"
@@ -102,6 +108,9 @@ class Presentation:
     # -- normal forms --------------------------------------------------------
 
     def _canon(self, acc: dict) -> tuple:
+        # keys are unique, so a single term needs no sort
+        if len(acc) < 2:
+            return tuple(acc.items())
         return tuple(sorted(acc.items(),
                             key=lambda kv: self.word_key(kv[0]),
                             reverse=True))

@@ -312,6 +312,47 @@ def _coprime_mod_p(num: tuple, den: tuple) -> bool:
     return len(f) == 1
 
 
+# The points s0 at which a full rank is certified mod _MOD_P, tried in this
+# order: the leading digits of pi, e and sqrt(2).  None of them is the image
+# of a rational a/b with |a|, |b| <= 18 000, so no pole or zero that a
+# definition writes on purpose, such as s - 2/7, lands on them.
+RANK_POINTS = (314159265, 271828182, 141421356)
+
+
+def _peval_mod_p(p: tuple, s0: int):
+    """The image of the polynomial p at s = s0 mod _MOD_P, or None."""
+    cs = _pmod(p)
+    if cs is None:
+        return None
+    v = 0
+    for c in reversed(cs):
+        v = (v * s0 + c) % _MOD_P
+    return v
+
+
+def image_mod_p(x, s0: int):
+    """phi(x) for a GaussRat or Scalar x, with phi the ring map of _pmod
+    extended by s -> s0; None when phi(x) is not defined.
+
+    phi is defined on the local ring of R[s] at the kernel of s -> s0 (R as
+    in _coprime_mod_p): the fractions num/den whose coefficients have
+    denominators prime to p and with phi(den) != 0.  A canonical x outside
+    that form gives None even if another num/den for it would do; the
+    caller then moves on to another point or to exact arithmetic.
+    """
+    if isinstance(x, GaussRat):
+        num, den = (x,), P_ONE
+    else:
+        num, den = x.num, x.den
+    v = _peval_mod_p(num, s0)
+    if v is None or den == P_ONE:
+        return v
+    d = _peval_mod_p(den, s0)
+    if not d:
+        return None
+    return v * pow(d, -1, _MOD_P) % _MOD_P
+
+
 # ---------------------------------------------------------------------------
 # Scalar: canonical rational function num/den
 # ---------------------------------------------------------------------------

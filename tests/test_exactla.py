@@ -7,14 +7,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopf_forge import exactla
 from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
                                 POSITIVE_SEMIDEFINITE,
                                 NotDiagonalizableOverField, eigensplit,
                                 gram_certificate, invert, kernel_basis,
-                                matmul, matvec, rank, rational_roots, rref,
-                                solve_affine)
-from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
-                                GaussRat, Scalar)
+                                mat_copy, matmul, matvec, rank, rank_mod_p,
+                                rational_roots, rref, solve_affine)
+from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, RANK_POINTS, SC_ONE,
+                                SC_ZERO, GaussRat, Scalar)
 
 from oracles import matrix_to_sympy
 
@@ -72,6 +73,97 @@ class TestRowReduction:
         again = [list(r) for r in rows]
         rref(again)
         assert again == rows
+
+
+P = 998244353
+S = Scalar.s_power(1)
+
+
+def planted_rank_matrices():
+    """Small s-dependent matrices whose last row may be a combination of
+    the others, so that deficient ranks are drawn as well as full ones."""
+    entries = st.sampled_from(
+        [SC_ZERO, SC_ONE, S, sc(Fraction(2, 3)), S * S - SC_ONE,
+         (S + SC_ONE).inverse(), Scalar.const(GaussRat(0, 1)) * S])
+
+    @st.composite
+    def draw_matrix(draw):
+        n = draw(st.integers(min_value=1, max_value=3))
+        m = draw(st.integers(min_value=1, max_value=4))
+        rows = [[draw(entries) for _ in range(m)] for _ in range(n)]
+        if draw(st.booleans()):
+            coeffs = [draw(entries) for _ in range(n)]
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)),
+                             SC_ZERO) for j in range(m)])
+        return rows
+    return draw_matrix()
+
+
+class TestModularRankCertificate:
+    """exactla.rank returns a full rank found mod p at a point of
+    RANK_POINTS and runs the exact rref for anything else."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Records the points tried and the number of exact rref calls."""
+        seen = {"points": set(), "rref": 0}
+        images, exact = exactla.terms_mod_p, exactla.rref
+
+        def terms_mod_p(terms, s0):
+            seen["points"].add(s0)
+            return images(terms, s0)
+
+        def rref(rows):
+            seen["rref"] += 1
+            return exact(rows)
+        monkeypatch.setattr(exactla, "terms_mod_p", terms_mod_p)
+        monkeypatch.setattr(exactla, "rref", rref)
+        return seen
+
+    @settings(max_examples=60)
+    @given(planted_rank_matrices())
+    def test_matches_exact_elimination(self, rows):
+        assert rank(rows) == len(rref(mat_copy(rows)))
+
+    def test_rank_mod_p(self):
+        assert rank_mod_p([]) == 0
+        assert rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+        assert rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4 + P}]) == 1
+        assert rank_mod_p([{1: 5}, {0: 3, 1: 1}, {0: 6}]) == 2
+        assert rank_mod_p([{0: P - 1, 2: 1}, {1: 1}, {0: 1, 1: 1, 2: P - 1}]) \
+            == 2
+
+    def test_full_rank_needs_no_exact_elimination(self, counted):
+        assert rank([[S, SC_ONE], [SC_ONE, S]]) == 2
+        assert counted == {"points": {RANK_POINTS[0]}, "rref": 0}
+
+    def test_planted_drop_at_the_first_point_falls_back(self, counted):
+        # s - s0 vanishes at the first point, so the image there has rank
+        # 1; over Q(i)(s) the rank is 2
+        drop = S - Scalar.from_int(RANK_POINTS[0])
+        assert rank([[drop, SC_ZERO], [SC_ZERO, SC_ONE]]) == 2
+        assert counted == {"points": {RANK_POINTS[0]}, "rref": 1}
+
+    def test_deficient_rank_is_exact(self, counted):
+        assert rank([[S, SC_ONE], [S * S, S]]) == 1
+        assert counted["rref"] == 1
+
+    def test_pole_at_the_first_point_moves_to_the_next(self, counted):
+        pole = (S - Scalar.from_int(RANK_POINTS[0])).inverse()
+        assert rank([[pole, SC_ZERO], [SC_ZERO, SC_ONE]]) == 2
+        assert counted == {"points": set(RANK_POINTS[:2]), "rref": 0}
+
+    def test_denominator_divisible_by_p_moves_on_to_exact(self, counted):
+        inv_p = Scalar.const(GaussRat(1, 0, P))
+        assert rank([[inv_p, SC_ZERO], [SC_ZERO, SC_ONE]]) == 2
+        assert counted == {"points": set(RANK_POINTS), "rref": 1}
+
+    def test_denominator_divisible_by_p_is_never_read_as_a_residue(self):
+        # 1/p * p - 1 * 1 = 0: the rank is 1.  Reading 1/p as 1 would give
+        # the image [[1, 1], [1, 0]] and a false full rank.
+        rows = [[Scalar.const(GaussRat(1, 0, P)), SC_ONE],
+                [SC_ONE, Scalar.from_int(P)]]
+        assert rank(rows) == 1
 
 
 class TestInverse:

@@ -11,7 +11,7 @@ from hopf_forge.finalg import (FinAlgebra, LinMap, apply_functional,
                                gram_psd, tensor_algebra, transform_basis,
                                vec_add, vec_is_zero, vec_scale, vec_sub)
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
-                                GaussRat, Scalar)
+                                GaussRat, Scalar, parse_scalar)
 
 HALF = Scalar.from_fraction(Fraction(1, 2))
 
@@ -41,6 +41,21 @@ class TestBuildAlgebra:
         with pytest.raises(StructureError) as info:
             build_algebra(["x", "y"], mul)
         assert "associat" in str(info.value)
+
+    def test_associativity_failure_names_the_first_triple(self):
+        # u is the unit; (y, y, z), (y, z, z), (z, y, y) and (z, z, y) fail.
+        # The first in (i, j, k) order is reported, with both sides in full.
+        one = parse_scalar("1")
+        mul = {(0, j): {j: one} for j in range(3)}
+        mul.update({(j, 0): {j: one} for j in range(3)})
+        mul.update({(1, 1): {2: one}, (1, 2): {0: one}, (2, 1): {0: one},
+                    (2, 2): {1: parse_scalar("-1"),
+                             2: parse_scalar("(1+s)/(1-s)")}})
+        with pytest.raises(StructureError) as info:
+            build_algebra(["u", "y", "z"], mul)
+        assert str(info.value) == (
+            "associativity fails at (y, y, z): (ab)c = (-1)*y + "
+            "((-s - 1)/(s - 1))*z but a(bc) = y")
 
     def test_rejects_unitless(self):
         mul = {(0, 0): {0: SC_ZERO}}

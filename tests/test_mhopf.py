@@ -2,15 +2,19 @@
 
 import pytest
 
-from hopf_forge.assemble import build_qg
+from hopf_forge import mhopf
+from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.errors import CheckFailure, StructureError
+from hopf_forge.exactla import invert, mat_copy, rank, rref
 from hopf_forge.fixtures import build_fixture
-from hopf_forge.mhopf import (TMAP_FORMULAS, attach_coproduct,
-                              check_grouplike_projection, check_star_compat,
-                              check_sub_mha, check_tmaps,
+from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
+                              attach_coproduct, check_grouplike_projection,
+                              check_star_compat, check_sub_mha, check_tmaps,
                               derive_counit_antipode, tensor_vec)
-from hopf_forge.finalg import LinMap, basis_vector, build_algebra
-from hopf_forge.scalars import SC_ONE, SC_ZERO, Scalar
+from hopf_forge.finalg import (LinMap, basis_vector, build_algebra,
+                               transform_basis)
+from hopf_forge.scalars import (RANK_POINTS, SC_ONE, SC_ZERO, Scalar,
+                                image_mod_p)
 
 
 def hopf_qg(name):
@@ -58,6 +62,90 @@ class TestCanonicalMaps:
         assert (first.formula, first.rank, first.size) == \
             (TMAP_FORMULAS[0], 2, 4)
         assert not report.coproduct_unital
+
+
+S = Scalar.s_power(1)
+S0 = Scalar.from_int(RANK_POINTS[0])
+
+
+def pole_deformed(name):
+    """The fixture in the basis f_j = sum_t P[t][j] e_t, by transform_basis,
+    with P = 1 + s E_01 + (s - s0 - 1) E_11 for the first rank point s0, so
+    that P^-1 has a pole at s0.  The coproduct (P^-1 (x) P^-1) D P has it
+    too."""
+    defn = build_fixture(name)
+    n = defn.dim
+    p = [[SC_ONE if r == c else SC_ZERO for c in range(n)] for r in range(n)]
+    p[0][1] = S
+    p[1][1] = S - S0
+    pinv = invert(p)
+    cols = build_qg(defn).coproduct.columns
+    images = []
+    for c in range(n):
+        image = {}
+        for src in range(n):
+            for (left, right), x in cols[src].items():
+                w = p[src][c] * x
+                for a in range(n):
+                    for b in range(n):
+                        image[(a, b)] = (image.get((a, b), SC_ZERO)
+                                         + w * pinv[a][left] * pinv[b][right])
+        images.append(image)
+    alg = transform_basis(algebra_from_definition(defn), p)
+    return attach_coproduct(alg, Coproduct(images))
+
+
+def exact_ranks(qg):
+    return [len(rref(mat_copy(_tmap_columns(qg, which))))
+            for which in range(len(TMAP_FORMULAS))]
+
+
+class TestModularTMaps:
+    """check_tmaps ranks the T-maps mod p at a point and builds a map
+    exactly only when it is deficient there."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """Records the points of every image taken in mhopf and the maps
+        built exactly."""
+        seen = {"points": set(), "exact": []}
+        images, columns = mhopf.terms_mod_p, mhopf._tmap_columns
+
+        def images_spy(terms, s0):
+            seen["points"].add(s0)
+            return images(terms, s0)
+
+        def columns_spy(qg, which):
+            seen["exact"].append(which)
+            return columns(qg, which)
+        monkeypatch.setattr(mhopf, "terms_mod_p", images_spy)
+        monkeypatch.setattr(mhopf, "_tmap_columns", columns_spy)
+        return seen
+
+    def test_pole_at_the_first_point_moves_to_the_next(self, spied):
+        qg = pole_deformed("sweedler_h4")
+        assert any(image_mod_p(c, RANK_POINTS[0]) is None
+                   for col in qg.coproduct.columns for c in col.values())
+        report = check_tmaps(qg)
+        assert spied == {"points": set(RANK_POINTS[:2]), "exact": []}
+        n2 = qg.dim ** 2
+        assert [v.rank for v in report.maps] == [n2] * 4
+        assert [rank(_tmap_columns(qg, which)) for which in range(4)] \
+            == exact_ranks(qg) == [n2] * 4
+
+    def test_planted_drop_falls_back_to_the_exact_rank(self, spied):
+        # e is the unit and x^2 = 0; D(e) = e(x)e and D(x) = (s - s0) x(x)x
+        # is multiplicative and coassociative.  Each T-map has rank 3 over
+        # Q(i)(s) but rank 2 at s0, where D(x) vanishes.
+        alg = build_algebra(["e", "x"], {(0, 0): {0: SC_ONE},
+                                         (0, 1): {1: SC_ONE},
+                                         (1, 0): {1: SC_ONE}})
+        qg = attach_coproduct(alg, Coproduct([{(0, 0): SC_ONE},
+                                              {(1, 1): S - S0}]))
+        report = check_tmaps(qg)
+        assert spied["exact"] == [0, 1, 2, 3]
+        assert [v.rank for v in report.maps] == exact_ranks(qg) == [3] * 4
+        assert not report.all_bijective
 
 
 class TestCounitAntipode:

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, P_ONE, P_ZERO,
-                                POWER_BUDGET, SC_ONE, SC_ZERO, GaussRat,
-                                Scalar, ScalarError, ScalarParseError,
-                                SpecializationPoleError, _coprime_mod_p,
-                                padd, pdivmod, pgcd, pmul, pscale, psub,
-                                ptrim, pvaluation, parse_scalar,
-                                parse_spec_points, validate_spec_points)
+                                POWER_BUDGET, RANK_POINTS, SC_ONE, SC_ZERO,
+                                GaussRat, Scalar, ScalarError,
+                                ScalarParseError, SpecializationPoleError,
+                                _coprime_mod_p, image_mod_p, padd, pdivmod,
+                                pgcd, pmul, pscale, psub, ptrim, pvaluation,
+                                parse_scalar, parse_spec_points,
+                                validate_spec_points)
 
 from oracles import S, gauss_to_sympy, sympy_equal, to_sympy
 
@@ -333,6 +334,54 @@ class TestCoprimalityCertificate:
         assert not _coprime_mod_p(num, den)
         x = Scalar(num, den)
         assert (x.num, x.den) == (num, den)
+
+
+class TestImageModP:
+    """The image phi(x) in Z/p at s = s0 that certifies full ranks."""
+
+    P = 998244353
+
+    @settings(max_examples=80)
+    @given(operands(), operands(), st.sampled_from(RANK_POINTS))
+    def test_image_is_a_ring_map(self, x, y, s0):
+        p = self.P
+        fx, fy = image_mod_p(x, s0), image_mod_p(y, s0)
+        if fx is None or fy is None:
+            return
+        for z, want in ((x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy)):
+            fz = image_mod_p(z, s0)
+            if fz is not None:
+                assert fz == want % p
+        if fx:
+            inv = image_mod_p(x.inverse(), s0)
+            if inv is not None:
+                assert inv * fx % p == 1
+
+    @settings(max_examples=40)
+    @given(gauss_rats(), st.sampled_from(RANK_POINTS))
+    def test_constants_map_alike_in_both_types(self, c, s0):
+        assert image_mod_p(c, s0) == image_mod_p(Scalar.const(c), s0)
+
+    def test_s_maps_to_the_point(self):
+        s = Scalar.s_power(1)
+        for s0 in RANK_POINTS:
+            assert image_mod_p(s, s0) == s0
+            assert image_mod_p(parse_scalar("i"), s0) ** 2 % self.P \
+                == self.P - 1
+
+    def test_coefficient_denominator_divisible_by_p_has_no_image(self):
+        for x in (GaussRat(1, 0, self.P), Scalar.const(GaussRat(3, 1, self.P)),
+                  Scalar(poly(GaussRat(1, 0, self.P), 1)),
+                  Scalar(P_ONE, poly(GaussRat(1, 0, 2 * self.P), 1))):
+            assert all(image_mod_p(x, s0) is None for s0 in RANK_POINTS)
+
+    def test_pole_at_a_point_has_no_image_there_only(self):
+        s0, s1 = RANK_POINTS[:2]
+        x = Scalar(P_ONE, poly(-s0, 1))  # 1/(s - s0)
+        assert image_mod_p(x, s0) is None
+        assert image_mod_p(x, s1) == pow(s1 - s0, -1, self.P)
+        # a zero at the point is an image like any other
+        assert image_mod_p(Scalar(poly(-s0, 1)), s0) == 0
 
 
 class TestParsing:
