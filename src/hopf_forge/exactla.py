@@ -86,10 +86,6 @@ def matvec(a, v):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def rref(rows):
     """In-place reduced row echelon form; returns the pivot column list.
 
@@ -719,7 +715,7 @@ def _ldl_hermitian(g_rows) -> GramCertificate:
                            pivots=[Scalar.const(p) for p in pivots])
 
 
-def _is_hermitian_gaussrat(g_rows) -> bool:
+def _is_hermitian(g_rows) -> bool:
     n = len(g_rows)
     return all(g_rows[j][i] == g_rows[i][j].conjugate()
                for i in range(n) for j in range(i, n))
@@ -754,6 +750,21 @@ def _non_hermitian_witness(g_rows):
     return None
 
 
+def _non_hermitian_certificate(g_rows) -> GramCertificate:
+    """INDEFINITE, with a verified witness, for a non-Hermitian GaussRat
+    matrix."""
+    hit = _non_hermitian_witness(g_rows)
+    if hit is None:
+        raise LinearAlgebraError("internal: non-Hermitian matrix without witness")
+    v, val, at = hit
+    return GramCertificate(
+        INDEFINITE, "exact",
+        witness=[Scalar.const(x) for x in v],
+        witness_value=Scalar.const(val),
+        notes=["not Hermitian at entry pair %r" % (at,),
+               "quadratic form takes non-real values"])
+
+
 def gram_certificate(g_rows, spec_points) -> GramCertificate:
     """Positivity certificate for a matrix of Scalars interpreted as a
     sesquilinear Gram matrix G[i][j] = <e_i, e_j>.
@@ -766,25 +777,14 @@ def gram_certificate(g_rows, spec_points) -> GramCertificate:
     n = len(g_rows)
     if n == 0:
         return GramCertificate(POSITIVE_DEFINITE, "exact")
-    sym_hermitian = all(g_rows[j][i] == g_rows[i][j].conjugate()
-                        for i in range(n) for j in range(i, n))
+    hermitian = _is_hermitian(g_rows)
     const = _as_constant_matrix(g_rows)
     if const is not None:
-        if not sym_hermitian:
-            hit = _non_hermitian_witness(const)
-            if hit is not None:
-                v, val, at = hit
-                return GramCertificate(
-                    INDEFINITE, "exact",
-                    witness=[Scalar.const(x) for x in v],
-                    witness_value=Scalar.const(val),
-                    notes=["not Hermitian at entry pair %r" % (at,),
-                           "quadratic form takes non-real values"])
-            raise LinearAlgebraError("internal: non-Hermitian matrix without witness")
-        return _ldl_hermitian(const)
+        return (_ldl_hermitian(const) if hermitian
+                else _non_hermitian_certificate(const))
     # s-dependent: certify per spec point
     notes = []
-    if not sym_hermitian:
+    if not hermitian:
         notes.append("matrix is not self-adjoint as a function of s; "
                      "verdicts are per specialization point only")
     per_point = []
@@ -794,16 +794,8 @@ def gram_certificate(g_rows, spec_points) -> GramCertificate:
     order = {POSITIVE_DEFINITE: 0, POSITIVE_SEMIDEFINITE: 1, INDEFINITE: 2}
     for p in spec_points:
         gp = _specialize_matrix(g_rows, p)
-        if _is_hermitian_gaussrat(gp):
-            cert = _ldl_hermitian(gp)
-        else:
-            hit = _non_hermitian_witness(gp)
-            v, val, at = hit
-            cert = GramCertificate(
-                INDEFINITE, "exact",
-                witness=[Scalar.const(x) for x in v],
-                witness_value=Scalar.const(val),
-                notes=["not Hermitian at entry pair %r" % (at,)])
+        cert = (_ldl_hermitian(gp) if _is_hermitian(gp)
+                else _non_hermitian_certificate(gp))
         per_point.append((str(Scalar.from_fraction(p)), cert.verdict))
         if order[cert.verdict] > order[worst]:
             worst = cert.verdict

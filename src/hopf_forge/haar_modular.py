@@ -11,9 +11,9 @@ defining equations on all basis pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import CheckFailure, NotFaithful, StructureError
+from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
 from .exactla import (eigensplit, invert, kernel_basis, matmul, matvec, rank,
                       rref, solve_affine)
 from .finalg import (LinMap, apply_functional, basis_vector, vec_is_zero,
@@ -30,17 +30,34 @@ class HaarSolution:
 
 @dataclass
 class ModularData:
-    phi: list
-    psi: list
-    sigma: LinMap
-    sigma_prime: LinMap
-    delta: list
-    delta_half: list | None
-    mu: Scalar
-    kappa: LinMap
-    rho: LinMap
-    haar_dimension: int = 1
-    notes: list = field(default_factory=list)
+    """The objects of compute_modular_data, filled in stage by stage.  In
+    the data of a ModularStageFailure only the fields of the stages before
+    the failed one are to be read."""
+    phi: list | None = None
+    psi: list | None = None
+    sigma: LinMap | None = None
+    sigma_prime: LinMap | None = None
+    delta: list | None = None
+    kappa: LinMap | None = None
+    kappa_inv: LinMap | None = None
+    mu: Scalar | None = None
+
+
+MODULAR_STAGES = ("haar-functional", "right-invariance",
+                  "modular-automorphism", "modular-element",
+                  "scaling-constant")
+
+
+class ModularStageFailure(CheckFailure):
+    """A failed stage of compute_modular_data, read as its cause: the
+    cause's own check name (else the stage's) and message.  data holds what
+    the stages before it computed."""
+
+    def __init__(self, stage: str, cause: HopfForgeError, data: ModularData):
+        HopfForgeError.__init__(self, str(cause))
+        self.check = getattr(cause, "check", stage)
+        self.stage = stage
+        self.data = data
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +120,13 @@ def left_haar(qg: QGData) -> HaarSolution:
     return qg.haar
 
 
+def antipode_squared(qg: QGData) -> LinMap:
+    """S^2 of qg, composed once and kept on qg; no caller may mutate it."""
+    if qg.antipode_sq is None:
+        qg.antipode_sq = qg.antipode.compose(qg.antipode)
+    return qg.antipode_sq
+
+
 def _delta_action(qg, phi, a_idx, b_idx, right):
     """(phi(x)i) of D(e_a)(1(x)e_b), or of (1(x)e_b)D(e_a) when right."""
     alg = qg.algebra
@@ -143,20 +167,20 @@ def modular_automorphism(qg: QGData, omega: list) -> LinMap:
     """The unique automorphism with omega(ab) = omega(b sigma(a))."""
     alg = qg.algebra
     n = alg.dim
-    b_mat = [[apply_functional(omega, alg.multiply(alg.basis(i), alg.basis(j)))
-              for j in range(n)] for i in range(n)]
+    prods = [[alg.multiply(alg.basis(i), alg.basis(j)) for j in range(n)]
+             for i in range(n)]
+    b_mat = [[apply_functional(omega, p) for p in row] for row in prods]
     b_inv = invert(b_mat)
     if b_inv is None:
         raise NotFaithful(
             "functional is not faithful: its multiplication form is singular")
     b_t = [[b_mat[j][i] for j in range(n)] for i in range(n)]
     sigma = LinMap(matmul(b_inv, b_t))
+    images = [sigma.apply(alg.basis(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = apply_functional(omega, alg.multiply(alg.basis(i), alg.basis(j)))
-            rhs = apply_functional(
-                omega, alg.multiply(alg.basis(j), sigma.apply(alg.basis(i))))
-            if lhs != rhs:
+            rhs = apply_functional(omega, alg.multiply(alg.basis(j), images[i]))
+            if b_mat[i][j] != rhs:
                 raise StructureError(
                     "modular relation fails at (%s, %s)"
                     % (alg.labels[i], alg.labels[j]))
@@ -164,10 +188,7 @@ def modular_automorphism(qg: QGData, omega: list) -> LinMap:
         raise StructureError("modular automorphism does not fix the unit")
     for i in range(n):
         for j in range(n):
-            lhs = sigma.apply(alg.multiply(alg.basis(i), alg.basis(j)))
-            rhs = alg.multiply(sigma.apply(alg.basis(i)),
-                               sigma.apply(alg.basis(j)))
-            if lhs != rhs:
+            if sigma.apply(prods[i][j]) != alg.multiply(images[i], images[j]):
                 raise StructureError(
                     "modular map is not multiplicative at (%s, %s)"
                     % (alg.labels[i], alg.labels[j]))
@@ -325,7 +346,7 @@ def scaling_constant(qg: QGData, phi: list, assert_one: bool) -> Scalar:
     """mu with phi(S^2(a)) = mu phi(a); checked on every basis element."""
     alg = qg.algebra
     n = alg.dim
-    s2 = qg.antipode.compose(qg.antipode)
+    s2 = antipode_squared(qg)
     pivot = next((i for i in range(n) if not phi[i].is_zero), None)
     if pivot is None:
         raise StructureError("zero functional has no scaling constant")
@@ -358,14 +379,12 @@ class OrbitReport:
 def orbit_span(md: ModularData, a: list) -> list:
     """Basis of the span of the kappa-orbit of a (kappa and its inverse)."""
     n = len(a)
-    kappa = md.kappa
-    kappa_inv = kappa.inverse()
     vecs = [list(a)]
     current_rank = rank(vecs)
     changed = True
     while changed and current_rank < n:
         changed = False
-        for m in (kappa, kappa_inv):
+        for m in (md.kappa, md.kappa_inv):
             for v in list(vecs):
                 img = m.apply(v)
                 if rank(vecs + [img]) > current_rank:
@@ -385,7 +404,7 @@ def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:
     if alg.star is None:
         return [CheckItem("nonvanishing-window", True,
                           "skipped: no star structure")]
-    s2 = qg.antipode.compose(qg.antipode)
+    s2 = antipode_squared(qg)
     sp = md.sigma_prime
     sp_inv = sp.inverse()
     s2_inv = s2.inverse()
@@ -474,11 +493,10 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
     """
     alg = qg.algebra
     n = alg.dim
-    s2 = qg.antipode.compose(qg.antipode)
     five = [
         (FIVE_MAP_NAMES[0], md.sigma),
         (FIVE_MAP_NAMES[1], md.sigma_prime),
-        (FIVE_MAP_NAMES[2], s2),
+        (FIVE_MAP_NAMES[2], antipode_squared(qg)),
         (FIVE_MAP_NAMES[3], LinMap(alg.left_mul_matrix(md.delta))),
         (FIVE_MAP_NAMES[4], LinMap(alg.right_mul_matrix(md.delta))),
     ]
@@ -569,7 +587,7 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
     """D(sigma(a)) = (S^2 (x) sigma)(D(a)) on every basis element."""
     alg = qg.algebra
     n = alg.dim
-    s2_sigma = TensorMap(qg.antipode.compose(qg.antipode), md.sigma)
+    s2_sigma = TensorMap(antipode_squared(qg), md.sigma)
     bad = [alg.labels[k] for k in range(n)
            if qg.delta(md.sigma.apply(alg.basis(k)))
            != s2_sigma.apply_terms(qg.coproduct.columns[k].items())]
@@ -585,24 +603,28 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
 
 def compute_modular_data(qg: QGData, spec_points,
                          positive_mode: bool) -> ModularData:
-    """Full modular pipeline; delta_half failures become notes when not in
-    positive mode (they are obstructions, not bugs, without positivity)."""
-    haar = left_haar(qg)
-    phi = haar.phi
-    psi = right_haar(qg, phi)
-    sigma = modular_automorphism(qg, phi)
-    sigma_prime = modular_automorphism(qg, psi)
-    delta = modular_element(qg, phi)
-    mu = scaling_constant(qg, phi, assert_one=positive_mode)
-    s2 = qg.antipode.compose(qg.antipode)
-    kappa = sigma.inverse().compose(s2)
-    rho = sigma_prime.compose(s2)
-    md = ModularData(phi, psi, sigma, sigma_prime, delta, None, mu,
-                     kappa, rho, haar_dimension=haar.dimension)
+    """The modular pipeline that every structure command runs.
+
+    Its stages, in MODULAR_STAGES order, give phi, psi, sigma and sigma',
+    delta with kappa = sigma^-1 S^2 and its inverse, and mu, which must be
+    1 in positive mode.  A failing stage raises ModularStageFailure with the
+    data of the stages before it.  spec_points is not read.
+    """
+    md = ModularData()
+    stage = "haar-functional"
     try:
-        md.delta_half = delta_square_root(qg, delta, sigma, spec_points)
-    except CheckFailure as exc:
-        if positive_mode:
-            raise
-        md.notes.append(str(exc))
+        md.phi = left_haar(qg).phi
+        stage = "right-invariance"
+        md.psi = right_haar(qg, md.phi)
+        stage = "modular-automorphism"
+        md.sigma = modular_automorphism(qg, md.phi)
+        md.sigma_prime = modular_automorphism(qg, md.psi)
+        stage = "modular-element"
+        md.delta = modular_element(qg, md.phi)
+        md.kappa = md.sigma.inverse().compose(antipode_squared(qg))
+        md.kappa_inv = md.kappa.inverse()
+        stage = "scaling-constant"
+        md.mu = scaling_constant(qg, md.phi, assert_one=positive_mode)
+    except HopfForgeError as exc:
+        raise ModularStageFailure(stage, exc, md) from exc
     return md

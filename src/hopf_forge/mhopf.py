@@ -120,7 +120,8 @@ class Coproduct:
 @dataclass
 class QGData:
     """Algebra plus verified coproduct; counit and antipode once derived,
-    and the left Haar functional once solved (haar_modular.left_haar)."""
+    the left Haar functional once solved (haar_modular.left_haar) and S^2
+    once composed (haar_modular.antipode_squared)."""
 
     algebra: FinAlgebra
     coproduct: Coproduct
@@ -128,6 +129,7 @@ class QGData:
     counit: list | None = None
     antipode: LinMap | None = None
     haar: object | None = None
+    antipode_sq: LinMap | None = None
 
     @property
     def dim(self) -> int:

@@ -22,10 +22,10 @@ from .duality import biduality, build_dual, dual_imbedding, dual_modular_check
 from .errors import CheckFailure, DefinitionError, HopfForgeError
 from .exactla import POSITIVE_DEFINITE
 from .finalg import gram_psd
-from .haar_modular import (ModularData, check_sigma_coproduct_rule,
-                           delta_square_root, left_haar, modular_automorphism,
-                           modular_element, nonvanishing_window, orbit_span,
-                           psi_positivity, right_haar, scaling_constant,
+from .haar_modular import (MODULAR_STAGES, ModularStageFailure,
+                           check_sigma_coproduct_rule, compute_modular_data,
+                           delta_square_root, left_haar, nonvanishing_window,
+                           orbit_span, psi_positivity,
                            simultaneous_eigenbasis)
 from .mhopf import (CheckItem, attach_coproduct, check_star_compat,
                     check_sub_mha, check_tmaps, derive_counit_antipode)
@@ -212,72 +212,49 @@ def _structure_checks(rep: Report, defn: StructureDefinition):
     return qg
 
 
-def _modular_core(rep: Report, qg, positive_mode: bool):
-    """Haar functionals and the modular machinery, one check per stage.
+def _modular_stages(rep: Report, qg, spec_points, positive_mode: bool):
+    """Run compute_modular_data with one check per stage.
 
-    Returns the assembled modular data, or None when a stage that the rest
-    depends on fails.  The scaling constant is only asserted to be 1 in
-    positive mode; elsewhere its value is reported as an object.
+    Returns the modular data, or None when a stage before the scaling
+    constant fails.  A failed scaling constant is recorded and the run goes
+    on without mu.  Its PASS line is asserted only in positive mode, and its
+    value is an object whenever it is known.
     """
-    alg = qg.algebra
     try:
-        haar = left_haar(qg)
-    except HopfForgeError as exc:
-        rep.fail_from("haar-functional", exc)
-        return None
-    rep.add("haar-functional", True,
-            "left invariance has a one-dimensional solution space "
-            "(dimension %d)" % haar.dimension)
-    rep.objects.append(("haar-functional", fmt_vector(haar.phi)))
-    phi = haar.phi
-
-    try:
-        psi = right_haar(qg, phi)
-    except HopfForgeError as exc:
-        rep.fail_from("right-invariance", exc)
-        return None
-    rep.add("right-invariance", True,
-            "the antipode image of the left functional is right invariant")
-    rep.objects.append(("right-invariant-functional", fmt_vector(psi)))
-
-    try:
-        sigma = modular_automorphism(qg, phi)
-        sigma_prime = modular_automorphism(qg, psi)
-    except HopfForgeError as exc:
-        rep.fail_from("modular-automorphism", exc)
-        return None
-    rep.add("modular-automorphism", True,
-            "phi(a b) = phi(b sigma(a)) with sigma a bijective algebra "
-            "automorphism, and likewise for the right functional")
-    rep.objects.append(("modular-automorphism", fmt_matrix(sigma.matrix)))
-
-    try:
-        delta = modular_element(qg, phi)
-    except HopfForgeError as exc:
-        rep.fail_from("modular-element", exc)
-        return None
-    rep.add("modular-element", True,
-            "both intertwining laws hold on every basis pair"
-            + ("; self-adjoint" if alg.star is not None else ""))
-    rep.objects.append(("modular-element", fmt_vector(delta)))
-
-    mu = None
-    try:
-        mu = scaling_constant(qg, phi, assert_one=positive_mode)
-    except HopfForgeError as exc:
-        rep.fail_from("scaling-constant", exc)
-    if mu is not None:
-        if positive_mode:
-            rep.add("scaling-constant", True,
-                    "phi is invariant under the squared antipode")
-        rep.objects.append(("scaling-constant", str(mu)))
-
-    s2 = qg.antipode.compose(qg.antipode)
-    kappa = sigma.inverse().compose(s2)
-    rho = sigma_prime.compose(s2)
-    md = ModularData(phi, psi, sigma, sigma_prime, delta, None,
-                     mu if mu is not None else SC_ONE, kappa, rho,
-                     haar_dimension=haar.dimension)
+        md, failed = compute_modular_data(qg, spec_points, positive_mode), None
+    except ModularStageFailure as exc:
+        md, failed = exc.data, exc
+    passed = (MODULAR_STAGES.index(failed.stage) if failed
+              else len(MODULAR_STAGES))
+    if passed > 0:
+        rep.add("haar-functional", True,
+                "left invariance has a one-dimensional solution space "
+                "(dimension %d)" % left_haar(qg).dimension)
+        rep.objects.append(("haar-functional", fmt_vector(md.phi)))
+    if passed > 1:
+        rep.add("right-invariance", True,
+                "the antipode image of the left functional is right invariant")
+        rep.objects.append(("right-invariant-functional", fmt_vector(md.psi)))
+    if passed > 2:
+        rep.add("modular-automorphism", True,
+                "phi(a b) = phi(b sigma(a)) with sigma a bijective algebra "
+                "automorphism, and likewise for the right functional")
+        rep.objects.append(("modular-automorphism",
+                            fmt_matrix(md.sigma.matrix)))
+    if passed > 3:
+        rep.add("modular-element", True,
+                "both intertwining laws hold on every basis pair"
+                + ("; self-adjoint" if qg.algebra.star is not None else ""))
+        rep.objects.append(("modular-element", fmt_vector(md.delta)))
+    if failed is not None:
+        rep.fail_from(failed.stage, failed)
+        if failed.stage != "scaling-constant":
+            return None
+    elif positive_mode:
+        rep.add("scaling-constant", True,
+                "phi is invariant under the squared antipode")
+    if md.mu is not None:
+        rep.objects.append(("scaling-constant", str(md.mu)))
     return md
 
 
@@ -351,23 +328,23 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
         rep.notes.append(
             "no star structure declared: positivity does not apply")
 
-    md = _modular_core(rep, qg, positive_mode)
+    md = _modular_stages(rep, qg, spec_points, positive_mode)
     if md is None:
         return
 
+    half = None
     try:
-        md.delta_half = delta_square_root(qg, md.delta, md.sigma, spec_points)
+        half = delta_square_root(qg, md.delta, md.sigma, spec_points)
     except HopfForgeError as exc:
         if positive_mode:
             rep.fail_from("modular-square-root", exc)
         else:
             rep.notes.append("modular-square-root: %s" % exc)
-    if md.delta_half is not None:
+    if half is not None:
         rep.add("modular-square-root", True,
                 "positive square root of the modular element found and "
                 "fixed by the modular automorphism")
-        rep.objects.append(("modular-element-square-root",
-                            fmt_vector(md.delta_half)))
+        rep.objects.append(("modular-element-square-root", fmt_vector(half)))
 
     rep.checks.append(check_sigma_coproduct_rule(qg, md))
 
@@ -475,7 +452,7 @@ def run_dual(defn, source: str, sha256: str, output=None,
     if qg is None:
         return rep
 
-    md = _modular_core(rep, qg, positive_mode=False)
+    md = _modular_stages(rep, qg, spec_points, positive_mode=False)
     if md is None:
         return rep
 
@@ -557,7 +534,7 @@ def run_subcheck(defn, source: str, sha256: str, sub_name=None,
     if qg is None:
         return rep
 
-    md = _modular_core(rep, qg, positive_mode=False)
+    md = _modular_stages(rep, qg, spec_points, positive_mode=False)
     if md is None:
         return rep
     try:

@@ -88,8 +88,6 @@ class TestRightHaarAndModularMaps:
         assert md.kappa.matrix == \
             [[kdiag[i] if i == j else SC_ZERO for j in range(4)]
              for i in range(4)]
-        assert md.delta_half is None
-        assert any("delta-half" in note for note in md.notes)
 
     def test_commutative_fixtures_have_trivial_modular_data(self):
         for name in ("c_z2", "c_z4", "c_s3"):
@@ -102,7 +100,9 @@ class TestRightHaarAndModularMaps:
             assert md.sigma.matrix == ident, name
             assert md.delta == qg.algebra.unit, name
             assert md.mu == SC_ONE, name
-            assert md.delta_half == qg.algebra.unit, name
+            assert delta_square_root(qg, md.delta, md.sigma,
+                                     DEFAULT_SPEC_POINTS) == \
+                qg.algebra.unit, name
 
     def test_scaling_constant_matches_brute_force(self):
         for name in HOPF_FIXTURES:
