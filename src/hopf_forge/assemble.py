@@ -16,7 +16,7 @@ def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
     """
     star = None
     if d.star is not None:
-        star = LinMap([list(row) for row in d.star], conjugate_linear=True)
+        star = LinMap(d.star, conjugate_linear=True)
     alg = build_algebra(d.labels, d.mul, unit=None, star=star, name=d.name)
     if d.unit is not None and alg.unit != list(d.unit):
         raise StructureError(
@@ -47,10 +47,8 @@ def definition_from_qg(qg: QGData, name: str,
         mul=mul,
         coproduct=coproduct,
         unit=list(alg.unit),
-        star=[list(row) for row in alg.star.matrix]
-        if alg.star is not None else None,
+        star=alg.star.matrix if alg.star is not None else None,
         counit=list(qg.counit) if qg.counit is not None else None,
-        antipode=[list(row) for row in qg.antipode.matrix]
-        if qg.antipode is not None else None,
+        antipode=qg.antipode.matrix if qg.antipode is not None else None,
         sub_bases={},
     )

@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CheckFailure, NotFaithful, StructureError
-from .exactla import eigensplit, invert, matmul, matvec, rank, solve_affine
+from .errors import CheckFailure, NotFaithful
+from .exactla import invert, matvec, rank
 from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
                      zero_vector)
-from .haar_modular import ModularData, left_haar, modular_element
+from .haar_modular import ModularData, left_haar, modular_element, split_block
 from .mhopf import (CheckItem, Coproduct, QGData, TensorMap, attach_coproduct,
                     check_star_compat, check_tmaps, derive_counit_antipode,
                     tensor_vec)
@@ -77,8 +77,7 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
             values = [apply_functional(phi, alg.multiply(u, alg.basis(i)))
                       .conjugate() for u in starred]
             cols_star.append(matvec(b_inv, values))
-        star_lin = LinMap(LinMap.from_images(cols_star).matrix,
-                          conjugate_linear=True)
+        star_lin = LinMap.from_images(cols_star, conjugate_linear=True)
 
     dual_alg = build_algebra(labels, mul, unit=None, star=star_lin,
                              name=name or ("dual of " + alg.name))
@@ -88,8 +87,7 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
 
     # D(w_k)(w_i (x) w_j) is read off V[a][b] = phi(e_b e_a e_k) through
     # B^-1 on both legs: sum_a B^-1[i][a] sum_b B^-1[j][b] V[a][b]
-    b_inv_cols = [[(i, b_inv[i][a]) for i in range(n)
-                   if not b_inv[i][a].is_zero] for a in range(n)]
+    b_inv_cols = LinMap(b_inv).columns
     dual_cols = []
     for k in range(n):
         v_rows = {}
@@ -103,9 +101,9 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
         for a, terms in v_rows.items():
             w_a = {}
             for b, v in terms:
-                for j, bjb in b_inv_cols[b]:
+                for j, bjb in b_inv_cols[b].items():
                     w_a[j] = w_a.get(j, SC_ZERO) + bjb * v
-            for i, bia in b_inv_cols[a]:
+            for i, bia in b_inv_cols[a].items():
                 for j, w in w_a.items():
                     col[(i, j)] = col.get((i, j), SC_ZERO) + bia * w
         dual_cols.append(col)
@@ -282,31 +280,14 @@ def find_idempotent_basis(qg: QGData, spec_points) -> list:
     n = alg.dim
     blocks = [[basis_vector(n, i) for i in range(n)]]
     for g in range(n):
-        lmat = alg.left_mul_matrix(alg.basis(g))
+        left = alg.left_mul(alg.basis(g))
         nxt = []
         for vecs in blocks:
             if len(vecs) == 1:
                 nxt.append(vecs)
                 continue
-            d = len(vecs)
-            cols = [[vecs[c][t] for c in range(d)] for t in range(n)]
-            sub_cols = []
-            for v in vecs:
-                sol = solve_affine(cols, matvec(lmat, v))
-                if sol.is_empty:
-                    raise StructureError(
-                        "internal: span is not stable under multiplication")
-                sub_cols.append(sol.particular)
-            sub = [[sub_cols[c][r] for c in range(d)] for r in range(d)]
-            for es in eigensplit(sub, spec_points):
-                lifted = []
-                for coef in es.basis:
-                    w = zero_vector(n)
-                    for c, v in zip(coef, vecs):
-                        if not c.is_zero:
-                            w = [x + c * y for x, y in zip(w, v)]
-                    lifted.append(w)
-                nxt.append(lifted)
+            nxt.extend(lifted for _value, lifted
+                       in split_block(left, vecs, spec_points))
         blocks = nxt
     if any(len(vecs) != 1 for vecs in blocks):
         raise CheckFailure(
@@ -420,9 +401,7 @@ def find_group_iso(src: QGData, dst: QGData, spec_points) -> GroupIsoResult:
 
     keys = sorted(classes)
     pools = [itertools.permutations(classes[k][1]) for k in keys]
-    dst_cols = [[idems_d[c][t] for c in range(n)] for t in range(n)]
-    src_cols = [[idems_s[c][t] for c in range(n)] for t in range(n)]
-    src_inv = invert(src_cols)
+    from_src = LinMap.from_images(idems_s).inverse()
     for choice in itertools.product(*pools):
         beta = [None] * n
         for k, perm in zip(keys, choice):
@@ -431,10 +410,9 @@ def find_group_iso(src: QGData, dst: QGData, spec_points) -> GroupIsoResult:
         if any(beta[table_s[(h, k)]] != table_d[(beta[h], beta[k])]
                for h in range(n) for k in range(n)):
             continue
-        perm_rows = [[SC_ZERO] * n for _ in range(n)]
-        for h in range(n):
-            perm_rows[beta[h]][h] = SC_ONE
-        lin = LinMap(matmul(dst_cols, matmul(perm_rows, src_inv)))
+        # idempotent h of src goes to idempotent beta[h] of dst
+        to_dst = LinMap.from_images([idems_d[beta[h]] for h in range(n)])
+        lin = to_dst.compose(from_src)
         report = verify_qg_morphism(src, dst, lin)
         if report.all_ok:
             return GroupIsoResult(beta, lin, report)

@@ -12,49 +12,83 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .exactla import (gram_certificate, identity_matrix, invert, matmul,
-                      matvec, rank, solve_affine)
+from .exactla import gram_certificate, invert, rank, solve_affine
 from .scalars import SC_ONE, SC_ZERO, Scalar
 
 
-@dataclass
 class LinMap:
-    """A (conjugate-)linear map in coordinates: v -> M v, or v -> M conj(v)."""
+    """A (conjugate-)linear map in coordinates: v -> M v, or v -> M conj(v).
 
-    matrix: list
-    conjugate_linear: bool = False
+    columns[j] is the image of the j-th basis vector as a sparse column
+    {row: coefficient} with no zero entries; n_out is the length of an
+    image.  LinMap(rows) reads a dense matrix, and .matrix rebuilds one on
+    each read.
+    """
+
+    def __init__(self, rows: list, conjugate_linear: bool = False):
+        n_in = len(rows[0]) if rows else 0
+        self.columns = [{i: row[j] for i, row in enumerate(rows)
+                         if not row[j].is_zero} for j in range(n_in)]
+        self.n_out = len(rows)
+        self.conjugate_linear = conjugate_linear
+
+    @staticmethod
+    def _of_columns(columns: list, n_out: int,
+                    conjugate_linear: bool) -> "LinMap":
+        m = LinMap.__new__(LinMap)
+        m.columns = columns
+        m.n_out = n_out
+        m.conjugate_linear = conjugate_linear
+        return m
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap(identity_matrix(n, SC_ONE, SC_ZERO))
+        return LinMap._of_columns([{i: SC_ONE} for i in range(n)], n, False)
 
     @staticmethod
-    def from_images(images: list) -> "LinMap":
+    def from_images(images: list, conjugate_linear: bool = False) -> "LinMap":
         """Build from the list of basis-vector images (image j = of e_j)."""
-        n_out = len(images[0]) if images else 0
-        return LinMap([[images[j][i] for j in range(len(images))]
-                       for i in range(n_out)])
+        return LinMap._of_columns(
+            [{i: x for i, x in enumerate(img) if not x.is_zero}
+             for img in images],
+            len(images[0]) if images else 0, conjugate_linear)
 
     @property
     def n_in(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
+        return len(self.columns)
 
     @property
-    def n_out(self) -> int:
-        return len(self.matrix)
+    def matrix(self) -> list:
+        """The dense n_out x n_in matrix, built on each read."""
+        rows = [[SC_ZERO] * self.n_in for _ in range(self.n_out)]
+        for j, col in enumerate(self.columns):
+            for i, c in col.items():
+                rows[i][j] = c
+        return rows
+
+    def _image(self, terms) -> dict:
+        """The image of sum x_j e_j over the (j, x_j) pairs of terms, as a
+        sparse column."""
+        out = {}
+        for j, x in terms:
+            if self.conjugate_linear:
+                x = x.conjugate()
+            for i, c in self.columns[j].items():
+                out[i] = out.get(i, SC_ZERO) + x * c
+        return {i: c for i, c in out.items() if not c.is_zero}
 
     def apply(self, v: list) -> list:
-        if self.conjugate_linear:
-            v = [x.conjugate() for x in v]
-        return matvec(self.matrix, v)
+        out = [SC_ZERO] * self.n_out
+        for i, c in self._image((j, x) for j, x in enumerate(v)
+                                if not x.is_zero).items():
+            out[i] = c
+        return out
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
-        g = other.matrix
-        if self.conjugate_linear:
-            g = [[x.conjugate() for x in row] for row in g]
-        return LinMap(matmul(self.matrix, g),
-                      self.conjugate_linear != other.conjugate_linear)
+        return LinMap._of_columns(
+            [self._image(col.items()) for col in other.columns], self.n_out,
+            self.conjugate_linear != other.conjugate_linear)
 
     def inverse(self) -> "LinMap":
         minv = invert(self.matrix)
@@ -70,8 +104,9 @@ class LinMap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinMap):
             return NotImplemented
-        return (self.conjugate_linear == other.conjugate_linear
-                and self.matrix == other.matrix)
+        return (self.n_out == other.n_out
+                and self.conjugate_linear == other.conjugate_linear
+                and self.columns == other.columns)
 
 
 def zero_vector(n: int) -> list:
@@ -93,6 +128,15 @@ def vec_sub(u: list, v: list) -> list:
 
 def vec_scale(c: Scalar, v: list) -> list:
     return [c * x for x in v]
+
+
+def vec_combination(coeffs: list, vecs: list, n: int) -> list:
+    """sum c_k v_k over the nonzero c_k, in dimension n."""
+    out = zero_vector(n)
+    for c, v in zip(coeffs, vecs):
+        if not c.is_zero:
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
 
 
 def vec_is_zero(v: list) -> bool:
@@ -148,15 +192,15 @@ class FinAlgebra:
             raise StructureError("algebra %r has no star structure" % self.name)
         return self.star.apply(x)
 
-    def left_mul_matrix(self, x: list) -> list:
-        """Matrix of y -> x y."""
-        cols = [self.multiply(x, self.basis(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def left_mul(self, x: list) -> LinMap:
+        """The map y -> x y."""
+        return LinMap.from_images([self.multiply(x, self.basis(j))
+                                   for j in range(self.dim)])
 
-    def right_mul_matrix(self, x: list) -> list:
-        """Matrix of y -> y x."""
-        cols = [self.multiply(self.basis(j), x) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def right_mul(self, x: list) -> LinMap:
+        """The map y -> y x."""
+        return LinMap.from_images([self.multiply(self.basis(j), x)
+                                   for j in range(self.dim)])
 
     def format_element(self, x: list) -> str:
         terms = []
@@ -264,10 +308,8 @@ def build_algebra(labels, mul, unit=None, star=None, name="") -> FinAlgebra:
     """Construct and fully verify a finite-dimensional (*-)algebra.
 
     When unit is None it is solved for from the unit laws and must be unique.
-    star may be a LinMap or a raw matrix (then wrapped conjugate-linearly).
+    star, when given, is a LinMap.
     """
-    if star is not None and not isinstance(star, LinMap):
-        star = LinMap(star, conjugate_linear=True)
     alg = FinAlgebra(list(labels), dict(mul), unit, star, name=name)
     _check_associativity(alg)
     if alg.unit is None:
@@ -276,12 +318,6 @@ def build_algebra(labels, mul, unit=None, star=None, name="") -> FinAlgebra:
     if alg.star is not None:
         _check_star(alg)
     return alg
-
-
-def nonzero_columns(m: LinMap) -> list:
-    """Column j of m as the list of its nonzero (row, coefficient) pairs."""
-    return [[(i, row[j]) for i, row in enumerate(m.matrix)
-             if not row[j].is_zero] for j in range(m.n_in)]
 
 
 def _rows_of(terms: dict) -> dict:
@@ -310,8 +346,7 @@ class TensorAlgebra(FinAlgebra):
         self.factors = (a, b)
         self._star_columns = None
         if a.star is not None and b.star is not None:
-            self._star_columns = (nonzero_columns(a.star),
-                                  nonzero_columns(b.star))
+            self._star_columns = (a.star.columns, b.star.columns)
 
     def terms(self, x: list) -> dict:
         """The nonzero coordinates of x as {(i, j): c}."""
@@ -362,9 +397,9 @@ class TensorAlgebra(FinAlgebra):
                 continue
             j, m = divmod(idx, nb)
             cc = c.conjugate()
-            for i, sa in cols_a[j]:
+            for i, sa in cols_a[j].items():
                 ca = cc * sa
-                for k, sb in cols_b[m]:
+                for k, sb in cols_b[m].items():
                     t = i * nb + k
                     out[t] = out[t] + ca * sb
         return out
@@ -379,24 +414,23 @@ def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
 def transform_basis(alg: FinAlgebra, p_cols: list, labels=None) -> FinAlgebra:
     """The same algebra in the basis f_j = sum_i P[i][j] e_i."""
     n = alg.dim
-    pinv = invert(p_cols)
-    if pinv is None:
+    pinv_rows = invert(p_cols)
+    if pinv_rows is None:
         raise StructureError("basis transform matrix is singular")
+    pinv = LinMap(pinv_rows)
     mul = {}
     for i in range(n):
         fi = [p_cols[t][i] for t in range(n)]
         for j in range(n):
             fj = [p_cols[t][j] for t in range(n)]
-            prod = matvec(pinv, alg.multiply(fi, fj))
+            prod = pinv.apply(alg.multiply(fi, fj))
             ent = {k: c for k, c in enumerate(prod) if not c.is_zero}
             if ent:
                 mul[(i, j)] = ent
-    unit = matvec(pinv, alg.unit)
+    unit = pinv.apply(alg.unit)
     star = None
     if alg.star is not None:
-        pconj = [[x.conjugate() for x in row] for row in p_cols]
-        star = LinMap(matmul(pinv, matmul(alg.star.matrix, pconj)),
-                      conjugate_linear=True)
+        star = pinv.compose(alg.star).compose(LinMap(p_cols))
     new_labels = labels if labels is not None else ["f%d" % i for i in range(n)]
     return FinAlgebra(new_labels, mul, unit, star, name=alg.name)
 

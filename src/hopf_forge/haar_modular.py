@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
-from .exactla import (eigensplit, invert, kernel_basis, matmul, matvec, rank,
-                      rref, solve_affine)
-from .finalg import (LinMap, apply_functional, basis_vector, vec_is_zero,
-                     zero_vector)
+from .exactla import (eigensplit, invert, kernel_basis, rank, rref,
+                      solve_affine)
+from .finalg import (LinMap, apply_functional, basis_vector, vec_combination,
+                     vec_is_zero, zero_vector)
 from .mhopf import CheckItem, QGData, TensorMap
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
 
@@ -174,8 +174,8 @@ def modular_automorphism(qg: QGData, omega: list) -> LinMap:
     if b_inv is None:
         raise NotFaithful(
             "functional is not faithful: its multiplication form is singular")
-    b_t = [[b_mat[j][i] for j in range(n)] for i in range(n)]
-    sigma = LinMap(matmul(b_inv, b_t))
+    # column i of sigma is B^-1 applied to row i of B
+    sigma = LinMap(b_inv).compose(LinMap.from_images(b_mat))
     images = [sigma.apply(alg.basis(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -281,26 +281,20 @@ def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
     """
     alg = qg.algebra
     n = alg.dim
-    lmat = alg.left_mul_matrix(delta)
-    spaces = eigensplit(lmat, spec_points)
-    all_vecs = []
-    owners = []
-    for es in spaces:
-        for v in es.basis:
-            all_vecs.append(v)
-            owners.append(es.value)
+    spaces = eigensplit(alg.left_mul(delta).matrix, spec_points)
+    all_vecs = [v for es in spaces for v in es.basis]
     cols = [[all_vecs[c][t] for c in range(len(all_vecs))] for t in range(n)]
     sol = solve_affine(cols, delta)
     if sol.is_empty:
         raise StructureError("internal: eigenbasis does not span")
     present = []
+    start = 0
     for es in spaces:
-        comp = zero_vector(n)
-        for c, v, owner in zip(sol.particular, all_vecs, owners):
-            if owner == es.value and not c.is_zero:
-                comp = [x + c * y for x, y in zip(comp, v)]
+        stop = start + len(es.basis)
+        comp = vec_combination(sol.particular[start:stop], es.basis, n)
         if not vec_is_zero(comp):
             present.append(es.value)
+        start = stop
     roots = {}
     for lam in present:
         rt = _positive_sqrt(lam)
@@ -462,22 +456,38 @@ class EigentableReport:
 
 
 def _commutes(a: LinMap, b: LinMap) -> bool:
-    return matmul(a.matrix, b.matrix) == matmul(b.matrix, a.matrix)
+    return a.compose(b) == b.compose(a)
 
 
-def _restrict(mat, block):
-    """Matrix of the map on span(block) in the block's own coordinates."""
-    nrows = len(block[0])
+def _restrict(m: LinMap, block):
+    """Matrix of m on span(block) in the block's own coordinates.
+
+    The block's vectors and their images stand side by side as columns and
+    are reduced once; a pivot among the image columns is an image outside
+    the span.  Row r of the reduction then holds the coordinates, on block
+    vector pivots[r], of every image (free block vectors get 0, as in
+    solve_affine's particular solution).
+    """
     d = len(block)
-    cols = [[block[c][t] for c in range(d)] for t in range(nrows)]
-    out_cols = []
-    for v in block:
-        img = matvec(mat, v)
-        sol = solve_affine(cols, img)
-        if sol.is_empty:
-            raise StructureError("internal: block is not invariant")
-        out_cols.append(sol.particular)
-    return [[out_cols[c][r] for c in range(d)] for r in range(d)]
+    images = [m.apply(v) for v in block]
+    aug = [[v[t] for v in block] + [w[t] for w in images]
+           for t in range(len(block[0]))]
+    pivots = rref(aug)
+    if pivots and pivots[-1] >= d:
+        raise StructureError("internal: block is not invariant")
+    out = [[SC_ZERO] * d for _ in range(d)]
+    for r, c in enumerate(pivots):
+        out[c] = aug[r][d:]
+    return out
+
+
+def split_block(m: LinMap, block: list, spec_points) -> list:
+    """The eigenspaces of m on the m-invariant span of block, as
+    (eigenvalue, eigenvectors in full coordinates) pairs in eigensplit's
+    order.  StructureError when the span is not invariant."""
+    n = len(block[0])
+    return [(es.value, [vec_combination(coef, block, n) for coef in es.basis])
+            for es in eigensplit(_restrict(m, block), spec_points)]
 
 
 def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
@@ -497,8 +507,8 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
         (FIVE_MAP_NAMES[0], md.sigma),
         (FIVE_MAP_NAMES[1], md.sigma_prime),
         (FIVE_MAP_NAMES[2], antipode_squared(qg)),
-        (FIVE_MAP_NAMES[3], LinMap(alg.left_mul_matrix(md.delta))),
-        (FIVE_MAP_NAMES[4], LinMap(alg.right_mul_matrix(md.delta))),
+        (FIVE_MAP_NAMES[3], alg.left_mul(md.delta)),
+        (FIVE_MAP_NAMES[4], alg.right_mul(md.delta)),
     ]
     used = []
     skipped = []
@@ -517,17 +527,9 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
     for name, m in used:
         nxt = []
         for vecs, values in blocks:
-            sub = _restrict(m.matrix, vecs)
-            for es in eigensplit(sub, spec_points):
-                lifted = []
-                for coef in es.basis:
-                    w = zero_vector(n)
-                    for c, v in zip(coef, vecs):
-                        if not c.is_zero:
-                            w = [x + c * y for x, y in zip(w, v)]
-                    lifted.append(w)
+            for value, lifted in split_block(m, vecs, spec_points):
                 tagged = dict(values)
-                tagged[name] = es.value
+                tagged[name] = value
                 nxt.append((lifted, tagged))
         blocks = nxt
 

@@ -17,7 +17,7 @@ from .errors import CheckFailure, StructureError
 from .exactla import rank as _rank
 from .exactla import rank_mod_p, solve_affine, terms_mod_p
 from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
-                     nonzero_columns, tensor_algebra, vec_is_zero, zero_vector)
+                     tensor_algebra, vec_combination, vec_is_zero)
 from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO
 
 
@@ -33,29 +33,26 @@ def tensor_vec(x: list, y: list) -> list:
 
 
 class TensorMap:
-    """f(x)g for linear maps f and g, with their column images read once."""
+    """f(x)g for linear maps f and g, read from their sparse columns."""
 
     def __init__(self, f: LinMap, g: LinMap):
-        self.cols_f = nonzero_columns(f)
-        self.cols_g = nonzero_columns(g)
-        self.n_in_g = g.n_in
-        self.n_out_g = g.n_out
+        self.f, self.g = f, g
         self.n_out = f.n_out * g.n_out
 
     def apply_terms(self, terms) -> list:
         """(f(x)g)(sum c e_a(x)e_b) over the ((a, b), c) pairs of terms."""
-        m = self.n_out_g
+        m = self.g.n_out
         out = [SC_ZERO] * self.n_out
         for (a, b), c in terms:
-            for i, fa in self.cols_f[a]:
+            for i, fa in self.f.columns[a].items():
                 w = c * fa
-                for j, gb in self.cols_g[b]:
+                for j, gb in self.g.columns[b].items():
                     t = i * m + j
                     out[t] = out[t] + w * gb
         return out
 
     def apply(self, v: list) -> list:
-        return self.apply_terms((divmod(idx, self.n_in_g), c)
+        return self.apply_terms((divmod(idx, self.g.n_in), c)
                                 for idx, c in enumerate(v) if not c.is_zero)
 
 
@@ -73,16 +70,11 @@ class Coproduct:
 
     @staticmethod
     def from_linmap(m: LinMap, n: int) -> "Coproduct":
-        """Read the columns of a linear n^2 x n map."""
+        """Re-key the columns of a linear n^2 x n map by (i, j)."""
         if m.conjugate_linear:
             raise StructureError("a coproduct must be linear")
-        columns = [{} for _ in range(m.n_in)]
-        for idx, row in enumerate(m.matrix):
-            key = divmod(idx, n)
-            for k, c in enumerate(row):
-                if not c.is_zero:
-                    columns[k][key] = c
-        return Coproduct(columns)
+        return Coproduct([{divmod(idx, n): c for idx, c in col.items()}
+                          for col in m.columns])
 
     @property
     def n_in(self) -> int:
@@ -408,12 +400,9 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     if declared_counit is not None and list(declared_counit) != eps:
         raise CheckFailure("declared-counit",
                            "declared counit disagrees with the solved one")
-    if declared_antipode is not None:
-        dm = declared_antipode.matrix if isinstance(declared_antipode, LinMap) \
-            else declared_antipode
-        if dm != smat:
-            raise CheckFailure("declared-antipode",
-                               "declared antipode disagrees with the solved one")
+    if declared_antipode is not None and declared_antipode != smat:
+        raise CheckFailure("declared-antipode",
+                           "declared antipode disagrees with the solved one")
 
     qg.counit = eps
     qg.antipode = antipode
@@ -597,8 +586,7 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
                 raise StructureError(
                     "span is not star-closed at %s" % sub_labels[a])
             images.append(coords)
-        star0 = LinMap.from_images(images)
-        star0.conjugate_linear = True
+        star0 = LinMap.from_images(images, conjugate_linear=True)
 
     memberships = []
     witness = None
@@ -642,7 +630,7 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
         return result
     result.sub_unit = alg0.unit
 
-    u0_big = _lift(sub_rows, alg0.unit, n)
+    u0_big = vec_combination(alg0.unit, sub_rows, n)
     uu = tensor_vec(u0_big, u0_big)
     d0_images = []
     compat = []
@@ -701,11 +689,3 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     else:
         result.notes.append("induced structure fails T-map bijectivity")
     return result
-
-
-def _lift(rows, coords, n):
-    out = zero_vector(n)
-    for c, row in zip(coords, rows):
-        if not c.is_zero:
-            out = [x + c * y for x, y in zip(out, row)]
-    return out

@@ -1,11 +1,12 @@
 """Structure-constant algebras, linear maps and Gram forms."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from hopf_forge.errors import StructureError
-from hopf_forge.exactla import POSITIVE_DEFINITE
+from hopf_forge.exactla import POSITIVE_DEFINITE, invert, matmul, matvec
 from hopf_forge.finalg import (FinAlgebra, LinMap, apply_functional,
                                basis_vector, build_algebra, gram_matrix,
                                gram_psd, tensor_algebra, transform_basis,
@@ -14,6 +15,29 @@ from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 GaussRat, Scalar, parse_scalar)
 
 HALF = Scalar.from_fraction(Fraction(1, 2))
+
+
+def sc(text):
+    return parse_scalar(text)
+
+
+def conj_rows(rows):
+    return [[x.conjugate() for x in row] for row in rows]
+
+
+# Dense references for LinMap: a 3x2 map whose second column is zero, a
+# 2x3 map and an invertible 2x2 map, with s-dependent and Gaussian entries.
+DENSE = {
+    "3x2": [[sc("s"), SC_ZERO], [sc("i"), SC_ZERO],
+            [sc("(1+s)/(2-s)"), SC_ZERO]],
+    "2x3": [[SC_ONE, sc("i*s"), SC_ZERO], [SC_ZERO, sc("3/4"), sc("-i")]],
+    "2x2": [[sc("1+s"), sc("2+i")], [sc("1/s"), sc("-1")]],
+}
+VECTORS = {2: [sc("s"), sc("2+i")], 3: [sc("i"), SC_ZERO, sc("1-s")]}
+# (outer, inner) pairs whose composite is defined
+COMPOSABLE = [("3x2", "2x3"), ("2x3", "3x2"), ("2x2", "2x3"),
+              ("3x2", "2x2"), ("2x2", "2x2")]
+FLAGS = [False, True]
 
 
 def cyclic_group_mul(n):
@@ -114,6 +138,66 @@ class TestLinMap:
         inv = m.inverse()
         assert inv.compose(m).apply([Scalar.s_power(1)]) == \
             [Scalar.s_power(1)]
+
+    # The tests below check each operation against exactla.matvec / matmul
+    # on the dense rows; a conjugate-linear map is v -> M conj(v).
+    @pytest.mark.parametrize("name,conj",
+                             list(itertools.product(DENSE, FLAGS)))
+    def test_apply_and_matrix(self, name, conj):
+        rows = DENSE[name]
+        m = LinMap(rows, conjugate_linear=conj)
+        assert (m.n_out, m.n_in) == (len(rows), len(rows[0]))
+        assert m.matrix == rows
+        v = VECTORS[m.n_in]
+        arg = [x.conjugate() for x in v] if conj else v
+        assert m.apply(v) == matvec(rows, arg)
+        images = [[row[j] for row in rows] for j in range(m.n_in)]
+        assert LinMap.from_images(images, conjugate_linear=conj) == m
+
+    @pytest.mark.parametrize(
+        "outer,inner,conj_f,conj_g",
+        [pair + flags for pair in COMPOSABLE
+         for flags in itertools.product(FLAGS, FLAGS)])
+    def test_compose(self, outer, inner, conj_f, conj_g):
+        f = LinMap(DENSE[outer], conjugate_linear=conj_f)
+        g = LinMap(DENSE[inner], conjugate_linear=conj_g)
+        g_rows = conj_rows(DENSE[inner]) if conj_f else DENSE[inner]
+        want = matmul(DENSE[outer], g_rows)
+        fg = f.compose(g)
+        assert fg.matrix == want
+        assert fg == LinMap(want, conjugate_linear=conj_f != conj_g)
+        v = VECTORS[g.n_in]
+        assert fg.apply(v) == f.apply(g.apply(v))
+
+    @pytest.mark.parametrize("conj", FLAGS)
+    def test_inverse(self, conj):
+        rows = DENSE["2x2"]
+        m = LinMap(rows, conjugate_linear=conj)
+        inv = m.inverse()
+        want = invert(rows)
+        assert inv.matrix == (conj_rows(want) if conj else want)
+        assert inv.conjugate_linear is conj
+        assert inv.compose(m) == LinMap.identity(2)
+        assert m.compose(inv) == LinMap.identity(2)
+        assert m.is_bijective()
+
+    def test_singular_and_non_square_maps(self):
+        singular = LinMap(DENSE["3x2"]).compose(LinMap(DENSE["2x3"]))
+        assert not singular.is_bijective()
+        with pytest.raises(StructureError):
+            singular.inverse()
+        assert not LinMap(DENSE["3x2"]).is_bijective()
+
+    def test_equality_reads_shape_flag_and_entries(self):
+        m = LinMap(DENSE["2x2"])
+        assert m == LinMap([list(row) for row in DENSE["2x2"]])
+        assert m != LinMap(DENSE["2x2"], conjugate_linear=True)
+        assert m != LinMap([DENSE["2x2"][0], [sc("1/s"), sc("1")]])
+        # all-zero maps with the same (empty) columns but other heights
+        zero_2x2 = LinMap([[SC_ZERO] * 2 for _ in range(2)])
+        zero_3x2 = LinMap([[SC_ZERO] * 2 for _ in range(3)])
+        assert zero_2x2.columns == zero_3x2.columns
+        assert zero_2x2 != zero_3x2
 
 
 class TestTensorAlgebra:

@@ -6,7 +6,7 @@ import pytest
 
 from hopf_forge.assemble import build_qg
 from hopf_forge.errors import CheckFailure, StructureError
-from hopf_forge.finalg import apply_functional
+from hopf_forge.finalg import LinMap, apply_functional, basis_vector
 from hopf_forge.fixtures import build_fixture
 from hopf_forge.haar_modular import (FIVE_MAP_NAMES, compute_modular_data,
                                      delta_square_root, modular_automorphism,
@@ -14,7 +14,8 @@ from hopf_forge.haar_modular import (FIVE_MAP_NAMES, compute_modular_data,
                                      psi_positivity, right_haar,
                                      scaling_constant,
                                      check_sigma_coproduct_rule,
-                                     simultaneous_eigenbasis, solve_left_haar)
+                                     simultaneous_eigenbasis, solve_left_haar,
+                                     split_block)
 from hopf_forge.mhopf import derive_counit_antipode
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
@@ -223,3 +224,20 @@ class TestOrbitWindow:
                                   positive_mode=False)
         report = orbit_analysis(qg, md, qg.algebra.basis(1))
         assert not report.all_ok
+
+
+class TestSplitBlock:
+    def test_invariant_plane_and_non_invariant_block(self):
+        # m e0 = 2 e0, m e1 = 3 e1, m e2 = e0 + 5 e2: span(e0, e1) is
+        # invariant, span(e1, e2) is not
+        m = LinMap([[sc("2"), SC_ZERO, SC_ONE],
+                    [SC_ZERO, sc("3"), SC_ZERO],
+                    [SC_ZERO, SC_ZERO, sc("5")]])
+        plane = [[SC_ONE, SC_ONE, SC_ZERO], [SC_ONE, sc("-1"), SC_ZERO]]
+        assert split_block(m, plane, DEFAULT_SPEC_POINTS) == [
+            (sc("2"), [[sc("2"), SC_ZERO, SC_ZERO]]),
+            (sc("3"), [[SC_ZERO, sc("-2"), SC_ZERO]]),
+        ]
+        with pytest.raises(StructureError, match="block is not invariant"):
+            split_block(m, [basis_vector(3, 1), basis_vector(3, 2)],
+                        DEFAULT_SPEC_POINTS)
