@@ -17,7 +17,8 @@ from .errors import DefinitionError, HopfForgeError
 from .fixtures import packaged_fixture_names, packaged_fixture_path
 from .report import (render, run_analyze, run_dual, run_pair, run_subcheck,
                      run_validate)
-from .scalars import DEFAULT_SPEC_POINTS, ScalarError, parse_spec_points
+from .scalars import (DEFAULT_SPEC_POINTS, ScalarError, clear_memo,
+                      parse_spec_points)
 
 SPEC_POINTS_ENV = "HOPF_FORGE_SPEC_POINTS"
 
@@ -188,6 +189,9 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 3
+    finally:
+        # The scalar memo lives for one command, whatever its exit code.
+        clear_memo()
 
 
 if __name__ == "__main__":

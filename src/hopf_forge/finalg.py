@@ -290,10 +290,11 @@ def _check_star(alg: FinAlgebra) -> None:
     twice = star.compose(star)
     if twice != LinMap.identity(n):
         raise StructureError("star is not an involution")
+    starred = [star.apply(alg.basis(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
             lhs = star.apply(alg.multiply(alg.basis(i), alg.basis(j)))
-            rhs = alg.multiply(star.apply(alg.basis(j)), star.apply(alg.basis(i)))
+            rhs = alg.multiply(starred[j], starred[i])
             if lhs != rhs:
                 raise StructureError(
                     "star is not anti-multiplicative at (%s, %s): "

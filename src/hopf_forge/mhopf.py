@@ -383,11 +383,11 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     smat = [[sol.particular[r * n + c] for c in range(n)] for r in range(n)]
     antipode = LinMap(smat)
 
+    images = [antipode.apply(alg.basis(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
             lhs = antipode.apply(alg.multiply(alg.basis(i), alg.basis(j)))
-            rhs_v = alg.multiply(antipode.apply(alg.basis(j)),
-                                 antipode.apply(alg.basis(i)))
+            rhs_v = alg.multiply(images[j], images[i])
             if lhs != rhs_v:
                 raise StructureError(
                     "solved antipode is not anti-multiplicative at (%s, %s)"

@@ -364,10 +364,10 @@ class Scalar:
     is monic, and zero is stored as num=(), den=(1,).  Structural equality
     then decides value equality, and rendering is deterministic.  A Scalar
     is immutable: only __init__ assigns num and den, so arithmetic may
-    return an operand itself.
+    return an operand itself, and __hash__ computes its value once.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: tuple, den: tuple = P_ONE, _canonical: bool = False):
         if _canonical:
@@ -492,10 +492,17 @@ class Scalar:
             return Scalar(pscale(b.num, a.num[0]), bd, _canonical=True)
         if b_const:
             return Scalar(pscale(a.num, b.num[0]), ad, _canonical=True)
+        key = (pmul, a, b)
+        out = _MEMO.get(key)
+        if out is not None:
+            return out
         # Two Laurent polynomials: the denominators are s^ka and s^kb.
         if _is_monomial(ad) and _is_monomial(bd):
-            return _over_s_power(pmul(a.num, b.num), len(ad) + len(bd) - 2)
-        return Scalar(pmul(a.num, b.num), pmul(ad, bd))
+            out = _over_s_power(pmul(a.num, b.num), len(ad) + len(bd) - 2)
+        else:
+            out = Scalar(pmul(a.num, b.num), pmul(ad, bd))
+        _remember(key, out)
+        return out
 
     def __neg__(self) -> "Scalar":
         return Scalar(pneg(self.num), self.den, _canonical=True)
@@ -550,7 +557,11 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.num, self.den))
+            return h
 
     def sort_key(self):
         """Deterministic total order key (no semantic meaning)."""
@@ -620,17 +631,52 @@ def _henrici(a: Scalar, b: Scalar, combine) -> Scalar:
     and monic.  Only denominators are ever taken gcds of.  The sum is
     nonzero, since equal values have equal canonical denominators.
     """
+    key = (combine, a, b)
+    out = _MEMO.get(key)
+    if out is not None:
+        return out
     d1 = _monic_gcd(a.den, b.den)
     if len(d1) == 1:
-        return Scalar(combine(pmul(a.num, b.den), pmul(b.num, a.den)),
-                      pmul(a.den, b.den), _canonical=True)
-    ad = pdivmod(a.den, d1)[0]
-    t = combine(pmul(a.num, pdivmod(b.den, d1)[0]), pmul(b.num, ad))
-    d2 = _monic_gcd(d1, t)
-    if len(d2) == 1:
-        return Scalar(t, pmul(ad, b.den), _canonical=True)
-    return Scalar(pdivmod(t, d2)[0], pmul(ad, pdivmod(b.den, d2)[0]),
-                  _canonical=True)
+        out = Scalar(combine(pmul(a.num, b.den), pmul(b.num, a.den)),
+                     pmul(a.den, b.den), _canonical=True)
+    else:
+        ad = pdivmod(a.den, d1)[0]
+        t = combine(pmul(a.num, pdivmod(b.den, d1)[0]), pmul(b.num, ad))
+        d2 = _monic_gcd(d1, t)
+        if len(d2) == 1:
+            out = Scalar(t, pmul(ad, b.den), _canonical=True)
+        else:
+            out = Scalar(pdivmod(t, d2)[0], pmul(ad, pdivmod(b.den, d2)[0]),
+                         _canonical=True)
+    _remember(key, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# memo of the products and sums that reach pmul or a gcd
+# ---------------------------------------------------------------------------
+
+# (op, a, b) -> the product (op pmul), sum (padd) or difference (psub) of
+# a and b.  A Scalar is immutable and canonical, so equal values have equal
+# (num, den) tuples, equal keys and the same cached hash, and a hit returns
+# the very value that recomputing would.  Only the products at the end of
+# Scalar.__mul__ and the sums of _henrici look here; the zero, one and
+# constant shortcuts stay in front.  cli.main empties the table when a
+# command returns, so no command sees another's entries, and it is emptied
+# whenever it reaches MEMO_CAP entries.
+_MEMO: dict = {}
+MEMO_CAP = 1 << 15
+
+
+def _remember(key: tuple, value: Scalar) -> None:
+    if len(_MEMO) >= MEMO_CAP:
+        _MEMO.clear()
+    _MEMO[key] = value
+
+
+def clear_memo() -> None:
+    """Empty the memo of scalar products and sums."""
+    _MEMO.clear()
 
 
 SC_ZERO = Scalar(P_ZERO, P_ONE, _canonical=True)

@@ -201,3 +201,29 @@ class TestDeterminism:
         b = run_cli("analyze", "group_s3", "--format", "json")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestScalarMemoScope:
+    """The scalar memo lives for one cli.main call, whatever its exit."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "suq2"], 0),
+        (["validate", "semilattice2"], 1),
+        (["validate", "BAD_LITERAL"], 2),
+    ])
+    def test_memo_is_empty_after_main(self, tmp_path, capsys, argv, code):
+        from hopf_forge import cli, scalars
+        if argv[1] == "BAD_LITERAL":
+            # the summands fill the memo before the sum exceeds its budget
+            with open(packaged_fixture_path("c_z2"), encoding="utf-8") as f:
+                body = json.load(f)
+            body["mul"][0][3] = " + ".join("1/(s^1000+%d)" % k
+                                           for k in range(1, 7))
+            target = tmp_path / "bad.qg"
+            target.write_text(json.dumps(body), encoding="utf-8")
+            argv = ["validate", str(target)]
+        # an entry from before the command must not survive it either
+        scalars.parse_scalar("1/(s + 1)") * scalars.parse_scalar("1/(s + 2)")
+        assert scalars._MEMO
+        assert cli.main(argv) == code
+        assert not scalars._MEMO

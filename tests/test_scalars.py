@@ -1,5 +1,6 @@
 """Exact scalar arithmetic against an independent sympy oracle."""
 
+import operator
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopf_forge import scalars as scalars_module
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, P_ONE, P_ZERO,
                                 POWER_BUDGET, RANK_POINTS, SC_ONE, SC_ZERO,
                                 GaussRat, Scalar, ScalarError,
@@ -298,6 +300,65 @@ class TestArithmeticShortcuts:
         assert (got.num, got.den) == (P_ONE, poly(0, 1))
         got = Scalar(poly(0, 1, 1)) * Scalar.s_power(-3)
         assert (got.num, got.den) == (poly(1, 1), poly(0, 0, 1))
+
+
+def henrici_sum(a, b, combine):
+    """Henrici's rule for nonzero a and b over different denominators, with
+    the exact pgcd and no memo."""
+    d1 = pgcd(a.den, b.den)
+    ad, bd = pdivmod(a.den, d1)[0], pdivmod(b.den, d1)[0]
+    t = combine(pmul(a.num, bd), pmul(b.num, ad))
+    d2 = pgcd(t, d1)
+    return Scalar(pdivmod(t, d2)[0], pmul(ad, pdivmod(b.den, d2)[0]),
+                  _canonical=True)
+
+
+def memo_operands():
+    """The shapes whose products and sums can reach the memo: general,
+    Laurent and polynomial."""
+    return st.one_of(scalars(), laurents(),
+                     st.builds(Scalar, polys(min_size=2)))
+
+
+class TestMemo:
+    @settings(max_examples=60)
+    @given(memo_operands(), memo_operands())
+    def test_miss_and_hit_match_the_unmemoized_value_and_sympy(self, a, b):
+        scalars_module.clear_memo()
+        sa, sb = to_sympy(a), to_sympy(b)
+        general = a.constant_value() is None and b.constant_value() is None
+        cross = not (a.is_zero or b.is_zero) and a.den != b.den
+        cases = [(operator.mul, general_mul(a, b), sa * sb, general)]
+        if cross:
+            cases += [(operator.add, henrici_sum(a, b, padd), sa + sb, True),
+                      (operator.sub, henrici_sum(a, b, psub), sa - sb, True)]
+        for op, want, expr, memoized in cases:
+            size = len(scalars_module._MEMO)
+            first = op(a, b)
+            assert (len(scalars_module._MEMO) == size + 1) == memoized
+            again = op(a, b)
+            assert len(scalars_module._MEMO) == size + memoized
+            assert again is first if memoized else again == first
+            assert (first.num, first.den) == (want.num, want.den)
+            assert sympy.cancel(to_sympy(first) - expr) == 0
+
+    def test_keys_tell_denominators_apart(self):
+        scalars_module.clear_memo()
+        x, y, z = (Scalar(P_ONE, poly(k, 1)) for k in (1, 2, 3))
+        for p, q in ((x, y), (x, z), (y, z), (z, y)):
+            assert p * q == general_mul(p, q)
+            assert p + q == henrici_sum(p, q, padd)
+            assert p - q == henrici_sum(p, q, psub)
+
+    def test_the_cap_bounds_the_table(self, monkeypatch):
+        monkeypatch.setattr(scalars_module, "MEMO_CAP", 4)
+        scalars_module.clear_memo()
+        xs = [Scalar(poly(k, 1), poly(-k, 0, 1)) for k in range(1, 8)]
+        for p in xs:
+            for q in xs:
+                assert p * q == general_mul(p, q)
+                assert 1 <= len(scalars_module._MEMO) <= 4
+        scalars_module.clear_memo()
 
 
 class TestCoprimalityCertificate:
