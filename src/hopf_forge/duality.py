@@ -45,7 +45,7 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
     structural suite on it.  phi must be faithful; it need not be normalized."""
     alg = qg.algebra
     n = alg.dim
-    b_mat = [[apply_functional(phi, alg.multiply(alg.basis(j), alg.basis(i)))
+    b_mat = [[apply_functional(phi, alg.basis_product(j, i))
               for i in range(n)] for j in range(n)]
     b_inv = invert(b_mat)
     if b_inv is None:
@@ -155,7 +155,7 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
 
     bad = [(a.labels[i], a.labels[j])
            for i in range(n) for j in range(n)
-           if lin.apply(a.multiply(a.basis(i), a.basis(j)))
+           if lin.apply(a.basis_product(i, j))
            != b.multiply(images[i], images[j])]
     items.append(CheckItem("morphism-multiplicative", not bad,
                            "f(xy) = f(x)f(y) on all basis pairs" if not bad
@@ -486,7 +486,7 @@ def dual_imbedding(qg: QGData, phi: list, sub, dual_build: DualBuild,
     d_alg = dual_build.qg.algebra
     d0_alg = dual0.qg.algebra
     bad = [(a, b) for a in range(d) for b in range(d)
-           if j_map.apply(d0_alg.multiply(d0_alg.basis(a), d0_alg.basis(b)))
+           if j_map.apply(d0_alg.basis_product(a, b))
            != d_alg.multiply(j_cols[a], j_cols[b])]
     items.append(CheckItem("imbedding-multiplicative", not bad,
                            "j(w w') = j(w) j(w')" if not bad

@@ -187,6 +187,11 @@ class FinAlgebra:
                     out[k] = out[k] + c * coeff
         return out
 
+    def basis_product(self, i: int, j: int) -> list:
+        """e_i e_j as a dense vector, read from the structure constants."""
+        ent = self.mul.get((i, j), {})
+        return [ent.get(k, SC_ZERO) for k in range(self.dim)]
+
     def apply_star(self, x: list) -> list:
         if self.star is None:
             raise StructureError("algebra %r has no star structure" % self.name)
@@ -293,7 +298,7 @@ def _check_star(alg: FinAlgebra) -> None:
     starred = [star.apply(alg.basis(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = star.apply(alg.multiply(alg.basis(i), alg.basis(j)))
+            lhs = star.apply(alg.basis_product(i, j))
             rhs = alg.multiply(starred[j], starred[i])
             if lhs != rhs:
                 raise StructureError(

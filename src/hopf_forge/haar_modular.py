@@ -167,7 +167,7 @@ def modular_automorphism(qg: QGData, omega: list) -> LinMap:
     """The unique automorphism with omega(ab) = omega(b sigma(a))."""
     alg = qg.algebra
     n = alg.dim
-    prods = [[alg.multiply(alg.basis(i), alg.basis(j)) for j in range(n)]
+    prods = [[alg.basis_product(i, j) for j in range(n)]
              for i in range(n)]
     b_mat = [[apply_functional(omega, p) for p in row] for row in prods]
     b_inv = invert(b_mat)

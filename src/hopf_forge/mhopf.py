@@ -342,7 +342,7 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
 
     for i in range(n):
         for j in range(n):
-            lhs = apply_functional(eps, alg.multiply(alg.basis(i), alg.basis(j)))
+            lhs = apply_functional(eps, alg.basis_product(i, j))
             if lhs != eps[i] * eps[j]:
                 raise StructureError(
                     "solved counit is not multiplicative at (%s, %s)"
@@ -386,7 +386,7 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     images = [antipode.apply(alg.basis(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = antipode.apply(alg.multiply(alg.basis(i), alg.basis(j)))
+            lhs = antipode.apply(alg.basis_product(i, j))
             rhs_v = alg.multiply(images[j], images[i])
             if lhs != rhs_v:
                 raise StructureError(

@@ -155,6 +155,20 @@ class TestDegreeBound:
         assert "word budget of 349525 words" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("name", ["uq-su2", "suq2"])
+    def test_degree_nine_is_proved_without_enumerating_words(
+            self, name, monkeypatch, capsys):
+        from hopf_forge import cli
+        from hopf_forge.presentations import Presentation
+
+        def refuse(self, max_degree):
+            raise AssertionError("words enumerated after the pairs resolved")
+
+        monkeypatch.setattr(Presentation, "inconsistent_words", refuse)
+        assert cli.main(["validate", name, "--degree", "9"]) == 0
+        assert ("all 349525 words up to degree 9 rewrite consistently"
+                in capsys.readouterr().out)
+
     def test_degree_zero_is_valid(self):
         proc = run_cli("validate", "suq2", "--degree", "0")
         assert proc.returncode == 0, proc.stdout + proc.stderr

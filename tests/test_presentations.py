@@ -1,12 +1,15 @@
 """Rewriting systems, generator maps, and the two shipped presentations."""
 
 import hashlib
+import inspect
 import itertools
 import shutil
+import textwrap
 
 import pytest
-from hypothesis import event, given, strategies as st
+from hypothesis import event, example, given, strategies as st
 
+from hopf_forge import presentations
 from hopf_forge.cli import main
 from hopf_forge.errors import DefinitionError, StructureError
 from hopf_forge.definition import PresentationDefinition
@@ -133,6 +136,23 @@ def rule_lists(draw, gens):
     return rules
 
 
+def assert_pass_is_sound(rules, gens):
+    """A critical-pairs PASS must leave no inconsistent word at degree 5;
+    returns whether the pairs passed."""
+    defn = PresentationDefinition(
+        name="random", description="", generators=gens, rules=rules,
+        coproduct={}, counit={}, antipode={})
+    pres = Presentation(defn)
+    passed = pres.check_confluence(0)[0].ok
+    if passed:
+        assert pres.inconsistent_words(5) == []
+    return passed
+
+
+# x -> 1 and x -> 0: one left side, two normal forms, and no overlap
+TWO_RULES_ON_X = [(("x",), [(SC_ONE, ())]), (("x",), [])]
+
+
 class TestConfluence:
     def test_both_presentations_confluent_to_degree_four(self):
         for defn in (uq_su2(), suq2()):
@@ -143,13 +163,15 @@ class TestConfluence:
             assert all(it.ok for it in items), defn.name
 
     def test_non_confluent_system_is_caught(self):
-        # y.x -> x.y and y.x -> 2 x.y cannot both hold
+        # y.x -> x.y and y.x -> 2 x.y cannot both hold; the two rules share
+        # their left side, so the only critical pair is that inclusion
         defn = q_plane()
         defn.rules = [(("y", "x"), [(SC_ONE, ("x", "y"))]),
                       (("y", "x"), [(sc("2"), ("x", "y"))])]
-        pres = Presentation(defn)
-        items = pres.check_confluence(2)
-        assert not items[1].ok
+        items = Presentation(defn).check_confluence(2)
+        assert [(it.name, it.ok, it.detail) for it in items] == [
+            ("critical-pairs", False, "unresolved at y.x"),
+            ("exhaustive-confluence", False, "inconsistent at y.x")]
 
     def test_disagreement_at_a_later_redex_is_caught(self):
         # z.y.x rewrites at its leftmost redex to x.x, but at y.x it goes
@@ -160,29 +182,33 @@ class TestConfluence:
         assert items[1].detail == "inconsistent at z.y.x"
 
     def test_a_failure_lists_the_words_of_every_redex(self):
-        # only the full comparison lists z.x.y.x, whose disagreeing redex
-        # y.x is disjoint from its first redex z.x
+        # z.x.y.x is listed although its disagreeing redex y.x is disjoint
+        # from its first redex z.x
         pres = Presentation(xyz_system())
         assert pres.check_confluence(4)[1].detail == (
             "inconsistent at z.y.x, x.z.y.x, y.z.y.x, z.x.y.x, z.y.x.x")
-        assert "z.x.y.x" not in pres.inconsistent_words(4)
-        assert "z.x.y.x" in pres.inconsistent_words(4, overlaps_only=False)
 
-    @given(st.data())
-    def test_overlap_pass_agrees_with_the_full_pass(self, data):
-        n = data.draw(st.integers(2, 3), label="generators")
-        gens = ["x", "y", "z"][:n]
-        defn = PresentationDefinition(
-            name="random", description="", generators=gens,
-            rules=data.draw(rule_lists(gens), label="rules"),
-            coproduct={}, counit={}, antipode={})
-        overlaps = Presentation(defn).inconsistent_words(4)
-        full = Presentation(defn).inconsistent_words(4, overlaps_only=False)
-        event("confluent" if not full else
-              "lists differ" if overlaps != full else "lists agree")
-        assert bool(overlaps) == bool(full)
-        assert overlaps[:1] == full[:1]
-        assert set(overlaps) <= set(full)
+    @given(st.sampled_from([["x", "y"], ["x", "y", "z"]]).flatmap(
+        lambda gens: st.tuples(rule_lists(gens), st.just(gens))))
+    @example((TWO_RULES_ON_X, ["x", "y"]))
+    def test_critical_pair_pass_proves_confluence(self, system):
+        event("pairs resolve" if assert_pass_is_sound(*system)
+              else "a pair fails")
+
+    def test_skipping_equal_left_sides_is_caught(self, monkeypatch):
+        # the mutant compares no two rules with one left side
+        source = textwrap.dedent(
+            inspect.getsource(Presentation.check_confluence))
+        mutant = source.replace("(l1 == l2 and j <= i)", "l1 == l2")
+        assert mutant != source
+        scope = {}
+        exec(mutant, vars(presentations), scope)
+        monkeypatch.setattr(Presentation, "check_confluence",
+                            scope["check_confluence"])
+        with pytest.raises(AssertionError):
+            assert_pass_is_sound(TWO_RULES_ON_X, ["x", "y"])
+        with pytest.raises(AssertionError):
+            self.test_non_confluent_system_is_caught()
 
 
 class TestWordBudget:
