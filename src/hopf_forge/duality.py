@@ -20,8 +20,7 @@ from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
                      zero_vector)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
 from .mhopf import (CheckItem, Coproduct, QGData, TensorMap, attach_coproduct,
-                    check_star_compat, check_tmaps, derive_counit_antipode,
-                    tensor_vec)
+                    check_star_compat, check_tmaps, tensor_vec)
 from .scalars import SC_ONE, SC_ZERO
 
 
@@ -118,7 +117,8 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
             + "; ".join("%s has rank %d of %d"
                         % (v.formula, v.rank, v.size)
                         for v in tmaps.failures()))
-    derive_counit_antipode(dual_qg)
+    if tmaps.error is not None:
+        raise tmaps.error
     star_compat = None
     if dual_alg.star is not None:
         star_compat = check_star_compat(dual_qg)

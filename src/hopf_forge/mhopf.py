@@ -6,19 +6,21 @@ The coproduct is a plain linear map A -> A(x)A (the unital finite shadow,
 where the multiplier algebra of the tensor square is the tensor square
 itself).  The counit and antipode are never taken on faith: they are solved
 for from their defining laws and required to be unique; declared tables, when
-present, are cross-checked against the solved ones.
+present, are cross-checked against the solved ones.  Once they verify, the
+four canonical maps (T-maps) are bijective by their explicit inverses, so
+the maps are built and ranked only when the derivation fails (check_tmaps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CheckFailure, StructureError
+from .errors import CheckFailure, HopfForgeError, StructureError
 from .exactla import rank as _rank
-from .exactla import rank_mod_p, solve_affine, terms_mod_p
+from .exactla import solve_affine
 from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
                      tensor_algebra, vec_combination, vec_is_zero)
-from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO
+from .scalars import SC_ONE, SC_ZERO
 
 
 def tensor_vec(x: list, y: list) -> list:
@@ -200,6 +202,7 @@ class TMapView:
 class TMapReport:
     maps: list
     coproduct_unital: bool
+    error: HopfForgeError | None = None  # raised by derive_counit_antipode
 
     @property
     def all_bijective(self) -> bool:
@@ -232,72 +235,54 @@ def _tmap_columns(qg: QGData, which: int) -> list:
             for i in range(n) for j in range(n)]
 
 
-def _structure_mod_p(qg: QGData):
-    """The product table, the coproduct columns and the unit at the first
-    point of RANK_POINTS where they all have images mod p, or None."""
-    alg = qg.algebra
-    tables = list(alg.mul.values()) + qg.coproduct.columns
-    for s0 in RANK_POINTS:
-        images = [terms_mod_p(ent.items(), s0) for ent in tables]
-        unit = terms_mod_p(enumerate(alg.unit), s0)
-        if unit is not None and None not in images:
-            mul = dict(zip(alg.mul, images))
-            return mul, images[len(mul):], list(unit.items())
-    return None
-
-
-def _multiply_terms_mod_p(mul: dict, n: int, x: dict, y: dict) -> dict:
-    """TensorAlgebra.multiply_terms of A(x)A in Z/p, for a product table
-    mul of A in residues; the product as a sparse row {a*n + b: residue}."""
-    out = {}
-    for (i, j), xv in x.items():
-        for (k, m), yv in y.items():
-            left = mul.get((i, k))
-            right = mul.get((j, m))
-            if not (left and right):
-                continue
-            c = xv * yv
-            for a, ca in left.items():
-                cl = c * ca % _MOD_P
-                base = a * n
-                for b, cb in right.items():
-                    t = base + b
-                    out[t] = (out.get(t, 0) + cl * cb) % _MOD_P
-    return {t: v for t, v in out.items() if v}
-
-
-def check_tmaps(qg: QGData) -> TMapReport:
-    """Ranks over Q(i)(s) of the four canonical maps on the tensor square.
+def check_tmaps(qg: QGData, declared_counit=None,
+                declared_antipode=None) -> TMapReport:
+    """Bijectivity of the four canonical maps on the tensor square, with the
+    counit and antipode derived on the way (qg gets them on success).
 
     All four bijective is the regularity condition at finite dimension.
     Also records whether the coproduct sends the unit to 1(x)1.
 
-    Each map is first built from the structure constants mapped into Z/p
-    at a point of RANK_POINTS (exactla.rank gives the argument).  Every
-    entry of a T-map is a polynomial in the product table, the coproduct
-    and the unit, so the map built from their images is the image of the
-    map, and a full rank there proves the map bijective.  Only a map that
-    is deficient at the point, or every map when no point gives all the
-    structure constants an image, is built and ranked exactly.
+    derive_counit_antipode runs first, with the declared tables.  When it
+    verifies, the four maps have explicit inverses, and each is reported at
+    rank n^2 of n^2 without being built:
+    - T1(a(x)b) = D(a)(1(x)b) has T1^-1(a(x)b) = sum a_1 (x) S(a_2) b;
+    - T2(a(x)b) = (a(x)1)D(b) has T2^-1(a(x)b) = sum a S(b_1) (x) b_2;
+    - T3(a(x)b) = D(a)(b(x)1) and T4(a(x)b) = (1(x)a)D(b) are T1 and T2 of
+      (A, D^op) followed by the flip of the legs, and S^-1 is the antipode
+      of (A, D^op), so T3^-1(a(x)b) = sum b_2 (x) S^-1(b_1) a and
+      T4^-1(a(x)b) = sum b S^-1(a_2) (x) a_1.
+    (Van Daele, "Multiplier Hopf algebras", Trans. AMS 342, 1994; Radford,
+    Hopf Algebras, 2012, ch. 7.)  Composing either way reduces to the
+    identity by coassociativity, the two counit laws and the two antipode
+    laws for T1 and T2; for T3 and T4, the antipode laws of S^-1 for D^op
+    follow by applying S^-1 to those of S, which needs S anti-multiplicative,
+    unital and bijective.  Each premise is checked before this returns:
+    coassociativity by attach_coproduct; the counit and antipode laws by
+    construction, both one-sided laws being solved together in
+    derive_counit_antipode; anti-multiplicativity, S(1) = 1 and bijectivity
+    of S there as well.  Neither D(1) = 1(x)1 nor multiplicativity of D is
+    used.
+
+    When derive_counit_antipode raises, the maps are built over Q(i)(s) and
+    ranked exactly, and its error is kept in the report: the callers report
+    the maps first and the error only when all four are bijective.
     """
-    n = qg.dim
-    n2 = n * n
-    modular = _structure_mod_p(qg)
-    views = []
-    for which, formula in enumerate(TMAP_FORMULAS):
-        r = None
-        if modular is not None:
-            mul, cols, unit = modular
-            r = rank_mod_p(
-                _multiply_terms_mod_p(mul, n,
-                                      *_tmap_operands(which, i, j, cols, unit))
-                for i in range(n) for j in range(n))
-        if r != n2:
-            # a matrix and its transpose have the same rank
-            r = _rank(_tmap_columns(qg, which))
-        views.append(TMapView(formula, r, n2))
+    n2 = qg.dim ** 2
+    try:
+        derive_counit_antipode(qg, declared_counit, declared_antipode)
+    except HopfForgeError as exc:
+        error = exc
+        # a matrix and its transpose have the same rank
+        ranks = [_rank(_tmap_columns(qg, which))
+                 for which in range(len(TMAP_FORMULAS))]
+    else:
+        error = None
+        ranks = [n2] * len(TMAP_FORMULAS)
+    views = [TMapView(formula, r, n2)
+             for formula, r in zip(TMAP_FORMULAS, ranks)]
     unital = qg.delta(qg.algebra.unit) == tensor_vec(qg.algebra.unit, qg.algebra.unit)
-    return TMapReport(views, unital)
+    return TMapReport(views, unital, error)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +669,8 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     tmr = check_tmaps(induced)
     result.induced = induced
     result.induced_tmaps = tmr
-    if tmr.all_bijective:
-        derive_counit_antipode(induced)
-    else:
+    if not tmr.all_bijective:
         result.notes.append("induced structure fails T-map bijectivity")
+    elif tmr.error is not None:
+        raise tmr.error
     return result

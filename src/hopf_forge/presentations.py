@@ -188,16 +188,15 @@ class Presentation:
 
     # -- confluence ----------------------------------------------------------
 
-    def inconsistent_words(self, max_degree: int) -> list:
-        """Words up to max_degree, in ascending word order, at which a later
-        redex reaches another normal form than the first redex; a word is
-        listed once per such redex.
+    def inconsistent_words(self, max_degree: int):
+        """Yield the words up to max_degree, in ascending word order, at which
+        a later redex reaches another normal form than the first redex; a
+        word is yielded once per such redex.
 
         The first redex (leftmost position, rules in declaration order) is
         the one normal_form_word rewrites, so the word's normal form is the
-        target.  check_confluence calls this only after a critical pair
-        fails, to list the failures."""
-        bad = []
+        target.  check_confluence takes the first five only after a critical
+        pair fails, so the words past the fifth failure are never rewritten."""
         for d in range(max_degree + 1):
             for w in itertools.product(self.generators, repeat=d):
                 redexes = [(p, lhs, rhs) for p in range(d)
@@ -207,13 +206,13 @@ class Presentation:
                     step = tuple((w[:p] + rw + w[p + len(lhs):], c)
                                  for rw, c in rhs)
                     if self.normal_form(step) != self.normal_form_word(w):
-                        bad.append(self.format_word(w))
-        return bad
+                        yield self.format_word(w)
 
     def check_confluence(self, max_degree: int) -> list:
         """Resolve every critical pair of the rules.  When all resolve, every
         word rewrites consistently, so the words up to max_degree are only
-        counted; when one fails, they are enumerated to list the failures.
+        counted; when one fails, they are enumerated in ascending order up to
+        the fifth word that fails, which lists the first five failures.
 
         This is Bergman's diamond lemma (Adv. Math. 29, 1978, Thm. 1.2).  Its
         premises hold for every Presentation: deg-lex on finitely many
@@ -258,13 +257,14 @@ class Presentation:
             "%d critical pair(s) all resolve" % n_pairs if not bad
             else "unresolved at " + ", ".join(bad[:5]))]
 
-        bad = self.inconsistent_words(max_degree) if bad else []
+        bad = (list(itertools.islice(self.inconsistent_words(max_degree), 5))
+               if bad else [])
         n_words = sum(len(self.generators) ** d for d in range(max_degree + 1))
         items.append(CheckItem(
             "exhaustive-confluence", not bad,
             "all %d words up to degree %d rewrite consistently"
             % (n_words, max_degree) if not bad
-            else "inconsistent at " + ", ".join(bad[:5])))
+            else "inconsistent at " + ", ".join(bad)))
         return items
 
 

@@ -28,7 +28,7 @@ from .haar_modular import (MODULAR_STAGES, ModularStageFailure,
                            orbit_span, psi_positivity,
                            simultaneous_eigenbasis)
 from .mhopf import (CheckItem, attach_coproduct, check_star_compat,
-                    check_sub_mha, check_tmaps, derive_counit_antipode)
+                    check_sub_mha, check_tmaps)
 from .presentations import (PairedPresentations, build_presented,
                             check_word_budget)
 from .scalars import DEFAULT_SPEC_POINTS, SC_ONE
@@ -174,7 +174,7 @@ def _structure_checks(rep: Report, defn: StructureDefinition):
         return None
     rep.add("coproduct-axioms", True, "multiplicative and coassociative")
 
-    tmaps = check_tmaps(qg)
+    tmaps = check_tmaps(qg, defn.counit, defn.antipode)
     for view in tmaps.maps:
         rep.add("canonical-map %s" % view.formula, view.bijective,
                 "rank %d of %d" % (view.rank, view.size))
@@ -183,11 +183,8 @@ def _structure_checks(rep: Report, defn: StructureDefinition):
                      "coproduct does not send the unit to 1 (x) 1")
     if not tmaps.all_bijective:
         return None
-
-    try:
-        qg = derive_counit_antipode(qg, defn.counit, defn.antipode)
-    except HopfForgeError as exc:
-        rep.fail_from("counit-antipode", exc)
+    if tmaps.error is not None:
+        rep.fail_from("counit-antipode", tmaps.error)
         return None
     declared = []
     if defn.counit is not None:

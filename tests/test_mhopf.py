@@ -1,11 +1,15 @@
 """Coproducts, canonical maps, counit/antipode derivation, sub-objects."""
 
+import inspect
+import sys
+import textwrap
+
 import pytest
 
-from hopf_forge import mhopf
+from hopf_forge import exactla, mhopf
 from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.errors import CheckFailure, StructureError
-from hopf_forge.exactla import invert, mat_copy, rank, rref
+from hopf_forge.exactla import invert, mat_copy, rref
 from hopf_forge.fixtures import build_fixture
 from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
                               attach_coproduct, check_grouplike_projection,
@@ -13,8 +17,10 @@ from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
                               derive_counit_antipode, tensor_vec)
 from hopf_forge.finalg import (LinMap, basis_vector, build_algebra,
                                transform_basis)
-from hopf_forge.scalars import (RANK_POINTS, SC_ONE, SC_ZERO, Scalar,
-                                image_mod_p)
+from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
+
+# the packaged structure examples whose counit and antipode verify
+HOPF_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "sweedler_h4")
 
 
 def hopf_qg(name):
@@ -101,37 +107,50 @@ def exact_ranks(qg):
 
 
 class TestModularTMaps:
-    """check_tmaps ranks the T-maps mod p at a point and builds a map
-    exactly only when it is deficient there."""
+    """check_tmaps builds and ranks the T-maps exactly only when the counit
+    and antipode do not verify."""
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        """Records the points of every image taken in mhopf and the maps
-        built exactly."""
-        seen = {"points": set(), "exact": []}
-        images, columns = mhopf.terms_mod_p, mhopf._tmap_columns
+        """Records the maps built exactly and the length of every row taken
+        mod p by exactla.rank."""
+        seen = {"exact": [], "rows": []}
+        images, columns = exactla.terms_mod_p, mhopf._tmap_columns
 
         def images_spy(terms, s0):
-            seen["points"].add(s0)
+            terms = list(terms)
+            seen["rows"].append(len(terms))
             return images(terms, s0)
 
         def columns_spy(qg, which):
             seen["exact"].append(which)
             return columns(qg, which)
-        monkeypatch.setattr(mhopf, "terms_mod_p", images_spy)
+        monkeypatch.setattr(exactla, "terms_mod_p", images_spy)
         monkeypatch.setattr(mhopf, "_tmap_columns", columns_spy)
         return seen
 
-    def test_pole_at_the_first_point_moves_to_the_next(self, spied):
-        qg = pole_deformed("sweedler_h4")
-        assert any(image_mod_p(c, RANK_POINTS[0]) is None
-                   for col in qg.coproduct.columns for c in col.values())
+    @pytest.mark.parametrize("name", HOPF_EXAMPLES + ("pole-deformed",))
+    def test_a_verified_antipode_builds_no_tmap(self, name, spied):
+        qg = (pole_deformed("sweedler_h4") if name == "pole-deformed"
+              else build_qg(build_fixture(name)))
+        n = qg.dim
         report = check_tmaps(qg)
-        assert spied == {"points": set(RANK_POINTS[:2]), "exact": []}
-        n2 = qg.dim ** 2
-        assert [v.rank for v in report.maps] == [n2] * 4
-        assert [rank(_tmap_columns(qg, which)) for which in range(4)] \
-            == exact_ranks(qg) == [n2] * 4
+        assert report.error is None
+        assert [v.rank for v in report.maps] == [n * n] * 4
+        assert qg.antipode is not None and qg.counit is not None
+        # the only rank mod p is the antipode's, on rows of length n
+        assert spied["exact"] == []
+        assert spied["rows"] and set(spied["rows"]) == {n}
+
+    def test_theorem_ranks_are_the_exact_ranks(self):
+        for qg in (pole_deformed("sweedler_h4"), build_qg(build_fixture("c_z4"))):
+            assert [v.rank for v in check_tmaps(qg).maps] \
+                == exact_ranks(qg) == [qg.dim ** 2] * 4
+
+    def test_semilattice_is_ranked_exactly(self, spied):
+        report = check_tmaps(build_qg(build_fixture("semilattice2")))
+        assert spied["exact"] == [0, 1, 2, 3]
+        assert isinstance(report.error, StructureError)
 
     def test_planted_drop_falls_back_to_the_exact_rank(self, spied):
         # e is the unit and x^2 = 0; D(e) = e(x)e and D(x) = (s - s0) x(x)x
@@ -146,6 +165,19 @@ class TestModularTMaps:
         assert spied["exact"] == [0, 1, 2, 3]
         assert [v.rank for v in report.maps] == exact_ranks(qg) == [3] * 4
         assert not report.all_bijective
+
+    def test_claiming_bijectivity_after_a_failure_is_caught(self,
+                                                            monkeypatch):
+        # the mutant reports every map bijective whatever the antipode does
+        source = textwrap.dedent(inspect.getsource(mhopf.check_tmaps))
+        mutant = source.replace("_rank(_tmap_columns(qg, which))", "n2")
+        assert mutant != source
+        scope = {}
+        exec(mutant, vars(mhopf), scope)
+        monkeypatch.setattr(sys.modules[__name__], "check_tmaps",
+                            scope["check_tmaps"])
+        with pytest.raises(AssertionError):
+            TestCanonicalMaps().test_semilattice_fails_at_rank_2_of_4()
 
 
 class TestCounitAntipode:

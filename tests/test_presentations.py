@@ -145,7 +145,7 @@ def assert_pass_is_sound(rules, gens):
     pres = Presentation(defn)
     passed = pres.check_confluence(0)[0].ok
     if passed:
-        assert pres.inconsistent_words(5) == []
+        assert list(pres.inconsistent_words(5)) == []
     return passed
 
 
@@ -187,6 +187,26 @@ class TestConfluence:
         pres = Presentation(xyz_system())
         assert pres.check_confluence(4)[1].detail == (
             "inconsistent at z.y.x, x.z.y.x, y.z.y.x, z.x.y.x, z.y.x.x")
+
+    def test_a_failure_rewrites_words_only_up_to_the_fifth_failure(
+            self, monkeypatch):
+        # K.Kinv -> 2 beside K.Kinv -> 1: every word with a K.Kinv redex
+        # fails, and the fifth of them has degree 3
+        defn = uq_su2()
+        defn.rules.append((("K", "Kinv"), [(sc("2"), ())]))
+        product = itertools.product
+        lengths = set()
+
+        def product_spy(*args, **kwargs):
+            for w in product(*args, **kwargs):
+                lengths.add(len(w))
+                yield w
+        monkeypatch.setattr(itertools, "product", product_spy)
+        items = Presentation(defn).check_confluence(9)
+        assert (items[1].name, items[1].ok, items[1].detail) == (
+            "exhaustive-confluence", False, "inconsistent at K.Kinv, "
+            "K.K.Kinv, K.Kinv.K, K.Kinv.Kinv, K.Kinv.E")
+        assert max(lengths) == 3
 
     @given(st.sampled_from([["x", "y"], ["x", "y", "z"]]).flatmap(
         lambda gens: st.tuples(rule_lists(gens), st.just(gens))))

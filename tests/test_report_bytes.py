@@ -13,8 +13,10 @@ import pytest
 
 from hopf_forge.cli import main
 from hopf_forge.definition import save_definition
-from hopf_forge.fixtures import (function_algebra, group_algebra,
-                                 packaged_fixture_path)
+from hopf_forge.fixtures import (build_fixture, function_algebra,
+                                 group_algebra, packaged_fixture_path)
+from hopf_forge.mhopf import TMAP_FORMULAS
+from hopf_forge.scalars import SC_ONE, SC_ZERO
 
 STRUCTURE_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "semilattice2",
                       "sweedler_h4")
@@ -206,3 +208,34 @@ def test_report_is_pinned(key, tmp_path, monkeypatch, capsys):
     got = {fmt: report_digest(command, stem, extra, fmt, capsys)
            for fmt in FORMATS}
     assert got == PINNED[key]
+
+
+def test_declared_antipode_failure_follows_bijective_tmaps(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # c_z4 declaring the identity as its antipode: the four canonical maps
+    # are bijective, and only the declared table disagrees.  The digests
+    # were taken on the program that built and ranked the T-maps before it
+    # derived the counit and antipode.
+    defn = build_fixture("c_z4")
+    defn.name = "c_z4_wrong_antipode"
+    defn.antipode = [[SC_ONE if r == c else SC_ZERO for c in range(defn.dim)]
+                     for r in range(defn.dim)]
+    save_definition(defn, str(tmp_path / "wrong_antipode.qg"))
+    monkeypatch.chdir(tmp_path)
+    got = {fmt: report_digest("validate", "wrong_antipode", (), fmt, capsys)
+           for fmt in FORMATS}
+    assert got == {
+        "text":
+            "5cef3b87e1f7280aaeaf84dd27d59e42aff209b0e430cd3b72d1de2bb7014d4c",
+        "json":
+            "68ce6fafcd8d2b02328b8bde6f7f34d7b5496adb528d58d0a406e32bf5e5a0c1",
+    }
+    main(["validate", "wrong_antipode.qg"])
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  [")]
+    assert lines[2:] == [
+        "[PASS] canonical-map %s: rank 16 of 16" % formula
+        for formula in TMAP_FORMULAS] + [
+        "[FAIL] declared-antipode: declared-antipode: declared antipode "
+        "disagrees with the solved one"]
