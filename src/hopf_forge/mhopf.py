@@ -212,27 +212,24 @@ class TMapReport:
         return [m for m in self.maps if not m.bijective]
 
 
-def _tmap_operands(which: int, i: int, j: int, cols: list, unit: list):
-    """The two factors, as {(a, b): c} terms, whose product in A(x)A is the
-    image of e_i(x)e_j under T-map number which; unit lists the nonzero
-    (t, u) of the unit."""
-    if which == 0:
-        return cols[i], {(t, j): u for t, u in unit}
-    if which == 1:
-        return {(i, t): u for t, u in unit}, cols[j]
-    if which == 2:
-        return cols[i], {(j, t): u for t, u in unit}
-    return {(t, i): u for t, u in unit}, cols[j]
-
-
 def _tmap_columns(qg: QGData, which: int) -> list:
     """The images of the basis e_i(x)e_j under T-map number which."""
     n = qg.dim
     cols = qg.coproduct.columns
     unit = [(t, u) for t, u in enumerate(qg.algebra.unit) if not u.is_zero]
-    return [qg.tensor_sq.multiply_terms(*_tmap_operands(which, i, j, cols,
-                                                        unit))
-            for i in range(n) for j in range(n)]
+    images = []
+    for i in range(n):
+        for j in range(n):
+            if which == 0:
+                x, y = cols[i], {(t, j): u for t, u in unit}
+            elif which == 1:
+                x, y = {(i, t): u for t, u in unit}, cols[j]
+            elif which == 2:
+                x, y = cols[i], {(j, t): u for t, u in unit}
+            else:
+                x, y = {(t, i): u for t, u in unit}, cols[j]
+            images.append(qg.tensor_sq.multiply_terms(x, y))
+    return images
 
 
 def check_tmaps(qg: QGData, declared_counit=None,
