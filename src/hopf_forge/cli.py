@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from .definition import load_definition, sha256_of_file
 from .errors import DefinitionError, HopfForgeError
@@ -187,6 +186,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception:
+        import traceback
         traceback.print_exc()
         return 3
     finally:

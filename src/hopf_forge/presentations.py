@@ -78,6 +78,8 @@ class Presentation:
         for lhs, rhs in self.rules:
             self._rules_from.setdefault(lhs[0], []).append((lhs, rhs))
         self._nf_memo: dict = {}
+        # whether every critical pair resolves; None until check_confluence
+        self._pairs_resolve: bool | None = None
 
     # -- word order and rendering -------------------------------------------
 
@@ -186,6 +188,32 @@ class Presentation:
             layer = nxt
         return out
 
+    def word_products(self, words) -> list:
+        """(c, d, normal form of c.d) for every pair of nonempty words c, d
+        of words, c in the outer loop.  The words must be irreducible, in
+        ascending word order and closed under prefixes, as normal_words
+        lists them.
+
+        Once check_confluence has resolved every critical pair, each word
+        has one normal form (Bergman's diamond lemma), so NF(c.d) =
+        NF(NF(c.d') g) for d = d'.g, and each product is the one before it
+        times a generator: only words w.g with w irreducible are rewritten.
+        Without that proof the leftmost strategy may reach another normal
+        form by this route, so each word c.d is rewritten whole."""
+        nonempty = [w for w in words if w]
+        if not self._pairs_resolve:
+            return [(c, d, self.normal_form_word(c + d))
+                    for c in nonempty for d in nonempty]
+        out = []
+        for c in nonempty:
+            # d' precedes d = d'.g in the word order, so row holds NF(c.d')
+            row = {EMPTY_WORD: ((c, SC_ONE),)}
+            for d in nonempty:
+                cd = row[d] = self.normal_form(
+                    tuple((w + d[-1:], k) for w, k in row[d[:-1]]))
+                out.append((c, d, cd))
+        return out
+
     # -- confluence ----------------------------------------------------------
 
     def inconsistent_words(self, max_degree: int):
@@ -252,6 +280,7 @@ class Presentation:
                               for rw, c in r2))
                     if left != right:
                         bad.append(self.format_word(l1))
+        self._pairs_resolve = not bad
         items = [CheckItem(
             "critical-pairs", not bad,
             "%d critical pair(s) all resolve" % n_pairs if not bad
@@ -598,7 +627,12 @@ class PairedPresentations:
 
         The outer product factors range over the generators and the other
         slot ranges over every irreducible word within the degree; products
-        of irreducible words are rewritten to normal form before pairing."""
+        of irreducible words are rewritten to normal form before pairing.
+        The column products c.d come from Presentation.word_products: when
+        check_confluence has resolved the column rules' critical pairs,
+        normal forms are unique by Bergman's diamond lemma (Adv. Math. 29,
+        1978, Thm. 1.2), so NF(c.d.g) = NF(NF(c.d) g) builds each product
+        from the one before it; otherwise each c.d is rewritten whole."""
         row_gens = [(g,) for g in self.row.pres.generators]
         col_words = self.col.normal_words(degree)
         row_words = self.row.normal_words(degree)
@@ -626,8 +660,7 @@ class PairedPresentations:
             if not bad else "fails at " + ", ".join(bad[:3])))
 
         # the normal forms of the products cd do not depend on X
-        products = [(c, d, self.col.pres.normal_form_word(c + d))
-                    for c in col_words if c for d in col_words if d]
+        products = self.col.pres.word_products(col_words)
         bad = []
         for x in row_gens:
             dx = self.row.coproduct.apply_word(x)

@@ -199,6 +199,22 @@ class TestLiteralBudget:
         assert message in proc.stderr
 
 
+class TestInternalError:
+    def test_internal_error_exits_three_with_a_traceback(self, monkeypatch,
+                                                         capsys):
+        from hopf_forge import cli
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(cli, "run_validate", crash)
+        assert cli.main(["validate", "c_z2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback (most recent call last)")
+        assert "RuntimeError: internal fault" in captured.err
+
+
 class TestExamples:
     def test_writes_all_packaged_files(self, tmp_path):
         out = tmp_path / "ex"

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hopf_forge.cli import main
 from hopf_forge.errors import StructureError
 from hopf_forge.fixtures import packaged_fixture_path
-from hopf_forge.presentations import (PairedPresentations, build_presented)
+from hopf_forge.presentations import (PairedPresentations, Presentation,
+                                      build_presented)
+from hopf_forge.report import run_pair
 from hopf_forge.presets import pairing_uqsu2_suq2
 from hopf_forge.scalars import SC_ONE, SC_ZERO, parse_scalar
 
@@ -108,6 +110,41 @@ class TestAxioms:
         for c in PAIRING.col.pres.normal_words(2):
             direct = PAIRING.pair_terms(lhs_terms, ((c, SC_ONE),))
             assert direct == PAIRING.pair_words(("E", "F"), c)
+
+
+class TestProducts:
+    def test_products_rewrite_only_irreducible_words_times_a_generator(
+            self, monkeypatch):
+        # once the column pairs resolve, each product c.d is the one before
+        # it times the last letter of d, never the whole word c.d
+        normal_form_word = Presentation.normal_form_word
+        word_products = Presentation.word_products
+        forming, seen = [], []
+
+        def products_spy(self, words):
+            forming.append(self)
+            try:
+                return word_products(self, words)
+            finally:
+                forming.pop()
+
+        def normal_form_spy(self, w):
+            if forming and self is forming[-1]:
+                seen.append(w)
+            return normal_form_word(self, w)
+
+        monkeypatch.setattr(Presentation, "word_products", products_spy)
+        monkeypatch.setattr(Presentation, "normal_form_word", normal_form_spy)
+        rep = run_pair(pairing_uqsu2_suq2(), "pairing", "0", degree=4)
+        assert rep.ok
+        assert ("columns: critical-pairs", True) in [
+            (item.name, item.ok) for item in rep.checks]
+        monkeypatch.undo()
+        col = Presentation(pairing_uqsu2_suq2().cols)
+        assert seen
+        for w in seen:
+            assert len(w) >= 1
+            assert col.normal_form_word(w[:-1]) == ((w[:-1], SC_ONE),), w
 
 
 class TestActionFunctional:

@@ -231,6 +231,68 @@ class TestConfluence:
             self.test_non_confluent_system_is_caught()
 
 
+# y.x.x -> 2 x + 2 beside y.x -> 2: the inclusion y.x in y.x.x does not
+# resolve, and y . x.x rewrites whole to 2 x + 2 but via NF(y.x) x to 2 x
+YXX_RULES = [(("y", "x", "x"), [(Scalar.from_int(2), ("x",)),
+                                (Scalar.from_int(2), ())]),
+             (("y", "x"), [(Scalar.from_int(2), ())])]
+
+
+def assert_products_are_normal_forms(rules, gens):
+    """word_products on the words up to degree 3 must give the normal form
+    of each whole word c.d, before check_confluence and after it; returns
+    whether the critical pairs resolved."""
+    defn = PresentationDefinition(
+        name="random", description="", generators=gens, rules=rules,
+        coproduct={}, counit={}, antipode={})
+    pres = Presentation(defn)
+    words = pres.normal_words(3)
+    pairs = [(c, d) for c in words if c for d in words if d]
+    unchecked = pres.word_products(words)
+    passed = pres.check_confluence(0)[0].ok
+    for got in (unchecked, pres.word_products(words)):
+        assert [(c, d) for c, d, _cd in got] == pairs
+        for c, d, cd in got:
+            assert cd == pres.normal_form_word(c + d), (c, d)
+    return passed
+
+
+class TestWordProducts:
+    @given(st.sampled_from([["x", "y"], ["x", "y", "z"]]).flatmap(
+        lambda gens: st.tuples(rule_lists(gens), st.just(gens))))
+    @example((YXX_RULES, ["x", "y"]))
+    @example((TWO_RULES_ON_X, ["x", "y"]))
+    def test_products_are_the_normal_forms_of_the_whole_words(self, system):
+        event("pairs resolve" if assert_products_are_normal_forms(*system)
+              else "a pair fails")
+
+    def test_unresolved_pairs_keep_the_leftmost_value(self):
+        defn = PresentationDefinition(
+            name="yxx", description="", generators=["x", "y"],
+            rules=YXX_RULES, coproduct={}, counit={}, antipode={})
+        pres = Presentation(defn)
+        assert not pres.check_confluence(2)[0].ok
+        products = {(c, d): cd
+                    for c, d, cd in pres.word_products(pres.normal_words(2))}
+        assert products[(("y",), ("x", "x"))] == (
+            (("x",), sc("2")), ((), sc("2")))
+
+    def test_dropping_the_confluence_guard_is_caught(self, monkeypatch):
+        # the mutant multiplies by one generator at a time without the proof
+        source = textwrap.dedent(
+            inspect.getsource(Presentation.word_products))
+        mutant = source.replace("if not self._pairs_resolve:", "if False:")
+        assert mutant != source
+        scope = {}
+        exec(mutant, vars(presentations), scope)
+        monkeypatch.setattr(Presentation, "word_products",
+                            scope["word_products"])
+        with pytest.raises(AssertionError):
+            assert_products_are_normal_forms(YXX_RULES, ["x", "y"])
+        with pytest.raises(AssertionError):
+            self.test_unresolved_pairs_keep_the_leftmost_value()
+
+
 class TestWordBudget:
     def test_budget_bounds_the_words_of_every_degree(self):
         # 4^0 + ... + 4^9 and 1^0 + ... + 1^349524 are exactly the budget
