@@ -20,7 +20,7 @@ from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
                      zero_vector)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
 from .mhopf import (CheckItem, Coproduct, QGData, TensorMap, attach_coproduct,
-                    check_star_compat, check_tmaps, tensor_vec)
+                    check_star_compat, check_tmaps, unit_leg_product)
 from .scalars import SC_ONE, SC_ZERO
 
 
@@ -500,26 +500,19 @@ def dual_imbedding(qg: QGData, phi: list, sub, dual_build: DualBuild,
                                "j(w*) = j(w)*" if not bad
                                else "fails at " + str(bad)))
 
-    t0 = dual0.qg.tensor_sq
-    t1 = dual_build.qg.tensor_sq
     j2 = TensorMap(j_map, j_map)
-    unit0 = d0_alg.unit
-    unit1 = d_alg.unit
     bad1, bad2 = [], []
     for a in range(d):
-        cop0 = dual0.qg.delta(d0_alg.basis(a))
-        cop1 = dual_build.qg.delta(j_cols[a])
+        cop0 = dual0.qg.coproduct.columns[a]
+        cop1 = dual_build.qg.tensor_sq.terms(dual_build.qg.delta(j_cols[a]))
         for b in range(d):
-            lhs = j2.apply(t0.multiply(cop0,
-                                       tensor_vec(unit0, d0_alg.basis(b))))
-            rhs = t1.multiply(cop1, tensor_vec(unit1, j_cols[b]))
-            if lhs != rhs:
-                bad1.append((a, b))
-            lhs = j2.apply(t0.multiply(tensor_vec(d0_alg.basis(b), unit0),
-                                       cop0))
-            rhs = t1.multiply(tensor_vec(j_cols[b], unit1), cop1)
-            if lhs != rhs:
-                bad2.append((a, b))
+            # D(w)(1 (x) w') and (w' (x) 1)D(w)
+            for shape, bad in zip((0, 3), (bad1, bad2)):
+                lhs = j2.apply(unit_leg_product(dual0.qg, cop0,
+                                                d0_alg.basis(b), shape))
+                if lhs != unit_leg_product(dual_build.qg, cop1, j_cols[b],
+                                           shape):
+                    bad.append((a, b))
     items.append(CheckItem(
         "imbedding-coproduct-right", not bad1,
         "(j (x) j)(D0(w)(1 (x) w')) = D(j w)(1 (x) j w')" if not bad1

@@ -240,6 +240,27 @@ def solve_affine(a_rows, rhs) -> SolutionSpace:
     return SolutionSpace(part, kernel)
 
 
+def coordinates(vectors, targets) -> list:
+    """Each target's coordinates on the linearly independent vectors, or
+    None for a target outside their span.
+
+    The columns [vectors | targets] are reduced once.  The vectors are
+    independent exactly when the first len(vectors) pivots are their own
+    columns; a target then lies in their span exactly when its reduced
+    column is zero below row len(vectors), and its rows above that are its
+    coordinates.  Raises LinearAlgebraError when the vectors are dependent.
+    """
+    d = len(vectors)
+    aug = [[v[t] for v in vectors] + [w[t] for w in targets]
+           for t in range(len((vectors or targets)[0]))]
+    if rref(aug)[:d] != list(range(d)):
+        raise LinearAlgebraError(
+            "coordinates need linearly independent vectors")
+    return [None if any(not row[c].is_zero for row in aug[d:])
+            else [row[c] for row in aug[:d]]
+            for c in range(d, d + len(targets))]
+
+
 def kernel_basis(a_rows):
     if not a_rows:
         return []
@@ -588,16 +609,12 @@ def eigensplit(rows, spec_points) -> list:
     spaces = []
     total = 0
     for lam in sorted(candidates, key=Scalar.sort_key):
-        shifted = [[rows[i][j] - lam if i == j else rows[i][j] for j in range(n)]
-                   for i in range(n)]
+        # the shift is built once, over Q(i) when the matrix is constant
+        m, mu = (rows, lam) if const is None else (const, lam.constant_value())
+        kb = kernel_basis([[x - mu if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(m)])
         if const is not None:
-            lamc = lam.constant_value()
-            cshift = [[const[i][j] - lamc if i == j else const[i][j] for j in range(n)]
-                      for i in range(n)]
-            kb = kernel_basis(cshift)
             kb = [[Scalar.const(x) for x in v] for v in kb]
-        else:
-            kb = kernel_basis(shifted)
         if kb:
             spaces.append(EigenSpace(lam, kb))
             total += len(kb)

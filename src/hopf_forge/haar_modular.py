@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
-from .exactla import (eigensplit, invert, kernel_basis, rank, rref,
-                      solve_affine)
+from .exactla import (coordinates, eigensplit, invert, kernel_basis, rank,
+                      rref, solve_affine)
 from .finalg import (LinMap, apply_functional, basis_vector, vec_combination,
                      vec_is_zero, zero_vector)
 from .mhopf import CheckItem, QGData, TensorMap
@@ -277,24 +277,24 @@ def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
     actually carry a component of delta, and evaluate the interpolation
     polynomial sending each eigenvalue to its positive square root on delta
     itself.  Its square is exactly delta because the defect polynomial is a
-    multiple of delta's minimal polynomial.
+    multiple of delta's minimal polynomial.  delta's coordinates on the
+    eigenvectors come from exactla.coordinates, whose premise holds: the
+    eigenspace bases are independent and belong to distinct eigenvalues.
     """
     alg = qg.algebra
     n = alg.dim
     spaces = eigensplit(alg.left_mul(delta).matrix, spec_points)
-    all_vecs = [v for es in spaces for v in es.basis]
-    cols = [[all_vecs[c][t] for c in range(len(all_vecs))] for t in range(n)]
-    sol = solve_affine(cols, delta)
-    if sol.is_empty:
+    coords = coordinates([v for es in spaces for v in es.basis], [delta])[0]
+    if coords is None:
         raise StructureError("internal: eigenbasis does not span")
+    # delta has a component in an eigenspace exactly when one of its
+    # coordinates there is nonzero, the eigenvectors being independent
     present = []
     start = 0
     for es in spaces:
-        stop = start + len(es.basis)
-        comp = vec_combination(sol.particular[start:stop], es.basis, n)
-        if not vec_is_zero(comp):
+        if any(not c.is_zero for c in coords[start:start + len(es.basis)]):
             present.append(es.value)
-        start = stop
+        start += len(es.basis)
     roots = {}
     for lam in present:
         rt = _positive_sqrt(lam)
@@ -460,25 +460,15 @@ def _commutes(a: LinMap, b: LinMap) -> bool:
 
 
 def _restrict(m: LinMap, block):
-    """Matrix of m on span(block) in the block's own coordinates.
-
-    The block's vectors and their images stand side by side as columns and
-    are reduced once; a pivot among the image columns is an image outside
-    the span.  Row r of the reduction then holds the coordinates, on block
-    vector pivots[r], of every image (free block vectors get 0, as in
-    solve_affine's particular solution).
+    """Matrix of m on span(block) in the block's own coordinates, read by
+    exactla.coordinates.  Its premise holds: a block is the standard basis
+    or the eigenvectors of one eigenspace of the previous map lifted from
+    an independent block, so its vectors are independent.
     """
-    d = len(block)
-    images = [m.apply(v) for v in block]
-    aug = [[v[t] for v in block] + [w[t] for w in images]
-           for t in range(len(block[0]))]
-    pivots = rref(aug)
-    if pivots and pivots[-1] >= d:
+    coords = coordinates(block, [m.apply(v) for v in block])
+    if None in coords:
         raise StructureError("internal: block is not invariant")
-    out = [[SC_ZERO] * d for _ in range(d)]
-    for r, c in enumerate(pivots):
-        out[c] = aug[r][d:]
-    return out
+    return [list(row) for row in zip(*coords)]
 
 
 def split_block(m: LinMap, block: list, spec_points) -> list:
@@ -603,14 +593,13 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
 # orchestration
 # ---------------------------------------------------------------------------
 
-def compute_modular_data(qg: QGData, spec_points,
-                         positive_mode: bool) -> ModularData:
+def compute_modular_data(qg: QGData, positive_mode: bool) -> ModularData:
     """The modular pipeline that every structure command runs.
 
     Its stages, in MODULAR_STAGES order, give phi, psi, sigma and sigma',
     delta with kappa = sigma^-1 S^2 and its inverse, and mu, which must be
     1 in positive mode.  A failing stage raises ModularStageFailure with the
-    data of the stages before it.  spec_points is not read.
+    data of the stages before it.
     """
     md = ModularData()
     stage = "haar-functional"

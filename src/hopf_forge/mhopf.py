@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CheckFailure, HopfForgeError, StructureError
+from .exactla import coordinates, solve_affine
 from .exactla import rank as _rank
-from .exactla import solve_affine
 from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
                      tensor_algebra, vec_combination, vec_is_zero)
 from .scalars import SC_ONE, SC_ZERO
@@ -212,24 +212,42 @@ class TMapReport:
         return [m for m in self.maps if not m.bijective]
 
 
-def _tmap_columns(qg: QGData, which: int) -> list:
-    """The images of the basis e_i(x)e_j under T-map number which."""
-    n = qg.dim
-    cols = qg.coproduct.columns
+def unit_leg_product(qg: QGData, x: dict, y: list, shape: int) -> list:
+    """x(1(x)y), x(y(x)1), (1(x)y)x or (y(x)1)x for shape 0, 1, 2 or 3.
+
+    x is an element of the tensor square as {(i, j): c}, y one of the
+    algebra; the product is dense.  The canonical maps and the sub-object
+    and imbedding checks are all built from these four products (Van Daele,
+    Trans. AMS 342, 1994).
+    """
     unit = [(t, u) for t, u in enumerate(qg.algebra.unit) if not u.is_zero]
-    images = []
-    for i in range(n):
-        for j in range(n):
-            if which == 0:
-                x, y = cols[i], {(t, j): u for t, u in unit}
-            elif which == 1:
-                x, y = {(i, t): u for t, u in unit}, cols[j]
-            elif which == 2:
-                x, y = cols[i], {(j, t): u for t, u in unit}
-            else:
-                x, y = {(t, i): u for t, u in unit}, cols[j]
-            images.append(qg.tensor_sq.multiply_terms(x, y))
-    return images
+    ys = [(k, c) for k, c in enumerate(y) if not c.is_zero]
+    if shape % 2 == 0:
+        leg = {(t, k): u * c for t, u in unit for k, c in ys}
+    else:
+        leg = {(k, t): c * u for t, u in unit for k, c in ys}
+    if shape < 2:
+        return qg.tensor_sq.multiply_terms(x, leg)
+    return qg.tensor_sq.multiply_terms(leg, x)
+
+
+def _pair_products(qg: QGData, deltas: list, elems: list, shape: int) -> list:
+    """The products of shape on every pair (a, b) of elems, in (a, b) order:
+    D(a) with the leg b for shapes 0 and 1, and D(b) with the leg a for
+    shapes 2 and 3, which read (1(x)a)D(b) and (a(x)1)D(b).  deltas[a] is
+    D(elems[a]) as {(i, j): c}."""
+    m = len(elems)
+    return [unit_leg_product(qg, deltas[b], elems[a], shape) if shape > 1
+            else unit_leg_product(qg, deltas[a], elems[b], shape)
+            for a in range(m) for b in range(m)]
+
+
+def _tmap_columns(qg: QGData, which: int) -> list:
+    """The images of the basis e_i(x)e_j under T-map number which: T1 to T4
+    are the products of shapes 0, 3, 1 and 2."""
+    basis = [qg.algebra.basis(i) for i in range(qg.dim)]
+    return _pair_products(qg, qg.coproduct.columns, basis,
+                          (0, 3, 1, 2)[which])
 
 
 def check_tmaps(qg: QGData, declared_counit=None,
@@ -508,25 +526,22 @@ class SubMHAResult:
                 and self.induced_tmaps.all_bijective)
 
 
-class _SubSpace:
-    """Membership solver for span(rows) and its tensor square."""
+def _first_outside(coords: list):
+    """The index of the first None in coords, or None when there is none."""
+    return next((k for k, c in enumerate(coords) if c is None), None)
 
-    def __init__(self, rows, n):
-        self.rows = rows
-        self.n = n
-        self.n0 = len(rows)
-        self._cols = [[rows[a][t] for a in range(self.n0)] for t in range(n)]
-        tens = [tensor_vec(ra, rb) for ra in rows for rb in rows]
-        self._tcols = [[tens[a][t] for a in range(len(tens))]
-                       for t in range(n * n)]
 
-    def coords(self, v):
-        sol = solve_affine(self._cols, v)
-        return None if sol.is_empty else sol.particular
-
-    def tensor_coords(self, t):
-        sol = solve_affine(self._tcols, t)
-        return None if sol.is_empty else sol.particular
+def _sub_items(kind: str, formulas, bads: list, ok_detail: str) -> list:
+    """A CheckItem per formula from the labels of its first failing pair,
+    or None; StructureError names the first formula that fails."""
+    items = [CheckItem(kind + " " + formula, bad is None,
+                       ok_detail if bad is None else "fails at (%s, %s)" % bad)
+             for formula, bad in zip(formulas, bads)]
+    for it in items:
+        if not it.ok:
+            raise StructureError("sub-compatibility failure: %s, %s"
+                                 % (it.name, it.detail))
+    return items
 
 
 def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
@@ -535,74 +550,49 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     Requires exact closure under multiplication (and star), membership of
     the four product families in the tensor square of the span, and, when
     the span has its own unit, re-derives the full induced structure
-    (coproduct compression, T-maps, counit, antipode).
+    (coproduct compression, T-maps, counit, antipode).  Every coordinate on
+    the span or its tensor square is read by exactla.coordinates, whose
+    premise is the rank check made first: sub_rows are linearly independent,
+    and hence so are their tensor products v_a(x)v_b.
     """
     alg = qg.algebra
-    n = alg.dim
+    tsq = qg.tensor_sq
     n0 = len(sub_rows)
     if sub_labels is None:
         sub_labels = ["v%d" % a for a in range(n0)]
     if _rank([list(r) for r in sub_rows]) != n0:
         raise StructureError("sub basis vectors are linearly dependent")
-    sub = _SubSpace(sub_rows, n)
+    pairs = [(a, b) for a in range(n0) for b in range(n0)]
 
-    mul0 = {}
-    for a in range(n0):
-        for b in range(n0):
-            prod = alg.multiply(sub_rows[a], sub_rows[b])
-            coords = sub.coords(prod)
-            if coords is None:
-                raise StructureError(
-                    "not a subalgebra: product of %s and %s leaves the span"
-                    % (sub_labels[a], sub_labels[b]))
-            ent = {k: c for k, c in enumerate(coords) if not c.is_zero}
-            if ent:
-                mul0[(a, b)] = ent
+    def at(k):
+        return None if k is None else tuple(sub_labels[a] for a in pairs[k])
+
+    products = coordinates(sub_rows, [alg.multiply(sub_rows[a], sub_rows[b])
+                                      for a, b in pairs])
+    bad = _first_outside(products)
+    if bad is not None:
+        raise StructureError(
+            "not a subalgebra: product of %s and %s leaves the span" % at(bad))
+    mul0 = {pair: col for pair, col
+            in zip(pairs, LinMap.from_images(products).columns) if col}
 
     star0 = None
     if alg.star is not None:
-        images = []
-        for a in range(n0):
-            coords = sub.coords(alg.apply_star(sub_rows[a]))
-            if coords is None:
-                raise StructureError(
-                    "span is not star-closed at %s" % sub_labels[a])
-            images.append(coords)
+        images = coordinates(sub_rows, [alg.apply_star(r) for r in sub_rows])
+        bad = _first_outside(images)
+        if bad is not None:
+            raise StructureError(
+                "span is not star-closed at %s" % sub_labels[bad])
         star0 = LinMap.from_images(images, conjugate_linear=True)
 
-    memberships = []
-    witness = None
-    for which, formula in enumerate(SUB_MEMBERSHIP_FORMULAS):
-        ok = True
-        for a in range(n0):
-            da = qg.delta(sub_rows[a])
-            for b in range(n0):
-                db = qg.delta(sub_rows[b])
-                if which == 0:
-                    t = qg.tensor_sq.multiply(da, tensor_vec(alg.unit, sub_rows[b]))
-                elif which == 1:
-                    t = qg.tensor_sq.multiply(da, tensor_vec(sub_rows[b], alg.unit))
-                elif which == 2:
-                    t = qg.tensor_sq.multiply(tensor_vec(sub_rows[a], alg.unit), db)
-                else:
-                    t = qg.tensor_sq.multiply(tensor_vec(alg.unit, sub_rows[a]), db)
-                if sub.tensor_coords(t) is None:
-                    ok = False
-                    witness = (sub_labels[a], sub_labels[b])
-                    break
-            if not ok:
-                break
-        memberships.append(CheckItem(
-            "membership " + formula, ok,
-            "all products lie in the tensor square of the span" if ok
-            else "fails at (%s, %s)" % witness))
-    if not all(it.ok for it in memberships):
-        bad = next(it for it in memberships if not it.ok)
-        raise StructureError("sub-compatibility failure: %s, %s"
-                             % (bad.name, bad.detail))
-
-    result = SubMHAResult(sub_rows, sub_labels, memberships, [],
-                          None, None, None)
+    tens = [tensor_vec(sub_rows[a], sub_rows[b]) for a, b in pairs]
+    deltas = [tsq.terms(qg.delta(r)) for r in sub_rows]
+    memberships = _sub_items("membership", SUB_MEMBERSHIP_FORMULAS, [
+        at(_first_outside(coordinates(
+            tens, _pair_products(qg, deltas, sub_rows, shape))))
+        for shape in (0, 1, 3, 2)],
+        "all products lie in the tensor square of the span")
+    result = SubMHAResult(sub_rows, sub_labels, memberships, [], None, None, None)
 
     try:
         alg0 = build_algebra(sub_labels, mul0, unit=None, star=star0,
@@ -612,56 +602,26 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
         return result
     result.sub_unit = alg0.unit
 
-    u0_big = vec_combination(alg0.unit, sub_rows, n)
-    uu = tensor_vec(u0_big, u0_big)
-    d0_images = []
+    u0 = vec_combination(alg0.unit, sub_rows, alg.dim)
+    uu = tensor_vec(u0, u0)
+    comps = [tsq.multiply(uu, tsq.multiply(qg.delta(r), uu)) for r in sub_rows]
+    d0_images = coordinates(tens, comps)
+    bad = _first_outside(d0_images)
+    if bad is not None:
+        raise StructureError(
+            "compressed coproduct of %s leaves the tensor square of the span"
+            % sub_labels[bad])
+    comps = [tsq.terms(c) for c in comps]
     compat = []
-    compat_fail = None
-    for a in range(n0):
-        da = qg.delta(sub_rows[a])
-        comp = qg.tensor_sq.multiply(uu, qg.tensor_sq.multiply(da, uu))
-        coords = sub.tensor_coords(comp)
-        if coords is None:
-            raise StructureError(
-                "compressed coproduct of %s leaves the tensor square of the span"
-                % sub_labels[a])
-        d0_images.append((coords, comp))
-    for which, formula in enumerate(SUB_COMPAT_FORMULAS):
-        ok = True
-        for a in range(n0):
-            comp = d0_images[a][1]
-            da = qg.delta(sub_rows[a])
-            for b in range(n0):
-                one_b = tensor_vec(alg.unit, sub_rows[b])
-                b_one = tensor_vec(sub_rows[b], alg.unit)
-                if which == 0:
-                    lhs = qg.tensor_sq.multiply(comp, one_b)
-                    rhs = qg.tensor_sq.multiply(da, one_b)
-                elif which == 1:
-                    lhs = qg.tensor_sq.multiply(comp, b_one)
-                    rhs = qg.tensor_sq.multiply(da, b_one)
-                elif which == 2:
-                    lhs = qg.tensor_sq.multiply(one_b, comp)
-                    rhs = qg.tensor_sq.multiply(one_b, da)
-                else:
-                    lhs = qg.tensor_sq.multiply(b_one, comp)
-                    rhs = qg.tensor_sq.multiply(b_one, da)
-                if lhs != rhs:
-                    ok = False
-                    compat_fail = (sub_labels[a], sub_labels[b])
-                    break
-            if not ok:
-                break
-        compat.append(CheckItem(
-            "compression " + formula, ok,
-            "holds on all pairs" if ok else "fails at (%s, %s)" % compat_fail))
-    result.compat = compat
-    if not all(it.ok for it in compat):
-        bad = next(it for it in compat if not it.ok)
-        raise StructureError("sub-compatibility failure: %s, %s"
-                             % (bad.name, bad.detail))
+    for shape in (0, 1, 2, 3):
+        compat.append(at(next((
+            k for k, (a, b) in enumerate(pairs)
+            if unit_leg_product(qg, comps[a], sub_rows[b], shape)
+            != unit_leg_product(qg, deltas[a], sub_rows[b], shape)), None)))
+    result.compat = _sub_items("compression", SUB_COMPAT_FORMULAS, compat,
+                               "holds on all pairs")
 
-    d0 = LinMap.from_images([coords for coords, _comp in d0_images])
+    d0 = LinMap.from_images(d0_images)
     induced = attach_coproduct(alg0, d0)
     tmr = check_tmaps(induced)
     result.induced = induced

@@ -218,7 +218,7 @@ def _modular_stages(rep: Report, qg, spec_points, positive_mode: bool):
     value is an object whenever it is known.
     """
     try:
-        md, failed = compute_modular_data(qg, spec_points, positive_mode), None
+        md, failed = compute_modular_data(qg, positive_mode), None
     except ModularStageFailure as exc:
         md, failed = exc.data, exc
     passed = (MODULAR_STAGES.index(failed.stage) if failed

@@ -89,8 +89,7 @@ def test_criterion_02_left_invariant_space_is_one_dimensional():
 def test_criterion_03_commutative_and_cocommutative_modular_data():
     for name in ("c_s3", "group_s3"):
         qg = hopf_qg(name)
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=True)
+        md = compute_modular_data(qg, positive_mode=True)
         n = qg.dim
         ident = [[SC_ONE if i == j else SC_ZERO for j in range(n)]
                  for i in range(n)]
@@ -130,15 +129,14 @@ def test_criterion_04_scaling_constant_one_iff_positive():
 def test_criterion_05_joint_eigenbasis_and_positivity_obstruction():
     for name in GOOD_FIXTURES:
         qg = hopf_qg(name)
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=True)
+        md = compute_modular_data(qg, positive_mode=True)
         rep = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
                                       positive_mode=True)
         assert len(rep.rows) == qg.dim, name
         assert rep.all_positive, name
         assert all(it.ok for it in rep.positivity), name
     qg = hopf_qg("sweedler_h4")
-    md = compute_modular_data(qg, DEFAULT_SPEC_POINTS, positive_mode=False)
+    md = compute_modular_data(qg, positive_mode=False)
     rep = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
                                   positive_mode=False)
     neg = SC_ZERO - SC_ONE
@@ -151,8 +149,7 @@ def test_criterion_05_joint_eigenbasis_and_positivity_obstruction():
 def test_criterion_06_right_functional_is_the_shifted_left_one():
     for name in GOOD_FIXTURES:
         qg = hopf_qg(name)
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=True)
+        md = compute_modular_data(qg, positive_mode=True)
         alg = qg.algebra
         # direct identity check, element by element
         for i in range(qg.dim):
@@ -188,8 +185,7 @@ def test_criterion_07_duality_suite():
         build = build_dual(qg, phi)
         bi = biduality(qg, build)
         assert bi.report.all_ok, name
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         items = dual_modular_check(qg, md, build)
         assert all(it.ok for it in items), \
             (name, [(it.name, it.detail) for it in items if not it.ok])

@@ -1,7 +1,13 @@
 """Dual construction, biduality, group recovery, and dual imbedding."""
 
+import dataclasses
+import inspect
+import itertools
+import textwrap
+
 import pytest
 
+from hopf_forge import duality
 from hopf_forge.assemble import build_qg
 from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 dual_modular_check, find_group_iso,
@@ -12,7 +18,7 @@ from hopf_forge.errors import CheckFailure
 from hopf_forge.finalg import LinMap
 from hopf_forge.fixtures import build_fixture
 from hopf_forge.haar_modular import compute_modular_data, solve_left_haar
-from hopf_forge.mhopf import check_sub_mha, derive_counit_antipode
+from hopf_forge.mhopf import Coproduct, check_sub_mha, derive_counit_antipode
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
 
@@ -93,8 +99,7 @@ class TestDualModular:
     def test_dual_modular_items_pass(self):
         for name in ("c_z2", "group_s3", "sweedler_h4"):
             qg, phi, build = dual_of(name)
-            md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                      positive_mode=False)
+            md = compute_modular_data(qg, positive_mode=False)
             items = dual_modular_check(qg, md, build)
             assert [it.name for it in items] == \
                 ["dual-modular-element", "dual-modular-pairing"], name
@@ -172,3 +177,44 @@ class TestDualImbedding:
                 for j in range(sub_dim)]
         seen = {tuple(str(c) for c in col) for col in cols}
         assert len(seen) == sub_dim
+
+    def test_twisted_dual_coproduct_fails_both_equations(self):
+        # sweedler_h4 as its own sub-object, imbedded into its dual with the
+        # coproduct replaced by flip (S^2 (x) id) D: j stays an injective
+        # unital *-algebra map that keeps the counit, and only the two
+        # coproduct equations fail, at pairs that differ for each of the
+        # four products D(w)(1 (x) w'), D(w)(w' (x) 1), (1 (x) w')D(w) and
+        # (w' (x) 1)D(w)
+        qg, phi, build = dual_of("sweedler_h4")
+        sub = check_sub_mha(qg, [qg.algebra.basis(i) for i in range(qg.dim)])
+        s2 = build.qg.antipode.compose(build.qg.antipode)
+        columns = []
+        for col in build.qg.coproduct.columns:
+            twisted = {}
+            for (i, j), c in col.items():
+                for k, x in s2.columns[i].items():
+                    twisted[(j, k)] = twisted.get((j, k), SC_ZERO) + c * x
+            columns.append(twisted)
+        build = dataclasses.replace(build, qg=dataclasses.replace(
+            build.qg, coproduct=Coproduct(columns)))
+        report = duality.dual_imbedding(qg, phi, sub, build,
+                                        DEFAULT_SPEC_POINTS)
+        failed = [(it.name, it.detail) for it in report.items if not it.ok]
+        assert failed == [
+            ("imbedding-coproduct-right", "fails at [(0, 1), (0, 2), (1, 1)]"),
+            ("imbedding-coproduct-left", "fails at [(0, 1), (0, 2), (0, 3)]")]
+        assert len(report.items) == 8
+
+    @pytest.mark.parametrize("shapes", [
+        pair for pair in itertools.product(range(4), repeat=2)
+        if pair != (0, 3)])
+    def test_changed_shapes_are_caught(self, monkeypatch, shapes):
+        source = textwrap.dedent(inspect.getsource(duality.dual_imbedding))
+        assert source.count("zip((0, 3),") == 1
+        scope = {}
+        exec(source.replace("zip((0, 3),", "zip(%r," % (shapes,)),
+             vars(duality), scope)
+        monkeypatch.setattr(duality, "dual_imbedding",
+                            scope["dual_imbedding"])
+        with pytest.raises(AssertionError):
+            self.test_twisted_dual_coproduct_fails_both_equations()

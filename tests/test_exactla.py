@@ -1,5 +1,8 @@
 """Exact linear algebra against sympy on random rational matrices."""
 
+import inspect
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -9,11 +12,12 @@ from hypothesis import strategies as st
 
 from hopf_forge import exactla
 from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
-                                POSITIVE_SEMIDEFINITE,
-                                NotDiagonalizableOverField, eigensplit,
-                                gram_certificate, invert, kernel_basis,
-                                mat_copy, matmul, matvec, rank, rank_mod_p,
-                                rational_roots, rref, solve_affine)
+                                POSITIVE_SEMIDEFINITE, LinearAlgebraError,
+                                NotDiagonalizableOverField, coordinates,
+                                eigensplit, gram_certificate, invert,
+                                kernel_basis, mat_copy, matmul, matvec, rank,
+                                rank_mod_p, rational_roots, rref,
+                                solve_affine)
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, RANK_POINTS, SC_ONE,
                                 SC_ZERO, GaussRat, Scalar)
 
@@ -73,6 +77,53 @@ class TestRowReduction:
         again = [list(r) for r in rows]
         rref(again)
         assert again == rows
+
+
+def combination(coeffs, vectors, dim):
+    return [sum((c * v[t] for c, v in zip(coeffs, vectors)), SC_ZERO)
+            for t in range(dim)]
+
+
+class TestCoordinates:
+    @settings(max_examples=60)
+    @given(rational_matrices(max_size=5), st.data())
+    def test_span_and_coordinates_match_sympy(self, rows, data):
+        # the rows that raise the sympy rank are independent vectors
+        vectors = []
+        for row in rows:
+            if matrix_to_sympy(vectors + [row]).rank() > len(vectors):
+                vectors.append(row)
+        dim = len(rows[0])
+        coeffs = [sc(data.draw(small_fracs)) for _ in vectors]
+        targets = [combination(coeffs, vectors, dim)] + [
+            [sc(data.draw(small_fracs)) for _ in range(dim)]
+            for _ in range(data.draw(st.integers(0, 3)))]
+        found = coordinates(vectors, targets)
+        assert found[0] == coeffs
+        for target, coords in zip(targets, found):
+            inside = (matrix_to_sympy(vectors + [target]).rank()
+                      == len(vectors))
+            assert (coords is not None) == inside
+            if inside:
+                assert combination(coords, vectors, dim) == target
+
+    def test_dependent_vectors_raise(self):
+        # without the guard, e2 would read as 0 e1 + 1 (2 e1)
+        e1, e2 = [SC_ONE, SC_ZERO], [SC_ZERO, SC_ONE]
+        with pytest.raises(LinearAlgebraError, match="independent"):
+            coordinates([e1, [sc(2), SC_ZERO]], [e2])
+
+    def test_skipping_the_independence_guard_is_caught(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(exactla.coordinates))
+        mutant = source.replace("if rref(aug)[:d] != list(range(d)):",
+                                "if rref(aug) and False:")
+        assert mutant != source
+        scope = {}
+        exec(mutant, vars(exactla), scope)
+        monkeypatch.setattr(sys.modules[__name__], "coordinates",
+                            scope["coordinates"])
+        with pytest.raises(pytest.fail.Exception):
+            self.test_dependent_vectors_raise()
 
 
 P = 998244353

@@ -74,8 +74,7 @@ class TestLeftHaar:
 class TestRightHaarAndModularMaps:
     def test_sweedler_frozen_data(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         neg = SC_ZERO - SC_ONE
         assert md.phi == [SC_ZERO, SC_ZERO, SC_ZERO, SC_ONE]
         assert md.psi == [SC_ZERO, SC_ZERO, neg, SC_ZERO]
@@ -93,8 +92,7 @@ class TestRightHaarAndModularMaps:
     def test_commutative_fixtures_have_trivial_modular_data(self):
         for name in ("c_z2", "c_z4", "c_s3"):
             qg = hopf_qg(name)
-            md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                      positive_mode=True)
+            md = compute_modular_data(qg, positive_mode=True)
             n = qg.dim
             ident = [[SC_ONE if i == j else SC_ZERO for j in range(n)]
                      for i in range(n)]
@@ -119,20 +117,17 @@ class TestRightHaarAndModularMaps:
     def test_positive_mode_rejects_sweedler_scaling(self):
         qg = hopf_qg("sweedler_h4")
         with pytest.raises(CheckFailure, match="scaling-constant"):
-            compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                 positive_mode=True)
+            compute_modular_data(qg, positive_mode=True)
 
     def test_delta_square_root_obstruction_on_sweedler(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         with pytest.raises(CheckFailure, match="delta-half"):
             delta_square_root(qg, md.delta, md.sigma, DEFAULT_SPEC_POINTS)
 
     def test_sigma_prime_is_modular_for_psi(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         alg = qg.algebra
         for i in range(qg.dim):
             for j in range(qg.dim):
@@ -145,8 +140,7 @@ class TestRightHaarAndModularMaps:
     def test_sigma_coproduct_rule(self):
         for name in HOPF_FIXTURES:
             qg = hopf_qg(name)
-            md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                      positive_mode=False)
+            md = compute_modular_data(qg, positive_mode=False)
             item = check_sigma_coproduct_rule(qg, md)
             assert item.name == "coproduct-modular-rule"
             assert item.ok, name
@@ -155,8 +149,7 @@ class TestRightHaarAndModularMaps:
 class TestEigentable:
     def test_commutative_fixture_has_all_ones(self):
         qg = hopf_qg("c_s3")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=True)
+        md = compute_modular_data(qg, positive_mode=True)
         report = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
                                          positive_mode=True)
         assert report.used_maps == list(FIVE_MAP_NAMES)
@@ -169,8 +162,7 @@ class TestEigentable:
 
     def test_sweedler_skips_delta_multiplications(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         report = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
                                          positive_mode=False)
         skipped_names = [name for name, _reason in report.skipped]
@@ -180,8 +172,7 @@ class TestEigentable:
 
     def test_sweedler_records_negative_eigenvalue(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         report = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
                                          positive_mode=False)
         neg = SC_ZERO - SC_ONE
@@ -197,15 +188,13 @@ class TestPsiPositivity:
     def test_shifted_identity_and_positivity(self):
         for name in ("c_z2", "c_z4", "c_s3", "group_s3"):
             qg = hopf_qg(name)
-            md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                      positive_mode=True)
+            md = compute_modular_data(qg, positive_mode=True)
             gram, cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
             assert cert.verdict == "positive-definite", name
 
     def test_sweedler_psi_gram_is_indefinite(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         gram, cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
         assert cert.verdict == "indefinite"
 
@@ -213,15 +202,13 @@ class TestPsiPositivity:
 class TestOrbitWindow:
     def test_window_passes_on_group_fixture(self):
         qg = hopf_qg("group_s3")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=True)
+        md = compute_modular_data(qg, positive_mode=True)
         report = orbit_analysis(qg, md, qg.algebra.basis(1))
         assert report.all_ok
 
     def test_window_vanishes_on_sweedler(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+        md = compute_modular_data(qg, positive_mode=False)
         report = orbit_analysis(qg, md, qg.algebra.basis(1))
         assert not report.all_ok
 

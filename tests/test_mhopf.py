@@ -290,3 +290,137 @@ class TestSubMHA:
         assert sub.algebra.multiply(sub.algebra.basis(0),
                                     sub.algebra.basis(1)) == \
             [SC_ZERO, SC_ZERO]
+
+
+def named_products(qg, elems):
+    """Every product a sub-object or T-map formula names, keyed by its
+    text, over the pairs (a, b) of elems in (a, b) order, formed from dense
+    tensor_vec legs independently of unit_leg_product."""
+    one, tsq = qg.algebra.unit, qg.tensor_sq
+    d = [qg.delta(v) for v in elems]
+    pairs = [(a, b) for a in range(len(elems)) for b in range(len(elems))]
+    legs = {"D(a)(1(x)b)": lambda a, b: (d[a], tensor_vec(one, elems[b])),
+            "D(a)(b(x)1)": lambda a, b: (d[a], tensor_vec(elems[b], one)),
+            "(a(x)1)D(b)": lambda a, b: (tensor_vec(elems[a], one), d[b]),
+            "(1(x)a)D(b)": lambda a, b: (tensor_vec(one, elems[a]), d[b]),
+            "(1(x)b)D(a)": lambda a, b: (tensor_vec(one, elems[b]), d[a]),
+            "(b(x)1)D(a)": lambda a, b: (tensor_vec(elems[b], one), d[a])}
+    return {text: [tsq.multiply(*pair(a, b)) for a, b in pairs]
+            for text, pair in legs.items()}
+
+
+def fixture_qg(name, star=True):
+    defn = build_fixture(name)
+    if not star:
+        defn.star = None
+    return derive_counit_antipode(build_qg(defn))
+
+
+def ints(rows):
+    return [[Scalar.from_int(x) for x in row] for row in rows]
+
+
+MEMBERSHIP = "sub-compatibility failure: membership "
+
+# (fixture, keep its star, sub basis, StructureError text); sweedler_h4 has
+# basis one, g, x, gx, group_s3 u_id, u_r1, ..., c_s3 e_id, e_r1, ...
+SUB_OBJECT_FAILURES = [
+    ("sweedler_h4", True, [[0, 0, 1, 0]],
+     MEMBERSHIP + "D(a)(b(x)1), fails at (v0, v0)"),
+    ("sweedler_h4", True, [[0, 0, 0, 1]],
+     MEMBERSHIP + "D(a)(1(x)b), fails at (v0, v0)"),
+    ("sweedler_h4", True, [[0, 0, 1, 0], [1, 0, 1, 0]],
+     MEMBERSHIP + "D(a)(1(x)b), fails at (v0, v1)"),
+    ("sweedler_h4", True, [[1, 0, 0, 0], [0, 0, 1, 0]],
+     MEMBERSHIP + "D(a)(1(x)b), fails at (v1, v0)"),
+    ("sweedler_h4", False, [[0, 0, 1, 1]],
+     MEMBERSHIP + "(a(x)1)D(b), fails at (v0, v0)"),
+    ("sweedler_h4", False, [[0, 0, 1, -1]],
+     MEMBERSHIP + "D(a)(1(x)b), fails at (v0, v0)"),
+    ("c_s3", True, [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]],
+     MEMBERSHIP + "D(a)(1(x)b), fails at (v0, v1)"),
+    ("group_s3", True, [[1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0]],
+     MEMBERSHIP + "D(a)(1(x)b), fails at (v1, v0)"),
+    ("group_s3", True, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+     "not a subalgebra: product of v1 and v1 leaves the span"),
+    ("sweedler_h4", True, [[1, 0, 0, 0], [0, 0, 1, 1]],
+     "span is not star-closed at v1"),
+]
+
+
+class TestSubObjectFormulas:
+    """Each T-map, membership and compression formula forms the products
+    its text names, and a failing span is reported by the first formula
+    that fails, at the first pair where it fails."""
+
+    def test_tmap_columns_are_the_named_products(self):
+        qg = hopf_qg("sweedler_h4")
+        basis = [qg.algebra.basis(i) for i in range(qg.dim)]
+        named = named_products(qg, basis)
+        for which, formula in enumerate(TMAP_FORMULAS):
+            assert mhopf._tmap_columns(qg, which) == named[formula], formula
+
+    def test_failure_texts(self):
+        for name, star, rows, text in SUB_OBJECT_FAILURES:
+            with pytest.raises(StructureError) as info:
+                mhopf.check_sub_mha(fixture_qg(name, star), ints(rows))
+            assert str(info.value) == text, (name, rows)
+
+    def test_passing_details(self):
+        result = mhopf.check_sub_mha(hopf_qg("sweedler_h4"),
+                                     ints([[1, 1, 0, 0], [1, -1, 0, 0]]))
+        assert [(it.name, it.ok, it.detail) for it in result.memberships] \
+            == [("membership " + f, True,
+                 "all products lie in the tensor square of the span")
+                for f in mhopf.SUB_MEMBERSHIP_FORMULAS]
+        assert [(it.name, it.ok, it.detail) for it in result.compat] \
+            == [("compression " + f, True, "holds on all pairs")
+                for f in mhopf.SUB_COMPAT_FORMULAS]
+        assert result.all_ok and result.induced.dim == 2
+
+    def test_each_formula_forms_its_named_products(self, monkeypatch):
+        # The compression equations follow from the four memberships, so no
+        # span fails them; what they form is pinned instead.  On the whole
+        # of sweedler_h4 the sub unit is 1 and D0 = D, so both sides of
+        # formula "X = Y" are the products Y names.
+        qg = hopf_qg("sweedler_h4")
+        rows = [qg.algebra.basis(i) for i in range(qg.dim)]
+        named = named_products(qg, rows)
+        formed = []
+        real = mhopf.unit_leg_product
+
+        def spy(*args):
+            formed.append(real(*args))
+            return formed[-1]
+        monkeypatch.setattr(mhopf, "unit_leg_product", spy)
+        assert mhopf.check_sub_mha(qg, rows).all_ok
+        want = [p for f in mhopf.SUB_MEMBERSHIP_FORMULAS for p in named[f]]
+        for formula in mhopf.SUB_COMPAT_FORMULAS:
+            # each pair forms the left side, then the right side
+            want += [p for p in named[formula.split(" = ")[1]]
+                     for _side in range(2)]
+        assert formed == want
+
+    @pytest.mark.parametrize("func, shapes, swapped, test", [
+        ("_tmap_columns", "(0, 3, 1, 2)", "(0, 3, 2, 1)",
+         "test_tmap_columns_are_the_named_products"),
+        ("check_sub_mha", "(0, 1, 3, 2)", "(1, 0, 3, 2)",
+         "test_failure_texts"),
+        ("check_sub_mha", "(0, 1, 3, 2)", "(0, 1, 2, 3)",
+         "test_each_formula_forms_its_named_products"),
+        ("check_sub_mha", "(0, 1, 2, 3)", "(0, 1, 3, 2)",
+         "test_each_formula_forms_its_named_products"),
+    ])
+    def test_swapped_shapes_are_caught(self, monkeypatch, func, shapes,
+                                       swapped, test):
+        source = textwrap.dedent(inspect.getsource(getattr(mhopf, func)))
+        assert source.count(shapes) == 1
+        scope = {}
+        exec(source.replace(shapes, swapped), vars(mhopf), scope)
+        monkeypatch.setattr(mhopf, func, scope[func])
+        check = getattr(self, test)
+        with pytest.raises(AssertionError):
+            if test == "test_each_formula_forms_its_named_products":
+                check(monkeypatch)
+            else:
+                check()
