@@ -85,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subcheck",
                        help="verify declared sub-bases as compatible "
                             "sub-objects and imbed their duals")
-    common(p, spec=True,
-           output_help="also write the report to this file")
+    common(p, output_help="also write the report to this file")
     p.add_argument("--sub", default=None, metavar="NAME",
                    help="check only this declared sub-basis")
 
@@ -157,8 +156,7 @@ def _dispatch(args) -> int:
     elif args.command == "dual":
         rep = run_dual(defn, path, sha, output=args.output)
     elif args.command == "subcheck":
-        rep = run_subcheck(defn, path, sha, sub_name=args.sub,
-                           spec_points=resolve_spec_points(args))
+        rep = run_subcheck(defn, path, sha, sub_name=args.sub)
     else:
         rep = run_pair(defn, path, sha, degree=args.degree)
 

@@ -209,7 +209,7 @@ def _structure_checks(rep: Report, defn: StructureDefinition):
     return qg
 
 
-def _modular_stages(rep: Report, qg, spec_points, positive_mode: bool):
+def _modular_stages(rep: Report, qg, positive_mode: bool):
     """Run compute_modular_data with one check per stage.
 
     Returns the modular data, or None when a stage before the scaling
@@ -278,9 +278,7 @@ def _presentation_checks(rep: Report, defn: PresentationDefinition,
     return pqg
 
 
-def run_validate(defn, source: str, sha256: str,
-                 degree=None, spec_points=DEFAULT_SPEC_POINTS,
-                 star_assert=True) -> Report:
+def run_validate(defn, source: str, sha256: str, degree=None) -> Report:
     rep = Report("validate", defn.name, source, sha256)
     if isinstance(defn, StructureDefinition):
         _structure_checks(rep, defn)
@@ -325,7 +323,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
         rep.notes.append(
             "no star structure declared: positivity does not apply")
 
-    md = _modular_stages(rep, qg, spec_points, positive_mode)
+    md = _modular_stages(rep, qg, positive_mode)
     if md is None:
         return
 
@@ -403,7 +401,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
                 "window obstruction at %s: %s" % (item.name, item.detail))
 
 
-def _analyze_presentation(rep: Report, pqg, degree: int):
+def _analyze_presentation(rep: Report, pqg):
     lines = []
     for g in pqg.pres.generators:
         terms = pqg.antipode_squared((((g,), SC_ONE),))
@@ -427,7 +425,7 @@ def run_analyze(defn, source: str, sha256: str,
         rep.params.append(("degree", str(deg)))
         pqg = _presentation_checks(rep, defn, deg)
         if pqg is not None:
-            _analyze_presentation(rep, pqg, deg)
+            _analyze_presentation(rep, pqg)
     else:
         raise DefinitionError(
             "analyze expects a structure or presentation definition; "
@@ -439,8 +437,7 @@ def run_analyze(defn, source: str, sha256: str,
 # dual
 # ---------------------------------------------------------------------------
 
-def run_dual(defn, source: str, sha256: str, output=None,
-             spec_points=DEFAULT_SPEC_POINTS) -> Report:
+def run_dual(defn, source: str, sha256: str, output=None) -> Report:
     if not isinstance(defn, StructureDefinition):
         raise DefinitionError(
             "dual expects a structure-constant definition")
@@ -449,7 +446,7 @@ def run_dual(defn, source: str, sha256: str, output=None,
     if qg is None:
         return rep
 
-    md = _modular_stages(rep, qg, spec_points, positive_mode=False)
+    md = _modular_stages(rep, qg, positive_mode=False)
     if md is None:
         return rep
 
@@ -509,8 +506,7 @@ def run_dual(defn, source: str, sha256: str, output=None,
 # subcheck
 # ---------------------------------------------------------------------------
 
-def run_subcheck(defn, source: str, sha256: str, sub_name=None,
-                 spec_points=DEFAULT_SPEC_POINTS) -> Report:
+def run_subcheck(defn, source: str, sha256: str, sub_name=None) -> Report:
     if not isinstance(defn, StructureDefinition):
         raise DefinitionError(
             "subcheck expects a structure-constant definition")
@@ -531,7 +527,7 @@ def run_subcheck(defn, source: str, sha256: str, sub_name=None,
     if qg is None:
         return rep
 
-    md = _modular_stages(rep, qg, spec_points, positive_mode=False)
+    md = _modular_stages(rep, qg, positive_mode=False)
     if md is None:
         return rep
     try:
@@ -561,8 +557,7 @@ def run_subcheck(defn, source: str, sha256: str, sub_name=None,
                              "checks did not pass")
             continue
         try:
-            imbedding = dual_imbedding(qg, md.phi, result, build,
-                                       spec_points)
+            imbedding = dual_imbedding(result, build)
         except HopfForgeError as exc:
             rep.fail_from(prefix + "imbedding", exc)
             continue

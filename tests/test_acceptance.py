@@ -204,7 +204,7 @@ def test_criterion_08_sub_object_and_its_dual_imbedding():
     assert sub.induced.antipode is not None
     phi = solve_left_haar(qg).phi
     build = build_dual(qg, phi)
-    report = dual_imbedding(qg, phi, sub, build, DEFAULT_SPEC_POINTS)
+    report = dual_imbedding(sub, build)
     by_name = {it.name: it for it in report.items}
     assert by_name["restriction-nonzero"].ok
     assert by_name["imbedding-injective"].ok

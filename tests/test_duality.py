@@ -15,7 +15,8 @@ from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 group_table_from_coproduct,
                                 verify_qg_morphism)
 from hopf_forge.errors import CheckFailure
-from hopf_forge.finalg import LinMap
+from hopf_forge.exactla import invert, matvec
+from hopf_forge.finalg import LinMap, apply_functional
 from hopf_forge.fixtures import build_fixture
 from hopf_forge.haar_modular import compute_modular_data, solve_left_haar
 from hopf_forge.mhopf import Coproduct, check_sub_mha, derive_counit_antipode
@@ -155,7 +156,7 @@ class TestDualImbedding:
         phi = solve_left_haar(qg).phi
         build = build_dual(qg, phi)
         sub = check_sub_mha(qg, defn.sub_bases["c_h"])
-        report = dual_imbedding(qg, phi, sub, build, DEFAULT_SPEC_POINTS)
+        report = dual_imbedding(sub, build)
         assert report.all_ok
         names = [it.name for it in report.items]
         for want in ("restriction-nonzero", "restriction-invariant",
@@ -171,7 +172,7 @@ class TestDualImbedding:
         phi = solve_left_haar(qg).phi
         build = build_dual(qg, phi)
         sub = check_sub_mha(qg, defn.sub_bases["c_h"])
-        report = dual_imbedding(qg, phi, sub, build, DEFAULT_SPEC_POINTS)
+        report = dual_imbedding(sub, build)
         sub_dim = len(sub.rows)
         cols = [[report.j_map.matrix[i][j] for i in range(qg.dim)]
                 for j in range(sub_dim)]
@@ -197,13 +198,32 @@ class TestDualImbedding:
             columns.append(twisted)
         build = dataclasses.replace(build, qg=dataclasses.replace(
             build.qg, coproduct=Coproduct(columns)))
-        report = duality.dual_imbedding(qg, phi, sub, build,
-                                        DEFAULT_SPEC_POINTS)
+        report = duality.dual_imbedding(sub, build)
         failed = [(it.name, it.detail) for it in report.items if not it.ok]
         assert failed == [
             ("imbedding-coproduct-right", "fails at [(0, 1), (0, 2), (1, 1)]"),
             ("imbedding-coproduct-left", "fails at [(0, 1), (0, 2), (0, 3)]")]
         assert len(report.items) == 8
+
+    @pytest.mark.parametrize("name, sub_name", [
+        ("c_z4", "c_h"), ("c_s3", None), ("group_s3", None),
+        ("sweedler_h4", None)])
+    def test_j_columns_are_the_functionals_on_the_dual_basis(self, name,
+                                                             sub_name):
+        # j sends v_a to phi(. v_a), whose coordinates on the dual basis
+        # w_i = phi(. e_i) are B^-1 (phi(e_t v_a))_t
+        qg, phi, build = dual_of(name)
+        alg = qg.algebra
+        rows = (build_fixture(name).sub_bases[sub_name] if sub_name
+                else [alg.basis(i) for i in range(qg.dim)])
+        report = dual_imbedding(check_sub_mha(qg, rows), build)
+        assert report.all_ok
+        b_inv = invert(build.b_matrix)
+        for a, v in enumerate(rows):
+            values = [apply_functional(phi, alg.multiply(alg.basis(t), v))
+                      for t in range(qg.dim)]
+            assert [row[a] for row in report.j_map.matrix] == \
+                matvec(b_inv, values), (name, a)
 
     @pytest.mark.parametrize("shapes", [
         pair for pair in itertools.product(range(4), repeat=2)

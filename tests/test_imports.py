@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no function
+takes a parameter it never reads.
 
 A name counts as used when it is read anywhere in the module: as an
 ast.Name (which covers the root of an attribute chain) or inside a quoted
-annotation.  `from __future__` imports are exempt.
+annotation.  `from __future__` imports are exempt.  A parameter counts as
+read when its name is read anywhere in the function's body, nested
+functions included; self and cls are exempt.
 """
 
 import ast
@@ -66,3 +69,36 @@ def test_the_scan_sees_an_unused_import():
               "def f(v: \"a\") -> int:\n"
               "    return os.sep\n")
     assert unused_imports(source) == [("c", 1)]
+
+
+def unread_parameters(source: str):
+    """(function, parameter) for every parameter its function never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [(node.name, p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")]
+    return found
+
+
+def test_no_function_has_an_unread_parameter():
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        names = unread_parameters(path.read_text(encoding="utf-8"))
+        if names:
+            found[path.name] = names
+    assert found == {}
+
+
+def test_the_scan_sees_an_unread_parameter():
+    source = ("def f(self, a, b=1, *args, c, **kw):\n"
+              "    def g(x):\n"
+              "        return a + x\n"
+              "    return g(c), kw\n")
+    assert unread_parameters(source) == [("f", "b"), ("f", "args")]

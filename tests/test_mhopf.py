@@ -1,6 +1,7 @@
 """Coproducts, canonical maps, counit/antipode derivation, sub-objects."""
 
 import inspect
+import itertools
 import sys
 import textwrap
 
@@ -16,7 +17,7 @@ from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
                               check_star_compat, check_sub_mha, check_tmaps,
                               derive_counit_antipode, tensor_vec)
 from hopf_forge.finalg import (LinMap, basis_vector, build_algebra,
-                               transform_basis)
+                               transform_basis, vec_combination)
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 # the packaged structure examples whose counit and antipode verify
@@ -293,7 +294,7 @@ class TestSubMHA:
 
 
 def named_products(qg, elems):
-    """Every product a sub-object or T-map formula names, keyed by its
+    """Every product a membership or T-map formula names, keyed by its
     text, over the pairs (a, b) of elems in (a, b) order, formed from dense
     tensor_vec legs independently of unit_leg_product."""
     one, tsq = qg.algebra.unit, qg.tensor_sq
@@ -302,9 +303,7 @@ def named_products(qg, elems):
     legs = {"D(a)(1(x)b)": lambda a, b: (d[a], tensor_vec(one, elems[b])),
             "D(a)(b(x)1)": lambda a, b: (d[a], tensor_vec(elems[b], one)),
             "(a(x)1)D(b)": lambda a, b: (tensor_vec(elems[a], one), d[b]),
-            "(1(x)a)D(b)": lambda a, b: (tensor_vec(one, elems[a]), d[b]),
-            "(1(x)b)D(a)": lambda a, b: (tensor_vec(one, elems[b]), d[a]),
-            "(b(x)1)D(a)": lambda a, b: (tensor_vec(elems[b], one), d[a])}
+            "(1(x)a)D(b)": lambda a, b: (tensor_vec(one, elems[a]), d[b])}
     return {text: [tsq.multiply(*pair(a, b)) for a, b in pairs]
             for text, pair in legs.items()}
 
@@ -318,6 +317,35 @@ def fixture_qg(name, star=True):
 
 def ints(rows):
     return [[Scalar.from_int(x) for x in row] for row in rows]
+
+
+def sub_outcome(name, star, rows):
+    """What check_sub_mha raises on the span, as "Type: text", or None when
+    it returns; a mutant of it may fail in any way."""
+    try:
+        mhopf.check_sub_mha(fixture_qg(name, star), ints(rows))
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return None
+
+
+def small_spans(n):
+    """Spans of one or two vectors with at most two entries in {1, -1}, the
+    first of them 1, and every coordinate subspace."""
+    vecs = []
+    for k in (1, 2):
+        for idx in itertools.combinations(range(n), k):
+            for signs in itertools.product((1, -1), repeat=k - 1):
+                vec = [0] * n
+                for i, x in zip(idx, (1,) + signs):
+                    vec[i] = x
+                vecs.append(vec)
+    spans = [[v] for v in vecs] + [list(p)
+                                   for p in itertools.combinations(vecs, 2)]
+    spans += [[[int(i == j) for i in range(n)] for j in support]
+              for k in range(1, n + 1)
+              for support in itertools.combinations(range(n), k)]
+    return [ints(rows) for rows in spans]
 
 
 MEMBERSHIP = "sub-compatibility failure: membership "
@@ -345,13 +373,15 @@ SUB_OBJECT_FAILURES = [
      "not a subalgebra: product of v1 and v1 leaves the span"),
     ("sweedler_h4", True, [[1, 0, 0, 0], [0, 0, 1, 1]],
      "span is not star-closed at v1"),
+    ("sweedler_h4", True, [[1, 0, 1, 0], [2, 0, 2, 0]],
+     "sub basis vectors are linearly dependent"),
 ]
 
 
 class TestSubObjectFormulas:
-    """Each T-map, membership and compression formula forms the products
-    its text names, and a failing span is reported by the first formula
-    that fails, at the first pair where it fails."""
+    """Each T-map and membership formula forms the products its text names,
+    and a failing span is reported by the first formula that fails, at the
+    first pair where it fails."""
 
     def test_tmap_columns_are_the_named_products(self):
         qg = hopf_qg("sweedler_h4")
@@ -362,9 +392,8 @@ class TestSubObjectFormulas:
 
     def test_failure_texts(self):
         for name, star, rows, text in SUB_OBJECT_FAILURES:
-            with pytest.raises(StructureError) as info:
-                mhopf.check_sub_mha(fixture_qg(name, star), ints(rows))
-            assert str(info.value) == text, (name, rows)
+            assert sub_outcome(name, star, rows) == "StructureError: " + text, \
+                (name, rows)
 
     def test_passing_details(self):
         result = mhopf.check_sub_mha(hopf_qg("sweedler_h4"),
@@ -379,10 +408,8 @@ class TestSubObjectFormulas:
         assert result.all_ok and result.induced.dim == 2
 
     def test_each_formula_forms_its_named_products(self, monkeypatch):
-        # The compression equations follow from the four memberships, so no
-        # span fails them; what they form is pinned instead.  On the whole
-        # of sweedler_h4 the sub unit is 1 and D0 = D, so both sides of
-        # formula "X = Y" are the products Y names.
+        # the membership products, in formula order, and no other: the
+        # compression equations are proved, not formed
         qg = hopf_qg("sweedler_h4")
         rows = [qg.algebra.basis(i) for i in range(qg.dim)]
         named = named_products(qg, rows)
@@ -394,12 +421,36 @@ class TestSubObjectFormulas:
             return formed[-1]
         monkeypatch.setattr(mhopf, "unit_leg_product", spy)
         assert mhopf.check_sub_mha(qg, rows).all_ok
-        want = [p for f in mhopf.SUB_MEMBERSHIP_FORMULAS for p in named[f]]
-        for formula in mhopf.SUB_COMPAT_FORMULAS:
-            # each pair forms the left side, then the right side
-            want += [p for p in named[formula.split(" = ")[1]]
-                     for _side in range(2)]
-        assert formed == want
+        assert formed == [p for f in mhopf.SUB_MEMBERSHIP_FORMULAS
+                          for p in named[f]]
+
+    def test_induced_coproduct_is_the_compression(self):
+        # D0 is read off membership D(a)(1(x)b); the oracle is the
+        # compression (u(x)u)D(a)(u(x)u), formed here in the big algebra
+        reached = 0
+        for name in ("c_s3", "group_s3", "sweedler_h4"):
+            for star in (True, False):
+                qg = fixture_qg(name, star)
+                tsq = qg.tensor_sq
+                for rows in small_spans(qg.dim):
+                    try:
+                        result = mhopf.check_sub_mha(qg, rows)
+                    except StructureError:
+                        continue
+                    if result.induced is None:
+                        continue
+                    reached += 1
+                    u = vec_combination(result.sub_unit, rows, qg.dim)
+                    uu = tensor_vec(u, u)
+                    for a, col in enumerate(result.induced.coproduct.columns):
+                        d0 = vec_combination(
+                            list(col.values()),
+                            [tensor_vec(rows[c], rows[d]) for c, d in col],
+                            qg.dim ** 2)
+                        assert d0 == tsq.multiply(
+                            uu, tsq.multiply(qg.delta(rows[a]), uu)), \
+                            (name, star, rows, a)
+        assert reached == 134
 
     @pytest.mark.parametrize("func, shapes, swapped, test", [
         ("_tmap_columns", "(0, 3, 1, 2)", "(0, 3, 2, 1)",
@@ -407,8 +458,6 @@ class TestSubObjectFormulas:
         ("check_sub_mha", "(0, 1, 3, 2)", "(1, 0, 3, 2)",
          "test_failure_texts"),
         ("check_sub_mha", "(0, 1, 3, 2)", "(0, 1, 2, 3)",
-         "test_each_formula_forms_its_named_products"),
-        ("check_sub_mha", "(0, 1, 2, 3)", "(0, 1, 3, 2)",
          "test_each_formula_forms_its_named_products"),
     ])
     def test_swapped_shapes_are_caught(self, monkeypatch, func, shapes,
@@ -424,3 +473,21 @@ class TestSubObjectFormulas:
                 check(monkeypatch)
             else:
                 check()
+
+    @pytest.mark.parametrize("func, check", [
+        ("check_sub_mha", 'raise StructureError("sub basis vectors'),
+        ("_sub_items", 'raise StructureError("sub-compatibility'),
+    ], ids=["rank", "memberships"])
+    def test_removing_a_premise_check_is_caught(self, monkeypatch, func,
+                                                check):
+        # D0 and the compression items rest on independent sub rows and on
+        # the four memberships; the mutant no longer reports the pinned
+        # failure on a span that breaks one
+        source = textwrap.dedent(inspect.getsource(getattr(mhopf, func)))
+        assert source.count(check) == 1
+        scope = {}
+        exec(source.replace(check, check[len("raise StructureError"):]),
+             vars(mhopf), scope)
+        monkeypatch.setattr(mhopf, func, scope[func])
+        with pytest.raises(AssertionError):
+            self.test_failure_texts()
