@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree=False, spec=False, star=False, output_help=None):
+    def common(p, output_help, degree=False, positivity=False):
         p.add_argument("input",
                        help="packaged definition name or path to a .qg file")
         p.add_argument("--format", choices=("text", "json"), default="text",
@@ -51,49 +51,45 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=degree_arg, default=None,
                            metavar="N",
                            help="degree bound for word enumeration")
-        if spec:
+        if positivity:
             p.add_argument("--spec-points", default=None, metavar="LIST",
                            help="comma-separated rationals in (0,1) used to "
                                 "certify positivity, e.g. 1/3,1/2,2/3 "
                                 "(default: env %s or 1/3,1/2,2/3)"
                                 % SPEC_POINTS_ENV)
-        if star:
             p.add_argument("--no-star-assert", action="store_true",
                            help="record positivity of the invariant state "
                                 "as a note instead of a required check")
-        if output_help:
-            p.add_argument("--output", default=None, metavar="PATH",
-                           help=output_help)
+        p.add_argument("--output", default=None, metavar="PATH",
+                       help=output_help)
 
     p = sub.add_parser("validate",
                        help="check the algebra, coproduct, canonical maps, "
                             "counit, antipode and star of one definition")
-    common(p, degree=True,
-           output_help="also write the report to this file")
+    common(p, "also write the report to this file", degree=True)
 
     p = sub.add_parser("analyze",
                        help="derive invariant functionals, modular data and "
                             "eigenstructure on top of validate")
-    common(p, degree=True, spec=True, star=True,
-           output_help="also write the report to this file")
+    common(p, "also write the report to this file", degree=True,
+           positivity=True)
 
     p = sub.add_parser("dual",
                        help="build the dual quantum group, verify it and "
                             "the canonical map into the double dual")
-    common(p, output_help="write the dual as a .qg definition to this file")
+    common(p, "write the dual as a .qg definition to this file")
 
     p = sub.add_parser("subcheck",
                        help="verify declared sub-bases as compatible "
                             "sub-objects and imbed their duals")
-    common(p, output_help="also write the report to this file")
+    common(p, "also write the report to this file")
     p.add_argument("--sub", default=None, metavar="NAME",
                    help="check only this declared sub-basis")
 
     p = sub.add_parser("pair",
                        help="evaluate a generator pairing, its axioms and "
                             "its declared action functionals")
-    common(p, degree=True,
-           output_help="also write the report to this file")
+    common(p, "also write the report to this file", degree=True)
 
     p = sub.add_parser("examples",
                        help="write the packaged example definitions to a "

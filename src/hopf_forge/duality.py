@@ -35,11 +35,6 @@ class DualBuild:
     unit_is_counit: bool  # the dual unit is the counit functional
 
 
-def functional_values(build: DualBuild, coords: list) -> list:
-    """Values on the original basis of the functional with dual coordinates."""
-    return matvec(build.b_matrix, coords)
-
-
 def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
     """Construct the dual on the basis w_i = phi(. e_i) and re-run the whole
     structural suite on it.  phi must be faithful; it need not be normalized."""

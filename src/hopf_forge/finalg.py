@@ -118,18 +118,6 @@ def basis_vector(n: int, i: int) -> list:
     return v
 
 
-def vec_add(u: list, v: list) -> list:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u: list, v: list) -> list:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c: Scalar, v: list) -> list:
-    return [c * x for x in v]
-
-
 def vec_combination(coeffs: list, vecs: list, n: int) -> list:
     """sum c_k v_k over the nonzero c_k, in dimension n."""
     out = zero_vector(n)

@@ -108,15 +108,6 @@ class GaussRat:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.b == 0
-
-    def real_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ScalarError("not a real value: %s" % (self,))
-        return Fraction(self.a, self.d)
-
     def sign(self) -> int:
         """Sign of a real Gaussian rational (-1, 0, 1)."""
         if self.b != 0:

@@ -11,7 +11,7 @@ from hopf_forge import duality
 from hopf_forge.assemble import build_qg
 from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 dual_modular_check, find_group_iso,
-                                find_idempotent_basis, functional_values,
+                                find_idempotent_basis,
                                 group_table_from_coproduct,
                                 verify_qg_morphism)
 from hopf_forge.errors import CheckFailure
@@ -59,7 +59,7 @@ class TestBuildDual:
         for name in HOPF_FIXTURES:
             qg, phi, build = dual_of(name)
             assert build.unit_is_counit, name
-            unit_values = functional_values(build, build.qg.algebra.unit)
+            unit_values = matvec(build.b_matrix, build.qg.algebra.unit)
             assert unit_values == qg.counit, name
 
     def test_dual_passes_its_own_validation(self):

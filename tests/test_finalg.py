@@ -10,7 +10,7 @@ from hopf_forge.exactla import POSITIVE_DEFINITE, invert, matmul, matvec
 from hopf_forge.finalg import (FinAlgebra, LinMap, apply_functional,
                                basis_vector, build_algebra, gram_matrix,
                                gram_psd, tensor_algebra, transform_basis,
-                               vec_add, vec_is_zero, vec_scale, vec_sub)
+                               vec_combination, vec_is_zero)
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 GaussRat, Scalar, parse_scalar)
 
@@ -105,12 +105,12 @@ class TestBuildAlgebra:
 
     def test_multiply_bilinear(self):
         alg = build_algebra(["u0", "u1"], cyclic_group_mul(2))
-        x = vec_add(alg.basis(0), vec_scale(HALF, alg.basis(1)))
-        y = vec_sub(alg.basis(1), alg.basis(0))
+        x = vec_combination([SC_ONE, HALF], [alg.basis(0), alg.basis(1)], 2)
+        y = vec_combination([SC_ONE, -SC_ONE], [alg.basis(1), alg.basis(0)], 2)
         left = alg.multiply(x, y)
-        expanded = vec_add(
-            alg.multiply(alg.basis(0), y),
-            vec_scale(HALF, alg.multiply(alg.basis(1), y)))
+        expanded = vec_combination(
+            [SC_ONE, HALF],
+            [alg.multiply(alg.basis(0), y), alg.multiply(alg.basis(1), y)], 2)
         assert left == expanded
 
 

@@ -1,11 +1,16 @@
-"""No module of the package imports a name it never uses, and no function
-takes a parameter it never reads.
+"""No module of the package imports a name it never uses, no function
+takes a parameter it never reads, and no function is defined only for the
+tests.
 
 A name counts as used when it is read anywhere in the module: as an
 ast.Name (which covers the root of an attribute chain) or inside a quoted
 annotation.  `from __future__` imports are exempt.  A parameter counts as
 read when its name is read anywhere in the function's body, nested
-functions included; self and cls are exempt.
+functions included; self and cls are exempt.  A function or method of the
+package counts as referenced when its name appears in the package or in
+perfbench/ outside its own def: as an ast.Name, an attribute, a name
+imported from a module, or a name in the benchmark tracer's SPANS.  Dunder
+methods are exempt.
 """
 
 import ast
@@ -14,6 +19,7 @@ from pathlib import Path
 import hopf_forge
 
 PACKAGE_DIR = Path(hopf_forge.__file__).parent
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _bound_names(tree):
@@ -102,3 +108,91 @@ def test_the_scan_sees_an_unread_parameter():
               "        return a + x\n"
               "    return g(c), kw\n")
     assert unread_parameters(source) == [("f", "b"), ("f", "args")]
+
+
+# Names defined in the package with no reference in it or in perfbench/.
+TEST_ONLY_ALLOWED = {
+    # the tests' fixture library: every test module builds its packaged
+    # definitions through it
+    "build_fixture",
+    # EigentableReport's verdict, named for what it checks; the twin of
+    # the other reports' all_ok, read by the tests of the eigentable
+    "all_positive",
+}
+
+
+def _references(tree):
+    """(name, line) for every name the module reads, imports from another
+    module, or lists in a SPANS table."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANS"
+                for t in node.targets):
+            for names in ast.literal_eval(node.value).values():
+                for name in names:
+                    yield name.split(".")[-1], node.lineno
+
+
+def unreferenced_definitions(package: dict, others: dict):
+    """(module, name) for every function or method of the package modules
+    whose name has no reference in the package or the other modules outside
+    its own def.  Both arguments map a module name to its source."""
+    trees = {name: ast.parse(src)
+             for name, src in {**package, **others}.items()}
+    refs = [(module, line, name) for module, tree in trees.items()
+            for name, line in _references(tree)]
+    found = []
+    for module in package:
+        for node in ast.walk(trees[module]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(ref == name and not (
+                    where == module
+                    and node.lineno <= line <= node.end_lineno)
+                    for where, line, ref in refs):
+                found.append((module, name))
+    return found
+
+
+def _sources(directory, prefix):
+    return {prefix + path.name: path.read_text(encoding="utf-8")
+            for path in sorted(directory.glob("*.py"))}
+
+
+def test_no_function_is_defined_only_for_the_tests():
+    found = unreferenced_definitions(_sources(PACKAGE_DIR, "src/"),
+                                     _sources(BENCH_DIR, "perfbench/"))
+    assert [f for f in found if f[1] not in TEST_ONLY_ALLOWED] == []
+    # each allowlisted name is still defined and still unreferenced
+    assert sorted(name for _, name in found) == sorted(TEST_ONLY_ALLOWED)
+
+
+def test_the_scan_sees_a_test_only_name():
+    package = {"a.py": ("def used():\n"
+                        "    return 1\n"
+                        "def helper(n):\n"
+                        "    return helper(n - 1) if n else used()\n"
+                        "def traced():\n"
+                        "    pass\n"
+                        "class C:\n"
+                        "    def __eq__(self, other):\n"
+                        "        return True\n"
+                        "    def method(self):\n"
+                        "        return self\n"
+                        "    def called(self):\n"
+                        "        return self\n"),
+               "b.py": ("from .a import C\n"
+                        "C().called()\n")}
+    others = {"bench.py": "SPANS = {'a': ['traced']}\n"}
+    assert unreferenced_definitions(package, others) == [
+        ("a.py", "helper"), ("a.py", "method")]

@@ -12,13 +12,18 @@ from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.errors import CheckFailure, StructureError
 from hopf_forge.exactla import invert, mat_copy, rref
 from hopf_forge.fixtures import build_fixture
+from hopf_forge.duality import build_dual
+from hopf_forge.haar_modular import solve_left_haar
 from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
                               attach_coproduct, check_grouplike_projection,
                               check_star_compat, check_sub_mha, check_tmaps,
                               derive_counit_antipode, tensor_vec)
-from hopf_forge.finalg import (LinMap, basis_vector, build_algebra,
-                               transform_basis, vec_combination)
+from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
+                               build_algebra, transform_basis,
+                               vec_combination)
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
+
+from test_bench_workloads import WORKLOADS
 
 # the packaged structure examples whose counit and antipode verify
 HOPF_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "sweedler_h4")
@@ -139,9 +144,9 @@ class TestModularTMaps:
         assert report.error is None
         assert [v.rank for v in report.maps] == [n * n] * 4
         assert qg.antipode is not None and qg.counit is not None
-        # the only rank mod p is the antipode's, on rows of length n
+        # no rank is taken at all: S is bijective by theorem
         assert spied["exact"] == []
-        assert spied["rows"] and set(spied["rows"]) == {n}
+        assert spied["rows"] == []
 
     def test_theorem_ranks_are_the_exact_ranks(self):
         for qg in (pole_deformed("sweedler_h4"), build_qg(build_fixture("c_z4"))):
@@ -181,6 +186,48 @@ class TestModularTMaps:
             TestCanonicalMaps().test_semilattice_fails_at_rank_2_of_4()
 
 
+# every structure whose counit and antipode verify in the packaged examples
+# and the benchmark's golden inputs (the dihedral D6 pair and each
+# s-deformed variant, as "name~index"), then the sub-objects induced on the
+# small spans of four of them
+DERIVED_CASES = (HOPF_EXAMPLES + ("c_d6", "group_d6")
+                 + tuple("%s~%d" % (name, index)
+                         for name in WORKLOADS.DEFORMED_EXAMPLES
+                         for index in range(WORKLOADS.DEFORM_VARIANTS))
+                 + tuple("sub:" + name for name in
+                         ("c_s3", "c_z4", "group_s3", "sweedler_h4")))
+
+
+def derived_structures(case):
+    """The quantum groups a DERIVED_CASES entry reaches, each with its
+    counit and antipode derived: the structure and its dual, or every
+    sub-object induced on a small span or a declared sub basis."""
+    if case.startswith("sub:"):
+        name = case[len("sub:"):]
+        reached = []
+        for star in (True, False):
+            qg = fixture_qg(name, star)
+            spans = (small_spans(qg.dim)
+                     + list(build_fixture(name).sub_bases.values()))
+            for rows in spans:
+                try:
+                    result = check_sub_mha(qg, rows)
+                except StructureError:
+                    continue
+                if result.induced is not None:
+                    reached.append(result.induced)
+        return reached
+    if "~" in case:
+        name, index = case.split("~")
+        defn = WORKLOADS.deformed_variant(name, int(index))
+    elif case in ("c_d6", "group_d6"):
+        defn = {d.name: d for d in WORKLOADS.dihedral_definitions(6)}[case]
+    else:
+        defn = build_fixture(case)
+    qg = derive_counit_antipode(build_qg(defn))
+    return [qg, build_dual(qg, solve_left_haar(qg).phi).qg]
+
+
 class TestCounitAntipode:
     def test_solution_is_unique_and_verified(self):
         qg = hopf_qg("c_z4")
@@ -198,16 +245,48 @@ class TestCounitAntipode:
         with pytest.raises(CheckFailure, match="declared-counit"):
             derive_counit_antipode(qg, declared_counit=wrong)
 
-    def test_antipode_is_anti_multiplicative(self):
-        qg = hopf_qg("group_s3")
-        alg = qg.algebra
-        s = qg.antipode
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = s.apply(alg.multiply(alg.basis(i), alg.basis(j)))
-                rhs = alg.multiply(s.apply(alg.basis(j)),
-                                   s.apply(alg.basis(i)))
-                assert lhs == rhs
+    @pytest.mark.parametrize("name", DERIVED_CASES)
+    def test_antipode_is_anti_multiplicative(self, name):
+        # the theorem of derive_counit_antipode's docstring, checked on the
+        # structure and its dual, or on every induced sub-object
+        reached = derived_structures(name)
+        assert reached
+        for qg in reached:
+            alg, s = qg.algebra, qg.antipode
+            assert apply_functional(qg.counit, alg.unit) == SC_ONE
+            assert s.apply(alg.unit) == alg.unit
+            images = [s.apply(alg.basis(i)) for i in range(alg.dim)]
+            for i in range(alg.dim):
+                for j in range(alg.dim):
+                    assert s.apply(alg.basis_product(i, j)) == \
+                        alg.multiply(images[j], images[i]), (i, j)
+            assert len(rref(mat_copy(s.matrix))) == alg.dim
+
+    def test_counit_multiplicativity_is_checked(self):
+        # two orthogonal idempotents with D(e_k) = e_k(x)e_k: D is
+        # multiplicative and coassociative, and the unique counit has
+        # eps(e0) = eps(e1) = 1, which is not multiplicative
+        alg = build_algebra(["e0", "e1"], {(0, 0): {0: SC_ONE},
+                                           (1, 1): {1: SC_ONE}})
+        qg = attach_coproduct(alg, Coproduct([{(0, 0): SC_ONE},
+                                              {(1, 1): SC_ONE}]))
+        error = check_tmaps(qg).error
+        assert isinstance(error, StructureError)
+        assert str(error) == "solved counit is not multiplicative at (e0, e1)"
+
+    def test_dropping_counit_multiplicativity_is_caught(self, monkeypatch):
+        # a premise of the theorem: without the loop the mutant no longer
+        # reports the pinned failure
+        source = textwrap.dedent(
+            inspect.getsource(mhopf.derive_counit_antipode))
+        check = "if lhs != eps[i] * eps[j]:"
+        assert source.count(check) == 1
+        scope = {}
+        exec(source.replace(check, "if False:"), vars(mhopf), scope)
+        monkeypatch.setattr(mhopf, "derive_counit_antipode",
+                            scope["derive_counit_antipode"])
+        with pytest.raises(AssertionError):
+            self.test_counit_multiplicativity_is_checked()
 
 
 class TestStarCompat:
