@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CheckFailure, NotFaithful
-from .exactla import invert, matvec
+from .exactla import dense_row, invert, matvec, sparse_row
 from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
                      zero_vector)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
@@ -49,20 +49,22 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
     b_inv_map = LinMap(b_inv)
     labels = ["w_" + lab for lab in alg.labels]
 
-    cols = qg.coproduct.columns
+    # w_i w_j takes at e_k the value sum c B[a][i] B[b][j] over the terms
+    # c e_a(x)e_b of D(e_k), formed on the nonzero entries of B only
+    b_rows = [sparse_row(row) for row in b_mat]
+    values = {}
+    for k, col in enumerate(qg.coproduct.columns):
+        for (a, b), c in col.items():
+            for i, x in b_rows[a].items():
+                for j, y in b_rows[b].items():
+                    at_k = values.setdefault((i, j), {})
+                    at_k[k] = at_k.get(k, SC_ZERO) + c * x * y
     mul = {}
-    for i in range(n):
-        for j in range(n):
-            values = []
-            for k in range(n):
-                acc = SC_ZERO
-                for (a, b), c in cols[k].items():
-                    acc = acc + c * b_mat[a][i] * b_mat[b][j]
-                values.append(acc)
-            coords = b_inv_map.apply(values)
-            entry = {k: c for k, c in enumerate(coords) if not c.is_zero}
-            if entry:
-                mul[(i, j)] = entry
+    for pair, at_k in sorted(values.items()):
+        coords = b_inv_map.apply(dense_row(at_k, n, SC_ZERO))
+        entry = {k: c for k, c in enumerate(coords) if not c.is_zero}
+        if entry:
+            mul[pair] = entry
 
     star_lin = None
     if alg.star is not None:

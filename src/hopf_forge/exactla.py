@@ -2,10 +2,11 @@
 
 Row reduction, affine solving, characteristic polynomials, eigenvalue
 splitting with the r*s^k ansatz, and Hermitian positivity certificates.
-All routines are exact; matrices are dense lists of lists whose entries are
-either GaussRat (constant work) or Scalar (s-dependent work).  The generic
-routines only use +, -, *, inverse(), is_zero and conjugate(), which both
-element types provide.
+All routines are exact, on GaussRat (constant work) or Scalar (s-dependent
+work) entries.  Elimination runs on sparse rows, {column: value} dicts that
+store no zeros, and takes a dense list row as well (sparse_row); the other
+routines take dense lists of lists.  The generic routines only use +, -, *,
+inverse(), is_zero and conjugate(), which both element types provide.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import (_MOD_P, GR_ONE, GR_ZERO, RANK_POINTS, SC_ONE, SC_ZERO,
                       GaussRat, Scalar, ScalarError, image_mod_p)
@@ -86,46 +88,61 @@ def matvec(a, v):
     return out
 
 
+def sparse_row(row) -> dict:
+    """row as a new {column: value} dict that stores no zero; row is a dense
+    list or such a dict."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: x for j, x in items if not x.is_zero}
+
+
+def dense_row(row: dict, ncols: int, zero) -> list:
+    return [row.get(j, zero) for j in range(ncols)]
+
+
+def _subtract(row: dict, f, prow: dict, skip: int) -> None:
+    """row -= f * prow in place, outside column skip; zeros are dropped."""
+    for j, v in prow.items():
+        if j != skip:
+            x = row[j] - f * v if j in row else -(f * v)
+            if x.is_zero:
+                del row[j]
+            else:
+                row[j] = x
+
+
 def rref(rows):
     """In-place reduced row echelon form; returns the pivot column list.
 
-    Elimination touches only the pivot row's nonzero columns: elsewhere
-    x - f*0 = x, so the other cells are left as they are.  Each changed row
-    is a new list; the caller's row lists are never written to.
+    rows are dense lists or sparse dicts and come back in the form they were
+    given in, pivot rows first; the caller's row objects are not written to.
+    Each incoming row is reduced by the pivot rows found so far, scaled to
+    lead with 1, and its leading column is cleared from the earlier pivot
+    rows.  Each pivot row then leads with its own column and is zero in the
+    others, which makes them the unique reduced echelon basis.
     """
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for k in range(r, nrows):
-            if not rows[k][c].is_zero:
-                pr = k
-                break
-        if pr is None:
+    pivots = {}  # pivot column -> its row
+    for row in rows:
+        row = sparse_row(row)
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], c)
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rowr = list(rows[r])
-        # columns before c are zero in every row from r on
-        support = [j for j in range(c, ncols) if not rowr[j].is_zero]
-        inv = rowr[c].inverse()
-        for j in support:
-            rowr[j] = rowr[j] * inv
-        rows[r] = rowr
-        for k in range(nrows):
-            if k != r and not rows[k][c].is_zero:
-                f = rows[k][c]
-                rowk = list(rows[k])
-                for j in support:
-                    rowk[j] = rowk[j] - f * rowr[j]
-                rows[k] = rowk
-        pivots.append(c)
-        r += 1
-    return pivots
+        lead = min(row)
+        inv = row[lead].inverse()
+        row = {j: x * inv for j, x in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _subtract(prow, prow.pop(lead), row, lead)
+        pivots[lead] = row
+    order = sorted(pivots)
+    reduced = [pivots[c] for c in order] + [
+        {} for _ in range(len(rows) - len(order))]
+    if rows and isinstance(rows[0], list):
+        ncols = len(rows[0])
+        zero = _zero_like(rows[0][0]) if ncols else None
+        reduced = [dense_row(row, ncols, zero) for row in reduced]
+    rows[:] = reduced
+    return order
 
 
 def rank_mod_p(rows) -> int:
@@ -195,7 +212,7 @@ def rank(rows) -> int:
             if rank_mod_p(image) == full:
                 return full
             break
-    return len(rref(mat_copy(rows)))
+    return len(rref(list(rows)))
 
 
 @dataclass
@@ -213,72 +230,87 @@ class SolutionSpace:
         return -1 if self.particular is None else len(self.kernel)
 
 
-def solve_affine(a_rows, rhs) -> SolutionSpace:
-    """Exact solution space of A x = rhs (kernel always that of A)."""
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    sample = a_rows[0][0] if nrows and ncols else rhs[0]
+def solve_affine(a_rows, rhs, ncols=None) -> SolutionSpace:
+    """Exact solution space of A x = rhs (kernel always that of A), as
+    dense vectors over the field of rhs.  A's rows are dense lists, or
+    sparse dicts given with ncols, the number of unknowns."""
+    if ncols is None:
+        if a_rows and isinstance(a_rows[0], dict):
+            raise LinearAlgebraError("sparse rows need the number of unknowns")
+        ncols = len(a_rows[0]) if a_rows else 0
+    sample = rhs[0] if rhs else SC_ZERO
     zero, one = _zero_like(sample), _one_like(sample)
-    aug = [list(a_rows[i]) + [rhs[i]] for i in range(nrows)]
-    pivots = rref(aug)
-    consistent = ncols not in pivots
-    pivot_set = set(pivots) - {ncols}
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    kernel = []
-    prows = {c: r for r, c in enumerate(p for p in pivots if p != ncols)}
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for c, r in prows.items():
-            v[c] = -aug[r][fc]
-        kernel.append(v)
-    if not consistent:
+    aug = []
+    for row, b in zip(a_rows, rhs):
+        row = sparse_row(row)
+        if not b.is_zero:
+            row[ncols] = b
+        aug.append(row)
+    prows = dict(zip(rref(aug), aug))
+    # free column fc gives the kernel vector e_fc - sum_c row_c[fc] e_c
+    free = {fc: {fc: one} for fc in range(ncols) if fc not in prows}
+    for c, row in prows.items():
+        for j, x in row.items():
+            if j in free:
+                free[j][c] = -x
+    kernel = [dense_row(v, ncols, zero) for v in free.values()]
+    if ncols in prows:
         return SolutionSpace(None, kernel)
-    part = [zero] * ncols
-    for c, r in prows.items():
-        part[c] = aug[r][ncols]
-    return SolutionSpace(part, kernel)
+    part = {c: row[ncols] for c, row in prows.items() if ncols in row}
+    return SolutionSpace(dense_row(part, ncols, zero), kernel)
 
 
 def coordinates(vectors, targets) -> list:
     """Each target's coordinates on the linearly independent vectors, or
     None for a target outside their span.
 
-    The columns [vectors | targets] are reduced once.  The vectors are
-    independent exactly when the first len(vectors) pivots are their own
-    columns; a target then lies in their span exactly when its reduced
-    column is zero below row len(vectors), and its rows above that are its
-    coordinates.  Raises LinearAlgebraError when the vectors are dependent.
+    The vectors and targets are dense lists or sparse dicts.  The columns
+    [vectors | targets] are reduced once, as one sparse row per coordinate.
+    The vectors are independent exactly when the first len(vectors) pivots
+    are their own columns; a target then lies in their span exactly when
+    its reduced column is zero below row len(vectors), and its rows above
+    that are its coordinates.  Raises LinearAlgebraError when the vectors
+    are dependent.
     """
     d = len(vectors)
-    aug = [[v[t] for v in vectors] + [w[t] for w in targets]
-           for t in range(len((vectors or targets)[0]))]
+    by_coordinate = {}
+    for k, v in enumerate(chain(vectors, targets)):
+        for t, x in sparse_row(v).items():
+            by_coordinate.setdefault(t, {})[k] = x
+    aug = list(by_coordinate.values())
     if rref(aug)[:d] != list(range(d)):
         raise LinearAlgebraError(
             "coordinates need linearly independent vectors")
-    return [None if any(not row[c].is_zero for row in aug[d:])
-            else [row[c] for row in aug[:d]]
+    outside = set(chain.from_iterable(aug[d:]))
+    zero = _zero_like(aug[0][0]) if d else None
+    return [None if c in outside else [row.get(c, zero) for row in aug[:d]]
             for c in range(d, d + len(targets))]
 
 
-def kernel_basis(a_rows):
-    if not a_rows:
-        return []
-    zero = _zero_like(a_rows[0][0])
-    return solve_affine(a_rows, [zero] * len(a_rows)).kernel
+def kernel_basis(a_rows, ncols=None):
+    """Kernel of A as for solve_affine, over the field of A's first stored
+    entry (Q(i)(s) when there is none)."""
+    sample = next((x for row in a_rows
+                   for x in (row.values() if isinstance(row, dict) else row)),
+                  SC_ZERO)
+    return solve_affine(a_rows, [_zero_like(sample)] * len(a_rows),
+                        ncols).kernel
 
 
 def invert(a_rows):
-    """Exact inverse, or None when singular."""
+    """Exact inverse of a dense square matrix, dense, or None when singular."""
     n = len(a_rows)
     if n == 0:
         return []
     one, zero = _one_like(a_rows[0][0]), _zero_like(a_rows[0][0])
-    aug = [list(a_rows[i]) + identity_matrix(n, one, zero)[i] for i in range(n)]
-    pivots = rref(aug)
-    if [p for p in pivots if p < n] != list(range(n)):
+    aug = []
+    for i, row in enumerate(a_rows):
+        row = sparse_row(row)
+        row[n + i] = one
+        aug.append(row)
+    if rref(aug) != list(range(n)):
         return None
-    return [row[n:] for row in aug]
+    return [[row.get(n + j, zero) for j in range(n)] for row in aug]
 
 
 def charpoly(a_rows):
@@ -495,7 +527,12 @@ def rational_roots(coeffs: list) -> tuple:
     while len(cs) > 1 and cs[0].is_zero:
         roots[GR_ZERO] = roots.get(GR_ZERO, 0) + 1
         cs.pop(0)
-    if len(cs) > 1:
+    if len(cs) == 2:
+        # degree 1: the root is read off, with no factoring
+        r = -(cs[0] / cs[1])
+        roots[r] = roots.get(r, 0) + 1
+        cs = cs[1:]
+    elif len(cs) > 1:
         den_lcm = 1
         for c in cs:
             den_lcm = den_lcm * c.d // math.gcd(den_lcm, c.d)
@@ -608,11 +645,15 @@ def eigensplit(rows, spec_points) -> list:
                     candidates.append(lam)
     spaces = []
     total = 0
+    # over Q(i) when the matrix is constant; rhs fixes the field when every
+    # shifted row is zero
+    sparse = [sparse_row(row) for row in (rows if const is None else const)]
     for lam in sorted(candidates, key=Scalar.sort_key):
-        # the shift is built once, over Q(i) when the matrix is constant
-        m, mu = (rows, lam) if const is None else (const, lam.constant_value())
-        kb = kernel_basis([[x - mu if i == j else x for j, x in enumerate(row)]
-                           for i, row in enumerate(m)])
+        mu = lam if const is None else lam.constant_value()
+        zero = _zero_like(mu)
+        shifted = [sparse_row({**row, i: row.get(i, zero) - mu})
+                   for i, row in enumerate(sparse)]
+        kb = solve_affine(shifted, [zero] * n, n).kernel
         if const is not None:
             kb = [[Scalar.const(x) for x in v] for v in kb]
         if kb:

@@ -242,17 +242,16 @@ def _check_associativity(alg: FinAlgebra) -> None:
 
 def _solve_unit(alg: FinAlgebra) -> list:
     n = alg.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        for k in range(n):
-            # right unit law: e_i * u = e_i
-            rows.append([alg.mul.get((i, j), {}).get(k, SC_ZERO) for j in range(n)])
-            rhs.append(SC_ONE if k == i else SC_ZERO)
-            # left unit law: u * e_i = e_i
-            rows.append([alg.mul.get((j, i), {}).get(k, SC_ZERO) for j in range(n)])
-            rhs.append(SC_ONE if k == i else SC_ZERO)
-    sol = solve_affine(rows, rhs)
+    # row (i, k, 0) of e_i u = e_i and row (i, k, 1) of u e_i = e_i hold
+    # the coefficient of e_k in e_i e_j and in e_j e_i at the unknown u_j
+    laws = {(i, k, side): {} for i in range(n) for k in range(n)
+            for side in (0, 1)}
+    for (i, j), ent in alg.mul.items():
+        for k, c in ent.items():
+            laws[i, k, 0][j] = c
+            laws[j, k, 1][i] = c
+    sol = solve_affine(list(laws.values()), [
+        SC_ONE if k == i else SC_ZERO for i, k, _side in laws], n)
     if sol.is_empty:
         raise StructureError("algebra %r has no unit" % alg.name)
     if sol.dimension != 0:

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
-from .exactla import (coordinates, eigensplit, invert, kernel_basis, rank,
-                      rref, solve_affine)
+from .exactla import (coordinates, dense_row, eigensplit, invert, kernel_basis,
+                      rank, rref, solve_affine, sparse_row)
 from .finalg import (LinMap, apply_functional, basis_vector, vec_combination,
                      vec_is_zero, zero_vector)
 from .mhopf import CheckItem, QGData, TensorMap
@@ -77,20 +77,16 @@ def solve_left_haar(qg: QGData) -> HaarSolution:
     for k in range(n):
         dk = qg.coproduct.columns[k]
         for b in range(n):
-            # sum_{i,j} dk[i,j] phi_j (e_i e_b) = phi_k e_b, coordinatewise
-            coeff = [[SC_ZERO] * n for _ in range(n)]  # [t][j]
+            # sum_{i,j} dk[i,j] phi_j (e_i e_b) = phi_k e_b, coordinatewise:
+            # coeff[t] is the sparse row of coordinate t in the unknowns phi_j
+            coeff = [{} for _ in range(n)]
             for (i, j), c in dk.items():
-                ent = alg.mul.get((i, b))
-                if not ent:
-                    continue
-                for t, m in ent.items():
-                    coeff[t][j] = coeff[t][j] + c * m
-            for t in range(n):
-                row = list(coeff[t])
-                if t == b:
-                    row[k] = row[k] - SC_ONE
-                rows.append(row)
-    kern = kernel_basis(rows)
+                for t, m in alg.mul.get((i, b), {}).items():
+                    coeff[t][j] = coeff[t].get(j, SC_ZERO) + c * m
+            coeff[b][k] = coeff[b].get(k, SC_ZERO) - SC_ONE
+            # a zero row states nothing about a kernel
+            rows += [row for row in map(sparse_row, coeff) if row]
+    kern = kernel_basis(rows, n)
     dim = len(kern)
     if dim == 0:
         raise StructureError("left invariance admits no nonzero functional")
@@ -205,16 +201,18 @@ def modular_element(qg: QGData, phi: list) -> list:
     a_idx = next((i for i in range(n) if not phi[i].is_zero), None)
     if a_idx is None:
         raise StructureError("cannot locate a basis element with phi nonzero")
+    fa = phi[a_idx]
+    # by_b[b][t][r]: fa times the coefficient of e_t in e_r e_b
+    by_b = [[{} for _ in range(n)] for _ in range(n)]
+    for (r, b), ent in alg.mul.items():
+        for t, m in ent.items():
+            by_b[b][t][r] = fa * m
     rows = []
     rhs = []
-    fa = phi[a_idx]
     for b in range(n):
-        lhs = _delta_action(qg, phi, a_idx, b, right=False)
-        for t in range(n):
-            rows.append([fa * alg.mul.get((r, b), {}).get(t, SC_ZERO)
-                         for r in range(n)])
-            rhs.append(lhs[t])
-    sol = solve_affine(rows, rhs)
+        rows += by_b[b]
+        rhs += _delta_action(qg, phi, a_idx, b, right=False)
+    sol = solve_affine(rows, rhs, n)
     if sol.is_empty:
         raise StructureError("modular element system is inconsistent")
     if sol.dimension != 0:
@@ -385,9 +383,9 @@ def orbit_span(md: ModularData, a: list) -> list:
                     vecs.append(img)
                     current_rank += 1
                     changed = True
-    reduced = [list(r) for r in vecs]
+    reduced = [sparse_row(v) for v in vecs]
     rref(reduced)
-    return [r for r in reduced if not vec_is_zero(r)]
+    return [dense_row(r, n, SC_ZERO) for r in reduced if r]
 
 
 def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CheckFailure, HopfForgeError, StructureError
-from .exactla import LinearAlgebraError, coordinates, solve_affine
+from .exactla import (LinearAlgebraError, coordinates, solve_affine,
+                      sparse_row)
 from .exactla import rank as _rank
 from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
                      tensor_algebra, vec_combination, vec_is_zero)
@@ -256,7 +257,9 @@ def check_tmaps(qg: QGData, declared_counit=None,
     counit and antipode derived on the way (qg gets them on success).
 
     All four bijective is the regularity condition at finite dimension.
-    Also records whether the coproduct sends the unit to 1(x)1.
+    Also records whether the coproduct sends the unit to 1(x)1: computed
+    when the derivation fails, and true by the theorem in
+    derive_counit_antipode's docstring when it verifies.
 
     derive_counit_antipode runs first, with the declared tables.  When it
     verifies, the four maps have explicit inverses, and each is reported at
@@ -290,12 +293,14 @@ def check_tmaps(qg: QGData, declared_counit=None,
         # a matrix and its transpose have the same rank
         ranks = [_rank(_tmap_columns(qg, which))
                  for which in range(len(TMAP_FORMULAS))]
+        unit = qg.algebra.unit
+        unital = qg.delta(unit) == tensor_vec(unit, unit)
     else:
         error = None
         ranks = [n2] * len(TMAP_FORMULAS)
+        unital = True
     views = [TMapView(formula, r, n2)
              for formula, r in zip(TMAP_FORMULAS, ranks)]
-    unital = qg.delta(qg.algebra.unit) == tensor_vec(qg.algebra.unit, qg.algebra.unit)
     return TMapReport(views, unital, error)
 
 
@@ -334,21 +339,15 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     n = alg.dim
     cols = qg.coproduct.columns
 
-    rows = []
-    rhs = []
+    # row (k, t, 0) holds D(e_k)[i, t] at i, and row (k, t, 1) D(e_k)[t, j]
+    laws = {(k, t, side): {} for k in range(n) for t in range(n)
+            for side in (0, 1)}
     for k in range(n):
-        # [t][i] = D(e_k)[i, t] and [t][j] = D(e_k)[t, j]
-        left = [[SC_ZERO] * n for _ in range(n)]
-        right = [[SC_ZERO] * n for _ in range(n)]
         for (i, j), c in cols[k].items():
-            left[j][i] = c
-            right[i][j] = c
-        for t in range(n):
-            rows.append(left[t])
-            rhs.append(SC_ONE if t == k else SC_ZERO)
-            rows.append(right[t])
-            rhs.append(SC_ONE if t == k else SC_ZERO)
-    sol = solve_affine(rows, rhs)
+            laws[k, j, 0][i] = c
+            laws[k, i, 1][j] = c
+    sol = solve_affine(list(laws.values()), [
+        SC_ONE if t == k else SC_ZERO for k, t, _side in laws], n)
     if sol.is_empty:
         raise StructureError("counit laws have no solution")
     if sol.dimension != 0:
@@ -376,19 +375,17 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     rhs = []
     for k in range(n):
         for t in range(n):
-            row1 = [SC_ZERO] * (n * n)
-            row2 = [SC_ZERO] * (n * n)
+            row1 = {}
+            row2 = {}
             for (i, j), c in cols[k].items():
                 for r, m in by_right[j][t]:
-                    row1[r * n + i] = row1[r * n + i] + c * m
+                    row1[r * n + i] = row1.get(r * n + i, SC_ZERO) + c * m
                 for r, m in by_left[i][t]:
-                    row2[r * n + j] = row2[r * n + j] + c * m
+                    row2[r * n + j] = row2.get(r * n + j, SC_ZERO) + c * m
             target = eps[k] * alg.unit[t]
-            rows.append(row1)
-            rhs.append(target)
-            rows.append(row2)
-            rhs.append(target)
-    sol = solve_affine(rows, rhs)
+            rows += [sparse_row(row1), sparse_row(row2)]
+            rhs += [target, target]
+    sol = solve_affine(rows, rhs, n * n)
     if sol.is_empty:
         raise StructureError("antipode laws have no solution")
     if sol.dimension != 0:
@@ -569,6 +566,8 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     alg = qg.algebra
     tsq = qg.tensor_sq
     n0 = len(sub_rows)
+    if n0 == 0:
+        raise StructureError("sub basis is empty")
     if sub_labels is None:
         sub_labels = ["v%d" % a for a in range(n0)]
     pairs = [(a, b) for a in range(n0) for b in range(n0)]

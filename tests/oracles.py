@@ -1,8 +1,9 @@
-"""Independent sympy bridge used to cross-check exact arithmetic.
+"""Independent references used to cross-check exact arithmetic.
 
 The library never imports sympy; these helpers re-evaluate rendered scalar
 literals with a completely separate engine so the two implementations can
-disagree loudly in tests.
+disagree loudly in tests.  dense_rref is the textbook dense Gauss-Jordan
+elimination, the reference for the library's sparse one.
 """
 
 from __future__ import annotations
@@ -36,3 +37,25 @@ def gauss_to_sympy(value) -> sympy.Expr:
 
 def matrix_to_sympy(rows) -> sympy.Matrix:
     return sympy.Matrix([[to_sympy(x) for x in row] for row in rows])
+
+
+def dense_rref(rows):
+    """(reduced rows, pivot columns) of dense rows by Gauss-Jordan
+    elimination, column by column over every cell; rows is not changed."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((k for k in range(r, len(rows)) if not rows[k][c].is_zero),
+                  None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and not rows[k][c].is_zero:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows, pivots

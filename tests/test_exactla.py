@@ -262,6 +262,23 @@ class TestRationalRoots:
         assert residual == 0
         assert [(r.a, m) for r, m in roots] == [(1, 2)]
 
+    def test_degree_one_needs_no_factoring(self, monkeypatch):
+        # p*q with p, q primes near 10^18 takes Pollard rho past any
+        # budget; a linear polynomial is solved without factoring
+        def factor_int(n):
+            raise AssertionError("factor_int(%d) called" % n)
+        monkeypatch.setattr(exactla, "factor_int", factor_int)
+        pq = (10 ** 18 + 3) * (10 ** 18 + 9)
+        roots, residual = rational_roots([GaussRat(-pq), GaussRat(1)])
+        assert roots == [(GaussRat(pq), 1)] and residual == 0
+        roots, residual = rational_roots(
+            [GaussRat(0), GaussRat(3, 1), GaussRat(2)])
+        assert roots == [(GaussRat(-3, -1, 2), 1), (GaussRat(0), 1)]
+        assert residual == 0
+        spaces = eigensplit([[Scalar.from_int(pq)]], DEFAULT_SPEC_POINTS)
+        assert [(str(es.value), es.basis) for es in spaces] == \
+            [(str(pq), [[SC_ONE]])]
+
     def test_no_rational_roots(self):
         # x^2 - 2 has no roots in Q(i)
         roots, residual = rational_roots(

@@ -75,6 +75,18 @@ class TestCanonicalMaps:
             (TMAP_FORMULAS[0], 2, 4)
         assert not report.coproduct_unital
 
+    def test_a_verified_derivation_does_not_recompute_the_unit_image(
+            self, monkeypatch):
+        # D(1) = 1(x)1 is the theorem of derive_counit_antipode's docstring
+        # once it verifies; the oracle in test_antipode_is_anti_multiplicative
+        # checks it on every structure the derivation reaches
+        def tensor_vec(x, y):
+            raise AssertionError("1(x)1 formed after a verified derivation")
+        monkeypatch.setattr(mhopf, "tensor_vec", tensor_vec)
+        report = check_tmaps(build_qg(build_fixture("c_z2")))
+        assert report.error is None
+        assert report.coproduct_unital
+
 
 S = Scalar.s_power(1)
 S0 = Scalar.from_int(RANK_POINTS[0])
@@ -261,6 +273,7 @@ class TestCounitAntipode:
                     assert s.apply(alg.basis_product(i, j)) == \
                         alg.multiply(images[j], images[i]), (i, j)
             assert len(rref(mat_copy(s.matrix))) == alg.dim
+            assert qg.delta(alg.unit) == tensor_vec(alg.unit, alg.unit)
 
     def test_counit_multiplicativity_is_checked(self):
         # two orthogonal idempotents with D(e_k) = e_k(x)e_k: D is
@@ -349,6 +362,10 @@ class TestSubMHA:
         result = check_sub_mha(qg, rows)
         assert result.all_ok
         assert result.induced.dim == 1
+
+    def test_empty_sub_basis_is_rejected(self):
+        with pytest.raises(StructureError, match="^sub basis is empty$"):
+            check_sub_mha(hopf_qg("c_z4"), [])
 
     def test_single_point_function_fails_membership(self):
         # span{e1} in the four-point function algebra is a subalgebra and

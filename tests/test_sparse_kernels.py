@@ -1,22 +1,32 @@
-"""The sparse coproduct columns and the on-demand tensor square against
-dense references built in this file.
+"""The sparse kernels against dense references.
 
 The references are the dense forms the kernels replace: the n^2 x n
-coproduct matrix applied with exactla.matvec, and a tensor product algebra
-that tabulates all of its structure constants and carries a dense star.
+coproduct matrix applied with exactla.matvec, a tensor product algebra
+that tabulates all of its structure constants and carries a dense star,
+and, for exact elimination on sparse rows, the textbook dense Gauss-Jordan
+of tests/oracles.py, itself checked against sympy over Q(i).
 """
 
 from fractions import Fraction
 
+import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from hopf_forge import finalg, haar_modular, mhopf
 from hopf_forge.assemble import algebra_from_definition, build_qg
-from hopf_forge.exactla import invert, matmul, matvec
+from hopf_forge.exactla import (LinearAlgebraError, coordinates, invert,
+                                kernel_basis, matmul, matvec, rref,
+                                solve_affine)
 from hopf_forge.finalg import (FinAlgebra, LinMap, tensor_algebra,
                                transform_basis)
 from hopf_forge.fixtures import FIXTURE_BUILDERS, build_fixture
-from hopf_forge.mhopf import attach_coproduct
-from hopf_forge.scalars import SC_ONE, SC_ZERO, GaussRat, Scalar, parse_scalar
+from hopf_forge.haar_modular import modular_element, solve_left_haar
+from hopf_forge.mhopf import attach_coproduct, derive_counit_antipode
+from hopf_forge.scalars import (GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
+                                parse_scalar)
+
+from oracles import dense_rref, gauss_to_sympy
 
 NAMES = sorted(FIXTURE_BUILDERS)
 S = Scalar.s_power(1)
@@ -162,3 +172,247 @@ class TestTensorProduct:
                 for q in range(0, n, 7):
                     assert t.multiply(t.basis(p), t.basis(q)) == \
                         ref.multiply(ref.basis(p), ref.basis(q)), name
+
+
+# -- exact elimination on sparse rows ----------------------------------------
+
+GAUSSIAN = [GaussRat(1), GaussRat(-2), GaussRat(1, 3), GaussRat(3, 0, 4),
+            GaussRat(0, -1, 2)]
+FIELDS = [(GAUSSIAN, GR_ZERO), (NONZERO, SC_ZERO)]
+
+
+def to_dense(row, ncols, zero):
+    return [row.get(j, zero) for j in range(ncols)]
+
+
+def to_row(v):
+    return v if isinstance(v, dict) else {
+        j: x for j, x in enumerate(v) if not x.is_zero}
+
+
+def sparse_combination(coeffs, rows):
+    out = {}
+    for c, row in zip(coeffs, rows):
+        for j, x in row.items():
+            out[j] = out[j] + c * x if j in out else c * x
+    return {j: x for j, x in out.items() if not x.is_zero}
+
+
+def stores_no_zero(row):
+    return isinstance(row, dict) and all(not x.is_zero for x in row.values())
+
+
+@st.composite
+def sparse_systems(draw, max_rows=5, max_cols=5):
+    """(rows, ncols, pool, zero): dict rows over Q(i) or Q(i)(s) that store
+    no zero, about two thirds of the cells empty, with a zero row and a
+    combination of the other rows planted at random."""
+    pool, zero = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, max_cols))
+    cell = st.one_of(st.none(), st.none(), st.sampled_from(pool))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        cells = [draw(cell) for _ in range(ncols)]
+        rows.append({j: x for j, x in enumerate(cells) if x is not None})
+    if rows and draw(st.booleans()):
+        coeffs = [draw(st.sampled_from(pool)) for _ in rows]
+        rows.append(sparse_combination(coeffs, rows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), {})
+    return rows, ncols, pool, zero
+
+
+def rendered(vectors):
+    """The literals of a vector or a list of vectors, for a comparison that
+    does not see whether a value is GaussRat or Scalar."""
+    if vectors is None or not vectors:
+        return vectors
+    if isinstance(vectors[0], list):
+        return [rendered(v) for v in vectors]
+    return [str(x) for x in vectors]
+
+
+def is_gaussian(zero):
+    return isinstance(zero, GaussRat)
+
+
+def to_sympy_matrix(dense):
+    return sympy.Matrix([[gauss_to_sympy(x) for x in row] for row in dense])
+
+
+def reference_solution(dense, rhs, ncols, zero, one):
+    """(particular or None, kernel) read off the dense reference rref of
+    [A | rhs], the particular solution and kernel basis the unique reduced
+    form gives."""
+    reduced, pivots = dense_rref([row + [b] for row, b in zip(dense, rhs)])
+    prows = {c: reduced[r] for r, c in enumerate(pivots) if c != ncols}
+    kernel = []
+    for fc in range(ncols):
+        if fc in prows:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for c, row in prows.items():
+            v[c] = -row[fc]
+        kernel.append(v)
+    if ncols in pivots:
+        return None, kernel
+    part = [zero] * ncols
+    for c, row in prows.items():
+        part[c] = row[ncols]
+    return part, kernel
+
+
+class TestSparseElimination:
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_systems())
+    def test_rref_matches_the_dense_reference(self, case):
+        rows, ncols, _pool, zero = case
+        dense = [to_dense(row, ncols, zero) for row in rows]
+        want, want_pivots = dense_rref(dense)
+        if is_gaussian(zero) and dense:
+            sym, sym_pivots = to_sympy_matrix(dense).rref()
+            assert list(sym_pivots) == want_pivots
+            assert sym == to_sympy_matrix(want)
+        originals = [dict(row) for row in rows]
+        got = list(rows)
+        assert rref(got) == want_pivots
+        assert [to_dense(row, ncols, zero) for row in got] == want
+        assert all(stores_no_zero(row) for row in got)
+        assert got[len(want_pivots):] == [{}] * (len(rows) - len(want_pivots))
+        assert rows == originals  # the caller's rows are not written to
+        # dense rows come back dense
+        again = [list(row) for row in dense]
+        assert rref(again) == want_pivots
+        assert again == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_systems(), st.data())
+    def test_solve_affine_and_kernel_match_the_dense_reference(self, case,
+                                                               data):
+        rows, ncols, pool, zero = case
+        one = pool[0] / pool[0]
+        dense = [to_dense(row, ncols, zero) for row in rows]
+        value = st.one_of(st.just(zero), st.sampled_from(pool))
+        if data.draw(st.booleans()):
+            x = [data.draw(value) for _ in range(ncols)]
+            rhs = matvec(dense, x) if dense else []
+        else:  # often inconsistent
+            rhs = [data.draw(value) for _ in rows]
+        part, kernel = reference_solution(dense, rhs, ncols, zero, one)
+        sol = solve_affine(rows, rhs, ncols)
+        # the field is read off rhs, and is Q(i)(s) when there is no row
+        typed = rendered if not rows else (lambda x: x)
+        assert typed(sol.particular) == typed(part)
+        assert typed(sol.kernel) == typed(kernel)
+        if part is not None and dense:
+            assert matvec(dense, part) == rhs
+        for v in kernel:
+            assert not dense or all(x.is_zero for x in matvec(dense, v))
+        if rows:
+            assert solve_affine(dense, rhs).kernel == kernel
+        # kernel_basis reads the field off the first stored entry, and
+        # falls back on Q(i)(s) when no row stores one
+        found = kernel_basis(rows, ncols)
+        typed = rendered if not any(rows) else (lambda x: x)
+        assert typed(found) == typed(kernel)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_systems(max_rows=4), st.data())
+    def test_coordinates_match_the_dense_reference(self, case, data):
+        # the drawn rows are the vectors, so dependent ones are planted
+        vectors, ncols, pool, zero = case
+        dense = [to_dense(v, ncols, zero) for v in vectors]
+        d = len(vectors)
+        independent = len(dense_rref(dense)[1]) == d
+        coeffs = [data.draw(st.sampled_from(pool)) for _ in vectors]
+        targets = [sparse_combination(coeffs, vectors)] + [
+            {j: data.draw(st.sampled_from(pool))
+             for j in data.draw(st.sets(st.integers(0, ncols - 1)))}
+            for _ in range(data.draw(st.integers(0, 2)))]
+        # half the calls pass dense vectors and targets
+        if data.draw(st.booleans()):
+            vectors = dense
+            targets = [to_dense(t, ncols, zero) for t in targets]
+        if not independent:
+            with pytest.raises(LinearAlgebraError, match="independent"):
+                coordinates(vectors, targets)
+            return
+        found = coordinates(vectors, targets)
+        assert len(found) == len(targets)
+        if d:
+            assert found[0] == coeffs
+        for target, coords in zip(targets, found):
+            want = to_dense(to_row(target), ncols, zero)
+            inside = len(dense_rref(dense + [want])[1]) == d
+            assert (coords is not None) == inside
+            if inside:
+                assert to_dense(sparse_combination(coords, [
+                    to_row(v) for v in vectors]), ncols, zero) == want
+
+    def test_sparse_rows_need_the_number_of_unknowns(self):
+        with pytest.raises(LinearAlgebraError, match="number of unknowns"):
+            solve_affine([{0: SC_ONE}], [SC_ONE])
+
+    def test_coordinates_of_empty_inputs(self):
+        e1 = [SC_ONE, SC_ZERO]
+        assert coordinates([], []) == []
+        assert coordinates([e1], []) == []
+        assert coordinates([], [[SC_ZERO, SC_ZERO], e1]) == [[], None]
+        assert coordinates([], [{}, {1: SC_ONE}]) == [[], None]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_systems(max_rows=4, max_cols=4), st.data())
+    def test_invert_matches_the_dense_reference(self, case, data):
+        rows, _ncols, pool, zero = case
+        n = len(rows)
+        if n == 0:
+            assert invert([]) == []
+            return
+        # the drawn rows, cut or padded to n columns, as a square matrix
+        one = pool[0] / pool[0]
+        dense = [to_dense(row, n, zero) for row in rows]
+        reduced, pivots = dense_rref([row + [one if i == j else zero
+                                             for j in range(n)]
+                                      for i, row in enumerate(dense)])
+        inv = invert(dense)
+        if pivots[:n] != list(range(n)):
+            assert inv is None
+            return
+        assert inv == [row[n:] for row in reduced]
+        assert matmul(dense, inv) == [[one if i == j else zero
+                                       for j in range(n)] for i in range(n)]
+        if is_gaussian(zero):
+            assert to_sympy_matrix(inv) == to_sympy_matrix(dense).inv()
+
+
+# The structure solves and the one entry point each of them calls.
+SOLVE_ENTRIES = [(finalg, "solve_affine"), (mhopf, "solve_affine"),
+                 (haar_modular, "kernel_basis"),
+                 (haar_modular, "solve_affine")]
+
+
+def test_structure_solves_hand_elimination_sparse_rows(monkeypatch):
+    """_solve_unit, derive_counit_antipode, solve_left_haar and
+    modular_element build their rows as dicts that store no zero, on the
+    packaged Hopf examples and two s-deformed ones; a dense row builder
+    fails here."""
+    handed = []
+    for module, name in SOLVE_ENTRIES:
+        def spy(a_rows, *args, _real=getattr(module, name),
+                _where="%s.%s" % (module.__name__, name)):
+            handed.append((_where, a_rows))
+            return _real(a_rows, *args)
+        monkeypatch.setattr(module, name, spy)
+    hopf = [PACKAGED_QG[name] for name in
+            ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")]
+    for qg in hopf + list(DEFORMED_QG.values()):
+        finalg._solve_unit(qg.algebra)
+        derive_counit_antipode(qg)
+        modular_element(qg, solve_left_haar(qg).phi)
+    assert sorted({where for where, _rows in handed}) == sorted(
+        "hopf_forge.%s.%s" % (module.__name__.split(".")[-1], name)
+        for module, name in SOLVE_ENTRIES)
+    for where, rows in handed:
+        assert rows, where
+        assert all(stores_no_zero(row) for row in rows), where
