@@ -4,8 +4,10 @@ Solves the left Haar functional from its invariance law (the solution space
 must be one-dimensional), derives the right one as phi after the antipode,
 and computes the modular automorphisms, the modular element and its positive
 square root, the scaling constant, and the simultaneous eigentable of the
-five structure maps.  Every derived object is re-verified against its
-defining equations on all basis pairs.
+five structure maps.  The identities that define psi, sigma, delta and mu
+follow from the uniqueness of phi and are proved in the docstrings below
+(Van Daele, "An algebraic framework for group duality", Adv. Math. 140,
+1998, section 3), not re-checked on basis pairs.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
 from .exactla import (coordinates, dense_row, eigensplit, invert, kernel_basis,
-                      rank, rref, solve_affine, sparse_row)
-from .finalg import (LinMap, apply_functional, basis_vector, vec_combination,
-                     vec_is_zero, zero_vector)
+                      rank, rref, sparse_row)
+from .finalg import (LinMap, apply_functional, basis_vector, gram_psd,
+                     vec_combination, vec_is_zero, zero_vector)
 from .mhopf import CheckItem, QGData, TensorMap
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
 
@@ -123,36 +125,20 @@ def antipode_squared(qg: QGData) -> LinMap:
     return qg.antipode_sq
 
 
-def _delta_action(qg, phi, a_idx, b_idx, right):
-    """(phi(x)i) of D(e_a)(1(x)e_b), or of (1(x)e_b)D(e_a) when right."""
-    alg = qg.algebra
-    out = zero_vector(alg.dim)
-    for (i, j), c in qg.coproduct.columns[a_idx].items():
-        w = c * phi[i]
-        if w.is_zero:
-            continue
-        ent = alg.mul.get((b_idx, j) if right else (j, b_idx))
-        if ent:
-            for t, m in ent.items():
-                out[t] = out[t] + w * m
-    return out
-
-
 def right_haar(qg: QGData, phi: list) -> list:
-    """psi = phi after S, verified right invariant on all basis pairs."""
+    """psi = phi after S, right invariant by a theorem, not a check.
+
+    D(S a) = sum S(a_2) (x) S(a_1): D o S and (S(x)S) o D^op are a left and a
+    right convolution inverse of D in the maps A -> A(x)A (Sweedler, Hopf
+    Algebras, 1969, ch. 4).  Left invariance of phi at S a then reads
+    sum S(a_2) psi(a_1) = psi(a) 1, and S^-1, with S^-1(1) = 1, turns it into
+    (psi(x)i)D(a) = psi(a) 1.  The premises are those of the theorem in
+    derive_counit_antipode's docstring, checked where it says, and the left
+    invariance of phi, solved by solve_left_haar.
+    """
     alg = qg.algebra
-    n = alg.dim
-    psi = [apply_functional(phi, qg.antipode.apply(alg.basis(i)))
-           for i in range(n)]
-    for k in range(n):
-        for b in range(n):
-            lhs = _delta_action(qg, psi, k, b, right=False)
-            rhs = [psi[k] * x for x in alg.basis(b)]
-            if lhs != rhs:
-                raise StructureError(
-                    "phi after S is not right invariant at (%s, %s)"
-                    % (alg.labels[k], alg.labels[b]))
-    return psi
+    return [apply_functional(phi, qg.antipode.apply(alg.basis(i)))
+            for i in range(alg.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,80 +146,54 @@ def right_haar(qg: QGData, phi: list) -> list:
 # ---------------------------------------------------------------------------
 
 def modular_automorphism(qg: QGData, omega: list) -> LinMap:
-    """The unique automorphism with omega(ab) = omega(b sigma(a))."""
-    alg = qg.algebra
-    n = alg.dim
-    prods = [[alg.basis_product(i, j) for j in range(n)]
-             for i in range(n)]
-    b_mat = [[apply_functional(omega, p) for p in row] for row in prods]
+    """The unique automorphism sigma with omega(ab) = omega(b sigma(a)).
+
+    With B[i][j] = omega(e_i e_j) the relation reads B sigma = B^T, so
+    sigma = B^-1 B^T satisfies it exactly, invert being exact.  The rest
+    follows from faithfulness, omega(bx) = 0 for all b only when x = 0,
+    which is B invertible (the NotFaithful guard below), and from
+    associativity (build_algebra):
+    - omega(b sigma(1)) = omega(b) for all b, so sigma(1) = 1;
+    - omega(c sigma(ab)) = omega(abc) = omega(c sigma(a) sigma(b)) for all
+      c, so sigma is multiplicative;
+    - sigma is a product of invertible matrices, so it is bijective.
+    (Van Daele 1998, section 3.)
+    """
+    n = qg.dim
+    b_mat = [[SC_ZERO] * n for _ in range(n)]
+    for (i, j), ent in qg.algebra.mul.items():
+        b_mat[i][j] = sum((omega[t] * m for t, m in ent.items()), SC_ZERO)
     b_inv = invert(b_mat)
     if b_inv is None:
         raise NotFaithful(
             "functional is not faithful: its multiplication form is singular")
     # column i of sigma is B^-1 applied to row i of B
-    sigma = LinMap(b_inv).compose(LinMap.from_images(b_mat))
-    images = [sigma.apply(alg.basis(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs = apply_functional(omega, alg.multiply(alg.basis(j), images[i]))
-            if b_mat[i][j] != rhs:
-                raise StructureError(
-                    "modular relation fails at (%s, %s)"
-                    % (alg.labels[i], alg.labels[j]))
-    if sigma.apply(alg.unit) != alg.unit:
-        raise StructureError("modular automorphism does not fix the unit")
-    for i in range(n):
-        for j in range(n):
-            if sigma.apply(prods[i][j]) != alg.multiply(images[i], images[j]):
-                raise StructureError(
-                    "modular map is not multiplicative at (%s, %s)"
-                    % (alg.labels[i], alg.labels[j]))
-    if not sigma.is_bijective():
-        raise StructureError("modular map is not bijective")
-    return sigma
+    return LinMap(b_inv).compose(LinMap.from_images(b_mat))
 
 
 def modular_element(qg: QGData, phi: list) -> list:
-    """Solve (phi(x)i)(D(a)(1(x)b)) = phi(a) delta b from one pivot element,
-    then verify both defining equations on every basis pair."""
+    """delta with (phi(x)i)D(a) = phi(a) delta, read off one coproduct column.
+
+    For any functional w, a -> (phi(x)w)D(a) is left invariant by
+    coassociativity: (i(x)phi(x)w)(D(x)i)D(a) = sum (i(x)phi)D(a_1) w(a_2) =
+    (phi(x)w)D(a) 1.  phi spans the left invariant functionals, so
+    (phi(x)w)D = w(delta) phi for one delta, and delta is
+    phi(e_a)^-1 (phi(x)i)D(e_a) at any e_a with phi(e_a) != 0.  Multiplying
+    by b on the right or on the left gives both intertwining laws on every
+    pair: (phi(x)i)(D(a)(1(x)b)) = phi(a) delta b and
+    (phi(x)i)((1(x)b)D(a)) = phi(a) b delta (Van Daele 1998, section 3).
+    Coassociativity is checked by attach_coproduct; every caller passes the
+    phi of left_haar, whose uniqueness solve_left_haar checks.
+    """
     alg = qg.algebra
     n = alg.dim
     a_idx = next((i for i in range(n) if not phi[i].is_zero), None)
     if a_idx is None:
         raise StructureError("cannot locate a basis element with phi nonzero")
-    fa = phi[a_idx]
-    # by_b[b][t][r]: fa times the coefficient of e_t in e_r e_b
-    by_b = [[{} for _ in range(n)] for _ in range(n)]
-    for (r, b), ent in alg.mul.items():
-        for t, m in ent.items():
-            by_b[b][t][r] = fa * m
-    rows = []
-    rhs = []
-    for b in range(n):
-        rows += by_b[b]
-        rhs += _delta_action(qg, phi, a_idx, b, right=False)
-    sol = solve_affine(rows, rhs, n)
-    if sol.is_empty:
-        raise StructureError("modular element system is inconsistent")
-    if sol.dimension != 0:
-        raise StructureError(
-            "modular element is not unique (solution space dimension %d)"
-            % sol.dimension)
-    delta = sol.particular
-    for a in range(n):
-        for b in range(n):
-            want = [phi[a] * x for x in
-                    alg.multiply(delta, alg.basis(b))]
-            if _delta_action(qg, phi, a, b, right=False) != want:
-                raise StructureError(
-                    "left modular-element law fails at (%s, %s)"
-                    % (alg.labels[a], alg.labels[b]))
-            want = [phi[a] * x for x in
-                    alg.multiply(alg.basis(b), delta)]
-            if _delta_action(qg, phi, a, b, right=True) != want:
-                raise StructureError(
-                    "right modular-element law fails at (%s, %s)"
-                    % (alg.labels[a], alg.labels[b]))
+    inv = phi[a_idx].inverse()
+    delta = zero_vector(n)
+    for (i, j), c in qg.coproduct.columns[a_idx].items():
+        delta[j] = delta[j] + inv * c * phi[i]
     if alg.star is not None and alg.apply_star(delta) != delta:
         raise StructureError("modular element is not self-adjoint")
     return delta
@@ -335,18 +295,24 @@ def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
 
 
 def scaling_constant(qg: QGData, phi: list, assert_one: bool) -> Scalar:
-    """mu with phi(S^2(a)) = mu phi(a); checked on every basis element."""
+    """mu with phi(S^2(a)) = mu phi(a), read at one pivot.
+
+    S^2 is a bijective algebra and coalgebra map, as S is bijective,
+    anti-multiplicative and has D(S a) = sum S(a_2) (x) S(a_1) (right_haar's
+    docstring).  So (i(x)phi)D(S^2 a) = sum S^2(a_1) phi(S^2(a_2)) =
+    phi(S^2 a) 1, and S^-2 makes phi o S^2 left invariant.  phi spans the
+    left invariant functionals, so phi o S^2 = mu phi, and mu is the ratio
+    at any e_a with phi(e_a) != 0.  The premises are checked where
+    derive_counit_antipode's docstring says, and the uniqueness of phi by
+    solve_left_haar.  mu = 1 in positive mode is the paper's result, so it
+    stays a verdict.
+    """
     alg = qg.algebra
-    n = alg.dim
-    s2 = antipode_squared(qg)
-    pivot = next((i for i in range(n) if not phi[i].is_zero), None)
+    pivot = next((i for i in range(alg.dim) if not phi[i].is_zero), None)
     if pivot is None:
         raise StructureError("zero functional has no scaling constant")
-    mu = apply_functional(phi, s2.apply(alg.basis(pivot))) * phi[pivot].inverse()
-    for i in range(n):
-        if apply_functional(phi, s2.apply(alg.basis(i))) != mu * phi[i]:
-            raise StructureError(
-                "no scalar satisfies phi(S^2(a)) = mu phi(a) across the basis")
+    mu = (apply_functional(phi, antipode_squared(qg).apply(alg.basis(pivot)))
+          * phi[pivot].inverse())
     if assert_one and mu != SC_ONE:
         raise CheckFailure(
             "scaling-constant",
@@ -555,22 +521,19 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
 # ---------------------------------------------------------------------------
 
 def psi_positivity(qg: QGData, md: ModularData, spec_points):
-    """psi(a* b) = phi(a* b delta) on all pairs, then the psi-Gram verdict."""
-    from .finalg import gram_psd
-    alg = qg.algebra
-    n = alg.dim
-    for i in range(n):
-        star_i = alg.apply_star(alg.basis(i))
-        for j in range(n):
-            prod = alg.multiply(star_i, alg.basis(j))
-            lhs = apply_functional(md.psi, prod)
-            rhs = apply_functional(md.phi, alg.multiply(prod, md.delta))
-            if lhs != rhs:
-                raise CheckFailure(
-                    "psi-positivity",
-                    "psi(a* b) != phi(a* b delta) at (%s, %s)"
-                    % (alg.labels[i], alg.labels[j]))
-    return gram_psd(alg, md.psi, spec_points)
+    """The psi-Gram verdict; psi(a* b) = phi(a* b delta) is a theorem.
+
+    psi(x) = phi(S x) = phi(x delta) (Van Daele 1998, section 3): inserting
+    sum S(a_1) a_2 (x) a_3 = 1 (x) a and using left invariance,
+    sum b_1 phi(a b_2) = sum S(a_1) (i(x)phi)D(a_2 b) = sum S(a_1) phi(a_2 b).
+    phi of the left side is phi(a (phi(x)i)D(b)) = phi(b) phi(a delta), and
+    of the right side (psi(x)phi)(D(a)(1(x)b)) = psi(a) phi(b) by right
+    invariance; take phi(b) != 0.  The premises are the antipode and counit
+    laws and coassociativity (derive_counit_antipode, attach_coproduct), the
+    right invariance of psi (right_haar) and the law defining delta
+    (modular_element).
+    """
+    return gram_psd(qg.algebra, md.psi, spec_points)
 
 
 def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:

@@ -101,16 +101,6 @@ class Coproduct:
         return self.combine((k, xk) for k, xk in enumerate(x)
                             if not xk.is_zero)
 
-    @property
-    def matrix(self) -> list:
-        """The dense n^2 x n matrix, built on each call."""
-        n = self.n_in
-        rows = [[SC_ZERO] * n for _ in range(n * n)]
-        for k, col in enumerate(self.columns):
-            for (i, j), c in col.items():
-                rows[i * n + j][k] = c
-        return rows
-
 
 @dataclass
 class QGData:

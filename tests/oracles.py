@@ -3,7 +3,8 @@
 The library never imports sympy; these helpers re-evaluate rendered scalar
 literals with a completely separate engine so the two implementations can
 disagree loudly in tests.  dense_rref is the textbook dense Gauss-Jordan
-elimination, the reference for the library's sparse one.
+elimination, the reference for the library's sparse one, and
+coproduct_matrix the dense n^2 x n matrix of a coproduct's sparse columns.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import sympy
 from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
+
+from hopf_forge.scalars import SC_ZERO
 
 S = sympy.Symbol("s")
 
@@ -59,3 +62,14 @@ def dense_rref(rows):
                 rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def coproduct_matrix(coproduct):
+    """The dense n^2 x n matrix of a Coproduct's sparse columns: row i*n + j
+    holds the coefficients of e_i(x)e_j."""
+    n = coproduct.n_in
+    rows = [[SC_ZERO] * n for _ in range(n * n)]
+    for k, col in enumerate(coproduct.columns):
+        for (i, j), c in col.items():
+            rows[i * n + j][k] = c
+    return rows

@@ -1,14 +1,21 @@
-"""Invariant functionals and the modular machinery, against frozen values."""
+"""Invariant functionals and the modular machinery, against frozen values
+and against the per-pair identities that the modular stage proves."""
 
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from hopf_forge import haar_modular
 from hopf_forge.assemble import build_qg
 from hopf_forge.errors import CheckFailure, StructureError
-from hopf_forge.finalg import LinMap, apply_functional, basis_vector
+from hopf_forge.exactla import mat_copy, rref
+from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
+                               build_algebra)
 from hopf_forge.fixtures import build_fixture
-from hopf_forge.haar_modular import (FIVE_MAP_NAMES, compute_modular_data,
+from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
+                                     compute_modular_data,
                                      delta_square_root, modular_automorphism,
                                      modular_element, orbit_analysis,
                                      psi_positivity, right_haar,
@@ -16,9 +23,12 @@ from hopf_forge.haar_modular import (FIVE_MAP_NAMES, compute_modular_data,
                                      check_sigma_coproduct_rule,
                                      simultaneous_eigenbasis, solve_left_haar,
                                      split_block)
-from hopf_forge.mhopf import derive_counit_antipode
+from hopf_forge.mhopf import (Coproduct, attach_coproduct,
+                              derive_counit_antipode)
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
+
+from test_mhopf import DERIVED_CASES, derived_structures
 
 HOPF_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")
 
@@ -228,3 +238,110 @@ class TestSplitBlock:
         with pytest.raises(StructureError, match="block is not invariant"):
             split_block(m, [basis_vector(3, 1), basis_vector(3, 2)],
                         DEFAULT_SPEC_POINTS)
+
+
+def leg_action(qg, omega, a, b, right):
+    """(omega(x)i) of D(e_a)(1(x)e_b), or of (1(x)e_b)D(e_a) when right,
+    expanded term by term."""
+    alg = qg.algebra
+    out = [SC_ZERO] * alg.dim
+    for (i, j), c in qg.coproduct.columns[a].items():
+        leg = (alg.multiply(alg.basis(b), alg.basis(j)) if right
+               else alg.multiply(alg.basis(j), alg.basis(b)))
+        w = c * omega[i]
+        out = [x + w * y for x, y in zip(out, leg)]
+    return out
+
+
+@pytest.mark.parametrize("name", DERIVED_CASES)
+def test_modular_identities_hold_on_every_basis_pair(name):
+    # the theorems of the modular stage's docstrings, checked by the loops
+    # they replace on the structure and its dual, or on every induced
+    # sub-object; compute_modular_data succeeds on each of them
+    reached = derived_structures(name)
+    assert reached
+    for qg in reached:
+        md = compute_modular_data(qg, positive_mode=False)
+        alg = qg.algebra
+        n = alg.dim
+        basis = [alg.basis(i) for i in range(n)]
+        phi, psi, delta = md.phi, md.psi, md.delta
+        for a in range(n):
+            for b in range(n):
+                # psi is right invariant
+                assert leg_action(qg, psi, a, b, False) == \
+                    [psi[a] * x for x in basis[b]], (a, b)
+                # both modular-element laws
+                assert leg_action(qg, phi, a, b, False) == \
+                    [phi[a] * x for x in alg.multiply(delta, basis[b])]
+                assert leg_action(qg, phi, a, b, True) == \
+                    [phi[a] * x for x in alg.multiply(basis[b], delta)]
+        for omega, sigma in ((phi, md.sigma), (psi, md.sigma_prime)):
+            images = [sigma.apply(v) for v in basis]
+            assert sigma.apply(alg.unit) == alg.unit
+            for i in range(n):
+                for j in range(n):
+                    prod = alg.basis_product(i, j)
+                    assert apply_functional(omega, prod) == apply_functional(
+                        omega, alg.multiply(basis[j], images[i])), (i, j)
+                    assert sigma.apply(prod) == \
+                        alg.multiply(images[i], images[j]), (i, j)
+            assert len(rref(mat_copy(sigma.matrix))) == n
+        s2 = antipode_squared(qg)
+        for i in range(n):
+            assert apply_functional(phi, s2.apply(basis[i])) == md.mu * phi[i]
+            # phi(S a) = phi(a delta)
+            assert psi[i] == apply_functional(phi,
+                                              alg.multiply(basis[i], delta))
+
+
+def outcome(call, *args):
+    """What call(*args) raises, as "Type: text", or None when it returns;
+    a mutant of it may fail in any way."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+    return None
+
+
+def every_functional_invariant():
+    """C^2 on two orthogonal idempotents with D(a) = 1(x)a: multiplicative
+    and coassociative, and (i(x)w)D(a) = w(a)1 for every functional w."""
+    alg = build_algebra(["e0", "e1"], {(0, 0): {0: SC_ONE},
+                                       (1, 1): {1: SC_ONE}})
+    return attach_coproduct(alg, Coproduct([{(0, 0): SC_ONE, (1, 0): SC_ONE},
+                                            {(0, 1): SC_ONE, (1, 1): SC_ONE}]))
+
+
+class TestModularPremises:
+    """The premises the modular stage's theorems rest on and that the
+    program checks itself: Haar uniqueness and a faithful functional."""
+
+    def test_haar_uniqueness_is_checked(self):
+        assert outcome(haar_modular.solve_left_haar,
+                       every_functional_invariant()) == (
+            "StructureError: left Haar functional is not unique "
+            "(solution space dimension 2)")
+
+    def test_faithfulness_is_checked(self):
+        assert outcome(haar_modular.modular_automorphism, hopf_qg("c_z2"),
+                       [SC_ONE, SC_ZERO]) == (
+            "NotFaithful: functional is not faithful: its multiplication "
+            "form is singular")
+
+    @pytest.mark.parametrize("func, guard, test", [
+        ("solve_left_haar", "if dim > 1:", "test_haar_uniqueness_is_checked"),
+        ("modular_automorphism", "if b_inv is None:",
+         "test_faithfulness_is_checked"),
+    ], ids=["uniqueness", "faithfulness"])
+    def test_dropping_a_premise_check_is_caught(self, monkeypatch, func,
+                                                guard, test):
+        source = textwrap.dedent(inspect.getsource(getattr(haar_modular,
+                                                           func)))
+        assert source.count(guard) == 1
+        scope = {}
+        exec(source.replace(guard, "if False:"), vars(haar_modular), scope)
+        monkeypatch.setattr(haar_modular, func, scope[func])
+        with pytest.raises(AssertionError):
+            getattr(self, test)()

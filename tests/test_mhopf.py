@@ -23,6 +23,7 @@ from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
                                vec_combination)
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
+from oracles import coproduct_matrix
 from test_bench_workloads import WORKLOADS
 
 # the packaged structure examples whose counit and antipode verify
@@ -39,7 +40,7 @@ class TestAttachCoproduct:
         defn = build_fixture("c_z2")
         qg = build_qg(defn)
         n = qg.dim
-        broken = [row[:] for row in qg.coproduct.matrix]
+        broken = coproduct_matrix(qg.coproduct)
         broken[0][0] = broken[0][0] + SC_ONE
         with pytest.raises(StructureError):
             attach_coproduct(qg.algebra, LinMap(broken))
