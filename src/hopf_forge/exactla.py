@@ -1,11 +1,12 @@
 """Exact linear algebra over the scalar field and its Gaussian rational core.
 
-Row reduction, affine solving, characteristic polynomials, eigenvalue
-splitting with the r*s^k ansatz, and Hermitian positivity certificates.
-All routines are exact, on GaussRat (constant work) or Scalar (s-dependent
-work) entries.  Elimination runs on sparse rows, {column: value} dicts that
-store no zeros, and takes a dense list row as well (sparse_row); the other
-routines take dense lists of lists.  The generic routines only use +, -, *,
+Row reduction, affine solving, characteristic polynomials, roots in Q(i)
+by Hensel lifting (no integer is factored), eigenvalue splitting with the
+r*s^k ansatz, and Hermitian positivity certificates.  All routines are
+exact, on GaussRat (constant work) or Scalar (s-dependent work) entries.
+Elimination runs on sparse rows, {column: value} dicts that store no
+zeros, and takes a dense list row as well (sparse_row); the other routines
+take dense lists of lists.  The generic routines only use +, -, *,
 inverse(), is_zero and conjugate(), which both element types provide.
 """
 
@@ -17,7 +18,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .scalars import (_MOD_P, GR_ONE, GR_ZERO, RANK_POINTS, SC_ONE, SC_ZERO,
-                      GaussRat, Scalar, ScalarError, image_mod_p)
+                      GaussRat, Scalar, ScalarError, image_mod_p, pdivmod,
+                      peval, pgcd, pmonic, ptrim)
 
 
 class LinearAlgebraError(ScalarError):
@@ -337,233 +339,102 @@ def charpoly(a_rows):
 
 
 # ---------------------------------------------------------------------------
-# integer and Gaussian-integer factorization (for rational root search)
+# roots in Q(i), by Hensel lifting in Z[i]/p^k
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIME_BOUND = 100000
+def _eval_mod(cs, a: int, b: int, m: int) -> tuple:
+    """cs(a + b*i) mod m, for coefficients cs given as (real, imaginary)
+    integer pairs, lowest power first."""
+    u = v = 0
+    for cr, ci in reversed(cs):
+        u, v = (u * a - v * b + cr) % m, (u * b + v * a + ci) % m
+    return u, v
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+def _simple_roots_mod_p(g, dg) -> tuple:
+    """(p, the roots of g mod p in Z[i]/p) for the smallest prime p = 3
+    (mod 4) at which each such root r is simple, dg(r) != 0 mod p."""
+    p = -1
+    while True:
+        p += 4
+        if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
             continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 2000):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise LinearAlgebraError("factorization failed for %d" % n)
-
-
-def factor_int(n: int) -> dict:
-    """Prime factorization of a positive integer as {prime: exponent}."""
-    if n <= 0:
-        raise LinearAlgebraError("factor_int expects a positive integer")
-    out = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    while f * f <= n and f < _SMALL_PRIME_BOUND:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
+        gp = [(a % p, b % p) for a, b in g]
+        roots = [(a, b) for a in range(p) for b in range(p)
+                 if _eval_mod(gp, a, b, p) == (0, 0)]
+        if any(_eval_mod(dg, a, b, p) == (0, 0) for a, b in roots):
             continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
+        return p, roots
 
 
-# Gaussian integers as plain (a, b) tuples meaning a + b*i.
-
-def g_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def g_norm(x) -> int:
-    return x[0] * x[0] + x[1] * x[1]
-
-
-def g_divmod(x, y):
-    """Gaussian division with remainder of norm < norm(y)."""
-    ny = g_norm(y)
-    if ny == 0:
-        raise LinearAlgebraError("Gaussian division by zero")
-    zr = x[0] * y[0] + x[1] * y[1]
-    zi = x[1] * y[0] - x[0] * y[1]
-    qr = (2 * zr + ny) // (2 * ny)
-    qi = (2 * zi + ny) // (2 * ny)
-    q = (qr, qi)
-    r = (x[0] - (q[0] * y[0] - q[1] * y[1]), x[1] - (q[0] * y[1] + q[1] * y[0]))
-    return q, r
-
-
-def g_gcd(x, y):
-    while y != (0, 0):
-        _, r = g_divmod(x, y)
-        x, y = y, r
-    return x
-
-
-def g_exact_div(x, y):
-    """x / y when exact, else None."""
-    q, r = g_divmod(x, y)
-    return q if r == (0, 0) else None
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    for a in range(2, p):
-        if pow(a, (p - 1) // 2, p) == p - 1:
-            return pow(a, (p - 1) // 4, p)
-    raise LinearAlgebraError("no sqrt(-1) mod %d" % p)
-
-
-def gaussian_prime_factors(z) -> list:
-    """Gaussian prime factorization of z != 0, up to units: [(prime, exp), ...]."""
-    if z == (0, 0):
-        raise LinearAlgebraError("cannot factor zero")
-    out = []
-    nz = g_norm(z)
-    for p in sorted(factor_int(nz)):
-        cands = []
-        if p == 2:
-            cands = [(1, 1)]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            x = _sqrt_minus_one_mod(p)
-            pi = g_gcd((p, 0), (x, 1))
-            cands = [pi, (pi[0], -pi[1])]
-        for pi in cands:
-            e = 0
-            w = z
-            while True:
-                q = g_exact_div(w, pi)
-                if q is None:
-                    break
-                w = q
-                e += 1
-            if e:
-                out.append((pi, e))
-    return out
-
-
-_G_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_DIVISOR_CAP = 200000
-
-
-def gaussian_divisors(z) -> list:
-    """All divisors of z up to units (one associate per class)."""
-    divs = [(1, 0)]
-    for pi, e in gaussian_prime_factors(z):
-        new = []
-        power = (1, 0)
-        for _ in range(e + 1):
-            for d in divs:
-                new.append(g_mul(d, power))
-            power = g_mul(power, pi)
-        divs = new
-        if len(divs) > _DIVISOR_CAP:
-            raise LinearAlgebraError("divisor enumeration too large for %r" % (z,))
-    return divs
-
-
-def _gauss_rat(p, q) -> GaussRat:
-    num = GaussRat(p[0], p[1])
-    den = GaussRat(q[0], q[1])
-    return num / den
+def _newton_step(g, dg, r, m: int) -> tuple:
+    """r - g(r)/dg(r) mod m."""
+    v, w = _eval_mod(g, *r, m), _eval_mod(dg, *r, m)
+    inv = pow(w[0] * w[0] + w[1] * w[1], -1, m)
+    return ((r[0] - (v[0] * w[0] + v[1] * w[1]) * inv) % m,
+            (r[1] - (v[1] * w[0] - v[0] * w[1]) * inv) % m)
 
 
 def rational_roots(coeffs: list) -> tuple:
     """Roots of a GaussRat-coefficient polynomial that lie in Q(i).
 
     Returns ([(root, multiplicity), ...], residual_degree) where residual
-    is the degree left unsplit after removing all Q(i) roots.  Deterministic:
-    roots sorted by their (real, imaginary) value.
+    is the degree left unsplit after removing all Q(i) roots, the roots
+    sorted by GaussRat.sort_key.  No integer is factored; the roots are
+    found by p-adic lifting (Loos, SIAM J. Comput. 12, 1983; von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 15):
+    - h = monic f / gcd(f, f') has the roots of f, each once; it is
+      square-free by construction.
+    - With D the lcm of h's coefficient denominators and n = deg h,
+      g(y) = D^n h(y/D) is monic over Z[i].  Z[i] is integrally closed, so
+      every root of g in Q(i) is a Gaussian integer y, and by Cauchy's
+      bound |y| < B = 1 + max_k (|Re g_k| + |Im g_k|).
+    - A prime p = 3 (mod 4) is inert in Z[i], so Z[i]/p is a field of p^2
+      elements and the roots of g mod p are found by trying every residue.
+      The p taken is the smallest at which each of those roots is simple;
+      the program checks this.  Every p not dividing the discriminant of
+      g, nonzero as g is square-free, qualifies, so the search ends.
+    - A simple root mod p lifts to exactly one root in the p-adic
+      completion of Z[i] (Hensel's lemma), by Newton steps that square the
+      modulus.  A root y of g reduces to a simple root mod p, so it is
+      that lift, and once the modulus M exceeds 2B the symmetric residues
+      of the lift are Re y and Im y.
+    - Each candidate x = y/D is kept only when h(x) = 0 exactly, so a
+      returned root is a root whatever the lifting did.
+    Multiplicities come from exact division of f by x - r.
     """
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    if len(cs) <= 1:
+    f = ptrim(coeffs)
+    if len(f) <= 1:
         return [], 0
-    roots = {}
-    while len(cs) > 1 and cs[0].is_zero:
-        roots[GR_ZERO] = roots.get(GR_ZERO, 0) + 1
-        cs.pop(0)
-    if len(cs) == 2:
-        # degree 1: the root is read off, with no factoring
-        r = -(cs[0] / cs[1])
-        roots[r] = roots.get(r, 0) + 1
-        cs = cs[1:]
-    elif len(cs) > 1:
-        den_lcm = 1
-        for c in cs:
-            den_lcm = den_lcm * c.d // math.gcd(den_lcm, c.d)
-        zs = [(c.a * (den_lcm // c.d), c.b * (den_lcm // c.d)) for c in cs]
-        g = (0, 0)
-        for z in zs:
-            if z != (0, 0):
-                g = z if g == (0, 0) else g_gcd(g, z)
-        zs = [g_exact_div(z, g) for z in zs]
-        cands = set()
-        for p in gaussian_divisors(zs[0]):
-            for u in _G_UNITS:
-                pu = g_mul(p, u)
-                for q in gaussian_divisors(zs[-1]):
-                    cands.add(_gauss_rat(pu, q))
-        for r in sorted(cands, key=GaussRat.sort_key):
-            while len(cs) > 1:
-                val = GR_ZERO
-                for c in reversed(cs):
-                    val = val * r + c
-                if not val.is_zero:
-                    break
-                quo = [GR_ZERO] * (len(cs) - 1)
-                acc = cs[-1]
-                for k in range(len(cs) - 2, -1, -1):
-                    quo[k] = acc
-                    acc = cs[k] + acc * r
-                cs = quo
-                roots[r] = roots.get(r, 0) + 1
-    ordered = sorted(roots.items(), key=lambda kv: kv[0].sort_key())
-    return ordered, len(cs) - 1
+    df = tuple(c * GaussRat(k) for k, c in enumerate(f))[1:]
+    h = pmonic(pdivmod(f, pgcd(f, df))[0])
+    n = len(h) - 1
+    if n == 1:
+        found = [-h[0]]
+    else:
+        den = math.lcm(*(c.d for c in h))
+        g = [(c.a * den ** (n - k) // c.d, c.b * den ** (n - k) // c.d)
+             for k, c in enumerate(h)]
+        dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
+        bound = 1 + max(abs(a) + abs(b) for a, b in g[:n])
+        m, roots = _simple_roots_mod_p(g, dg)
+        while m <= 2 * bound:
+            m *= m
+            roots = [_newton_step(g, dg, r, m) for r in roots]
+        half = m // 2  # symmetric residues lie in (-m/2, m/2]
+        found = [x for x in (GaussRat(a - m * (a > half), b - m * (b > half),
+                                      den) for a, b in roots)
+                 if peval(h, x).is_zero]
+    out = []
+    for r in sorted(found, key=GaussRat.sort_key):
+        mult = 0
+        while True:
+            quo, rem = pdivmod(f, (-r, GR_ONE))
+            if rem:
+                break
+            f, mult = quo, mult + 1
+        out.append((r, mult))
+    return out, len(f) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +479,16 @@ def eigensplit(rows, spec_points) -> list:
     by evaluating at two spec points and interpolating the exponent; each
     candidate is confirmed by an exact kernel computation over the function
     field.  Raises NotDiagonalizableOverField when the confirmed eigenspaces
-    do not span.
+    do not span.  A matrix c*I, for any scalar c, is one eigenspace with
+    value c and the standard basis, and needs no polynomial.
     """
     n = len(rows)
     if n == 0:
         return []
+    c = rows[0][0]
+    if all(x == (c if i == j else SC_ZERO)
+           for i, row in enumerate(rows) for j, x in enumerate(row)):
+        return [EigenSpace(c, identity_matrix(n, SC_ONE, SC_ZERO))]
     const = _as_constant_matrix(rows)
     candidates = []
     if const is not None:

@@ -1,14 +1,22 @@
 """End-to-end command line behavior via subprocesses."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hopf_forge.fixtures import packaged_fixture_path
+from hopf_forge.fixtures import packaged_fixture_names, packaged_fixture_path
+
+from deadline import deadline
 
 
 def run_cli(*args, env_extra=None):
@@ -257,3 +265,59 @@ class TestScalarMemoScope:
         assert scalars._MEMO
         assert cli.main(argv) == code
         assert not scalars._MEMO
+
+
+FUZZ_ATOMS = ["0", "1", "-1", "s", "1+i", "1/2", "s^-1", "", "x", "1/0",
+              "(", 0, 1, 2, 7, -1, 2 ** 70, 1.5, None, True, [], {}, [0],
+              ["1"]]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A packaged fixture's JSON with one or two random edits: a dropped
+    key or item, a replaced value, or an appended one."""
+    name = draw(st.sampled_from(packaged_fixture_names()))
+    with open(packaged_fixture_path(name), encoding="utf-8") as fh:
+        body = json.load(fh)
+    for _ in range(draw(st.integers(1, 2))):
+        node = body
+        while True:
+            kids = node.values() if isinstance(node, dict) else node
+            inner = [k for k in kids if isinstance(k, (dict, list)) and k]
+            if not inner or draw(st.integers(0, 3)) == 0:
+                break
+            node = draw(st.sampled_from(inner))
+        if not node:
+            continue
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        atom = copy.deepcopy(draw(st.sampled_from(FUZZ_ATOMS)))
+        edit = draw(st.sampled_from(["drop", "replace", "append"]))
+        if edit == "drop":
+            del node[key]
+        elif edit == "replace":
+            node[key] = atom
+        elif isinstance(node, list):
+            node.append(atom)
+        else:
+            node["extra"] = atom
+    return body
+
+
+class TestLoaderFuzz:
+    @given(mutated_fixtures(),
+           st.sampled_from(["validate", "analyze", "dual", "subcheck",
+                            "pair"]))
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_mutated_definition_ends_in_a_verdict(self, body, command):
+        from hopf_forge import cli
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, "mutant.qg")
+            with open(target, "w", encoding="utf-8") as fh:
+                json.dump(body, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with deadline(20), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([command, target])
+        assert code in (0, 1, 2), err.getvalue()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopf_forge import exactla
@@ -19,9 +19,11 @@ from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
                                 rank_mod_p, rational_roots, rref,
                                 solve_affine)
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, RANK_POINTS, SC_ONE,
-                                SC_ZERO, GaussRat, Scalar)
+                                SC_ZERO, GaussRat, Scalar, parse_scalar,
+                                pmul)
 
-from oracles import matrix_to_sympy
+from deadline import deadline
+from oracles import gauss_to_sympy, matrix_to_sympy
 
 small_fracs = st.fractions(min_value=-5, max_value=5,
                            max_denominator=6)
@@ -238,6 +240,22 @@ class TestInverse:
         assert matmul(rows, inv) == [[SC_ONE, SC_ZERO], [SC_ZERO, SC_ONE]]
 
 
+SEMIPRIME = (10 ** 18 + 3) * (10 ** 18 + 9)
+PRIMORIAL_43 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+# factors with no root in Q(i) ("" for none)
+ROOTLESS = ["", "x**2 - 2", "x**2 + x + 1", "x**2 + 3", "x**3 - 2"]
+gauss_rats = st.builds(GaussRat, st.integers(-6, 6), st.integers(-6, 6),
+                       st.integers(1, 6))
+
+
+def linear_product(roots, poly=(GaussRat(1),)):
+    """Coefficients, lowest power first, of poly * prod (x - r)."""
+    for r in roots:
+        poly = pmul(poly, (-GaussRat(r) if isinstance(r, int) else -r,
+                           GaussRat(1)))
+    return list(poly)
+
+
 class TestRationalRoots:
     def test_quadratic(self):
         # x^2 - 3x + 2 = (x-1)(x-2)
@@ -262,22 +280,109 @@ class TestRationalRoots:
         assert residual == 0
         assert [(r.a, m) for r, m in roots] == [(1, 2)]
 
-    def test_degree_one_needs_no_factoring(self, monkeypatch):
-        # p*q with p, q primes near 10^18 takes Pollard rho past any
-        # budget; a linear polynomial is solved without factoring
-        def factor_int(n):
-            raise AssertionError("factor_int(%d) called" % n)
-        monkeypatch.setattr(exactla, "factor_int", factor_int)
-        pq = (10 ** 18 + 3) * (10 ** 18 + 9)
-        roots, residual = rational_roots([GaussRat(-pq), GaussRat(1)])
-        assert roots == [(GaussRat(pq), 1)] and residual == 0
-        roots, residual = rational_roots(
-            [GaussRat(0), GaussRat(3, 1), GaussRat(2)])
-        assert roots == [(GaussRat(-3, -1, 2), 1), (GaussRat(0), 1)]
-        assert residual == 0
-        spaces = eigensplit([[Scalar.from_int(pq)]], DEFAULT_SPEC_POINTS)
+    def test_degree_one_needs_no_factoring(self):
+        # p*q with p, q primes near 10^18 is past any factoring budget; a
+        # linear polynomial is solved without factoring
+        pq = SEMIPRIME
+        with deadline(5):
+            roots, residual = rational_roots([GaussRat(-pq), GaussRat(1)])
+            assert roots == [(GaussRat(pq), 1)] and residual == 0
+            roots, residual = rational_roots(
+                [GaussRat(0), GaussRat(3, 1), GaussRat(2)])
+            assert roots == [(GaussRat(-3, -1, 2), 1), (GaussRat(0), 1)]
+            assert residual == 0
+            spaces = eigensplit([[Scalar.from_int(pq)]], DEFAULT_SPEC_POINTS)
         assert [(str(es.value), es.basis) for es in spaces] == \
             [(str(pq), [[SC_ONE]])]
+
+    @pytest.mark.parametrize("c", [SEMIPRIME, PRIMORIAL_43],
+                             ids=["semiprime", "primorial"])
+    def test_hard_to_factor_roots_are_found_at_once(self, c):
+        # (x - 1)(x - c): the old divisor search hung on the semiprime and
+        # hit its divisor cap on the primorial
+        with deadline(5):
+            roots, residual = rational_roots(linear_product([1, c]))
+        assert roots == [(GaussRat(1), 1), (GaussRat(c), 1)]
+        assert residual == 0
+
+    @pytest.mark.parametrize("c", [SEMIPRIME, PRIMORIAL_43],
+                             ids=["semiprime", "primorial"])
+    def test_hard_to_factor_eigenvalues_split(self, c):
+        rows = [[Scalar.from_int(c), SC_ZERO], [SC_ZERO, SC_ONE]]
+        with deadline(5):
+            spaces = eigensplit(rows, DEFAULT_SPEC_POINTS)
+        assert [(str(es.value), es.basis) for es in spaces] == [
+            ("1", [[SC_ZERO, SC_ONE]]), (str(c), [[SC_ONE, SC_ZERO]])]
+
+    def test_roots_colliding_mod_3(self):
+        # 1, 4 and 1+3i are one root mod 3, and 4 is a root of x^2 - 2 mod 7,
+        # so the roots are found mod 11
+        with deadline(5):
+            roots, residual = rational_roots(linear_product(
+                [1, 4, GaussRat(1, 3), 1], [GaussRat(-2), GaussRat(0),
+                                            GaussRat(1)]))
+        assert roots == [(GaussRat(1), 2), (GaussRat(1, 3), 1),
+                         (GaussRat(4), 1)]
+        assert residual == 2
+
+    def test_lift_passes_twice_the_root_bound(self):
+        # x^2 - 51x + 50 has root bound 52 and simple roots 1, 2 mod 3; the
+        # first power 81 of 3 above 52 reads 50 as its residue -31
+        with deadline(5):
+            roots, residual = rational_roots(linear_product([1, 50]))
+        assert roots == [(GaussRat(1), 1), (GaussRat(50), 1)]
+        assert residual == 0
+
+    @pytest.mark.parametrize("func, old, new, test", [
+        ("_simple_roots_mod_p",
+         "if any(_eval_mod(dg, a, b, p) == (0, 0) for a, b in roots):",
+         "if False:", "test_roots_colliding_mod_3"),
+        ("rational_roots", "while m <= 2 * bound:", "while m <= bound:",
+         "test_lift_passes_twice_the_root_bound"),
+    ], ids=["simple-root-guard", "lift-bound"])
+    def test_mutant_is_caught(self, monkeypatch, func, old, new, test):
+        source = textwrap.dedent(inspect.getsource(getattr(exactla, func)))
+        assert source.count(old) == 1
+        scope = {}
+        exec(source.replace(old, new), vars(exactla), scope)
+        monkeypatch.setattr(exactla, func, scope[func])
+        monkeypatch.setattr(sys.modules[__name__], "rational_roots",
+                            exactla.rational_roots)
+        # a multiple root mod p has no Newton inverse (ValueError); a short
+        # lift loses the root (AssertionError)
+        with pytest.raises((ValueError, AssertionError)):
+            getattr(self, test)()
+
+    @given(st.lists(st.tuples(gauss_rats, st.integers(1, 2)), min_size=1,
+                    max_size=4),
+           gauss_rats.filter(lambda c: not c.is_zero),
+           st.sampled_from(ROOTLESS))
+    @example([(GaussRat(1), 1), (GaussRat(4), 1), (GaussRat(1, 3), 1)],
+             GaussRat(1), "")
+    @settings(max_examples=15)
+    def test_roots_match_sympy(self, roots, lead, rootless):
+        poly = [lead]
+        for r, m in roots:
+            poly = list(pmul(poly, linear_product([r] * m)))
+        x = sympy.Symbol("x")
+        extra = sympy.Poly(rootless or "1", x)
+        poly = list(pmul(poly, [GaussRat(int(c)) for c in
+                                reversed(extra.all_coeffs())]))
+        sym = sympy.Poly([gauss_to_sympy(c) for c in reversed(poly)], x,
+                         domain="QQ_I")
+        expected = {}
+        for factor, mult in sym.factor_list()[1]:
+            if factor.degree() == 1:
+                c1, c0 = factor.all_coeffs()
+                z = -c0 / c1
+                expected[(sympy.re(z), sympy.im(z))] = mult
+        with deadline(10):
+            found, residual = rational_roots(poly)
+        assert {(sympy.Rational(r.a, r.d), sympy.Rational(r.b, r.d)): m
+                for r, m in found} == expected
+        assert [r for r, _m in found] == sorted(
+            (r for r, _m in found), key=GaussRat.sort_key)
+        assert residual == len(poly) - 1 - sum(expected.values())
 
     def test_no_rational_roots(self):
         # x^2 - 2 has no roots in Q(i)
@@ -299,6 +404,20 @@ class TestEigensplit:
         for sp in spaces:
             for v in sp.basis:
                 assert matvec(rows, v) == [sp.value * x for x in v]
+
+    @pytest.mark.parametrize("c", ["3", "0", "1+s^2", "i*s/(1-s)"])
+    def test_multiple_of_identity_needs_no_polynomial(self, monkeypatch, c):
+        # 1+s^2 is not r*s^k, which the eigenvalue ansatz needs
+        def charpoly(rows):
+            raise AssertionError("charpoly called")
+        monkeypatch.setattr(exactla, "charpoly", charpoly)
+        c = parse_scalar(c)
+        rows = [[c if i == j else SC_ZERO for j in range(3)]
+                for i in range(3)]
+        spaces = eigensplit(rows, DEFAULT_SPEC_POINTS)
+        assert [(es.value, es.basis) for es in spaces] == [
+            (c, [[SC_ONE if i == j else SC_ZERO for j in range(3)]
+                 for i in range(3)])]
 
     def test_permutation_matrix(self):
         z, o = SC_ZERO, SC_ONE
