@@ -401,7 +401,9 @@ def rational_roots(coeffs: list) -> tuple:
       of the lift are Re y and Im y.
     - Each candidate x = y/D is kept only when h(x) = 0 exactly, so a
       returned root is a root whatever the lifting did.
-    Multiplicities come from exact division of f by x - r.
+    Every degree takes this one path; at degree 1, g' = 1, so p = 3 and
+    each Newton step is exact.  Multiplicities come from exact division
+    of f by x - r.
     """
     f = ptrim(coeffs)
     if len(f) <= 1:
@@ -409,22 +411,19 @@ def rational_roots(coeffs: list) -> tuple:
     df = tuple(c * GaussRat(k) for k, c in enumerate(f))[1:]
     h = pmonic(pdivmod(f, pgcd(f, df))[0])
     n = len(h) - 1
-    if n == 1:
-        found = [-h[0]]
-    else:
-        den = math.lcm(*(c.d for c in h))
-        g = [(c.a * den ** (n - k) // c.d, c.b * den ** (n - k) // c.d)
-             for k, c in enumerate(h)]
-        dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
-        bound = 1 + max(abs(a) + abs(b) for a, b in g[:n])
-        m, roots = _simple_roots_mod_p(g, dg)
-        while m <= 2 * bound:
-            m *= m
-            roots = [_newton_step(g, dg, r, m) for r in roots]
-        half = m // 2  # symmetric residues lie in (-m/2, m/2]
-        found = [x for x in (GaussRat(a - m * (a > half), b - m * (b > half),
-                                      den) for a, b in roots)
-                 if peval(h, x).is_zero]
+    den = math.lcm(*(c.d for c in h))
+    g = [(c.a * den ** (n - k) // c.d, c.b * den ** (n - k) // c.d)
+         for k, c in enumerate(h)]
+    dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
+    bound = 1 + max(abs(a) + abs(b) for a, b in g[:n])
+    m, roots = _simple_roots_mod_p(g, dg)
+    while m <= 2 * bound:
+        m *= m
+        roots = [_newton_step(g, dg, r, m) for r in roots]
+    half = m // 2  # symmetric residues lie in (-m/2, m/2]
+    found = [x for x in (GaussRat(a - m * (a > half), b - m * (b > half),
+                                  den) for a, b in roots)
+             if peval(h, x).is_zero]
     out = []
     for r in sorted(found, key=GaussRat.sort_key):
         mult = 0
