@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every check passes, 1 when a verification check fails
 (the report is still printed), 2 for unusable input (bad file, bad flag,
-unknown name), 3 for internal errors.
+unknown name, unreadable input, unwritable output), 3 for internal errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .definition import load_definition, sha256_of_file
+from .definition import read_definition
 from .errors import DefinitionError, HopfForgeError
 from .fixtures import packaged_fixture_names, packaged_fixture_path
 from .report import (render, run_analyze, run_dual, run_pair, run_subcheck,
@@ -140,8 +140,7 @@ def _dispatch(args) -> int:
         return _run_examples(args)
 
     path = resolve_input(args.input)
-    defn = load_definition(path)
-    sha = sha256_of_file(path)
+    defn, sha = read_definition(path)
 
     if args.command == "validate":
         rep = run_validate(defn, path, sha, degree=args.degree)
@@ -175,6 +174,12 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except DefinitionError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an input is read by read_definition, so this is an output path
+        print("error: %s: cannot write: %s"
+              % (exc.filename or args.output, exc.strerror or exc),
+              file=sys.stderr)
         return 2
     except HopfForgeError as exc:
         print("error: %s" % exc, file=sys.stderr)

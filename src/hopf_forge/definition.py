@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 from .errors import DefinitionError
 from .scalars import Scalar, ScalarParseError, parse_scalar
@@ -27,47 +26,58 @@ KIND_PRESENTATION = "presentation"
 KIND_PAIRING = "pairing"
 
 
-@dataclass
 class StructureDefinition:
-    name: str
-    description: str
-    labels: list
-    mul: dict                      # (i, j) -> {k: Scalar}
-    coproduct: list                # list over src of {(l, r): Scalar}
-    unit: list | None = None       # declared unit coordinates
-    star: list | None = None       # matrix star[i][j]: coeff of e_i in e_j*
-    counit: list | None = None     # declared counit values
-    antipode: list | None = None   # matrix
-    sub_bases: dict = field(default_factory=dict)
+    def __init__(self, name: str, description: str, labels: list, mul: dict,
+                 coproduct: list, unit: list | None = None,
+                 star: list | None = None, counit: list | None = None,
+                 antipode: list | None = None, sub_bases: dict | None = None):
+        self.name = name
+        self.description = description
+        self.labels = labels
+        self.mul = mul                  # (i, j) -> {k: Scalar}
+        self.coproduct = coproduct      # list over src of {(l, r): Scalar}
+        self.unit = unit                # declared unit coordinates
+        self.star = star                # matrix star[i][j]: coeff of e_i in e_j*
+        self.counit = counit            # declared counit values
+        self.antipode = antipode        # matrix
+        self.sub_bases = {} if sub_bases is None else sub_bases
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
 
-@dataclass
 class PresentationDefinition:
-    name: str
-    description: str
-    generators: list               # ordered generator names
-    rules: list                    # (lhs word tuple, [(Scalar, word tuple), ...])
-    coproduct: dict                # gen -> [(Scalar, left word, right word), ...]
-    counit: dict                   # gen -> Scalar
-    antipode: dict                 # gen -> [(Scalar, word tuple), ...]
-    star: dict | None = None       # gen -> [(Scalar, word tuple), ...]
-    diagonal_actions: dict = field(default_factory=dict)  # name -> {gen: Scalar}
+    def __init__(self, name: str, description: str, generators: list,
+                 rules: list, coproduct: dict, counit: dict, antipode: dict,
+                 star: dict | None = None,
+                 diagonal_actions: dict | None = None):
+        self.name = name
+        self.description = description
+        self.generators = generators    # ordered generator names
+        self.rules = rules              # (lhs word tuple, [(Scalar, word tuple), ...])
+        self.coproduct = coproduct      # gen -> [(Scalar, left word, right word), ...]
+        self.counit = counit            # gen -> Scalar
+        self.antipode = antipode        # gen -> [(Scalar, word tuple), ...]
+        self.star = star                # gen -> [(Scalar, word tuple), ...]
+        # name -> {gen: Scalar}
+        self.diagonal_actions = ({} if diagonal_actions is None
+                                 else diagonal_actions)
 
 
-@dataclass
 class PairingDefinition:
-    name: str
-    description: str
-    rows: PresentationDefinition
-    cols: PresentationDefinition
-    table: dict                    # (row gen, col gen) -> Scalar
-    # functionals realized by pairing against a fixed row word:
-    # [(column action name, row word tuple), ...]
-    action_functionals: list = field(default_factory=list)
+    def __init__(self, name: str, description: str,
+                 rows: PresentationDefinition, cols: PresentationDefinition,
+                 table: dict, action_functionals: list | None = None):
+        self.name = name
+        self.description = description
+        self.rows = rows
+        self.cols = cols
+        self.table = table              # (row gen, col gen) -> Scalar
+        # functionals realized by pairing against a fixed row word:
+        # [(column action name, row word tuple), ...]
+        self.action_functionals = ([] if action_functionals is None
+                                   else action_functionals)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +370,26 @@ def parse_definition(text: str, path: str = "<definition>"):
     _fail(path, "unknown kind %r" % kind)
 
 
+def read_definition(path: str):
+    """The definition in the file at path and the sha256 of its bytes, from
+    one read.  Line ends are translated as in text mode, so the JSON error
+    positions do not depend on them; an unreadable or undecodable file is a
+    DefinitionError that names the path."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        _fail(path, "cannot read: %s" % exc.strerror)
+    except UnicodeDecodeError as exc:
+        _fail(path, "not UTF-8 text (byte 0x%02x at offset %d)"
+              % (data[exc.start], exc.start))
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_definition(text, str(path)), hashlib.sha256(data).hexdigest()
+
+
 def load_definition(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_definition(fh.read(), str(path))
+    return read_definition(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +497,3 @@ def render_definition(d) -> str:
 def save_definition(d, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_definition(d))
-
-
-def sha256_of_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -12,27 +12,28 @@ equation by equation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CheckFailure, NotFaithful
 from .exactla import dense_row, invert, matvec, sparse_row
 from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
                      zero_vector)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
-from .mhopf import (CheckItem, Coproduct, QGData, TensorMap, attach_coproduct,
-                    check_star_compat, check_tmaps, unit_leg_product)
+from .mhopf import (CheckItem, CheckReport, Coproduct, QGData, TensorMap,
+                    attach_coproduct, check_star_compat, check_tmaps,
+                    unit_leg_product)
 from .scalars import SC_ONE, SC_ZERO
 
 
-@dataclass
 class DualBuild:
-    qg: QGData
-    phi: list             # the functional the basis w_i = phi(. e_i) is on
-    b_matrix: list        # [j][i] = phi(e_j e_i), the value of w_i at e_j
-    b_inv: list
-    tmaps: object
-    star_compat: object | None
-    unit_is_counit: bool  # the dual unit is the counit functional
+    def __init__(self, qg: QGData, phi: list, b_matrix: list, b_inv: list,
+                 tmaps, star_compat, unit_is_counit: bool):
+        self.qg = qg
+        self.phi = phi            # the functional the basis w_i = phi(. e_i) is on
+        self.b_matrix = b_matrix  # [j][i] = phi(e_j e_i), the value of w_i at e_j
+        self.b_inv = b_inv
+        self.tmaps = tmaps
+        self.star_compat = star_compat
+        self.unit_is_counit = unit_is_counit  # the dual unit is the counit functional
 
 
 def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
@@ -133,17 +134,8 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
 # morphism verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsoReport:
-    items: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(it.ok for it in self.items)
-
-
 def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
-                       require_bijective: bool = True) -> IsoReport:
+                       require_bijective: bool = True) -> CheckReport:
     """Check that lin respects product, unit, coproduct, counit, antipode
     and star (when both sides have one), and that it is bijective."""
     a, b = src.algebra, dst.algebra
@@ -189,19 +181,20 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
         items.append(CheckItem("morphism-bijective", lin.is_bijective(),
                                "dimension %d onto dimension %d"
                                % (lin.n_in, lin.n_out)))
-    return IsoReport(items)
+    return CheckReport(items)
 
 
 # ---------------------------------------------------------------------------
 # biduality
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BidualityResult:
-    dual_haar: object            # HaarSolution on the dual
-    bidual: DualBuild
-    gamma: LinMap
-    report: IsoReport
+    def __init__(self, dual_haar, bidual: DualBuild, gamma: LinMap,
+                 report: CheckReport):
+        self.dual_haar = dual_haar  # HaarSolution on the dual
+        self.bidual = bidual
+        self.gamma = gamma
+        self.report = report
 
 
 def biduality(qg: QGData, dual_build: DualBuild) -> BidualityResult:
@@ -369,11 +362,11 @@ def _element_orders(table, identity, n):
     return orders
 
 
-@dataclass
 class GroupIsoResult:
-    bijection: list              # index map on idempotent labels
-    lin: LinMap
-    report: IsoReport
+    def __init__(self, bijection: list, lin: LinMap, report: CheckReport):
+        self.bijection = bijection  # index map on idempotent labels
+        self.lin = lin
+        self.report = report
 
 
 def find_group_iso(src: QGData, dst: QGData, spec_points) -> GroupIsoResult:
@@ -422,14 +415,10 @@ def find_group_iso(src: QGData, dst: QGData, spec_points) -> GroupIsoResult:
 # imbedding the dual of a sub-object
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ImbeddingReport:
-    j_map: LinMap
-    items: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(it.ok for it in self.items)
+class ImbeddingReport(CheckReport):
+    def __init__(self, j_map: LinMap, items: list):
+        super().__init__(items)
+        self.j_map = j_map
 
 
 def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:

@@ -13,7 +13,6 @@ inverse(), is_zero and conjugate(), which both element types provide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -217,11 +216,12 @@ def rank(rows) -> int:
     return len(rref(list(rows)))
 
 
-@dataclass
 class SolutionSpace:
     """Affine solution set {particular + span(kernel)}; empty when particular is None."""
-    particular: list | None
-    kernel: list
+
+    def __init__(self, particular: list | None, kernel: list):
+        self.particular = particular
+        self.kernel = kernel
 
     @property
     def is_empty(self) -> bool:
@@ -440,10 +440,10 @@ def rational_roots(coeffs: list) -> tuple:
 # eigensplit
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EigenSpace:
-    value: Scalar
-    basis: list  # list of Scalar coordinate vectors
+    def __init__(self, value: Scalar, basis: list):
+        self.value = value
+        self.basis = basis  # list of Scalar coordinate vectors
 
     @property
     def dimension(self) -> int:
@@ -552,15 +552,19 @@ POSITIVE_SEMIDEFINITE = "positive-semidefinite"
 INDEFINITE = "indefinite"
 
 
-@dataclass
 class GramCertificate:
-    verdict: str
-    mode: str  # "exact" | "at-specializations"
-    pivots: list = field(default_factory=list)          # Scalar diagonal values
-    witness: list | None = None                          # Scalar coordinates
-    witness_value: Scalar | None = None
-    per_point: list = field(default_factory=list)        # [(point literal, verdict)]
-    notes: list = field(default_factory=list)
+    def __init__(self, verdict: str, mode: str, pivots: list | None = None,
+                 witness: list | None = None,
+                 witness_value: Scalar | None = None,
+                 per_point: list | None = None, notes: list | None = None):
+        self.verdict = verdict
+        self.mode = mode  # "exact" | "at-specializations"
+        self.pivots = [] if pivots is None else pivots  # Scalar diagonal values
+        self.witness = witness  # Scalar coordinates
+        self.witness_value = witness_value
+        # [(point literal, verdict)]
+        self.per_point = [] if per_point is None else per_point
+        self.notes = [] if notes is None else notes
 
 
 def _quad_form(g_rows, v):

@@ -9,8 +9,6 @@ axioms, raising StructureError with a concrete witness on any violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import StructureError
 from .exactla import gram_certificate, invert, rank, solve_affine
 from .scalars import SC_ONE, SC_ZERO, Scalar
@@ -139,7 +137,6 @@ def apply_functional(phi: list, v: list) -> Scalar:
     return acc
 
 
-@dataclass
 class FinAlgebra:
     """Associative unital algebra over the scalar field, by structure constants.
 
@@ -147,11 +144,13 @@ class FinAlgebra:
     as {k: coefficient}.  Absent pairs multiply to zero.
     """
 
-    labels: list
-    mul: dict
-    unit: list
-    star: LinMap | None = None
-    name: str = ""
+    def __init__(self, labels: list, mul: dict, unit: list,
+                 star: LinMap | None = None, name: str = ""):
+        self.labels = labels
+        self.mul = mul
+        self.unit = unit
+        self.star = star
+        self.name = name
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,7 @@ Both S3 fixtures list the group elements in the same order; composition is
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .definition import StructureDefinition
 from .scalars import SC_ONE, SC_ZERO, Scalar
@@ -204,17 +204,16 @@ def build_fixture(name: str) -> StructureDefinition:
     return FIXTURE_BUILDERS[name]()
 
 
+# the packaged .qg files, installed next to this module
+_FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "fixtures")
+
+
 def packaged_fixture_path(name: str):
     """Filesystem path of a packaged .qg file, or None if no such name."""
-    root = resources.files(__package__) / "fixtures" / (name + ".qg")
-    try:
-        with resources.as_file(root) as p:
-            return str(p) if p.is_file() else None
-    except FileNotFoundError:
-        return None
+    path = os.path.join(_FIXTURE_DIR, name + ".qg")
+    return path if os.path.isfile(path) else None
 
 
 def packaged_fixture_names() -> list:
-    root = resources.files(__package__) / "fixtures"
-    return sorted(p.name[:-3] for p in root.iterdir()
-                  if p.name.endswith(".qg"))
+    return sorted(f[:-3] for f in os.listdir(_FIXTURE_DIR) if f.endswith(".qg"))

@@ -13,36 +13,32 @@ follow from the uniqueness of phi and are proved in the docstrings below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
 from .exactla import (coordinates, dense_row, eigensplit, invert, kernel_basis,
                       rank, rref, sparse_row)
 from .finalg import (LinMap, apply_functional, basis_vector, gram_psd,
                      vec_combination, vec_is_zero, zero_vector)
-from .mhopf import CheckItem, QGData, TensorMap
+from .mhopf import CheckItem, CheckReport, QGData, TensorMap
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
 
 
-@dataclass
 class HaarSolution:
-    phi: list
-    dimension: int          # of the full solution space (must be 1)
+    def __init__(self, phi: list, dimension: int):
+        self.phi = phi
+        self.dimension = dimension  # of the full solution space (must be 1)
 
 
-@dataclass
 class ModularData:
     """The objects of compute_modular_data, filled in stage by stage.  In
     the data of a ModularStageFailure only the fields of the stages before
     the failed one are to be read."""
-    phi: list | None = None
-    psi: list | None = None
-    sigma: LinMap | None = None
-    sigma_prime: LinMap | None = None
-    delta: list | None = None
-    kappa: LinMap | None = None
-    kappa_inv: LinMap | None = None
-    mu: Scalar | None = None
+
+    def __init__(self):
+        self.phi = self.psi = self.delta = None         # functionals, lists
+        self.sigma = self.sigma_prime = None            # LinMaps
+        self.kappa = self.kappa_inv = None              # LinMaps
+        self.mu = None                                  # Scalar
 
 
 MODULAR_STAGES = ("haar-functional", "right-invariance",
@@ -324,14 +320,10 @@ def scaling_constant(qg: QGData, phi: list, assert_one: bool) -> Scalar:
 # orbits and the nonvanishing window
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitReport:
-    span: list                      # basis vectors of the invariant span
-    items: list                     # CheckItems for the nonvanishing window
-
-    @property
-    def all_ok(self) -> bool:
-        return all(it.ok for it in self.items)
+class OrbitReport(CheckReport):
+    def __init__(self, span: list, items: list):
+        super().__init__(items)     # CheckItems for the nonvanishing window
+        self.span = span            # basis vectors of the invariant span
 
 
 def orbit_span(md: ModularData, a: list) -> list:
@@ -401,18 +393,19 @@ FIVE_MAP_NAMES = ("sigma", "sigma_prime", "antipode-squared",
                   "left-mult-delta", "right-mult-delta")
 
 
-@dataclass
 class EigenRow:
-    vector: list
-    values: dict                    # map name -> Scalar
+    def __init__(self, vector: list, values: dict):
+        self.vector = vector
+        self.values = values        # map name -> Scalar
 
 
-@dataclass
 class EigentableReport:
-    rows: list
-    used_maps: list
-    skipped: list                   # (name, reason)
-    positivity: list                # CheckItems
+    def __init__(self, rows: list, used_maps: list, skipped: list,
+                 positivity: list):
+        self.rows = rows
+        self.used_maps = used_maps
+        self.skipped = skipped          # (name, reason)
+        self.positivity = positivity    # CheckItems
 
     @property
     def all_positive(self) -> bool:

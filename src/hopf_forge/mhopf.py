@@ -13,8 +13,6 @@ the maps are built and ranked only when the derivation fails (check_tmaps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CheckFailure, HopfForgeError, StructureError
 from .exactla import (LinearAlgebraError, coordinates, solve_affine,
                       sparse_row)
@@ -102,19 +100,20 @@ class Coproduct:
                             if not xk.is_zero)
 
 
-@dataclass
 class QGData:
     """Algebra plus verified coproduct; counit and antipode once derived,
     the left Haar functional once solved (haar_modular.left_haar) and S^2
     once composed (haar_modular.antipode_squared)."""
 
-    algebra: FinAlgebra
-    coproduct: Coproduct
-    tensor_sq: FinAlgebra
-    counit: list | None = None
-    antipode: LinMap | None = None
-    haar: object | None = None
-    antipode_sq: LinMap | None = None
+    def __init__(self, algebra: FinAlgebra, coproduct: Coproduct,
+                 tensor_sq: FinAlgebra):
+        self.algebra = algebra
+        self.coproduct = coproduct
+        self.tensor_sq = tensor_sq
+        self.counit = None          # list
+        self.antipode = None        # LinMap
+        self.haar = None            # HaarSolution
+        self.antipode_sq = None     # LinMap
 
     @property
     def dim(self) -> int:
@@ -178,22 +177,23 @@ def _coassoc_defect(qg: QGData, k: int) -> bool:
 TMAP_FORMULAS = ("D(a)(1(x)b)", "(a(x)1)D(b)", "D(a)(b(x)1)", "(1(x)a)D(b)")
 
 
-@dataclass
 class TMapView:
-    formula: str
-    rank: int
-    size: int
+    def __init__(self, formula: str, rank: int, size: int):
+        self.formula = formula
+        self.rank = rank
+        self.size = size
 
     @property
     def bijective(self) -> bool:
         return self.rank == self.size
 
 
-@dataclass
 class TMapReport:
-    maps: list
-    coproduct_unital: bool
-    error: HopfForgeError | None = None  # raised by derive_counit_antipode
+    def __init__(self, maps: list, coproduct_unital: bool,
+                 error: HopfForgeError | None = None):
+        self.maps = maps
+        self.coproduct_unital = coproduct_unital
+        self.error = error  # raised by derive_counit_antipode
 
     @property
     def all_bijective(self) -> bool:
@@ -399,23 +399,25 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
 # star compatibility
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckItem:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
-class StarCompatReport:
-    items: list
+class CheckReport:
+    """A list of CheckItems; all_ok when every one passes."""
+
+    def __init__(self, items: list):
+        self.items = items
 
     @property
     def all_ok(self) -> bool:
         return all(it.ok for it in self.items)
 
 
-def check_star_compat(qg: QGData) -> StarCompatReport:
+def check_star_compat(qg: QGData) -> CheckReport:
     """S(S(a)*)* = a, coproduct/star exchange, counit/star exchange."""
     alg = qg.algebra
     n = alg.dim
@@ -451,23 +453,14 @@ def check_star_compat(qg: QGData) -> StarCompatReport:
         not bad,
         "eps(a*) = conj(eps(a)) on every basis element" if not bad
         else "fails at " + ", ".join(bad)))
-    return StarCompatReport(items)
+    return CheckReport(items)
 
 
 # ---------------------------------------------------------------------------
 # grouplike projections
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GrouplikeProjectionReport:
-    items: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(it.ok for it in self.items)
-
-
-def check_grouplike_projection(qg: QGData, p: list) -> GrouplikeProjectionReport:
+def check_grouplike_projection(qg: QGData, p: list) -> CheckReport:
     """p nonzero, p = p* = p^2, and D(p)(1(x)p) = p(x)p, all exact."""
     alg = qg.algebra
     if alg.star is None:
@@ -478,7 +471,7 @@ def check_grouplike_projection(qg: QGData, p: list) -> GrouplikeProjectionReport
     lhs = qg.tensor_sq.multiply(qg.delta(p), tensor_vec(alg.unit, p))
     items.append(CheckItem("coproduct-condition", lhs == tensor_vec(p, p),
                            "D(p)(1(x)p) = p(x)p"))
-    return GrouplikeProjectionReport(items)
+    return CheckReport(items)
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +486,16 @@ SUB_COMPAT_FORMULAS = ("D0(a)(1(x)b) = D(a)(1(x)b)",
                        "(b(x)1)D0(a) = (b(x)1)D(a)")
 
 
-@dataclass
 class SubMHAResult:
-    rows: list                      # spanning vectors in big coordinates
-    labels: list
-    memberships: list               # CheckItems for the four product families
-    compat: list                    # CheckItems for the compression equations
-    sub_unit: list | None           # in sub coordinates
-    induced: QGData | None
-    induced_tmaps: TMapReport | None
-    notes: list = field(default_factory=list)
+    def __init__(self, rows: list, labels: list, memberships: list):
+        self.rows = rows                # spanning vectors in big coordinates
+        self.labels = labels
+        self.memberships = memberships  # CheckItems for the four product families
+        self.compat = []                # CheckItems for the compression equations
+        self.sub_unit = None            # in sub coordinates
+        self.induced = None             # QGData
+        self.induced_tmaps = None       # TMapReport
+        self.notes = []
 
     @property
     def all_ok(self) -> bool:
@@ -595,7 +588,7 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     memberships = _sub_items("membership", SUB_MEMBERSHIP_FORMULAS, [
         at(_first_outside(coords[k * m:(k + 1) * m])) for k in range(4)],
         "all products lie in the tensor square of the span")
-    result = SubMHAResult(sub_rows, sub_labels, memberships, [], None, None, None)
+    result = SubMHAResult(sub_rows, sub_labels, memberships)
 
     try:
         alg0 = build_algebra(sub_labels, mul0, unit=None, star=star0,

@@ -13,7 +13,6 @@ presentations is evaluated by the canonical splitting recursion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .definition import PairingDefinition, PresentationDefinition
 from .errors import DefinitionError, StructureError
@@ -497,18 +496,20 @@ class DiagonalAction:
 # assembled presented quantum group
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PresentedQG:
-    pres: Presentation
-    coproduct: GenMap
-    counit: GenMap
-    antipode: GenMap
-    star: GenMap | None
-    actions: dict
-    # the passed rule checks: the maps, then the actions sorted by name
-    checks: list
-    _words: list = field(default_factory=list, repr=False)
-    _words_degree: int = -1
+    def __init__(self, pres: Presentation, coproduct: GenMap, counit: GenMap,
+                 antipode: GenMap, star: GenMap | None, actions: dict,
+                 checks: list):
+        self.pres = pres
+        self.coproduct = coproduct
+        self.counit = counit
+        self.antipode = antipode
+        self.star = star
+        self.actions = actions
+        # the passed rule checks: the maps, then the actions sorted by name
+        self.checks = checks
+        self._words = []
+        self._words_degree = -1
 
     def antipode_squared(self, terms):
         return self.antipode.apply_terms(self.antipode.apply_terms(terms))

@@ -11,7 +11,6 @@ depend on the failed one are skipped rather than reported as passing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .assemble import (algebra_from_definition, coproduct_map,
@@ -46,16 +45,16 @@ def _word_degree(degree, default: int, *presentations) -> int:
     return deg
 
 
-@dataclass
 class Report:
-    command: str
-    subject: str
-    source: str
-    sha256: str
-    params: list = field(default_factory=list)    # ordered (key, value) pairs
-    checks: list = field(default_factory=list)    # CheckItems
-    objects: list = field(default_factory=list)   # (name, str or list of str)
-    notes: list = field(default_factory=list)
+    def __init__(self, command: str, subject: str, source: str, sha256: str):
+        self.command = command
+        self.subject = subject
+        self.source = source
+        self.sha256 = sha256
+        self.params = []    # ordered (key, value) pairs
+        self.checks = []    # CheckItems
+        self.objects = []   # (name, str or list of str)
+        self.notes = []
 
     @property
     def ok(self) -> bool:

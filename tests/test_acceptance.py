@@ -12,7 +12,7 @@ import sys
 import time
 
 from hopf_forge.assemble import build_qg
-from hopf_forge.definition import load_definition, sha256_of_file
+from hopf_forge.definition import read_definition
 from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 dual_modular_check, find_group_iso,
                                 verify_qg_morphism)
@@ -46,8 +46,8 @@ def hopf_qg(name):
 
 def validate_by_name(name):
     path = packaged_fixture_path(name)
-    defn = load_definition(path)
-    return run_validate(defn, path, sha256_of_file(path))
+    defn, sha = read_definition(path)
+    return run_validate(defn, path, sha)
 
 
 def run_cli(*args):

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -221,6 +222,70 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err.startswith("Traceback (most recent call last)")
         assert "RuntimeError: internal fault" in captured.err
+
+
+class TestFileErrors:
+    """An input that cannot be read or decoded, and an output that cannot be
+    written, end in exit 2 with a one-line error naming the path."""
+
+    def _main(self, capsys, *argv):
+        from hopf_forge import cli
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        return code, err
+
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        target = tmp_path / "latin1.qg"
+        with open(packaged_fixture_path("c_z2"), "rb") as fh:
+            target.write_bytes(fh.read().replace(b'"c_z2"', b'"c_z2\xff"'))
+        assert self._main(capsys, "validate", str(target)) == (
+            2, "error: %s: not UTF-8 text (byte 0xff at offset %d)\n"
+            % (target, target.read_bytes().index(b"\xff")))
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert self._main(capsys, "validate", str(tmp_path)) == (
+            2, "error: %s: cannot read: Is a directory\n" % tmp_path)
+
+    @pytest.mark.parametrize("command", ["validate", "dual"])
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, command):
+        target = tmp_path / "missing" / "x"
+        assert self._main(capsys, command, "c_z2", "--output",
+                          str(target)) == (
+            2, "error: %s: cannot write: No such file or directory\n"
+            % target)
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("command, name", [
+        ("validate", "c_z2"), ("analyze", "suq2"),
+        ("pair", "pairing-uqsu2-suq2")])
+    def test_crlf_copy_gives_the_same_report(self, tmp_path, command, name):
+        src = packaged_fixture_path(name)
+        with open(src, "rb") as fh:
+            data = fh.read()
+        crlf = data.replace(b"\n", b"\r\n")
+        assert crlf != data
+        target = tmp_path / (name + ".qg")
+        target.write_bytes(crlf)
+        plain = run_cli(command, src).stdout.splitlines()
+        copy_ = run_cli(command, str(target)).stdout.splitlines()
+        assert plain[2] == "input: %s (%s)" % (name, src)
+        assert copy_[2] == "input: %s (%s)" % (name, target)
+        assert plain[3] == "sha256: " + hashlib.sha256(data).hexdigest()
+        assert copy_[3] == "sha256: " + hashlib.sha256(crlf).hexdigest()
+        assert copy_[:2] + copy_[4:] == plain[:2] + plain[4:]
+
+    def test_json_error_positions_ignore_line_ends(self, tmp_path, capsys):
+        from hopf_forge import cli
+        errors = []
+        for end in (b"\n", b"\r\n", b"\r"):
+            target = tmp_path / "bad.qg"
+            target.write_bytes(end.join([b"{", b'  "format": 1,', b"  oops"]))
+            assert cli.main(["validate", str(target)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert "line 3 column 3" in errors[0]
 
 
 class TestExamples:

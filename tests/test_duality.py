@@ -1,6 +1,6 @@
 """Dual construction, biduality, group recovery, and dual imbedding."""
 
-import dataclasses
+import copy
 import inspect
 import itertools
 import textwrap
@@ -196,8 +196,9 @@ class TestDualImbedding:
                 for k, x in s2.columns[i].items():
                     twisted[(j, k)] = twisted.get((j, k), SC_ZERO) + c * x
             columns.append(twisted)
-        build = dataclasses.replace(build, qg=dataclasses.replace(
-            build.qg, coproduct=Coproduct(columns)))
+        build = copy.copy(build)
+        build.qg = copy.copy(build.qg)
+        build.qg.coproduct = Coproduct(columns)
         report = duality.dual_imbedding(sub, build)
         failed = [(it.name, it.detail) for it in report.items if not it.ok]
         assert failed == [

@@ -1,5 +1,7 @@
 """Packaged example files agree with their in-code builders."""
 
+import os
+
 from hopf_forge.definition import (load_definition, render_definition)
 from hopf_forge.fixtures import (FIXTURE_BUILDERS, build_fixture,
                                  packaged_fixture_names,
@@ -17,6 +19,14 @@ class TestPackagedFiles:
     def test_path_lookup(self):
         assert packaged_fixture_path("c_z2") is not None
         assert packaged_fixture_path("nope") is None
+
+    def test_paths_are_the_package_resources(self):
+        from importlib import resources
+        root = resources.files("hopf_forge") / "fixtures"
+        for name in ALL_NAMES:
+            with resources.as_file(root / (name + ".qg")) as expected:
+                assert os.path.samefile(packaged_fixture_path(name),
+                                        expected), name
 
     def test_structure_files_match_their_builders(self):
         for name in FIXTURE_BUILDERS:

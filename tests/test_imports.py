@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no function
 takes a parameter it never reads, and no function is defined only for the
-tests.
+tests.  Importing the command line pulls in no module that only serves
+start-up cost.
 
 A name counts as used when it is read anywhere in the module: as an
 ast.Name (which covers the root of an attribute chain) or inside a quoted
@@ -14,6 +15,8 @@ methods are exempt.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import hopf_forge
@@ -196,3 +199,21 @@ def test_the_scan_sees_a_test_only_name():
     others = {"bench.py": "SPANS = {'a': ['traced']}\n"}
     assert unreferenced_definitions(package, others) == [
         ("a.py", "helper"), ("a.py", "method")]
+
+
+# Stdlib modules that cost start-up time and that the program never needs:
+# dataclasses brings inspect, ast, dis and tokenize with it, and
+# importlib.resources brings typing, pathlib and tempfile.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                "importlib.resources", "typing")
+
+
+def test_the_cli_imports_no_slow_module():
+    # -S: no site, whose .pth files may import any of these themselves
+    code = ("import sys; import hopf_forge.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))"
+            % (SLOW_IMPORTS,))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          cwd=PACKAGE_DIR.parent, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == []
