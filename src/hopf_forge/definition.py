@@ -60,9 +60,8 @@ class PresentationDefinition:
         self.counit = counit            # gen -> Scalar
         self.antipode = antipode        # gen -> [(Scalar, word tuple), ...]
         self.star = star                # gen -> [(Scalar, word tuple), ...]
-        # name -> {gen: Scalar}
         self.diagonal_actions = ({} if diagonal_actions is None
-                                 else diagonal_actions)
+                                 else diagonal_actions)  # name -> {gen: Scalar}
 
 
 class PairingDefinition:

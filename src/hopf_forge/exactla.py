@@ -562,8 +562,8 @@ class GramCertificate:
         self.pivots = [] if pivots is None else pivots  # Scalar diagonal values
         self.witness = witness  # Scalar coordinates
         self.witness_value = witness_value
-        # [(point literal, verdict)]
-        self.per_point = [] if per_point is None else per_point
+        self.per_point = ([] if per_point is None
+                          else per_point)  # [(point literal, verdict)]
         self.notes = [] if notes is None else notes
 
 

@@ -206,7 +206,7 @@ def build_fixture(name: str) -> StructureDefinition:
 
 # the packaged .qg files, installed next to this module
 _FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "fixtures")
+                            "fixtures")
 
 
 def packaged_fixture_path(name: str):
@@ -216,4 +216,5 @@ def packaged_fixture_path(name: str):
 
 
 def packaged_fixture_names() -> list:
-    return sorted(f[:-3] for f in os.listdir(_FIXTURE_DIR) if f.endswith(".qg"))
+    return sorted(f[:-3] for f in os.listdir(_FIXTURE_DIR)
+                  if f.endswith(".qg"))

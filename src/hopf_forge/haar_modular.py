@@ -35,10 +35,14 @@ class ModularData:
     the failed one are to be read."""
 
     def __init__(self):
-        self.phi = self.psi = self.delta = None         # functionals, lists
-        self.sigma = self.sigma_prime = None            # LinMaps
-        self.kappa = self.kappa_inv = None              # LinMaps
-        self.mu = None                                  # Scalar
+        self.phi = None             # list
+        self.psi = None             # list
+        self.sigma = None           # LinMap
+        self.sigma_prime = None     # LinMap
+        self.delta = None           # list
+        self.kappa = None           # LinMap
+        self.kappa_inv = None       # LinMap
+        self.mu = None              # Scalar
 
 
 MODULAR_STAGES = ("haar-functional", "right-invariance",
