@@ -17,7 +17,7 @@ def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
     star = None
     if d.star is not None:
         star = LinMap(d.star, conjugate_linear=True)
-    alg = build_algebra(d.labels, d.mul, unit=None, star=star, name=d.name)
+    alg = build_algebra(d.labels, d.mul, star=star, name=d.name)
     if d.unit is not None and alg.unit != list(d.unit):
         raise StructureError(
             "declared unit of %r disagrees with the solved one" % d.name)

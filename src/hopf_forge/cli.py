@@ -156,10 +156,12 @@ def _dispatch(args) -> int:
         rep = run_pair(defn, path, sha, degree=args.degree)
 
     text = render(rep, args.format)
-    sys.stdout.write(text)
+    # the copy is written first, so an unwritable path ends the run before
+    # any of the report reaches stdout
     if args.command != "dual" and args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return 0 if rep.ok else 1
 
 

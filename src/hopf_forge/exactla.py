@@ -146,31 +146,33 @@ def rref(rows):
     return order
 
 
-def rank_mod_p(rows) -> int:
-    """Rank over Z/p of rows given as sparse {column: residue} dicts.
-
-    Each row is reduced by the pivot rows found so far, leading column
-    first, and becomes a new pivot row unless it reduces to zero.
-    """
+def insert_mod_p(pivots: dict, row: dict):
+    """Reduce row, a sparse {column: residue} dict, mod p by pivots (leading
+    column -> row scaled to lead with 1), leading column first; unless it
+    reduces to zero, add it to pivots and return it."""
     p = _MOD_P
-    pivots = {}  # leading column -> its row, scaled to lead with 1
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {j: v * inv % p for j, v in row.items()}
-                break
-            f = row[c]
-            for j, v in prow.items():
-                w = (row.get(j, 0) - f * v) % p
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
-    return len(pivots)
+    row = dict(row)
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            inv = pow(row[c], -1, p)
+            pivots[c] = row = {j: v * inv % p for j, v in row.items()}
+            return row
+        f = row[c]
+        for j, v in prow.items():
+            w = (row.get(j, 0) - f * v) % p
+            if w:
+                row[j] = w
+            else:
+                row.pop(j, None)
+    return None
+
+
+def rank_mod_p(rows) -> int:
+    """Rank over Z/p of rows given as sparse {column: residue} dicts."""
+    pivots = {}
+    return sum(insert_mod_p(pivots, row) is not None for row in rows)
 
 
 def terms_mod_p(terms, s0: int):

@@ -2,16 +2,20 @@
 
 A FinAlgebra stores a basis (labels), a sparse multiplication table, the
 unit in coordinates, and optionally a conjugate-linear star map.  Elements
-are coordinate vectors of Scalars.  build_algebra verifies associativity,
-the unit laws (solving for the unit when it is not supplied), and the star
-axioms, raising StructureError with a concrete witness on any violation.
+are coordinate vectors of Scalars.  build_algebra finds a generating set,
+verifies associativity, solves for the unit and verifies the star axioms,
+raising StructureError with a concrete witness on any violation.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import ne
+
 from .errors import StructureError
-from .exactla import gram_certificate, invert, rank, solve_affine
-from .scalars import SC_ONE, SC_ZERO, Scalar
+from .exactla import (gram_certificate, insert_mod_p, invert, rank,
+                      solve_affine, terms_mod_p)
+from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 
 class LinMap:
@@ -141,7 +145,8 @@ class FinAlgebra:
     """Associative unital algebra over the scalar field, by structure constants.
 
     mul maps a basis index pair (i, j) to the sparse expansion of e_i e_j
-    as {k: coefficient}.  Absent pairs multiply to zero.
+    as {k: coefficient}.  Absent pairs multiply to zero.  generators are
+    every index, unless build_algebra has proved that fewer generate.
     """
 
     def __init__(self, labels: list, mul: dict, unit: list,
@@ -151,6 +156,12 @@ class FinAlgebra:
         self.unit = unit
         self.star = star
         self.name = name
+        self.generators = list(range(len(labels)))
+        # left_products[i] maps k to e_i e_k over the nonzero products
+        self.left_products = [{} for _ in labels] if mul is not None else None
+        for (i, k), ent in (mul or {}).items():
+            if ent:
+                self.left_products[i][k] = ent
 
     @property
     def dim(self) -> int:
@@ -206,6 +217,89 @@ class FinAlgebra:
         return " + ".join(terms) if terms else "0"
 
 
+def generating_set(alg: FinAlgebra) -> list:
+    """Basis indices G, in basis order, whose nonempty left-normed words
+    ((g1 g2) g3)... span alg; every index if no point serves.
+
+    A candidate joins G when it lies outside the span W of the words of G,
+    which is then closed under right multiplication by G; candidates whose
+    square stays on their own line (the unit, an idempotent) come last.
+    Words are formed mod p at the first point of RANK_POINTS where every
+    structure constant has an image.  W reaching dimension n there puts n
+    words with independent images in hand, and so independent words, by
+    the argument in exactla.rank's docstring.
+    """
+    n = alg.dim
+    for s0 in RANK_POINTS:
+        table = {key: terms_mod_p(ent.items(), s0)
+                 for key, ent in alg.mul.items()}
+        if None not in table.values():
+            break
+    else:
+        return list(range(n))
+
+    def times(v: dict, g: int) -> dict:
+        out = {}
+        for i, vi in v.items():
+            for k, c in table.get((i, g), {}).items():
+                out[k] = (out.get(k, 0) + vi * c) % _MOD_P
+        return {k: c for k, c in out.items() if c}
+
+    pivots, gens = {}, []
+    for g in sorted(range(n), key=lambda i: set(table.get((i, i), ())) <= {i}):
+        if len(pivots) == n:
+            break
+        new = insert_mod_p(pivots, {g: 1})
+        if new is None:
+            continue
+        # every row of W times g, and the new row times the older generators
+        todo = [(w, g) for w in pivots.values()] + [(new, h) for h in gens]
+        gens.append(g)
+        while todo:
+            new = insert_mod_p(pivots, times(*todo.pop()))
+            if new is not None:
+                todo += [(new, h) for h in gens]
+    return sorted(gens)
+
+
+def proved_on_generators(alg: FinAlgebra, failures) -> list:
+    """failures(range(n)), or failures(alg.generators) when that is empty.
+
+    failures(rows) lists, in full-loop order, where an identity fails with
+    one basis slot over rows.  Each identity holds on a subspace closed
+    under products, given premises checked before it, so holding on the
+    generators it holds on A (generating_set).  For a, a' in it:
+    - associativity, slot b of (ab)c = a(bc) (_check_associativity): on
+      the middle nucleus, (x(aa'))y = ((xa)a')y = (xa)(a'y) = x(a(a'y)) =
+      x((aa')y) (Light's test; Clifford & Preston, The Algebraic Theory of
+      Semigroups I, 1961, 1.2).  No premise.
+    - D(ab) = D(a)D(b) (mhopf.attach_coproduct), eps(ab) = eps(a)eps(b)
+      (mhopf.derive_counit_antipode) and f(ab) = f(a)f(b)
+      (duality.verify_qg_morphism), slot a: D(aa'b) = D(a)D(a'b) =
+      D(a)D(a')D(b) = D(aa')D(b), and likewise for eps and f.  Premise:
+      associative algebras (build_algebra), and so A(x)A.
+    - (ab)* = b*a* (_check_star), slot a: ((aa')b)* = (a'b)*a* = b*a'*a*
+      = b*(aa')*.  Premise: associativity, checked before it.
+    - (D(x)i)D = (i(x)D)D (attach_coproduct) and D(a*) = D(a)*
+      (mhopf.check_star_compat): both sides are multiplicative, or both
+      anti-multiplicative, so they agree on a subalgebra.  Premises: D
+      multiplicative, checked first in attach_coproduct, and the star
+      anti-multiplicative (build_algebra), and so that of A(x)A.
+    """
+    found = failures(alg.generators)
+    if found and len(alg.generators) < alg.dim:
+        found = failures(range(alg.dim))
+    return found
+
+
+def failing_pairs(alg: FinAlgebra, sides, limit: int = 1) -> list:
+    """The first limit pairs (i, j) at which the two values sides(i, j)
+    differ, by proved_on_generators with i the slot."""
+    n = alg.dim
+    return proved_on_generators(alg, lambda rows: list(islice(
+        ((i, j) for i in rows for j in range(n) if ne(*sides(i, j))), limit)))
+
+
 def _sparse_sum(pairs) -> dict:
     """sum c * ent over the (c, ent) pairs, ent a sparse {k: coefficient}."""
     out = {}
@@ -216,30 +310,34 @@ def _sparse_sum(pairs) -> dict:
 
 
 def _check_associativity(alg: FinAlgebra) -> None:
-    """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, compared on the
-    sparse table.  The first failing triple in (i, j, k) order is reported,
-    with both sides rebuilt as dense products for the message."""
+    """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, by Light's test
+    (proved_on_generators), compared on the sparse table.  The first
+    failing triple in (i, j, k) order is reported, with both sides rebuilt
+    as dense products for the message."""
     n = alg.dim
     mul = alg.mul
-    for i in range(n):
-        for j in range(n):
-            left_ij = mul.get((i, j), {})
-            for k in range(n):
-                lhs = _sparse_sum((c, mul.get((p, k), {}))
-                                  for p, c in left_ij.items())
-                rhs = _sparse_sum((c, mul.get((i, r), {}))
-                                  for r, c in mul.get((j, k), {}).items())
-                if lhs != rhs:
-                    ei, ej, ek = alg.basis(i), alg.basis(j), alg.basis(k)
-                    lhs = alg.multiply(alg.multiply(ei, ej), ek)
-                    rhs = alg.multiply(ei, alg.multiply(ej, ek))
-                    raise StructureError(
-                        "associativity fails at (%s, %s, %s): (ab)c = %s but a(bc) = %s"
-                        % (alg.labels[i], alg.labels[j], alg.labels[k],
-                           alg.format_element(lhs), alg.format_element(rhs)))
+    for i, j, k in proved_on_generators(alg, lambda middle: list(islice((
+            (i, j, k) for i in range(n) for j in middle for k in range(n)
+            if _sparse_sum((c, mul.get((p, k), {}))
+                           for p, c in mul.get((i, j), {}).items())
+            != _sparse_sum((c, mul.get((i, r), {}))
+                           for r, c in mul.get((j, k), {}).items())), 1))):
+        ei, ej, ek = alg.basis(i), alg.basis(j), alg.basis(k)
+        lhs = alg.multiply(alg.multiply(ei, ej), ek)
+        rhs = alg.multiply(ei, alg.multiply(ej, ek))
+        raise StructureError(
+            "associativity fails at (%s, %s, %s): (ab)c = %s but a(bc) = %s"
+            % (alg.labels[i], alg.labels[j], alg.labels[k],
+               alg.format_element(lhs), alg.format_element(rhs)))
 
 
 def _solve_unit(alg: FinAlgebra) -> list:
+    """The unique u with u e_i = e_i and e_i u = e_i for every i.
+
+    The rows are exactly those two laws at every basis element, so a unique
+    solution is a two-sided unit by linearity, and no unit law needs a
+    check of its own.
+    """
     n = alg.dim
     # row (i, k, 0) of e_i u = e_i and row (i, k, 1) of u e_i = e_i hold
     # the coefficient of e_k in e_i e_j and in e_j e_i at the unknown u_j
@@ -260,17 +358,6 @@ def _solve_unit(alg: FinAlgebra) -> list:
     return sol.particular
 
 
-def _check_unit(alg: FinAlgebra) -> None:
-    for i in range(alg.dim):
-        ei = alg.basis(i)
-        if alg.multiply(alg.unit, ei) != ei:
-            raise StructureError(
-                "left unit law fails at %s" % alg.labels[i])
-        if alg.multiply(ei, alg.unit) != ei:
-            raise StructureError(
-                "right unit law fails at %s" % alg.labels[i])
-
-
 def _check_star(alg: FinAlgebra) -> None:
     star = alg.star
     n = alg.dim
@@ -282,42 +369,49 @@ def _check_star(alg: FinAlgebra) -> None:
     if twice != LinMap.identity(n):
         raise StructureError("star is not an involution")
     starred = [star.apply(alg.basis(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = star.apply(alg.basis_product(i, j))
-            rhs = alg.multiply(starred[j], starred[i])
-            if lhs != rhs:
-                raise StructureError(
-                    "star is not anti-multiplicative at (%s, %s): "
-                    "star(ab) = %s but star(b) star(a) = %s"
-                    % (alg.labels[i], alg.labels[j],
-                       alg.format_element(lhs), alg.format_element(rhs)))
+
+    def sides(i, j):
+        return (star.apply(alg.basis_product(i, j)),
+                alg.multiply(starred[j], starred[i]))
+    for i, j in failing_pairs(alg, sides):
+        raise StructureError(
+            "star is not anti-multiplicative at (%s, %s): "
+            "star(ab) = %s but star(b) star(a) = %s"
+            % ((alg.labels[i], alg.labels[j])
+               + tuple(map(alg.format_element, sides(i, j)))))
     if star.apply(alg.unit) != alg.unit:
         raise StructureError("star does not fix the unit")
 
 
-def build_algebra(labels, mul, unit=None, star=None, name="") -> FinAlgebra:
+def build_algebra(labels, mul, star=None, name="") -> FinAlgebra:
     """Construct and fully verify a finite-dimensional (*-)algebra.
 
-    When unit is None it is solved for from the unit laws and must be unique.
-    star, when given, is a LinMap.
+    The generating set is found first, the unit is solved for and must be
+    unique, and star, when given, is a LinMap.
     """
-    alg = FinAlgebra(list(labels), dict(mul), unit, star, name=name)
+    alg = FinAlgebra(list(labels), dict(mul), None, star, name=name)
+    alg.generators = generating_set(alg)
     _check_associativity(alg)
-    if alg.unit is None:
-        alg.unit = _solve_unit(alg)
-    _check_unit(alg)
+    alg.unit = _solve_unit(alg)
     if alg.star is not None:
         _check_star(alg)
     return alg
 
 
 def _rows_of(terms: dict) -> dict:
-    """{(i, j): c} regrouped by i as {i: [(j, c), ...]}."""
+    """{(i, j): c} regrouped by i as {i: {j: c}}."""
     rows = {}
     for (i, j), c in terms.items():
-        rows.setdefault(i, []).append((j, c))
+        rows.setdefault(i, {})[j] = c
     return rows
+
+
+def dense_pairs(terms: dict, nb: int, size: int) -> list:
+    """{(i, j): c} in dense coordinates at index i*nb + j, of length size."""
+    out = [SC_ZERO] * size
+    for (i, j), c in terms.items():
+        out[i * nb + j] = c
+    return out
 
 
 class TensorAlgebra(FinAlgebra):
@@ -347,35 +441,35 @@ class TensorAlgebra(FinAlgebra):
                 if not c.is_zero}
 
     def multiply(self, x: list, y: list) -> list:
-        return self.multiply_terms(self.terms(x), self.terms(y))
+        return dense_pairs(self.multiply_terms(self.terms(x), self.terms(y)),
+                           self.factors[1].dim, self.dim)
 
-    def multiply_terms(self, x: dict, y: dict) -> list:
+    def multiply_terms(self, x: dict, y: dict) -> dict:
         """The product of x and y given as {(i, j): c} (the shape of a
-        Coproduct column), in dense coordinates."""
+        Coproduct column), in that shape with no zero entry.  Only the
+        nonzero products of the factors' basis elements are visited
+        (FinAlgebra.left_products)."""
         a, b = self.factors
-        nb = b.dim
-        out = [SC_ZERO] * self.dim
-        xs = _rows_of(x)
+        a_left, b_left = a.left_products, b.left_products
         ys = _rows_of(y)
-        for i, xrow in xs.items():
-            for k, yrow in ys.items():
-                left = a.mul.get((i, k))
-                if not left:
+        out = {}
+        for i, xrow in _rows_of(x).items():
+            for k, left in a_left[i].items():
+                yrow = ys.get(k)
+                if yrow is None:
                     continue
-                for j, xij in xrow:
-                    for m, ykm in yrow:
-                        right = b.mul.get((j, m))
-                        if not right:
+                for j, xij in xrow.items():
+                    for m, right in b_left[j].items():
+                        if m not in yrow:
                             continue
-                        c = xij * ykm
+                        c = xij * yrow[m]
                         for p, cp in left.items():
                             cl = c if cp.is_one else c * cp
-                            base = p * nb
                             for q, cq in right.items():
-                                t = base + q
-                                out[t] = out[t] + (cl if cq.is_one
-                                                   else cl * cq)
-        return out
+                                t = (p, q)
+                                out[t] = out.get(t, SC_ZERO) + (
+                                    cl if cq.is_one else cl * cq)
+        return {t: c for t, c in out.items() if not c.is_zero}
 
     def apply_star(self, x: list) -> list:
         if self._star_columns is None:

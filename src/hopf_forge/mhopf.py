@@ -13,11 +13,14 @@ the maps are built and ranked only when the derivation fails (check_tmaps).
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import CheckFailure, HopfForgeError, StructureError
 from .exactla import (LinearAlgebraError, coordinates, solve_affine,
                       sparse_row)
 from .exactla import rank as _rank
 from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
+                     dense_pairs, failing_pairs, proved_on_generators,
                      tensor_algebra, vec_combination, vec_is_zero)
 from .scalars import SC_ONE, SC_ZERO
 
@@ -85,19 +88,20 @@ class Coproduct:
     def n_out(self) -> int:
         return self.n_in * self.n_in
 
-    def combine(self, terms) -> list:
-        """sum x_k D(e_k) over the (k, x_k) pairs of terms, dense."""
-        n = self.n_in
-        out = [SC_ZERO] * (n * n)
+    def combine(self, terms) -> dict:
+        """sum x_k D(e_k) over the (k, x_k) pairs of terms, as {(i, j): c}
+        with no zero entry."""
+        out = {}
         for k, xk in terms:
-            for (i, j), c in self.columns[k].items():
-                idx = i * n + j
-                out[idx] = out[idx] + (c if xk.is_one else xk * c)
-        return out
+            for key, c in self.columns[k].items():
+                out[key] = out.get(key, SC_ZERO) + (c if xk.is_one else xk * c)
+        return {key: c for key, c in out.items() if not c.is_zero}
 
     def apply(self, x: list) -> list:
-        return self.combine((k, xk) for k, xk in enumerate(x)
-                            if not xk.is_zero)
+        """D(x) in dense coordinates."""
+        return dense_pairs(self.combine((k, xk) for k, xk in enumerate(x)
+                                        if not xk.is_zero),
+                           self.n_in, self.n_out)
 
 
 class QGData:
@@ -140,18 +144,15 @@ def attach_coproduct(alg: FinAlgebra, coproduct) -> QGData:
     tsq = tensor_algebra(alg, alg)
     qg = QGData(alg, coproduct, tsq)
     cols = coproduct.columns
-    for i in range(n):
-        for j in range(n):
-            lhs = coproduct.combine(alg.mul.get((i, j), {}).items())
-            rhs = tsq.multiply_terms(cols[i], cols[j])
-            if lhs != rhs:
-                raise StructureError(
-                    "coproduct is not multiplicative at (%s, %s)"
-                    % (alg.labels[i], alg.labels[j]))
-    for k in range(n):
-        if _coassoc_defect(qg, k):
-            raise StructureError(
-                "coproduct is not coassociative at %s" % alg.labels[k])
+    for i, j in failing_pairs(alg, lambda i, j: (
+            coproduct.combine(alg.mul.get((i, j), {}).items()),
+            tsq.multiply_terms(cols[i], cols[j]))):
+        raise StructureError("coproduct is not multiplicative at (%s, %s)"
+                             % (alg.labels[i], alg.labels[j]))
+    for k in proved_on_generators(alg, lambda rows: list(islice(
+            (k for k in rows if _coassoc_defect(qg, k)), 1))):
+        raise StructureError(
+            "coproduct is not coassociative at %s" % alg.labels[k])
     return qg
 
 
@@ -217,9 +218,10 @@ def unit_leg_product(qg: QGData, x: dict, y: list, shape: int) -> list:
         leg = {(t, k): u * c for t, u in unit for k, c in ys}
     else:
         leg = {(k, t): c * u for t, u in unit for k, c in ys}
-    if shape < 2:
-        return qg.tensor_sq.multiply_terms(x, leg)
-    return qg.tensor_sq.multiply_terms(leg, x)
+    tsq = qg.tensor_sq
+    product = (tsq.multiply_terms(x, leg) if shape < 2
+               else tsq.multiply_terms(leg, x))
+    return dense_pairs(product, qg.dim, tsq.dim)
 
 
 def _pair_products(qg: QGData, deltas: list, elems: list, shape: int) -> list:
@@ -345,13 +347,10 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
             "counit is not unique (solution space dimension %d)" % sol.dimension)
     eps = sol.particular
 
-    for i in range(n):
-        for j in range(n):
-            lhs = apply_functional(eps, alg.basis_product(i, j))
-            if lhs != eps[i] * eps[j]:
-                raise StructureError(
-                    "solved counit is not multiplicative at (%s, %s)"
-                    % (alg.labels[i], alg.labels[j]))
+    for i, j in failing_pairs(alg, lambda i, j: (
+            apply_functional(eps, alg.basis_product(i, j)), eps[i] * eps[j])):
+        raise StructureError("solved counit is not multiplicative at (%s, %s)"
+                             % (alg.labels[i], alg.labels[j]))
 
     # e_r e_j and e_i e_r have coefficient m at e_t:
     # by_right[j][t] and by_left[i][t] list those (r, m)
@@ -436,9 +435,9 @@ def check_star_compat(qg: QGData) -> CheckReport:
         "S(S(a)*)* = a on every basis element" if not bad
         else "fails at " + ", ".join(bad)))
 
-    bad = [alg.labels[i] for i in range(n)
-           if qg.delta(star.apply(alg.basis(i)))
-           != qg.tensor_sq.apply_star(qg.delta(alg.basis(i)))]
+    bad = [alg.labels[i] for i in proved_on_generators(alg, lambda rows: [
+        i for i in rows if qg.delta(star.apply(alg.basis(i)))
+        != qg.tensor_sq.apply_star(qg.delta(alg.basis(i)))])]
     items.append(CheckItem(
         "coproduct-star-compatibility",
         not bad,
@@ -591,7 +590,7 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     result = SubMHAResult(sub_rows, sub_labels, memberships)
 
     try:
-        alg0 = build_algebra(sub_labels, mul0, unit=None, star=star0,
+        alg0 = build_algebra(sub_labels, mul0, star=star0,
                              name=(alg.name or "A") + "_sub")
     except StructureError as exc:
         result.notes.append("span has no unit of its own: %s" % exc)

@@ -5,6 +5,9 @@ literals with a completely separate engine so the two implementations can
 disagree loudly in tests.  dense_rref is the textbook dense Gauss-Jordan
 elimination, the reference for the library's sparse one, and
 coproduct_matrix the dense n^2 x n matrix of a coproduct's sparse columns.
+The structure checks below run every basis pair or triple, the loops that
+the library replaces by proofs from a generating set
+(finalg.proved_on_generators), and raise or return what it does.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import sympy
 from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
 
-from hopf_forge.scalars import SC_ZERO
+from hopf_forge.errors import StructureError
+from hopf_forge.exactla import solve_affine
+from hopf_forge.finalg import FinAlgebra, LinMap, _solve_unit, tensor_algebra
+from hopf_forge.mhopf import QGData
+from hopf_forge.scalars import SC_ONE, SC_ZERO
 
 S = sympy.Symbol("s")
 
@@ -73,3 +80,143 @@ def coproduct_matrix(coproduct):
         for (i, j), c in col.items():
             rows[i * n + j][k] = c
     return rows
+
+
+def build_algebra_full(labels, mul, star=None, name=""):
+    """build_algebra with associativity, both unit laws and the star's
+    anti-multiplicativity checked on every basis triple or pair."""
+    alg = FinAlgebra(list(labels), dict(mul), None, star, name=name)
+    n = alg.dim
+    e = alg.basis
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.multiply(alg.multiply(e(i), e(j)), e(k))
+                rhs = alg.multiply(e(i), alg.multiply(e(j), e(k)))
+                if lhs != rhs:
+                    raise StructureError(
+                        "associativity fails at (%s, %s, %s): (ab)c = %s but "
+                        "a(bc) = %s" % (alg.labels[i], alg.labels[j],
+                                        alg.labels[k], alg.format_element(lhs),
+                                        alg.format_element(rhs)))
+    alg.unit = _solve_unit(alg)
+    for i in range(n):
+        if alg.multiply(alg.unit, e(i)) != e(i):
+            raise StructureError("left unit law fails at %s" % alg.labels[i])
+        if alg.multiply(e(i), alg.unit) != e(i):
+            raise StructureError("right unit law fails at %s" % alg.labels[i])
+    if star is None:
+        return alg
+    if star.n_in != n or star.n_out != n:
+        raise StructureError("star map has wrong shape")
+    if not star.conjugate_linear:
+        raise StructureError("star map must be conjugate-linear")
+    if star.compose(star) != LinMap.identity(n):
+        raise StructureError("star is not an involution")
+    for i in range(n):
+        for j in range(n):
+            lhs = star.apply(alg.multiply(e(i), e(j)))
+            rhs = alg.multiply(star.apply(e(j)), star.apply(e(i)))
+            if lhs != rhs:
+                raise StructureError(
+                    "star is not anti-multiplicative at (%s, %s): "
+                    "star(ab) = %s but star(b) star(a) = %s"
+                    % (alg.labels[i], alg.labels[j], alg.format_element(lhs),
+                       alg.format_element(rhs)))
+    if star.apply(alg.unit) != alg.unit:
+        raise StructureError("star does not fix the unit")
+    return alg
+
+
+def _sparse(out: dict) -> dict:
+    return {key: c for key, c in out.items() if not c.is_zero}
+
+
+def tensor_product(alg, x: dict, y: dict) -> dict:
+    """x y in A(x)A, both given as {(i, j): c}, over every pair of terms:
+    the sum over (i, k) of e_i e_k (x) (sum over (j, m) of x_ij y_km e_j e_m).
+    """
+    out = {}
+    for i, k in {(i, k) for i, _j in x for k, _m in y}:
+        right = {}
+        for (i2, j), c in x.items():
+            for (k2, m), d in y.items():
+                if (i2, k2) == (i, k):
+                    for q, cq in alg.mul.get((j, m), {}).items():
+                        right[q] = right.get(q, SC_ZERO) + c * d * cq
+        for p, cp in alg.mul.get((i, k), {}).items():
+            for q, cq in right.items():
+                out[p, q] = out.get((p, q), SC_ZERO) + cp * cq
+    return _sparse(out)
+
+
+def attach_coproduct_full(alg, coproduct):
+    """attach_coproduct with D(e_i e_j) = D(e_i)D(e_j) on every pair and
+    coassociativity on every basis element."""
+    n = alg.dim
+    cols = coproduct.columns
+    for i in range(n):
+        for j in range(n):
+            lhs = {}
+            for k, x in alg.mul.get((i, j), {}).items():
+                for key, c in cols[k].items():
+                    lhs[key] = lhs.get(key, SC_ZERO) + x * c
+            if _sparse(lhs) != tensor_product(alg, cols[i], cols[j]):
+                raise StructureError(
+                    "coproduct is not multiplicative at (%s, %s)"
+                    % (alg.labels[i], alg.labels[j]))
+    for k in range(n):
+        left, right = {}, {}
+        for (i, j), c in cols[k].items():
+            for (a, b), d in cols[i].items():
+                left[a, b, j] = left.get((a, b, j), SC_ZERO) + c * d
+            for (a, b), d in cols[j].items():
+                right[i, a, b] = right.get((i, a, b), SC_ZERO) + c * d
+        if _sparse(left) != _sparse(right):
+            raise StructureError(
+                "coproduct is not coassociative at %s" % alg.labels[k])
+    return QGData(alg, coproduct, tensor_algebra(alg, alg))
+
+
+def check_counit_full(qg) -> None:
+    """The counit solved from both counit laws, checked multiplicative on
+    every basis pair; nothing is checked when it is not unique."""
+    alg, n = qg.algebra, qg.dim
+    rows, rhs = [], []
+    for k, col in enumerate(qg.coproduct.columns):
+        for t in range(n):
+            rows.append({i: c for (i, j), c in col.items() if j == t})
+            rows.append({j: c for (i, j), c in col.items() if i == t})
+            rhs += [SC_ONE if t == k else SC_ZERO] * 2
+    sol = solve_affine(rows, rhs, n)
+    if sol.is_empty or sol.dimension != 0:
+        return
+    eps = sol.particular
+    for i in range(n):
+        for j in range(n):
+            value = SC_ZERO
+            for k, c in alg.mul.get((i, j), {}).items():
+                value = value + c * eps[k]
+            if value != eps[i] * eps[j]:
+                raise StructureError(
+                    "solved counit is not multiplicative at (%s, %s)"
+                    % (alg.labels[i], alg.labels[j]))
+
+
+def star_compat_failures(qg) -> list:
+    """The labels of the basis elements with D(a*) != D(a)*."""
+    alg = qg.algebra
+    star = alg.star
+    return [alg.labels[i] for i in range(alg.dim)
+            if qg.delta(star.apply(alg.basis(i)))
+            != qg.tensor_sq.apply_star(qg.delta(alg.basis(i)))]
+
+
+def morphism_failures(src, dst, lin) -> list:
+    """The first three basis pairs, as labels, with f(xy) != f(x)f(y)."""
+    a, b = src.algebra, dst.algebra
+    n = a.dim
+    f = [lin.apply(a.basis(k)) for k in range(n)]
+    return [(a.labels[i], a.labels[j]) for i in range(n) for j in range(n)
+            if lin.apply(a.multiply(a.basis(i), a.basis(j)))
+            != b.multiply(f[i], f[j])][:3]

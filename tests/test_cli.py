@@ -255,6 +255,25 @@ class TestFileErrors:
             2, "error: %s: cannot write: No such file or directory\n"
             % target)
 
+    @pytest.mark.parametrize("command", ["validate", "dual"])
+    def test_an_unwritable_output_prints_no_report(self, tmp_path, capsys,
+                                                   command):
+        from hopf_forge import cli
+        target = tmp_path / "missing" / "x"
+        assert cli.main([command, "c_z2", "--output", str(target)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command, fmt", [("validate", "text"),
+                                              ("analyze", "json")])
+    def test_a_written_output_equals_stdout(self, tmp_path, capsys, command,
+                                            fmt):
+        from hopf_forge import cli
+        target = tmp_path / "report"
+        assert cli.main([command, "c_z2", "--format", fmt,
+                         "--output", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert out and target.read_text(encoding="utf-8") == out
+
 
 class TestLineEnds:
     @pytest.mark.parametrize("command, name", [
