@@ -316,12 +316,16 @@ def _check_associativity(alg: FinAlgebra) -> None:
     as dense products for the message."""
     n = alg.dim
     mul = alg.mul
-    for i, j, k in proved_on_generators(alg, lambda middle: list(islice((
-            (i, j, k) for i in range(n) for j in middle for k in range(n)
-            if _sparse_sum((c, mul.get((p, k), {}))
-                           for p, c in mul.get((i, j), {}).items())
-            != _sparse_sum((c, mul.get((i, r), {}))
-                           for r, c in mul.get((j, k), {}).items())), 1))):
+
+    def associates(i, j, k):
+        return (_sparse_sum((c, mul.get((p, k), {}))
+                            for p, c in mul.get((i, j), {}).items())
+                == _sparse_sum((c, mul.get((i, r), {}))
+                               for r, c in mul.get((j, k), {}).items()))
+    bad = proved_on_generators(alg, lambda middle: list(islice(
+        ((i, j, k) for i in range(n) for j in middle for k in range(n)
+         if not associates(i, j, k)), 1)))
+    for i, j, k in bad:
         ei, ej, ek = alg.basis(i), alg.basis(j), alg.basis(k)
         lhs = alg.multiply(alg.multiply(ei, ej), ek)
         rhs = alg.multiply(ei, alg.multiply(ej, ek))
@@ -374,11 +378,12 @@ def _check_star(alg: FinAlgebra) -> None:
         return (star.apply(alg.basis_product(i, j)),
                 alg.multiply(starred[j], starred[i]))
     for i, j in failing_pairs(alg, sides):
+        lhs, rhs = sides(i, j)
         raise StructureError(
             "star is not anti-multiplicative at (%s, %s): "
             "star(ab) = %s but star(b) star(a) = %s"
-            % ((alg.labels[i], alg.labels[j])
-               + tuple(map(alg.format_element, sides(i, j)))))
+            % (alg.labels[i], alg.labels[j],
+               alg.format_element(lhs), alg.format_element(rhs)))
     if star.apply(alg.unit) != alg.unit:
         raise StructureError("star does not fix the unit")
 
