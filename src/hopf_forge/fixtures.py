@@ -1,12 +1,9 @@
-"""Built-in structure-constant fixtures.
+"""The C(G) and C[G] constructors and the packaged-file lookup.
 
-Function algebras C(G) and group algebras C[G] for small groups, the
-four-dimensional non-cosemisimple Hopf algebra with a non-involutive
-antipode square, and a two-point semilattice coalgebra that is a perfectly
-good bialgebra but fails the bijectivity test.
-
-Both S3 fixtures list the group elements in the same order; composition is
-(p q)(t) = p(q(t)) on permutation tuples.
+function_algebra and group_algebra build the function algebra and the group
+algebra of a finite group given by its multiplication and inverse on element
+indices.  The packaged examples themselves ship as .qg files next to this
+module, and those files are their only source.
 """
 
 from __future__ import annotations
@@ -14,47 +11,9 @@ from __future__ import annotations
 import os
 
 from .definition import StructureDefinition
-from .scalars import SC_ONE, SC_ZERO, Scalar
+from .scalars import SC_ONE, SC_ZERO
 
 ONE = SC_ONE
-MINUS_ONE = Scalar.from_int(-1)
-
-
-def _perm_compose(p, q):
-    return tuple(p[q[t]] for t in range(len(q)))
-
-
-def _perm_inverse(p):
-    inv = [0] * len(p)
-    for t, image in enumerate(p):
-        inv[image] = t
-    return tuple(inv)
-
-
-_S3_ELEMENTS = [
-    ("id", (0, 1, 2)),
-    ("r1", (1, 2, 0)),
-    ("r2", (2, 0, 1)),
-    ("t01", (1, 0, 2)),
-    ("t02", (2, 1, 0)),
-    ("t12", (0, 2, 1)),
-]
-
-
-def _cyclic_group(n):
-    return ([("g%d" % k) for k in range(n)],
-            list(range(n)),
-            lambda a, b: (a + b) % n,
-            lambda a: (-a) % n)
-
-
-def _s3_group():
-    labels = [name for name, _p in _S3_ELEMENTS]
-    elems = [p for _name, p in _S3_ELEMENTS]
-    index = {p: t for t, p in enumerate(elems)}
-    return (labels, elems,
-            lambda a, b: index[_perm_compose(elems[a], elems[b])],
-            lambda a: index[_perm_inverse(elems[a])])
 
 
 def _identity_star(dim):
@@ -104,104 +63,6 @@ def group_algebra(name, description, labels, elems, compose, inverse,
         labels=[label_prefix + lab for lab in labels],
         mul=mul, coproduct=coproduct, unit=unit,
         star=star, counit=counit, antipode=antipode)
-
-
-def fixture_c_z2() -> StructureDefinition:
-    labels, elems, compose, inverse = _cyclic_group(2)
-    return function_algebra(
-        "c_z2", "functions on the two-element group", labels, elems,
-        compose, inverse)
-
-
-def fixture_c_z4() -> StructureDefinition:
-    labels, elems, compose, inverse = _cyclic_group(4)
-    d = function_algebra(
-        "c_z4", "functions on the cyclic group of order four", labels, elems,
-        compose, inverse)
-    # the span of the indicators of the index-two subgroup {0, 2}
-    e0 = [ONE, SC_ZERO, SC_ZERO, SC_ZERO]
-    e2 = [SC_ZERO, SC_ZERO, ONE, SC_ZERO]
-    d.sub_bases["c_h"] = [e0, e2]
-    return d
-
-
-def fixture_c_s3() -> StructureDefinition:
-    labels, elems, compose, inverse = _s3_group()
-    return function_algebra(
-        "c_s3", "functions on the symmetric group on three letters",
-        labels, elems, compose, inverse)
-
-
-def fixture_group_s3() -> StructureDefinition:
-    labels, elems, compose, inverse = _s3_group()
-    return group_algebra(
-        "group_s3", "group algebra of the symmetric group on three letters",
-        labels, elems, compose, inverse)
-
-
-def fixture_sweedler_h4() -> StructureDefinition:
-    """Four-dimensional Hopf algebra: grouplike g, skew-primitive x.
-
-    g^2 = 1, x^2 = 0, xg = -gx; the square of the antipode is not the
-    identity and no positive invariant functional exists.  The star makes
-    it a *-algebra whose invariant functional is not positive.
-    """
-    M = MINUS_ONE
-    z = SC_ZERO
-    labels = ["one", "g", "x", "gx"]
-    mul = {
-        (0, 0): {0: ONE}, (0, 1): {1: ONE}, (0, 2): {2: ONE}, (0, 3): {3: ONE},
-        (1, 0): {1: ONE}, (1, 1): {0: ONE}, (1, 2): {3: ONE}, (1, 3): {2: ONE},
-        (2, 0): {2: ONE}, (2, 1): {3: M},
-        (3, 0): {3: ONE}, (3, 1): {2: M},
-    }
-    unit = [ONE, z, z, z]
-    coproduct = [
-        {(0, 0): ONE},
-        {(1, 1): ONE},
-        {(2, 0): ONE, (1, 2): ONE},
-        {(3, 1): ONE, (0, 3): ONE},
-    ]
-    counit = [ONE, ONE, z, z]
-    # star fixes 1, g, x and negates gx (conjugate-linear, anti-multiplicative)
-    star = [[ONE, z, z, z], [z, ONE, z, z], [z, z, ONE, z], [z, z, z, M]]
-    # S(x) = -gx, S(gx) = x
-    antipode = [[ONE, z, z, z], [z, ONE, z, z], [z, z, z, ONE], [z, z, M, z]]
-    return StructureDefinition(
-        name="sweedler_h4",
-        description="four-dimensional Hopf algebra with non-involutive "
-                    "antipode square and indefinite invariant form",
-        labels=labels, mul=mul, coproduct=coproduct, unit=unit,
-        star=star, counit=counit, antipode=antipode)
-
-
-def fixture_semilattice2() -> StructureDefinition:
-    """Two idempotents with diagonal coproduct: a bialgebra-morphism-level
-    coproduct whose canonical tensor maps are not bijective."""
-    mul = {(0, 0): {0: ONE}, (1, 1): {1: ONE}}
-    coproduct = [{(0, 0): ONE}, {(1, 1): ONE}]
-    return StructureDefinition(
-        name="semilattice2",
-        description="two-point semilattice: multiplicative coassociative "
-                    "coproduct that fails the bijectivity test",
-        labels=["p0", "p1"], mul=mul, coproduct=coproduct,
-        unit=[ONE, ONE], star=_identity_star(2))
-
-
-FIXTURE_BUILDERS = {
-    "c_z2": fixture_c_z2,
-    "c_z4": fixture_c_z4,
-    "c_s3": fixture_c_s3,
-    "group_s3": fixture_group_s3,
-    "sweedler_h4": fixture_sweedler_h4,
-    "semilattice2": fixture_semilattice2,
-}
-
-
-def build_fixture(name: str) -> StructureDefinition:
-    if name not in FIXTURE_BUILDERS:
-        raise KeyError("unknown fixture %r" % name)
-    return FIXTURE_BUILDERS[name]()
 
 
 # the packaged .qg files, installed next to this module

@@ -18,7 +18,7 @@ from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 verify_qg_morphism)
 from hopf_forge.exactla import POSITIVE_DEFINITE, INDEFINITE
 from hopf_forge.finalg import apply_functional, gram_psd
-from hopf_forge.fixtures import build_fixture, packaged_fixture_path
+from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.haar_modular import (compute_modular_data, psi_positivity,
                                      scaling_constant,
                                      check_sigma_coproduct_rule,
@@ -26,10 +26,11 @@ from hopf_forge.haar_modular import (compute_modular_data, psi_positivity,
 from hopf_forge.mhopf import check_sub_mha, derive_counit_antipode
 from hopf_forge.presentations import (PairedPresentations, Presentation,
                                       build_presented)
-from hopf_forge.presets import pairing_uqsu2_suq2, suq2, uq_su2
 from hopf_forge.report import run_validate
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
+
+from packaged import packaged
 
 GOOD_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3")
 HOPF_FIXTURES = GOOD_FIXTURES + ("sweedler_h4",)
@@ -40,7 +41,7 @@ def sc(text):
 
 
 def hopf_qg(name):
-    qg = build_qg(build_fixture(name))
+    qg = build_qg(packaged(name))
     return derive_counit_antipode(qg)
 
 
@@ -193,7 +194,7 @@ def test_criterion_07_duality_suite():
 
 
 def test_criterion_08_sub_object_and_its_dual_imbedding():
-    defn = build_fixture("c_z4")
+    defn = packaged("c_z4")
     qg = hopf_qg("c_z4")
     sub = check_sub_mha(qg, defn.sub_bases["c_h"])
     assert len(sub.memberships) == 4 and all(it.ok for it in sub.memberships)
@@ -244,14 +245,14 @@ def test_criterion_09_pairing_table_axioms_and_functional():
 
 def test_criterion_10_double_antipode_and_confluence():
     t0 = time.monotonic()
-    col = build_presented(suq2())
+    col = build_presented(packaged("suq2"))
     fixed = col.antipode.apply_terms(
         col.antipode.apply_terms(((("a",), SC_ONE),)))
     assert col.pres.normal_form(fixed) == ((("a",), SC_ONE),)
     scaled = col.antipode.apply_terms(
         col.antipode.apply_terms(((("b",), SC_ONE),)))
     assert col.pres.normal_form(scaled) == ((("b",), sc("1/s^4")),)
-    for defn in (uq_su2(), suq2()):
+    for defn in (packaged("uq-su2"), packaged("suq2")):
         pres = Presentation(defn)
         items = pres.check_confluence(6)
         assert all(it.ok for it in items), \

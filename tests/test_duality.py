@@ -17,11 +17,12 @@ from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
 from hopf_forge.errors import CheckFailure
 from hopf_forge.exactla import invert, matvec
 from hopf_forge.finalg import LinMap, apply_functional
-from hopf_forge.fixtures import build_fixture
 from hopf_forge.haar_modular import compute_modular_data, solve_left_haar
 from hopf_forge.mhopf import Coproduct, check_sub_mha, derive_counit_antipode
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
+
+from packaged import packaged
 
 HOPF_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")
 
@@ -31,7 +32,7 @@ def sc(text):
 
 
 def hopf_qg(name):
-    qg = build_qg(build_fixture(name))
+    qg = build_qg(packaged(name))
     return derive_counit_antipode(qg)
 
 
@@ -151,7 +152,7 @@ def _power(table, identity, g, k):
 
 class TestDualImbedding:
     def test_even_sub_imbeds_into_the_dual(self):
-        defn = build_fixture("c_z4")
+        defn = packaged("c_z4")
         qg = hopf_qg("c_z4")
         phi = solve_left_haar(qg).phi
         build = build_dual(qg, phi)
@@ -167,7 +168,7 @@ class TestDualImbedding:
 
     def test_imbedding_image_values(self):
         # the imbedded functionals separate the even group characters
-        defn = build_fixture("c_z4")
+        defn = packaged("c_z4")
         qg = hopf_qg("c_z4")
         phi = solve_left_haar(qg).phi
         build = build_dual(qg, phi)
@@ -215,7 +216,7 @@ class TestDualImbedding:
         # w_i = phi(. e_i) are B^-1 (phi(e_t v_a))_t
         qg, phi, build = dual_of(name)
         alg = qg.algebra
-        rows = (build_fixture(name).sub_bases[sub_name] if sub_name
+        rows = (packaged(name).sub_bases[sub_name] if sub_name
                 else [alg.basis(i) for i in range(qg.dim)])
         report = dual_imbedding(check_sub_mha(qg, rows), build)
         assert report.all_ok

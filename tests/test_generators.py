@@ -24,11 +24,12 @@ from hopf_forge.errors import StructureError
 from hopf_forge.exactla import invert
 from hopf_forge.finalg import (FinAlgebra, LinMap, build_algebra,
                                generating_set, transform_basis)
-from hopf_forge.fixtures import build_fixture, function_algebra, group_algebra
+from hopf_forge.fixtures import function_algebra, group_algebra
 from hopf_forge.mhopf import (Coproduct, attach_coproduct, check_star_compat,
                               derive_counit_antipode)
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
+from packaged import packaged
 from test_bench_workloads import WORKLOADS
 
 
@@ -38,13 +39,13 @@ def group_d16():
 
 class TestGeneratingSet:
     def test_group_s3(self):
-        assert build_qg(build_fixture("group_s3")).algebra.generators == [1, 3]
+        assert build_qg(packaged("group_s3")).algebra.generators == [1, 3]
 
     def test_group_d16_has_two(self):
         assert len(build_qg(group_d16()).algebra.generators) == 2
 
     def test_function_algebra_needs_every_idempotent(self):
-        assert build_qg(build_fixture("c_s3")).algebra.generators == list(
+        assert build_qg(packaged("c_s3")).algebra.generators == list(
             range(6))
 
     def test_a_point_without_every_image_is_passed_over(self):
@@ -140,7 +141,7 @@ ENTRIES = [Scalar.from_int(k) for k in (-1, 1, 2)] + [
 def source_definition(source):
     group, kind = source
     if kind == "fixture":
-        return build_fixture(group)
+        return packaged(group)
     n, compose, inverse = GROUPS[group]
     build = group_algebra if kind == "group" else function_algebra
     return build(group, "", ["g%d" % k for k in range(n)], list(range(n)),

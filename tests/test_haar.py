@@ -13,7 +13,6 @@ from hopf_forge.errors import CheckFailure, StructureError
 from hopf_forge.exactla import mat_copy, rref
 from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
                                build_algebra)
-from hopf_forge.fixtures import build_fixture
 from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
                                      compute_modular_data,
                                      delta_square_root, modular_automorphism,
@@ -28,6 +27,7 @@ from hopf_forge.mhopf import (Coproduct, attach_coproduct,
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
 
+from packaged import packaged
 from test_mhopf import DERIVED_CASES, derived_structures
 
 HOPF_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")
@@ -38,7 +38,7 @@ def sc(text):
 
 
 def hopf_qg(name):
-    qg = build_qg(build_fixture(name))
+    qg = build_qg(packaged(name))
     return derive_counit_antipode(qg)
 
 

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, no function
-takes a parameter it never reads, and no function is defined only for the
-tests.  Importing the command line pulls in no module that only serves
-start-up cost.
+takes a parameter it never reads, no function is defined only for the
+tests, and no module is imported only by them.  Importing the command line
+pulls in no module that only serves start-up cost.
 
 A name counts as used when it is read anywhere in the module: as an
 ast.Name (which covers the root of an attribute chain) or inside a quoted
@@ -11,7 +11,9 @@ functions included; self and cls are exempt.  A function or method of the
 package counts as referenced when its name appears in the package or in
 perfbench/ outside its own def: as an ast.Name, an attribute, a name
 imported from a module, or a name in the benchmark tracer's SPANS.  Dunder
-methods are exempt.
+methods are exempt.  A module counts as imported when hopf_forge.cli or a
+perfbench/ script reaches it by `from .x import` or `from hopf_forge.x
+import`, directly or through other modules of the package.
 """
 
 import ast
@@ -115,9 +117,6 @@ def test_the_scan_sees_an_unread_parameter():
 
 # Names defined in the package with no reference in it or in perfbench/.
 TEST_ONLY_ALLOWED = {
-    # the tests' fixture library: every test module builds its packaged
-    # definitions through it
-    "build_fixture",
     # EigentableReport's verdict, named for what it checks; the twin of
     # the other reports' all_ok, read by the tests of the eigentable
     "all_positive",
@@ -199,6 +198,48 @@ def test_the_scan_sees_a_test_only_name():
     others = {"bench.py": "SPANS = {'a': ['traced']}\n"}
     assert unreferenced_definitions(package, others) == [
         ("a.py", "helper"), ("a.py", "method")]
+
+
+def _package_imports(tree):
+    """Package modules named by `from .x import` or `from hopf_forge.x
+    import`, as file names."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            yield node.module.split(".")[0] + ".py"
+        elif node.level == 0 and node.module.startswith("hopf_forge."):
+            yield node.module.split(".")[1] + ".py"
+
+
+def unreached_modules(package: dict, roots: list, others: dict):
+    """Package modules, other than __init__.py and __main__.py, that neither
+    the root modules nor the other modules import, directly or through
+    package modules.  package and others map a file name to its source."""
+    imports = {name: set(_package_imports(ast.parse(src)))
+               for name, src in package.items()}
+    todo = list(roots) + [name for src in others.values()
+                          for name in _package_imports(ast.parse(src))]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in imports and name not in reached:
+            reached.add(name)
+            todo.extend(imports[name])
+    return sorted(set(package) - reached - {"__init__.py", "__main__.py"})
+
+
+def test_every_module_is_reached_from_the_cli_or_the_benchmark():
+    assert unreached_modules(_sources(PACKAGE_DIR, ""), ["cli.py"],
+                             _sources(BENCH_DIR, "")) == []
+
+
+def test_the_scan_sees_an_unreached_module():
+    package = {"__init__.py": "", "cli.py": "from .a import f\n",
+               "a.py": "from .b.c import g\n", "b.py": "", "d.py": "",
+               "e.py": "from .d import h\n", "f.py": ""}
+    others = {"bench.py": "from hopf_forge.f import k\n"}
+    assert unreached_modules(package, ["cli.py"], others) == ["d.py", "e.py"]
 
 
 # Stdlib modules that cost start-up time and that the program never needs:

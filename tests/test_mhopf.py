@@ -11,7 +11,6 @@ from hopf_forge import exactla, mhopf
 from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.errors import CheckFailure, StructureError
 from hopf_forge.exactla import invert, mat_copy, rref
-from hopf_forge.fixtures import build_fixture
 from hopf_forge.duality import build_dual
 from hopf_forge.haar_modular import solve_left_haar
 from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
@@ -24,6 +23,7 @@ from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 from oracles import coproduct_matrix
+from packaged import packaged
 from test_bench_workloads import WORKLOADS
 
 # the packaged structure examples whose counit and antipode verify
@@ -31,13 +31,13 @@ HOPF_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "sweedler_h4")
 
 
 def hopf_qg(name):
-    qg = build_qg(build_fixture(name))
+    qg = build_qg(packaged(name))
     return derive_counit_antipode(qg)
 
 
 class TestAttachCoproduct:
     def test_rejects_non_multiplicative(self):
-        defn = build_fixture("c_z2")
+        defn = packaged("c_z2")
         qg = build_qg(defn)
         n = qg.dim
         broken = coproduct_matrix(qg.coproduct)
@@ -60,7 +60,7 @@ class TestAttachCoproduct:
 
 class TestCanonicalMaps:
     def test_full_rank_on_group_fixture(self):
-        qg = build_qg(build_fixture("c_z2"))
+        qg = build_qg(packaged("c_z2"))
         report = check_tmaps(qg)
         assert [v.formula for v in report.maps] == list(TMAP_FORMULAS)
         assert all(v.rank == 4 and v.size == 4 for v in report.maps)
@@ -68,7 +68,7 @@ class TestCanonicalMaps:
         assert report.coproduct_unital
 
     def test_semilattice_fails_at_rank_2_of_4(self):
-        qg = build_qg(build_fixture("semilattice2"))
+        qg = build_qg(packaged("semilattice2"))
         report = check_tmaps(qg)
         assert not report.all_bijective
         first = report.maps[0]
@@ -84,7 +84,7 @@ class TestCanonicalMaps:
         def tensor_vec(x, y):
             raise AssertionError("1(x)1 formed after a verified derivation")
         monkeypatch.setattr(mhopf, "tensor_vec", tensor_vec)
-        report = check_tmaps(build_qg(build_fixture("c_z2")))
+        report = check_tmaps(build_qg(packaged("c_z2")))
         assert report.error is None
         assert report.coproduct_unital
 
@@ -98,7 +98,7 @@ def pole_deformed(name):
     with P = 1 + s E_01 + (s - s0 - 1) E_11 for the first rank point s0, so
     that P^-1 has a pole at s0.  The coproduct (P^-1 (x) P^-1) D P has it
     too."""
-    defn = build_fixture(name)
+    defn = packaged(name)
     n = defn.dim
     p = [[SC_ONE if r == c else SC_ZERO for c in range(n)] for r in range(n)]
     p[0][1] = S
@@ -151,7 +151,7 @@ class TestModularTMaps:
     @pytest.mark.parametrize("name", HOPF_EXAMPLES + ("pole-deformed",))
     def test_a_verified_antipode_builds_no_tmap(self, name, spied):
         qg = (pole_deformed("sweedler_h4") if name == "pole-deformed"
-              else build_qg(build_fixture(name)))
+              else build_qg(packaged(name)))
         n = qg.dim
         report = check_tmaps(qg)
         assert report.error is None
@@ -162,12 +162,12 @@ class TestModularTMaps:
         assert spied["rows"] == []
 
     def test_theorem_ranks_are_the_exact_ranks(self):
-        for qg in (pole_deformed("sweedler_h4"), build_qg(build_fixture("c_z4"))):
+        for qg in (pole_deformed("sweedler_h4"), build_qg(packaged("c_z4"))):
             assert [v.rank for v in check_tmaps(qg).maps] \
                 == exact_ranks(qg) == [qg.dim ** 2] * 4
 
     def test_semilattice_is_ranked_exactly(self, spied):
-        report = check_tmaps(build_qg(build_fixture("semilattice2")))
+        report = check_tmaps(build_qg(packaged("semilattice2")))
         assert spied["exact"] == [0, 1, 2, 3]
         assert isinstance(report.error, StructureError)
 
@@ -219,9 +219,9 @@ def derived_structures(case):
         name = case[len("sub:"):]
         reached = []
         for star in (True, False):
-            qg = fixture_qg(name, star)
+            qg = packaged_qg(name, star)
             spans = (small_spans(qg.dim)
-                     + list(build_fixture(name).sub_bases.values()))
+                     + list(packaged(name).sub_bases.values()))
             for rows in spans:
                 try:
                     result = check_sub_mha(qg, rows)
@@ -236,7 +236,7 @@ def derived_structures(case):
     elif case in ("c_d6", "group_d6"):
         defn = {d.name: d for d in WORKLOADS.dihedral_definitions(6)}[case]
     else:
-        defn = build_fixture(case)
+        defn = packaged(case)
     qg = derive_counit_antipode(build_qg(defn))
     return [qg, build_dual(qg, solve_left_haar(qg).phi).qg]
 
@@ -252,7 +252,7 @@ class TestCounitAntipode:
             qg.algebra.basis(3)
 
     def test_declared_mismatch_raises(self):
-        defn = build_fixture("c_z2")
+        defn = packaged("c_z2")
         qg = build_qg(defn)
         wrong = [SC_ONE, SC_ONE]
         with pytest.raises(CheckFailure, match="declared-counit"):
@@ -312,7 +312,7 @@ class TestStarCompat:
             assert report.all_ok, name
 
     def test_requires_star(self):
-        defn = build_fixture("c_z2")
+        defn = packaged("c_z2")
         defn.star = None
         qg = derive_counit_antipode(build_qg(defn))
         with pytest.raises(StructureError):
@@ -348,7 +348,7 @@ class TestGrouplikeProjection:
 
 class TestSubMHA:
     def test_even_subgroup_functions_pass(self):
-        defn = build_fixture("c_z4")
+        defn = packaged("c_z4")
         qg = hopf_qg("c_z4")
         rows = defn.sub_bases["c_h"]
         result = check_sub_mha(qg, rows)
@@ -379,7 +379,7 @@ class TestSubMHA:
             check_sub_mha(qg, rows)
 
     def test_induced_structure_is_the_small_group(self):
-        defn = build_fixture("c_z4")
+        defn = packaged("c_z4")
         qg = hopf_qg("c_z4")
         result = check_sub_mha(qg, defn.sub_bases["c_h"])
         sub = result.induced
@@ -407,8 +407,8 @@ def named_products(qg, elems):
             for text, pair in legs.items()}
 
 
-def fixture_qg(name, star=True):
-    defn = build_fixture(name)
+def packaged_qg(name, star=True):
+    defn = packaged(name)
     if not star:
         defn.star = None
     return derive_counit_antipode(build_qg(defn))
@@ -422,7 +422,7 @@ def sub_outcome(name, star, rows):
     """What check_sub_mha raises on the span, as "Type: text", or None when
     it returns; a mutant of it may fail in any way."""
     try:
-        mhopf.check_sub_mha(fixture_qg(name, star), ints(rows))
+        mhopf.check_sub_mha(packaged_qg(name, star), ints(rows))
     except Exception as exc:
         return "%s: %s" % (type(exc).__name__, exc)
     return None
@@ -529,7 +529,7 @@ class TestSubObjectFormulas:
         reached = 0
         for name in ("c_s3", "group_s3", "sweedler_h4"):
             for star in (True, False):
-                qg = fixture_qg(name, star)
+                qg = packaged_qg(name, star)
                 tsq = qg.tensor_sq
                 for rows in small_spans(qg.dim):
                     try:

@@ -12,8 +12,9 @@ from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.presentations import (PairedPresentations, Presentation,
                                       build_presented)
 from hopf_forge.report import run_pair
-from hopf_forge.presets import pairing_uqsu2_suq2
 from hopf_forge.scalars import SC_ONE, SC_ZERO, parse_scalar
+
+from packaged import packaged
 
 
 def sc(text):
@@ -21,7 +22,7 @@ def sc(text):
 
 
 def make_pairing():
-    defn = pairing_uqsu2_suq2()
+    defn = packaged("pairing-uqsu2-suq2")
     return PairedPresentations(defn, build_presented(defn.rows),
                                build_presented(defn.cols))
 
@@ -45,7 +46,7 @@ class TestGeneratorTable:
         assert PAIRING.pair_words(("Kinv",), ("as",)) == sc("1/s")
 
     def test_incomplete_table_is_rejected(self):
-        defn = pairing_uqsu2_suq2()
+        defn = packaged("pairing-uqsu2-suq2")
         del defn.table[("K", "a")]
         with pytest.raises(StructureError, match="misses"):
             PairedPresentations(defn, build_presented(defn.rows),
@@ -75,7 +76,7 @@ class TestAxioms:
             assert it.ok, it.name
 
     def test_failure_text_lists_the_first_bad_entries_in_order(self):
-        defn = pairing_uqsu2_suq2()
+        defn = packaged("pairing-uqsu2-suq2")
         defn.table[("K", "b")] = SC_ONE
         paired = PairedPresentations(defn, build_presented(defn.rows),
                                      build_presented(defn.cols))
@@ -135,12 +136,12 @@ class TestProducts:
 
         monkeypatch.setattr(Presentation, "word_products", products_spy)
         monkeypatch.setattr(Presentation, "normal_form_word", normal_form_spy)
-        rep = run_pair(pairing_uqsu2_suq2(), "pairing", "0", degree=4)
+        rep = run_pair(packaged("pairing-uqsu2-suq2"), "pairing", "0", degree=4)
         assert rep.ok
         assert ("columns: critical-pairs", True) in [
             (item.name, item.ok) for item in rep.checks]
         monkeypatch.undo()
-        col = Presentation(pairing_uqsu2_suq2().cols)
+        col = Presentation(packaged("pairing-uqsu2-suq2").cols)
         assert seen
         for w in seen:
             assert len(w) >= 1

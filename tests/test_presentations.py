@@ -17,8 +17,9 @@ from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.presentations import (WORD_BUDGET, DiagonalAction, GenMap,
                                       Presentation, ScalarTarget,
                                       build_presented, check_word_budget)
-from hopf_forge.presets import pairing_uqsu2_suq2, suq2, uq_su2
 from hopf_forge.scalars import SC_ONE, SC_ZERO, Scalar, parse_scalar
+
+from packaged import packaged
 
 
 def sc(text):
@@ -66,14 +67,14 @@ class TestNormalForm:
             ((("x", "y", "y"), sc("s^4")),)
 
     def test_inverse_pair_cancels(self):
-        pres = Presentation(uq_su2())
+        pres = Presentation(packaged("uq-su2"))
         assert pres.normal_form_word(("K", "Kinv")) == (((), SC_ONE),)
         assert pres.normal_form_word(("Kinv", "K")) == (((), SC_ONE),)
 
     @given(st.lists(st.sampled_from(["K", "Kinv", "E", "F"]),
                     max_size=6).map(tuple))
     def test_normal_form_is_idempotent(self, word):
-        pres = Presentation(uq_su2())
+        pres = Presentation(packaged("uq-su2"))
         nf = pres.normal_form_word(word)
         assert pres.normal_form(nf) == nf
 
@@ -83,7 +84,7 @@ class TestNormalForm:
                     max_size=5).map(tuple))
     def test_normal_form_is_multiplicative_up_to_rewriting(self, u, v):
         # nf(uv) equals nf applied to the product of the normal forms
-        pres = Presentation(suq2())
+        pres = Presentation(packaged("suq2"))
         direct = pres.normal_form_word(u + v)
         nu = pres.normal_form_word(u)
         nv = pres.normal_form_word(v)
@@ -92,13 +93,13 @@ class TestNormalForm:
         assert direct == recombined
 
     def test_irreducible_word_counts(self):
-        for defn in (uq_su2(), suq2()):
+        for defn in (packaged("uq-su2"), packaged("suq2")):
             pres = Presentation(defn)
             counts = [len(pres.normal_words(d)) for d in range(5)]
             assert counts == [1, 5, 14, 30, 55], defn.name
 
     def test_normal_words_are_irreducible_and_sorted(self):
-        pres = Presentation(suq2())
+        pres = Presentation(packaged("suq2"))
         words = pres.normal_words(3)
         keys = [pres.word_key(w) for w in words]
         assert keys == sorted(keys)
@@ -155,7 +156,7 @@ TWO_RULES_ON_X = [(("x",), [(SC_ONE, ())]), (("x",), [])]
 
 class TestConfluence:
     def test_both_presentations_confluent_to_degree_four(self):
-        for defn in (uq_su2(), suq2()):
+        for defn in (packaged("uq-su2"), packaged("suq2")):
             pres = Presentation(defn)
             items = pres.check_confluence(4)
             assert [it.name for it in items] == \
@@ -192,7 +193,7 @@ class TestConfluence:
             self, monkeypatch):
         # K.Kinv -> 2 beside K.Kinv -> 1: every word with a K.Kinv redex
         # fails, and the fifth of them has degree 3
-        defn = uq_su2()
+        defn = packaged("uq-su2")
         defn.rules.append((("K", "Kinv"), [(sc("2"), ())]))
         product = itertools.product
         lengths = set()
@@ -331,7 +332,7 @@ class TestGenMaps:
             "suq2": {"b": "(1/s^4) b", "bs": "(s^4) bs",
                      "a": "a", "as": "as"},
         }
-        for defn in (uq_su2(), suq2()):
+        for defn in (packaged("uq-su2"), packaged("suq2")):
             pq = build_presented(defn)
             for g, text in expect[defn.name].items():
                 out = pq.antipode_squared((((g,), SC_ONE),))
@@ -349,7 +350,7 @@ def fold_word(m, w):
 
 class TestApplyWordMemo:
     def test_memo_matches_the_fold_on_every_map(self):
-        for defn in (suq2(), uq_su2()):
+        for defn in (packaged("suq2"), packaged("uq-su2")):
             pq = build_presented(defn)
             words = pq.pres.normal_words(4)
             for m in (pq.coproduct, pq.counit, pq.antipode, pq.star):
@@ -387,7 +388,7 @@ class TestDiagonalActions:
     @given(st.lists(st.sampled_from(["K", "Kinv", "E", "F"]),
                     max_size=6).map(tuple))
     def test_action_commutes_with_rewriting(self, word):
-        pq = build_presented(uq_su2())
+        pq = build_presented(packaged("uq-su2"))
         act = pq.actions["modular"]
         via_word = pq.pres.normal_form(act.apply_terms(((word, SC_ONE),)))
         via_nf = act.apply_terms(pq.pres.normal_form_word(word))
@@ -397,7 +398,7 @@ class TestDiagonalActions:
 
 class TestPresetShapes:
     def test_pairing_definition_is_consistent(self):
-        p = pairing_uqsu2_suq2()
+        p = packaged("pairing-uqsu2-suq2")
         assert p.rows.name == "uq-su2"
         assert p.cols.name == "suq2"
         for (rg, cg) in p.table:
@@ -409,7 +410,7 @@ class TestPresetShapes:
                 assert g in p.rows.generators
 
     def test_letter_order_of_the_matrix_presentation(self):
-        assert suq2().generators == ["b", "bs", "a", "as"]
+        assert packaged("suq2").generators == ["b", "bs", "a", "as"]
 
 
 class TestReportBytes:

@@ -13,10 +13,12 @@ import pytest
 
 from hopf_forge.cli import main
 from hopf_forge.definition import save_definition
-from hopf_forge.fixtures import (build_fixture, function_algebra,
-                                 group_algebra, packaged_fixture_path)
+from hopf_forge.fixtures import (function_algebra, group_algebra,
+                                 packaged_fixture_path)
 from hopf_forge.mhopf import TMAP_FORMULAS
 from hopf_forge.scalars import SC_ONE, SC_ZERO
+
+from packaged import packaged
 
 STRUCTURE_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "semilattice2",
                       "sweedler_h4")
@@ -217,7 +219,7 @@ def test_declared_antipode_failure_follows_bijective_tmaps(tmp_path,
     # are bijective, and only the declared table disagrees.  The digests
     # were taken on the program that built and ranked the T-maps before it
     # derived the counit and antipode.
-    defn = build_fixture("c_z4")
+    defn = packaged("c_z4")
     defn.name = "c_z4_wrong_antipode"
     defn.antipode = [[SC_ONE if r == c else SC_ZERO for c in range(defn.dim)]
                      for r in range(defn.dim)]

@@ -20,15 +20,16 @@ from hopf_forge.exactla import (LinearAlgebraError, coordinates, invert,
                                 solve_affine)
 from hopf_forge.finalg import (FinAlgebra, LinMap, tensor_algebra,
                                transform_basis)
-from hopf_forge.fixtures import FIXTURE_BUILDERS, build_fixture
 from hopf_forge.haar_modular import solve_left_haar
 from hopf_forge.mhopf import attach_coproduct, derive_counit_antipode
 from hopf_forge.scalars import (GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
                                 parse_scalar)
 
 from oracles import coproduct_matrix, dense_rref, gauss_to_sympy
+from packaged import packaged
 
-NAMES = sorted(FIXTURE_BUILDERS)
+NAMES = ["c_s3", "c_z2", "c_z4", "group_s3", "semilattice2",
+         "sweedler_h4"]
 S = Scalar.s_power(1)
 NONZERO = [SC_ONE, Scalar.from_int(-3), Scalar.from_fraction(Fraction(2, 7)),
            Scalar.const(GaussRat(1, 2)), S, parse_scalar("1/(1+s)"),
@@ -70,7 +71,7 @@ def deformation(n):
 def deformed(name):
     """The fixture in the s-dependent basis of deformation(): the algebra by
     transform_basis and the coproduct as (P^-1 (x) P^-1) D P."""
-    defn = build_fixture(name)
+    defn = packaged(name)
     p = deformation(defn.dim)
     pinv = invert(p)
     alg = transform_basis(algebra_from_definition(defn), p)
@@ -95,7 +96,7 @@ def reference_tensor(a, b):
                       [x * y for x in a.unit for y in b.unit], star)
 
 
-PACKAGED_QG = {name: build_qg(build_fixture(name)) for name in NAMES}
+PACKAGED_QG = {name: build_qg(packaged(name)) for name in NAMES}
 DEFORMED = {name: deformed(name) for name in ("group_s3", "sweedler_h4")}
 DEFORMED_QG = {name: attach_coproduct(alg, LinMap(cop))
                for name, (alg, cop) in DEFORMED.items()}
@@ -113,7 +114,7 @@ def qg_and_vector(draw):
     else:
         name = draw(st.sampled_from(NAMES))
         qg = PACKAGED_QG[name]
-        dense = dense_coproduct(build_fixture(name))
+        dense = dense_coproduct(packaged(name))
     return qg, dense, draw(vectors(qg.dim))
 
 
@@ -140,7 +141,7 @@ class TestDeltaColumns:
     def test_matrix_reads_back_the_declared_coproduct(self):
         for name, qg in PACKAGED_QG.items():
             assert coproduct_matrix(qg.coproduct) == \
-                dense_coproduct(build_fixture(name)), name
+                dense_coproduct(packaged(name)), name
         for name, qg in DEFORMED_QG.items():
             assert coproduct_matrix(qg.coproduct) == DEFORMED[name][1], name
 
