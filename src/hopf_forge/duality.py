@@ -15,10 +15,10 @@ import itertools
 
 from .errors import CheckFailure, NotFaithful
 from .exactla import dense_row, invert, matvec, sparse_row
-from .finalg import (LinMap, apply_functional, basis_vector, build_algebra,
-                     failing_pairs, zero_vector)
+from .finalg import (LinMap, TensorMap, apply_functional, basis_vector,
+                     build_algebra, failing_pairs, zero_vector)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
-from .mhopf import (CheckItem, CheckReport, Coproduct, QGData, TensorMap,
+from .mhopf import (CheckItem, CheckReport, Coproduct, QGData,
                     attach_coproduct, check_star_compat, check_tmaps,
                     unit_leg_product)
 from .scalars import SC_ONE, SC_ZERO
@@ -153,8 +153,7 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
                            "f(1) = 1"))
     lin2 = TensorMap(lin, lin)
     bad = [a.labels[k] for k in range(n)
-           if lin2.apply_terms(src.coproduct.columns[k].items())
-           != dst.delta(images[k])]
+           if lin2.apply(src.coproduct.columns[k]) != dst.delta(images[k])]
     items.append(CheckItem("morphism-coproduct", not bad,
                            "(f (x) f) D = D f" if not bad
                            else "fails at " + ", ".join(bad)))
@@ -324,15 +323,13 @@ def group_table_from_coproduct(qg: QGData, idems: list):
     to_idem = TensorMap(LinMap(p_inv), LinMap(p_inv))
     table = {}
     for g in range(n):
-        coords = to_idem.apply(qg.delta(idems[g]))
-        for idx, c in enumerate(coords):
-            if c.is_zero:
-                continue
+        # in (h, k) order, so the failure reported does not depend on the
+        # order of the terms
+        for (h, k), c in sorted(to_idem.apply(qg.delta(idems[g])).items()):
             if c != SC_ONE:
                 raise CheckFailure(
                     "group-recovery",
                     "coproduct is not group-like on the idempotent basis")
-            h, k = divmod(idx, n)
             if (h, k) in table:
                 raise CheckFailure("group-recovery",
                                    "coproduct support is not a graph")
@@ -485,7 +482,7 @@ def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:
     bad1, bad2 = [], []
     for a in range(d):
         cop0 = dual0.qg.coproduct.columns[a]
-        cop1 = dual_build.qg.tensor_sq.terms(dual_build.qg.delta(j_cols[a]))
+        cop1 = dual_build.qg.delta(j_cols[a])
         for b in range(d):
             # D(w)(1 (x) w') and (w' (x) 1)D(w)
             for shape, bad in zip((0, 3), (bad1, bad2)):

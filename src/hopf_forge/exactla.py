@@ -4,9 +4,9 @@ Row reduction, affine solving, characteristic polynomials, roots in Q(i)
 by Hensel lifting (no integer is factored), eigenvalue splitting with the
 r*s^k ansatz, and Hermitian positivity certificates.  All routines are
 exact, on GaussRat (constant work) or Scalar (s-dependent work) entries.
-Elimination runs on sparse rows, {column: value} dicts that store no
-zeros, and takes a dense list row as well (sparse_row); the other routines
-take dense lists of lists.  The generic routines only use +, -, *,
+Elimination and rank run on sparse rows, {column: value} dicts that store
+no zeros, and take a dense list row as well (sparse_row); the other
+routines take dense lists of lists.  The generic routines only use +, -, *,
 inverse(), is_zero and conjugate(), which both element types provide.
 """
 
@@ -89,11 +89,24 @@ def matvec(a, v):
     return out
 
 
+def _entries(row):
+    """The (column, value) pairs of a dense list or sparse dict row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
 def sparse_row(row) -> dict:
     """row as a new {column: value} dict that stores no zero; row is a dense
     list or such a dict."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: x for j, x in items if not x.is_zero}
+    return {j: x for j, x in _entries(row) if not x.is_zero}
+
+
+def _width(rows, ncols) -> int:
+    """ncols, or the length of dense rows when it is None."""
+    if ncols is None:
+        if rows and isinstance(rows[0], dict):
+            raise LinearAlgebraError("sparse rows need the number of unknowns")
+        ncols = len(rows[0]) if rows else 0
+    return ncols
 
 
 def dense_row(row: dict, ncols: int, zero) -> list:
@@ -190,8 +203,10 @@ def terms_mod_p(terms, s0: int):
     return out
 
 
-def rank(rows) -> int:
-    """Rank over Q(i)(s), certified mod p where the rank is full.
+def rank(rows, ncols=None) -> int:
+    """Rank over Q(i)(s), certified mod p where the rank is full.  rows are
+    dense lists, or sparse dicts given with ncols, the number of columns,
+    as for solve_affine.
 
     At the first point s0 of RANK_POINTS where every entry has an image
     under phi (scalars.image_mod_p), a rank of min(m, n) there is returned
@@ -206,11 +221,11 @@ def rank(rows) -> int:
       so rank phi(M) <= rank M <= min(m, n).  A full rank mod p is a
       proof; a smaller one proves nothing.
     """
-    if not rows or not rows[0]:
+    full = min(len(rows), _width(rows, ncols))
+    if not full:
         return 0
-    full = min(len(rows), len(rows[0]))
     for s0 in RANK_POINTS:
-        image = [terms_mod_p(enumerate(row), s0) for row in rows]
+        image = [terms_mod_p(_entries(row), s0) for row in rows]
         if None not in image:
             if rank_mod_p(image) == full:
                 return full
@@ -238,10 +253,7 @@ def solve_affine(a_rows, rhs, ncols=None) -> SolutionSpace:
     """Exact solution space of A x = rhs (kernel always that of A), as
     dense vectors over the field of rhs.  A's rows are dense lists, or
     sparse dicts given with ncols, the number of unknowns."""
-    if ncols is None:
-        if a_rows and isinstance(a_rows[0], dict):
-            raise LinearAlgebraError("sparse rows need the number of unknowns")
-        ncols = len(a_rows[0]) if a_rows else 0
+    ncols = _width(a_rows, ncols)
     sample = rhs[0] if rhs else SC_ZERO
     zero, one = _zero_like(sample), _one_like(sample)
     aug = []

@@ -5,6 +5,10 @@ unit in coordinates, and optionally a conjugate-linear star map.  Elements
 are coordinate vectors of Scalars.  build_algebra finds a generating set,
 verifies associativity, solves for the unit and verifies the star axioms,
 raising StructureError with a concrete witness on any violation.
+
+An element of a tensor product (TensorAlgebra, TensorMap) is the sparse
+{(i, j): c} of its nonzero coefficients at e_i(x)f_j, and has no dense
+coordinates.
 """
 
 from __future__ import annotations
@@ -101,7 +105,9 @@ class LinMap:
         return LinMap(minv, self.conjugate_linear)
 
     def is_bijective(self) -> bool:
-        return self.n_in == self.n_out and rank(self.matrix) == self.n_in
+        # the rank of the columns is the rank of the matrix
+        return (self.n_in == self.n_out
+                and rank(self.columns, self.n_out) == self.n_in)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinMap):
@@ -158,8 +164,8 @@ class FinAlgebra:
         self.name = name
         self.generators = list(range(len(labels)))
         # left_products[i] maps k to e_i e_k over the nonzero products
-        self.left_products = [{} for _ in labels] if mul is not None else None
-        for (i, k), ent in (mul or {}).items():
+        self.left_products = [{} for _ in labels]
+        for (i, k), ent in mul.items():
             if ent:
                 self.left_products[i][k] = ent
 
@@ -411,49 +417,42 @@ def _rows_of(terms: dict) -> dict:
     return rows
 
 
-def dense_pairs(terms: dict, nb: int, size: int) -> list:
-    """{(i, j): c} in dense coordinates at index i*nb + j, of length size."""
-    out = [SC_ZERO] * size
-    for (i, j), c in terms.items():
-        out[i * nb + j] = c
-    return out
+class TensorMap:
+    """f(x)g for linear maps f and g, read from their sparse columns."""
+
+    def __init__(self, f: LinMap, g: LinMap):
+        self.f, self.g = f, g
+
+    def apply(self, x: dict) -> dict:
+        """(f(x)g)(x) for x given as {(a, b): c}, in that shape with no zero
+        entry."""
+        out = {}
+        for (a, b), c in x.items():
+            for i, fa in self.f.columns[a].items():
+                w = c * fa
+                for j, gb in self.g.columns[b].items():
+                    t = (i, j)
+                    out[t] = out.get(t, SC_ZERO) + w * gb
+        return {t: c for t, c in out.items() if not c.is_zero}
 
 
-class TensorAlgebra(FinAlgebra):
-    """The tensor product a(x)b on the basis e_i(x)f_j at index i*b.dim + j.
+class TensorAlgebra:
+    """The tensor product a(x)b of two FinAlgebras.
 
-    No product table is kept: (e_i(x)f_j)(e_k(x)f_m) = e_i e_k (x) f_j f_m
-    is expanded from the factors' sparse tables over the nonzero
-    coordinates of both operands, and the star is applied factor by factor.
-    The construction is componentwise, so the axioms are inherited and not
-    re-verified.
+    An element is {(i, j): c}, the nonzero coefficients of e_i(x)f_j; no
+    zero is stored and no dense coordinate is formed.  No product table is
+    kept: (e_i(x)f_j)(e_k(x)f_m) = e_i e_k (x) f_j f_m is expanded from the
+    factors' sparse tables over the terms of both operands, and the star is
+    applied factor by factor.  The construction is componentwise, so the
+    axioms are inherited and not re-verified.
     """
 
     def __init__(self, a: FinAlgebra, b: FinAlgebra):
-        super().__init__(
-            ["%s(x)%s" % (la, lb) for la in a.labels for lb in b.labels],
-            None, [x * y for x in a.unit for y in b.unit], None,
-            name="%s(x)%s" % (a.name or "A", b.name or "B"))
         self.factors = (a, b)
-        self._star_columns = None
-        if a.star is not None and b.star is not None:
-            self._star_columns = (a.star.columns, b.star.columns)
 
-    def terms(self, x: list) -> dict:
-        """The nonzero coordinates of x as {(i, j): c}."""
-        nb = self.factors[1].dim
-        return {divmod(idx, nb): c for idx, c in enumerate(x)
-                if not c.is_zero}
-
-    def multiply(self, x: list, y: list) -> list:
-        return dense_pairs(self.multiply_terms(self.terms(x), self.terms(y)),
-                           self.factors[1].dim, self.dim)
-
-    def multiply_terms(self, x: dict, y: dict) -> dict:
-        """The product of x and y given as {(i, j): c} (the shape of a
-        Coproduct column), in that shape with no zero entry.  Only the
-        nonzero products of the factors' basis elements are visited
-        (FinAlgebra.left_products)."""
+    def multiply(self, x: dict, y: dict) -> dict:
+        """The product xy.  Only the nonzero products of the factors' basis
+        elements are visited (FinAlgebra.left_products)."""
         a, b = self.factors
         a_left, b_left = a.left_products, b.left_products
         ys = _rows_of(y)
@@ -476,27 +475,16 @@ class TensorAlgebra(FinAlgebra):
                                     cl if cq.is_one else cl * cq)
         return {t: c for t, c in out.items() if not c.is_zero}
 
-    def apply_star(self, x: list) -> list:
-        if self._star_columns is None:
-            raise StructureError("algebra %r has no star structure"
-                                 % self.name)
-        cols_a, cols_b = self._star_columns
-        nb = self.factors[1].dim
-        out = [SC_ZERO] * self.dim
-        for idx, c in enumerate(x):
-            if c.is_zero:
-                continue
-            j, m = divmod(idx, nb)
-            cc = c.conjugate()
-            for i, sa in cols_a[j].items():
-                ca = cc * sa
-                for k, sb in cols_b[m].items():
-                    t = i * nb + k
-                    out[t] = out[t] + ca * sb
-        return out
+    def apply_star(self, x: dict) -> dict:
+        a, b = self.factors
+        if a.star is None or b.star is None:
+            name = "%s(x)%s" % (a.name or "A", b.name or "B")
+            raise StructureError("algebra %r has no star structure" % name)
+        return TensorMap(a.star, b.star).apply(
+            {t: c.conjugate() for t, c in x.items()})
 
 
-def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
+def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> TensorAlgebra:
     """Tensor product algebra; products are computed on demand from the
     factors (see TensorAlgebra)."""
     return TensorAlgebra(a, b)

@@ -20,8 +20,7 @@ def _identity_star(dim):
     return [[ONE if i == j else SC_ZERO for j in range(dim)] for i in range(dim)]
 
 
-def function_algebra(name, description, labels, elems, compose, inverse,
-                     label_prefix="e_"):
+def function_algebra(name, description, labels, elems, compose, inverse):
     """C(G): pointwise functions on a finite group, by indicator basis."""
     dim = len(elems)
     mul = {(i, i): {i: ONE} for i in range(dim)}
@@ -38,13 +37,12 @@ def function_algebra(name, description, labels, elems, compose, inverse,
         antipode[inverse(i)][i] = ONE
     return StructureDefinition(
         name=name, description=description,
-        labels=[label_prefix + lab for lab in labels],
+        labels=["e_" + lab for lab in labels],
         mul=mul, coproduct=coproduct, unit=unit,
         star=_identity_star(dim), counit=counit, antipode=antipode)
 
 
-def group_algebra(name, description, labels, elems, compose, inverse,
-                  label_prefix="u_"):
+def group_algebra(name, description, labels, elems, compose, inverse):
     """C[G]: the group algebra with grouplike basis."""
     dim = len(elems)
     mul = {(i, j): {compose(i, j): ONE} for i in range(dim) for j in range(dim)}
@@ -60,7 +58,7 @@ def group_algebra(name, description, labels, elems, compose, inverse,
         antipode[inverse(i)][i] = ONE
     return StructureDefinition(
         name=name, description=description,
-        labels=[label_prefix + lab for lab in labels],
+        labels=["u_" + lab for lab in labels],
         mul=mul, coproduct=coproduct, unit=unit,
         star=star, counit=counit, antipode=antipode)
 

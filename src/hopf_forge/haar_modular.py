@@ -17,9 +17,9 @@ import math
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
 from .exactla import (coordinates, dense_row, eigensplit, invert, kernel_basis,
                       rank, rref, sparse_row)
-from .finalg import (LinMap, apply_functional, basis_vector, gram_psd,
-                     vec_combination, vec_is_zero, zero_vector)
-from .mhopf import CheckItem, CheckReport, QGData, TensorMap
+from .finalg import (LinMap, TensorMap, apply_functional, basis_vector,
+                     gram_psd, vec_combination, vec_is_zero, zero_vector)
+from .mhopf import CheckItem, CheckReport, QGData
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
 
 
@@ -540,7 +540,7 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
     s2_sigma = TensorMap(antipode_squared(qg), md.sigma)
     bad = [alg.labels[k] for k in range(n)
            if qg.delta(md.sigma.apply(alg.basis(k)))
-           != s2_sigma.apply_terms(qg.coproduct.columns[k].items())]
+           != s2_sigma.apply(qg.coproduct.columns[k])]
     return CheckItem(
         "coproduct-modular-rule", not bad,
         "D(sigma(a)) = (S^2 (x) sigma) D(a) on every basis element"

@@ -4,11 +4,13 @@ checks, grouplike projections.
 
 The coproduct is a plain linear map A -> A(x)A (the unital finite shadow,
 where the multiplier algebra of the tensor square is the tensor square
-itself).  The counit and antipode are never taken on faith: they are solved
-for from their defining laws and required to be unique; declared tables, when
-present, are cross-checked against the solved ones.  Once they verify, the
-four canonical maps (T-maps) are bijective by their explicit inverses, so
-the maps are built and ranked only when the derivation fails (check_tmaps).
+itself).  Every element of the tensor square, D(a) among them, is the
+sparse {(i, j): c} of finalg.TensorAlgebra.  The counit and antipode are
+never taken on faith: they are solved for from their defining laws and
+required to be unique; declared tables, when present, are cross-checked
+against the solved ones.  Once they verify, the four canonical maps
+(T-maps) are bijective by their explicit inverses, so the maps are built
+and ranked only when the derivation fails (check_tmaps).
 """
 
 from __future__ import annotations
@@ -19,74 +21,34 @@ from .errors import CheckFailure, HopfForgeError, StructureError
 from .exactla import (LinearAlgebraError, coordinates, solve_affine,
                       sparse_row)
 from .exactla import rank as _rank
-from .finalg import (FinAlgebra, LinMap, apply_functional, build_algebra,
-                     dense_pairs, failing_pairs, proved_on_generators,
+from .finalg import (FinAlgebra, LinMap, TensorAlgebra, apply_functional,
+                     build_algebra, failing_pairs, proved_on_generators,
                      tensor_algebra, vec_combination, vec_is_zero)
 from .scalars import SC_ONE, SC_ZERO
 
 
-def tensor_vec(x: list, y: list) -> list:
-    """Coordinates of x(x)y in the tensor-square basis (i, j) -> i*len(y)+j."""
-    out = []
-    for xi in x:
-        if xi.is_zero:
-            out.extend([SC_ZERO] * len(y))
-        else:
-            out.extend([xi * yj for yj in y])
-    return out
-
-
-class TensorMap:
-    """f(x)g for linear maps f and g, read from their sparse columns."""
-
-    def __init__(self, f: LinMap, g: LinMap):
-        self.f, self.g = f, g
-        self.n_out = f.n_out * g.n_out
-
-    def apply_terms(self, terms) -> list:
-        """(f(x)g)(sum c e_a(x)e_b) over the ((a, b), c) pairs of terms."""
-        m = self.g.n_out
-        out = [SC_ZERO] * self.n_out
-        for (a, b), c in terms:
-            for i, fa in self.f.columns[a].items():
-                w = c * fa
-                for j, gb in self.g.columns[b].items():
-                    t = i * m + j
-                    out[t] = out[t] + w * gb
-        return out
-
-    def apply(self, v: list) -> list:
-        return self.apply_terms((divmod(idx, self.g.n_in), c)
-                                for idx, c in enumerate(v) if not c.is_zero)
+def tensor_vec(x: list, y: list) -> dict:
+    """x(x)y as {(i, j): x_i y_j} over the nonzero coordinates."""
+    ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero]
+    return {(i, j): xi * yj for i, xi in enumerate(x) if not xi.is_zero
+            for j, yj in ys}
 
 
 class Coproduct:
     """A coproduct A -> A(x)A stored as one sparse column per basis element.
 
     columns[k] maps (i, j) to the nonzero coefficient of e_i(x)e_j in D(e_k),
-    the shape of StructureDefinition.coproduct.  Dense coordinates use the
-    tensor-square index i*n + j.
+    the shape of StructureDefinition.coproduct and of every element of the
+    tensor square.
     """
 
     def __init__(self, columns: list):
         self.columns = [{key: c for key, c in col.items() if not c.is_zero}
                         for col in columns]
 
-    @staticmethod
-    def from_linmap(m: LinMap, n: int) -> "Coproduct":
-        """Re-key the columns of a linear n^2 x n map by (i, j)."""
-        if m.conjugate_linear:
-            raise StructureError("a coproduct must be linear")
-        return Coproduct([{divmod(idx, n): c for idx, c in col.items()}
-                          for col in m.columns])
-
     @property
     def n_in(self) -> int:
         return len(self.columns)
-
-    @property
-    def n_out(self) -> int:
-        return self.n_in * self.n_in
 
     def combine(self, terms) -> dict:
         """sum x_k D(e_k) over the (k, x_k) pairs of terms, as {(i, j): c}
@@ -97,12 +59,6 @@ class Coproduct:
                 out[key] = out.get(key, SC_ZERO) + (c if xk.is_one else xk * c)
         return {key: c for key, c in out.items() if not c.is_zero}
 
-    def apply(self, x: list) -> list:
-        """D(x) in dense coordinates."""
-        return dense_pairs(self.combine((k, xk) for k, xk in enumerate(x)
-                                        if not xk.is_zero),
-                           self.n_in, self.n_out)
-
 
 class QGData:
     """Algebra plus verified coproduct; counit and antipode once derived,
@@ -110,7 +66,7 @@ class QGData:
     once composed (haar_modular.antipode_squared)."""
 
     def __init__(self, algebra: FinAlgebra, coproduct: Coproduct,
-                 tensor_sq: FinAlgebra):
+                 tensor_sq: TensorAlgebra):
         self.algebra = algebra
         self.coproduct = coproduct
         self.tensor_sq = tensor_sq
@@ -123,30 +79,28 @@ class QGData:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def delta(self, x: list) -> list:
-        return self.coproduct.apply(x)
+    def delta(self, x: list) -> dict:
+        return self.coproduct.combine((k, xk) for k, xk in enumerate(x)
+                                      if not xk.is_zero)
 
 
-def attach_coproduct(alg: FinAlgebra, coproduct) -> QGData:
+def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
     """Verify the coproduct is an algebra morphism and coassociative.
 
-    coproduct is a Coproduct or a linear n^2 x n LinMap.  Unitality of the
-    coproduct is deliberately not required here; it is re-examined with the
-    T-maps, so that morphism-level acceptance and bijectivity-level
-    rejection stay separate stages.
+    Unitality of the coproduct is deliberately not required here; it is
+    re-examined with the T-maps, so that morphism-level acceptance and
+    bijectivity-level rejection stay separate stages.
     """
     n = alg.dim
-    if coproduct.n_in != n or coproduct.n_out != n * n:
+    if coproduct.n_in != n:
         raise StructureError(
             "coproduct must map the %d-dim algebra into its tensor square" % n)
-    if isinstance(coproduct, LinMap):
-        coproduct = Coproduct.from_linmap(coproduct, n)
     tsq = tensor_algebra(alg, alg)
     qg = QGData(alg, coproduct, tsq)
     cols = coproduct.columns
     for i, j in failing_pairs(alg, lambda i, j: (
             coproduct.combine(alg.mul.get((i, j), {}).items()),
-            tsq.multiply_terms(cols[i], cols[j]))):
+            tsq.multiply(cols[i], cols[j]))):
         raise StructureError("coproduct is not multiplicative at (%s, %s)"
                              % (alg.labels[i], alg.labels[j]))
     for k in proved_on_generators(alg, lambda rows: list(islice(
@@ -204,24 +158,18 @@ class TMapReport:
         return [m for m in self.maps if not m.bijective]
 
 
-def unit_leg_product(qg: QGData, x: dict, y: list, shape: int) -> list:
+def unit_leg_product(qg: QGData, x: dict, y: list, shape: int) -> dict:
     """x(1(x)y), x(y(x)1), (1(x)y)x or (y(x)1)x for shape 0, 1, 2 or 3.
 
-    x is an element of the tensor square as {(i, j): c}, y one of the
-    algebra; the product is dense.  The canonical maps and the sub-object
-    and imbedding checks are all built from these four products (Van Daele,
-    Trans. AMS 342, 1994).
+    x and the product are elements of the tensor square, y one of the
+    algebra.  The canonical maps and the sub-object and imbedding checks
+    are all built from these four products (Van Daele, Trans. AMS 342,
+    1994).
     """
-    unit = [(t, u) for t, u in enumerate(qg.algebra.unit) if not u.is_zero]
-    ys = [(k, c) for k, c in enumerate(y) if not c.is_zero]
-    if shape % 2 == 0:
-        leg = {(t, k): u * c for t, u in unit for k, c in ys}
-    else:
-        leg = {(k, t): c * u for t, u in unit for k, c in ys}
+    unit = qg.algebra.unit
+    leg = tensor_vec(unit, y) if shape % 2 == 0 else tensor_vec(y, unit)
     tsq = qg.tensor_sq
-    product = (tsq.multiply_terms(x, leg) if shape < 2
-               else tsq.multiply_terms(leg, x))
-    return dense_pairs(product, qg.dim, tsq.dim)
+    return tsq.multiply(x, leg) if shape < 2 else tsq.multiply(leg, x)
 
 
 def _pair_products(qg: QGData, deltas: list, elems: list, shape: int) -> list:
@@ -283,7 +231,7 @@ def check_tmaps(qg: QGData, declared_counit=None,
     except HopfForgeError as exc:
         error = exc
         # a matrix and its transpose have the same rank
-        ranks = [_rank(_tmap_columns(qg, which))
+        ranks = [_rank(_tmap_columns(qg, which), n2)
                  for which in range(len(TMAP_FORMULAS))]
         unit = qg.algebra.unit
         unital = qg.delta(unit) == tensor_vec(unit, unit)
@@ -546,7 +494,6 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     checks, the memberships) each raise or return before D0 is read.
     """
     alg = qg.algebra
-    tsq = qg.tensor_sq
     n0 = len(sub_rows)
     if n0 == 0:
         raise StructureError("sub basis is empty")
@@ -579,7 +526,7 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
         star0 = LinMap.from_images(images, conjugate_linear=True)
 
     tens = [tensor_vec(sub_rows[a], sub_rows[b]) for a, b in pairs]
-    deltas = [tsq.terms(qg.delta(r)) for r in sub_rows]
+    deltas = [qg.delta(r) for r in sub_rows]
     m = len(pairs)
     coords = coordinates(tens, [p for shape in (0, 1, 3, 2)
                                 for p in _pair_products(qg, deltas, sub_rows,
@@ -599,8 +546,9 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     result.compat = _sub_items("compression", SUB_COMPAT_FORMULAS, [None] * 4,
                                "holds on all pairs")
 
-    d0 = LinMap.from_images([
-        vec_combination(alg0.unit, coords[a * n0:(a + 1) * n0], m)
+    d0 = Coproduct([
+        dict(zip(pairs, vec_combination(alg0.unit, coords[a * n0:(a + 1) * n0],
+                                        m)))
         for a in range(n0)])
     induced = attach_coproduct(alg0, d0)
     tmr = check_tmaps(induced)

@@ -19,7 +19,7 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
 from hopf_forge.errors import StructureError
 from hopf_forge.exactla import solve_affine
 from hopf_forge.finalg import FinAlgebra, LinMap, _solve_unit, tensor_algebra
-from hopf_forge.mhopf import QGData
+from hopf_forge.mhopf import Coproduct, QGData
 from hopf_forge.scalars import SC_ONE, SC_ZERO
 
 S = sympy.Symbol("s")
@@ -80,6 +80,14 @@ def coproduct_matrix(coproduct):
         for (i, j), c in col.items():
             rows[i * n + j][k] = c
     return rows
+
+
+def matrix_coproduct(rows):
+    """The Coproduct of a dense n^2 x n matrix, read as coproduct_matrix
+    writes one."""
+    n = len(rows[0])
+    return Coproduct([{divmod(r, n): row[k] for r, row in enumerate(rows)}
+                      for k in range(n)])
 
 
 def build_algebra_full(labels, mul, star=None, name=""):

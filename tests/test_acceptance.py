@@ -24,8 +24,7 @@ from hopf_forge.haar_modular import (compute_modular_data, psi_positivity,
                                      check_sigma_coproduct_rule,
                                      simultaneous_eigenbasis, solve_left_haar)
 from hopf_forge.mhopf import check_sub_mha, derive_counit_antipode
-from hopf_forge.presentations import (PairedPresentations, Presentation,
-                                      build_presented)
+from hopf_forge.presentations import Presentation, build_presented
 from hopf_forge.report import run_validate
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)

@@ -14,7 +14,6 @@ from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 find_idempotent_basis,
                                 group_table_from_coproduct,
                                 verify_qg_morphism)
-from hopf_forge.errors import CheckFailure
 from hopf_forge.exactla import invert, matvec
 from hopf_forge.finalg import LinMap, apply_functional
 from hopf_forge.haar_modular import compute_modular_data, solve_left_haar

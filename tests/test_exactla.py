@@ -17,7 +17,7 @@ from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
                                 eigensplit, gram_certificate, invert,
                                 kernel_basis, mat_copy, matmul, matvec, rank,
                                 rank_mod_p, rational_roots, rref,
-                                solve_affine)
+                                solve_affine, sparse_row)
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, RANK_POINTS, SC_ONE,
                                 SC_ZERO, GaussRat, Scalar, parse_scalar,
                                 pmul)
@@ -44,7 +44,9 @@ class TestRowReduction:
     @settings(max_examples=60)
     @given(rational_matrices())
     def test_rank_matches_sympy(self, rows):
-        assert rank(rows) == matrix_to_sympy(rows).rank()
+        want = matrix_to_sympy(rows).rank()
+        assert rank(rows) == want
+        assert rank([sparse_row(row) for row in rows], len(rows[0])) == want
 
     @settings(max_examples=60)
     @given(rational_matrices())

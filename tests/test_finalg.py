@@ -7,10 +7,11 @@ import pytest
 
 from hopf_forge.errors import StructureError
 from hopf_forge.exactla import POSITIVE_DEFINITE, invert, matmul, matvec
-from hopf_forge.finalg import (FinAlgebra, LinMap, apply_functional,
-                               basis_vector, build_algebra, gram_matrix,
-                               gram_psd, tensor_algebra, transform_basis,
+from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
+                               build_algebra, gram_matrix, gram_psd,
+                               tensor_algebra, transform_basis,
                                vec_combination, vec_is_zero)
+from hopf_forge.mhopf import tensor_vec
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 GaussRat, Scalar, parse_scalar)
 
@@ -204,24 +205,28 @@ class TestTensorAlgebra:
     def test_product_is_componentwise(self):
         a = build_algebra(["u0", "u1"], cyclic_group_mul(2))
         t = tensor_algebra(a, a)
-        assert t.dim == 4
+        assert t.factors[0].dim * t.factors[1].dim == 4
         # (u1 (x) u1) * (u1 (x) u0) = u0 (x) u1
-        x = [SC_ZERO, SC_ZERO, SC_ZERO, SC_ONE]
-        y = [SC_ZERO, SC_ZERO, SC_ONE, SC_ZERO]
-        assert t.multiply(x, y) == [SC_ZERO, SC_ONE, SC_ZERO, SC_ZERO]
+        x = {(1, 1): SC_ONE}
+        y = {(1, 0): SC_ONE}
+        assert t.multiply(x, y) == {(0, 1): SC_ONE}
 
     def test_unit_is_tensor_of_units(self):
         a = build_algebra(["e0", "e1"], pointwise_mul(2))
         t = tensor_algebra(a, a)
-        assert t.unit == [SC_ONE] * 4
+        unit = tensor_vec(a.unit, a.unit)
+        assert unit == {(i, j): SC_ONE for i in range(2) for j in range(2)}
+        for pair in unit:
+            assert t.multiply(unit, {pair: SC_ONE}) == {pair: SC_ONE}
+            assert t.multiply({pair: SC_ONE}, unit) == {pair: SC_ONE}
 
     def test_star_is_componentwise(self):
         star = LinMap(LinMap.identity(2).matrix, conjugate_linear=True)
         a = build_algebra(["e0", "e1"], pointwise_mul(2), star=star)
         t = tensor_algebra(a, a)
         i_unit = Scalar.const(GaussRat(0, 1))
-        v = [i_unit, SC_ZERO, SC_ZERO, SC_ZERO]
-        assert t.apply_star(v) == [-i_unit, SC_ZERO, SC_ZERO, SC_ZERO]
+        v = {(0, 0): i_unit}
+        assert t.apply_star(v) == {(0, 0): -i_unit}
 
 
 class TestTransformBasis:

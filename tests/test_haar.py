@@ -3,7 +3,6 @@ and against the per-pair identities that the modular stage proves."""
 
 import inspect
 import textwrap
-from fractions import Fraction
 
 import pytest
 
@@ -15,10 +14,8 @@ from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
                                build_algebra)
 from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
                                      compute_modular_data,
-                                     delta_square_root, modular_automorphism,
-                                     modular_element, orbit_analysis,
-                                     psi_positivity, right_haar,
-                                     scaling_constant,
+                                     delta_square_root, orbit_analysis,
+                                     psi_positivity, scaling_constant,
                                      check_sigma_coproduct_rule,
                                      simultaneous_eigenbasis, solve_left_haar,
                                      split_block)
@@ -67,11 +64,7 @@ class TestLeftHaar:
         for k in range(n):
             dk = qg.delta(alg.basis(k))
             out = [SC_ZERO] * n
-            for idx in range(n * n):
-                c = dk[idx]
-                if c.is_zero:
-                    continue
-                i, j = divmod(idx, n)
+            for (i, j), c in dk.items():
                 w = c * phi[j]
                 out = [x + w * y for x, y in zip(out, alg.basis(i))]
             assert out == [phi[k] * u for u in alg.unit]

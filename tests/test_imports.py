@@ -1,7 +1,7 @@
-"""No module of the package imports a name it never uses, no function
-takes a parameter it never reads, no function is defined only for the
-tests, and no module is imported only by them.  Importing the command line
-pulls in no module that only serves start-up cost.
+"""No module of the package or of its tests imports a name it never uses,
+no function takes a parameter it never reads, no function is defined only
+for the tests, and no module is imported only by them.  Importing the
+command line pulls in no module that only serves start-up cost.
 
 A name counts as used when it is read anywhere in the module: as an
 ast.Name (which covers the root of an attribute chain) or inside a quoted
@@ -25,6 +25,7 @@ import hopf_forge
 
 PACKAGE_DIR = Path(hopf_forge.__file__).parent
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def _bound_names(tree):
@@ -67,10 +68,11 @@ def unused_imports(source: str):
 
 def test_no_module_imports_an_unused_name():
     found = {}
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    for path in (sorted(PACKAGE_DIR.glob("*.py"))
+                 + sorted(TESTS_DIR.glob("*.py"))):
         names = unused_imports(path.read_text(encoding="utf-8"))
         if names:
-            found[path.name] = names
+            found["%s/%s" % (path.parent.name, path.name)] = names
     assert found == {}
 
 

@@ -21,11 +21,13 @@ from hopf_forge.exactla import (LinearAlgebraError, coordinates, invert,
 from hopf_forge.finalg import (FinAlgebra, LinMap, tensor_algebra,
                                transform_basis)
 from hopf_forge.haar_modular import solve_left_haar
-from hopf_forge.mhopf import attach_coproduct, derive_counit_antipode
+from hopf_forge.mhopf import (attach_coproduct, derive_counit_antipode,
+                              tensor_vec)
 from hopf_forge.scalars import (GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
                                 parse_scalar)
 
-from oracles import coproduct_matrix, dense_rref, gauss_to_sympy
+from oracles import (coproduct_matrix, dense_rref, gauss_to_sympy,
+                     matrix_coproduct)
 from packaged import packaged
 
 NAMES = ["c_s3", "c_z2", "c_z4", "group_s3", "semilattice2",
@@ -96,9 +98,22 @@ def reference_tensor(a, b):
                       [x * y for x in a.unit for y in b.unit], star)
 
 
+def dense_pairs(terms, na, nb):
+    """{(i, j): c} as the dense vector of a (x) b, e_i(x)f_j at i*nb + j."""
+    out = [SC_ZERO] * (na * nb)
+    for (i, j), c in terms.items():
+        out[i * nb + j] = c
+    return out
+
+
+def pairs_of(v, nb):
+    """The nonzero coordinates of a dense vector of a (x) b as {(i, j): c}."""
+    return {divmod(k, nb): c for k, c in enumerate(v) if not c.is_zero}
+
+
 PACKAGED_QG = {name: build_qg(packaged(name)) for name in NAMES}
 DEFORMED = {name: deformed(name) for name in ("group_s3", "sweedler_h4")}
-DEFORMED_QG = {name: attach_coproduct(alg, LinMap(cop))
+DEFORMED_QG = {name: attach_coproduct(alg, matrix_coproduct(cop))
                for name, (alg, cop) in DEFORMED.items()}
 ALGEBRAS = dict({name: qg.algebra for name, qg in PACKAGED_QG.items()},
                 **{"deformed " + name: alg
@@ -131,7 +146,9 @@ class TestDeltaColumns:
     @given(qg_and_vector())
     def test_delta_is_the_dense_matvec(self, case):
         qg, dense, x = case
-        assert qg.delta(x) == matvec(dense, x)
+        image = qg.delta(x)
+        assert dense_pairs(image, qg.dim, qg.dim) == matvec(dense, x)
+        assert stores_no_zero(image)
 
     def test_columns_hold_only_nonzero_terms(self):
         for qg in list(PACKAGED_QG.values()) + list(DEFORMED_QG.values()):
@@ -151,8 +168,11 @@ class TestTensorProduct:
     @given(tensor_case())
     def test_multiply_matches_the_tabulated_product(self, case):
         a, b, x, y = case
-        assert tensor_algebra(a, b).multiply(x, y) == \
+        product = tensor_algebra(a, b).multiply(pairs_of(x, b.dim),
+                                                pairs_of(y, b.dim))
+        assert dense_pairs(product, a.dim, b.dim) == \
             reference_tensor(a, b).multiply(x, y)
+        assert stores_no_zero(product)
 
     @settings(max_examples=60)
     @given(tensor_case())
@@ -160,18 +180,24 @@ class TestTensorProduct:
         a, b, x, _y = case
         if a.star is None or b.star is None:
             return
-        assert tensor_algebra(a, b).apply_star(x) == \
+        starred = tensor_algebra(a, b).apply_star(pairs_of(x, b.dim))
+        assert dense_pairs(starred, a.dim, b.dim) == \
             reference_tensor(a, b).apply_star(x)
+        assert stores_no_zero(starred)
 
     def test_unit_and_basis_products(self):
         for name, alg in ALGEBRAS.items():
             t = tensor_algebra(alg, alg)
             ref = reference_tensor(alg, alg)
-            assert t.unit == ref.unit, name
-            n = t.dim
+            m = alg.dim
+            assert dense_pairs(tensor_vec(alg.unit, alg.unit), m, m) == \
+                ref.unit, name
+            n = ref.dim
             for p in range(0, n, 5):
                 for q in range(0, n, 7):
-                    assert t.multiply(t.basis(p), t.basis(q)) == \
+                    product = t.multiply(pairs_of(ref.basis(p), m),
+                                         pairs_of(ref.basis(q), m))
+                    assert dense_pairs(product, m, m) == \
                         ref.multiply(ref.basis(p), ref.basis(q)), name
 
 
