@@ -1,22 +1,23 @@
 """The dual quantum group, biduality, and sub-object imbeddings.
 
-The dual carries the basis w_i = phi(. e_i).  Its product is dual to the
-coproduct, its coproduct evaluates against the flipped product,
-D(w)(x (x) y) = w(yx), and its star is w*(x) = conj(w(S(x)*)).  Everything
-constructed here is re-verified from scratch: the dual runs the whole
-structural suite, the canonical map into the double dual is checked to be an
-isomorphism of quantum groups, and sub-object imbeddings are checked
-equation by equation.
+The dual carries the basis w_i = phi(. e_i), on which a functional with
+values v at the e_j has coordinates B^-1 v, B the sparse form of phi
+(finalg.form_map), read with its transpose and inverse as LinMaps, never
+densely.  The dual product is dual to the coproduct, its coproduct
+evaluates against the flipped product, D(w)(x (x) y) = w(yx), and its star
+is w*(x) = conj(w(S(x)*)).  Everything constructed here is re-verified from
+scratch: the dual runs the whole structural suite, the canonical map into
+the double dual is checked to be an isomorphism of quantum groups, and
+sub-object imbeddings are checked equation by equation.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import CheckFailure, NotFaithful
-from .exactla import dense_row, invert, matvec, sparse_row
+from .errors import CheckFailure, NotFaithful, StructureError
 from .finalg import (LinMap, TensorMap, apply_functional, basis_vector,
-                     build_algebra, failing_pairs, zero_vector)
+                     build_algebra, failing_pairs, form_map, zero_vector)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
 from .mhopf import (CheckItem, CheckReport, Coproduct, QGData,
                     attach_coproduct, check_star_compat, check_tmaps,
@@ -25,12 +26,12 @@ from .scalars import SC_ONE, SC_ZERO
 
 
 class DualBuild:
-    def __init__(self, qg: QGData, phi: list, b_matrix: list, b_inv: list,
+    def __init__(self, qg: QGData, phi: list, form: LinMap, form_inv: LinMap,
                  tmaps, star_compat, unit_is_counit: bool):
         self.qg = qg
         self.phi = phi            # the functional the basis w_i = phi(. e_i) is on
-        self.b_matrix = b_matrix  # [j][i] = phi(e_j e_i), the value of w_i at e_j
-        self.b_inv = b_inv
+        self.form = form          # B, [j][i] = phi(e_j e_i), the value of w_i at e_j
+        self.form_inv = form_inv  # B^-1, values on the e_j to coordinates
         self.tmaps = tmaps
         self.star_compat = star_compat
         self.unit_is_counit = unit_is_counit  # the dual unit is the counit functional
@@ -41,71 +42,50 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
     structural suite on it.  phi must be faithful; it need not be normalized."""
     alg = qg.algebra
     n = alg.dim
-    b_mat = [[apply_functional(phi, alg.basis_product(j, i))
-              for i in range(n)] for j in range(n)]
-    b_inv = invert(b_mat)
-    if b_inv is None:
-        raise NotFaithful(
-            "functional is not faithful; the dual basis does not span")
-    b_inv_map = LinMap(b_inv)
+    form = form_map(alg, phi)
+    try:
+        form_inv = form.inverse()
+    except StructureError as exc:
+        raise NotFaithful("functional is not faithful; the dual basis does "
+                          "not span") from exc
+    form_t = form.transpose()
     labels = ["w_" + lab for lab in alg.labels]
 
     # w_i w_j takes at e_k the value sum c B[a][i] B[b][j] over the terms
-    # c e_a(x)e_b of D(e_k), formed on the nonzero entries of B only
-    b_rows = [sparse_row(row) for row in b_mat]
+    # c e_a(x)e_b of D(e_k): entry (i, j) of (B^T (x) B^T) D(e_k)
+    legs = TensorMap(form_t, form_t)
     values = {}
     for k, col in enumerate(qg.coproduct.columns):
-        for (a, b), c in col.items():
-            for i, x in b_rows[a].items():
-                for j, y in b_rows[b].items():
-                    at_k = values.setdefault((i, j), {})
-                    at_k[k] = at_k.get(k, SC_ZERO) + c * x * y
+        for pair, c in legs.apply(col).items():
+            values.setdefault(pair, {})[k] = c
     mul = {}
     for pair, at_k in sorted(values.items()):
-        coords = b_inv_map.apply(dense_row(at_k, n, SC_ZERO))
-        entry = {k: c for k, c in enumerate(coords) if not c.is_zero}
+        entry = form_inv.image(at_k.items())
         if entry:
             mul[pair] = entry
 
     star_lin = None
     if alg.star is not None:
-        starred = [alg.apply_star(qg.antipode.apply(alg.basis(j)))
-                   for j in range(n)]
-        cols_star = []
-        for i in range(n):
-            values = [apply_functional(phi, alg.multiply(u, alg.basis(i)))
-                      .conjugate() for u in starred]
-            cols_star.append(b_inv_map.apply(values))
-        star_lin = LinMap.from_images(cols_star, conjugate_linear=True)
+        # w_i*(e_j) = conj(w_i(S(e_j)*)), entry (i, j) of B^T o star o S
+        at_j = form_t.compose(alg.star.compose(qg.antipode)).transpose()
+        star_lin = LinMap.of_columns(
+            [form_inv.image((j, c.conjugate()) for j, c in col.items())
+             for col in at_j.columns], n, conjugate_linear=True)
 
     dual_alg = build_algebra(labels, mul, star=star_lin,
                              name=name or ("dual of " + alg.name))
 
-    counit_coords = b_inv_map.apply(qg.counit)
+    counit_coords = form_inv.apply(qg.counit)
     unit_is_counit = dual_alg.unit == counit_coords
 
-    # D(w_k)(w_i (x) w_j) is read off V[a][b] = phi(e_b e_a e_k) through
-    # B^-1 on both legs: sum_a B^-1[i][a] sum_b B^-1[j][b] V[a][b]
-    b_inv_cols = b_inv_map.columns
-    dual_cols = []
-    for k in range(n):
-        v_rows = {}
-        for (b, a), ent in alg.mul.items():
-            v = SC_ZERO
-            for t, m in ent.items():
-                v = v + m * b_mat[t][k]
-            if not v.is_zero:
-                v_rows.setdefault(a, []).append((b, v))
-        col = {}
-        for a, terms in v_rows.items():
-            w_a = {}
-            for b, v in terms:
-                for j, bjb in b_inv_cols[b].items():
-                    w_a[j] = w_a.get(j, SC_ZERO) + bjb * v
-            for i, bia in b_inv_cols[a].items():
-                for j, w in w_a.items():
-                    col[(i, j)] = col.get((i, j), SC_ZERO) + bia * w
-        dual_cols.append(col)
+    # D(w_k)(w_i (x) w_j) is read off V_k[a, b] = phi(e_b e_a e_k), entry k
+    # of B^T(e_b e_a), through B^-1 on both legs
+    v_cols = [{} for _ in range(n)]
+    for (b, a), ent in alg.mul.items():
+        for k, v in form_t.image(ent.items()).items():
+            v_cols[k][a, b] = v
+    legs = TensorMap(form_inv, form_inv)
+    dual_cols = [legs.apply(v) for v in v_cols]
 
     dual_qg = attach_coproduct(dual_alg, Coproduct(dual_cols))
     tmaps = check_tmaps(dual_qg)
@@ -126,7 +106,7 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
                 "dual-star",
                 "; ".join(it.name + ": " + it.detail
                           for it in star_compat.items if not it.ok))
-    return DualBuild(dual_qg, phi, b_mat, b_inv, tmaps, star_compat,
+    return DualBuild(dual_qg, phi, form, form_inv, tmaps, star_compat,
                      unit_is_counit)
 
 
@@ -201,17 +181,9 @@ def biduality(qg: QGData, dual_build: DualBuild) -> BidualityResult:
     haar2 = left_haar(dual_build.qg)
     bidual = build_dual(dual_build.qg, haar2.phi,
                         name="double dual of " + qg.algebra.name)
-    alg = qg.algebra
-    n = alg.dim
-    s_inv = qg.antipode.inverse()
-    cols = []
-    for k in range(n):
-        u = s_inv.apply(alg.basis(k))
-        values = [apply_functional(u, [dual_build.b_matrix[t][i]
-                                       for t in range(n)])
-                  for i in range(n)]
-        cols.append(matvec(bidual.b_inv, values))
-    gamma = LinMap.from_images(cols)
+    # the values of a -> (w -> w(S^-1 a)) at the w_i are B^T S^-1 a
+    gamma = bidual.form_inv.compose(dual_build.form.transpose()).compose(
+        qg.antipode.inverse())
     report = verify_qg_morphism(qg, bidual.qg, gamma)
     if not report.all_ok:
         raise CheckFailure(
@@ -234,24 +206,18 @@ def dual_modular_check(qg: QGData, md: ModularData,
     delta_hat = modular_element(dual_qg, haar2.phi)
     alg = qg.algebra
     n = alg.dim
-    kappa_values = [apply_functional(qg.counit,
-                                     md.kappa.apply(alg.basis(j)))
-                    for j in range(n)]
-    expected = matvec(dual_build.b_inv, kappa_values)
+    kappa_t = md.kappa.transpose()
+    expected = dual_build.form_inv.apply(kappa_t.apply(qg.counit))
     items = [CheckItem(
         "dual-modular-element", delta_hat == expected,
         "modular element of the dual equals counit after kappa")]
     dalg = dual_qg.algebra
-    bad = []
-    for i in range(n):
-        prod = dalg.multiply(basis_vector(n, i), delta_hat)
-        values = matvec(dual_build.b_matrix, prod)
-        for j in range(n):
-            rhs = apply_functional(
-                md.kappa.apply(alg.basis(j)),
-                [dual_build.b_matrix[t][i] for t in range(n)])
-            if values[j] != rhs:
-                bad.append((dalg.labels[i], alg.labels[j]))
+    # column i of each: <w_i delta_hat, e_j> and <w_i, kappa(e_j)> at j
+    lhs = dual_build.form.compose(dalg.right_mul(delta_hat)).columns
+    rhs = kappa_t.compose(dual_build.form).columns
+    bad = [(dalg.labels[i], alg.labels[j]) for i in range(n)
+           for j in range(n)
+           if lhs[i].get(j, SC_ZERO) != rhs[i].get(j, SC_ZERO)]
     items.append(CheckItem(
         "dual-modular-pairing", not bad,
         "<w delta_hat, x> = <w, kappa(x)> on all pairs" if not bad
@@ -313,14 +279,14 @@ def find_idempotent_basis(qg: QGData, spec_points) -> list:
 def group_table_from_coproduct(qg: QGData, idems: list):
     """Multiplication table of the underlying group, read off the coproduct
     support in the idempotent basis.  Returns (table, identity index)."""
-    alg = qg.algebra
-    n = alg.dim
-    p_cols = [[idems[c][t] for c in range(n)] for t in range(n)]
-    p_inv = invert(p_cols)
-    if p_inv is None:
-        raise CheckFailure("group-recovery", "idempotents do not span")
+    n = qg.dim
+    try:
+        p_inv = LinMap.from_images(idems).inverse()
+    except StructureError as exc:
+        raise CheckFailure("group-recovery",
+                           "idempotents do not span") from exc
     # D(p_g) in the idempotent basis: P^-1 on both tensor legs
-    to_idem = TensorMap(LinMap(p_inv), LinMap(p_inv))
+    to_idem = TensorMap(p_inv, p_inv)
     table = {}
     for g in range(n):
         # in (h, k) order, so the failure reported does not depend on the

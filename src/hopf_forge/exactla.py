@@ -5,8 +5,9 @@ by Hensel lifting (no integer is factored), eigenvalue splitting with the
 r*s^k ansatz, and Hermitian positivity certificates.  All routines are
 exact, on GaussRat (constant work) or Scalar (s-dependent work) entries.
 Elimination and rank run on sparse rows, {column: value} dicts that store
-no zeros, and take a dense list row as well (sparse_row); the other
-routines take dense lists of lists.  The generic routines only use +, -, *,
+no zeros, and take a dense list row as well (sparse_row); invert takes
+either form and returns the one it was given; the other routines take
+dense lists of lists.  The generic routines only use +, -, *,
 inverse(), is_zero and conjugate(), which both element types provide.
 """
 
@@ -314,18 +315,21 @@ def kernel_basis(a_rows, ncols=None):
 
 
 def invert(a_rows):
-    """Exact inverse of a dense square matrix, dense, or None when singular."""
+    """Exact inverse of a square matrix, or None when it is singular.  The
+    n rows are dense lists, or sparse dicts over the columns 0..n-1, and
+    the inverse comes back in the same form, storing no zero in a dict."""
     n = len(a_rows)
-    if n == 0:
-        return []
-    one, zero = _one_like(a_rows[0][0]), _zero_like(a_rows[0][0])
-    aug = []
-    for i, row in enumerate(a_rows):
-        row = sparse_row(row)
-        row[n + i] = one
-        aug.append(row)
+    aug = [sparse_row(row) for row in a_rows]
+    sample = next((x for row in aug for x in row.values()), None)
+    if sample is None:
+        return [] if n == 0 else None
+    for i, row in enumerate(aug):
+        row[n + i] = _one_like(sample)
     if rref(aug) != list(range(n)):
         return None
+    if isinstance(a_rows[0], dict):
+        return [{j - n: x for j, x in row.items() if j >= n} for row in aug]
+    zero = _zero_like(sample)
     return [[row.get(n + j, zero) for j in range(n)] for row in aug]
 
 

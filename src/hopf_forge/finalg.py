@@ -6,9 +6,10 @@ are coordinate vectors of Scalars.  build_algebra finds a generating set,
 verifies associativity, solves for the unit and verifies the star axioms,
 raising StructureError with a concrete witness on any violation.
 
-An element of a tensor product (TensorAlgebra, TensorMap) is the sparse
-{(i, j): c} of its nonzero coefficients at e_i(x)f_j, and has no dense
-coordinates.
+A LinMap keeps sparse columns, and form_map reads the form omega(e_i e_j)
+of a functional into one.  An element of a tensor product (TensorAlgebra,
+TensorMap) is the sparse {(i, j): c} of its nonzero coefficients at
+e_i(x)f_j, and has no dense coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class LinMap:
     columns[j] is the image of the j-th basis vector as a sparse column
     {row: coefficient} with no zero entries; n_out is the length of an
     image.  LinMap(rows) reads a dense matrix, and .matrix rebuilds one on
-    each read.
+    each read; transpose, compose and inverse work on the columns and read
+    no dense matrix.
     """
 
     def __init__(self, rows: list, conjugate_linear: bool = False):
@@ -39,8 +41,9 @@ class LinMap:
         self.conjugate_linear = conjugate_linear
 
     @staticmethod
-    def _of_columns(columns: list, n_out: int,
-                    conjugate_linear: bool) -> "LinMap":
+    def of_columns(columns: list, n_out: int,
+                   conjugate_linear: bool = False) -> "LinMap":
+        """Wrap sparse columns, which must store no zero, without a copy."""
         m = LinMap.__new__(LinMap)
         m.columns = columns
         m.n_out = n_out
@@ -49,12 +52,12 @@ class LinMap:
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap._of_columns([{i: SC_ONE} for i in range(n)], n, False)
+        return LinMap.of_columns([{i: SC_ONE} for i in range(n)], n, False)
 
     @staticmethod
     def from_images(images: list, conjugate_linear: bool = False) -> "LinMap":
         """Build from the list of basis-vector images (image j = of e_j)."""
-        return LinMap._of_columns(
+        return LinMap.of_columns(
             [{i: x for i, x in enumerate(img) if not x.is_zero}
              for img in images],
             len(images[0]) if images else 0, conjugate_linear)
@@ -72,7 +75,7 @@ class LinMap:
                 rows[i][j] = c
         return rows
 
-    def _image(self, terms) -> dict:
+    def image(self, terms) -> dict:
         """The image of sum x_j e_j over the (j, x_j) pairs of terms, as a
         sparse column."""
         out = {}
@@ -85,24 +88,35 @@ class LinMap:
 
     def apply(self, v: list) -> list:
         out = [SC_ZERO] * self.n_out
-        for i, c in self._image((j, x) for j, x in enumerate(v)
+        for i, c in self.image((j, x) for j, x in enumerate(v)
                                 if not x.is_zero).items():
             out[i] = c
         return out
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
-        return LinMap._of_columns(
-            [self._image(col.items()) for col in other.columns], self.n_out,
+        return LinMap.of_columns(
+            [self.image(col.items()) for col in other.columns], self.n_out,
             self.conjugate_linear != other.conjugate_linear)
 
+    def transpose(self) -> "LinMap":
+        """The map of the transposed matrix, with the same flag."""
+        rows = [{} for _ in range(self.n_out)]
+        for j, col in enumerate(self.columns):
+            for i, c in col.items():
+                rows[i][j] = c
+        return LinMap.of_columns(rows, self.n_in, self.conjugate_linear)
+
     def inverse(self) -> "LinMap":
-        minv = invert(self.matrix)
-        if minv is None:
+        """The inverse, reduced on the columns: they are the rows of M^T,
+        and the rows of (M^T)^-1 are the columns of M^-1."""
+        cols = invert(self.columns) if self.n_in == self.n_out else None
+        if cols is None:
             raise StructureError("map is not invertible")
         if self.conjugate_linear:
-            minv = [[x.conjugate() for x in row] for row in minv]
-        return LinMap(minv, self.conjugate_linear)
+            cols = [{i: x.conjugate() for i, x in col.items()}
+                    for col in cols]
+        return LinMap.of_columns(cols, self.n_in, self.conjugate_linear)
 
     def is_bijective(self) -> bool:
         # the rank of the columns is the rank of the matrix
@@ -321,9 +335,12 @@ def _check_associativity(alg: FinAlgebra) -> None:
     failing triple in (i, j, k) order is reported, with both sides rebuilt
     as dense products for the message."""
     n = alg.dim
-    mul = alg.mul
+    mul, left = alg.mul, alg.left_products
 
     def associates(i, j, k):
+        # both sides are zero when e_i e_j = 0 and e_j e_k = 0
+        if j not in left[i] and k not in left[j]:
+            return True
         return (_sparse_sum((c, mul.get((p, k), {}))
                             for p, c in mul.get((i, j), {}).items())
                 == _sparse_sum((c, mul.get((i, r), {}))
@@ -514,13 +531,25 @@ def transform_basis(alg: FinAlgebra, p_cols: list, labels=None) -> FinAlgebra:
     return FinAlgebra(new_labels, mul, unit, star, name=alg.name)
 
 
+def form_map(alg: FinAlgebra, omega: list) -> LinMap:
+    """The form B[i][j] = omega(e_i e_j) of a functional, as the map whose
+    column j is {i: B[i][j]}, read from the sparse structure table."""
+    cols = [{} for _ in range(alg.dim)]
+    for (i, j), ent in alg.mul.items():
+        b = sum((omega[t] * m for t, m in ent.items()
+                 if not omega[t].is_zero), SC_ZERO)
+        if not b.is_zero:
+            cols[j][i] = b
+    return LinMap.of_columns(cols, alg.dim)
+
+
 def gram_matrix(alg: FinAlgebra, phi: list) -> list:
-    """G[i][j] = phi(star(e_i) e_j)."""
+    """G[i][j] = phi(star(e_i) e_j), dense: row i is column i of B^T o star,
+    with B the form of phi (form_map)."""
     if alg.star is None:
         raise StructureError("Gram matrix needs a star structure")
-    starred = [alg.apply_star(alg.basis(i)) for i in range(alg.dim)]
-    return [[apply_functional(phi, alg.multiply(starred[i], alg.basis(j)))
-             for j in range(alg.dim)] for i in range(alg.dim)]
+    return [[col.get(j, SC_ZERO) for j in range(alg.dim)] for col in
+            form_map(alg, phi).transpose().compose(alg.star).columns]
 
 
 def gram_psd(alg: FinAlgebra, phi: list, spec_points):

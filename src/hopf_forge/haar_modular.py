@@ -2,12 +2,14 @@
 
 Solves the left Haar functional from its invariance law (the solution space
 must be one-dimensional), derives the right one as phi after the antipode,
-and computes the modular automorphisms, the modular element and its positive
-square root, the scaling constant, and the simultaneous eigentable of the
-five structure maps.  The identities that define psi, sigma, delta and mu
-follow from the uniqueness of phi and are proved in the docstrings below
-(Van Daele, "An algebraic framework for group duality", Adv. Math. 140,
-1998, section 3), not re-checked on basis pairs.
+and computes the modular automorphisms from the form of a functional
+(finalg.form_map), the modular element and its positive square root, the
+scaling constant, the orbit spans as Krylov spaces of kappa, and the
+simultaneous eigentable of the five structure maps.  The identities that
+define psi, sigma, delta and mu follow from the uniqueness of phi and are
+proved in the docstrings below (Van Daele, "An algebraic framework for
+group duality", Adv. Math. 140, 1998, section 3), not re-checked on basis
+pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
 from .exactla import (coordinates, dense_row, eigensplit, invert, kernel_basis,
                       rank, rref, sparse_row)
 from .finalg import (LinMap, TensorMap, apply_functional, basis_vector,
-                     gram_psd, vec_combination, vec_is_zero, zero_vector)
+                     form_map, gram_psd, vec_combination, vec_is_zero,
+                     zero_vector)
 from .mhopf import CheckItem, CheckReport, QGData
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
 
@@ -41,7 +44,6 @@ class ModularData:
         self.sigma_prime = None     # LinMap
         self.delta = None           # list
         self.kappa = None           # LinMap
-        self.kappa_inv = None       # LinMap
         self.mu = None              # Scalar
 
 
@@ -148,27 +150,25 @@ def right_haar(qg: QGData, phi: list) -> list:
 def modular_automorphism(qg: QGData, omega: list) -> LinMap:
     """The unique automorphism sigma with omega(ab) = omega(b sigma(a)).
 
-    With B[i][j] = omega(e_i e_j) the relation reads B sigma = B^T, so
-    sigma = B^-1 B^T satisfies it exactly, invert being exact.  The rest
-    follows from faithfulness, omega(bx) = 0 for all b only when x = 0,
-    which is B invertible (the NotFaithful guard below), and from
-    associativity (build_algebra):
+    With B[i][j] = omega(e_i e_j) (finalg.form_map) the relation reads
+    B sigma = B^T, so sigma = B^-1 B^T satisfies it exactly, invert being
+    exact.  The rest follows from faithfulness, omega(bx) = 0 for all b
+    only when x = 0, which is B invertible (the NotFaithful guard below),
+    and from associativity (build_algebra):
     - omega(b sigma(1)) = omega(b) for all b, so sigma(1) = 1;
     - omega(c sigma(ab)) = omega(abc) = omega(c sigma(a) sigma(b)) for all
       c, so sigma is multiplicative;
     - sigma is a product of invertible matrices, so it is bijective.
     (Van Daele 1998, section 3.)
     """
-    n = qg.dim
-    b_mat = [[SC_ZERO] * n for _ in range(n)]
-    for (i, j), ent in qg.algebra.mul.items():
-        b_mat[i][j] = sum((omega[t] * m for t, m in ent.items()), SC_ZERO)
-    b_inv = invert(b_mat)
+    form = form_map(qg.algebra, omega)
+    # the rows of (B^T)^-1, reduced from the columns of B, are the columns
+    # of B^-1
+    b_inv = invert(form.columns)
     if b_inv is None:
         raise NotFaithful(
             "functional is not faithful: its multiplication form is singular")
-    # column i of sigma is B^-1 applied to row i of B
-    return LinMap(b_inv).compose(LinMap.from_images(b_mat))
+    return LinMap.of_columns(b_inv, qg.dim).compose(form.transpose())
 
 
 def modular_element(qg: QGData, phi: list) -> list:
@@ -331,23 +331,21 @@ class OrbitReport(CheckReport):
 
 
 def orbit_span(md: ModularData, a: list) -> list:
-    """Basis of the span of the kappa-orbit of a (kappa and its inverse)."""
-    n = len(a)
-    vecs = [list(a)]
-    current_rank = rank(vecs)
-    changed = True
-    while changed and current_rank < n:
-        changed = False
-        for m in (md.kappa, md.kappa_inv):
-            for v in list(vecs):
-                img = m.apply(v)
-                if rank(vecs + [img]) > current_rank:
-                    vecs.append(img)
-                    current_rank += 1
-                    changed = True
-    reduced = [sparse_row(v) for v in vecs]
+    """Reduced basis of the span W of the orbit of a under kappa and its
+    inverse.
+
+    W is the Krylov space span(a, kappa a, kappa^2 a, ...), complete at the
+    first power kappa^m a that lies in the span of the earlier ones: kappa
+    then maps span(a, ..., kappa^(m-1) a) into itself.  kappa = sigma^-1 S^2
+    is injective, so kappa W = W by dimension, and kappa^-1 W = W.
+    """
+    vecs, v = [], list(a)
+    while rank(vecs + [v]) > len(vecs):
+        vecs.append(v)
+        v = md.kappa.apply(v)
+    reduced = list(map(sparse_row, vecs))
     rref(reduced)
-    return [dense_row(r, n, SC_ZERO) for r in reduced if r]
+    return [dense_row(r, len(a), SC_ZERO) for r in reduced]
 
 
 def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:
@@ -555,9 +553,9 @@ def compute_modular_data(qg: QGData, positive_mode: bool) -> ModularData:
     """The modular pipeline that every structure command runs.
 
     Its stages, in MODULAR_STAGES order, give phi, psi, sigma and sigma',
-    delta with kappa = sigma^-1 S^2 and its inverse, and mu, which must be
-    1 in positive mode.  A failing stage raises ModularStageFailure with the
-    data of the stages before it.
+    delta with kappa = sigma^-1 S^2, and mu, which must be 1 in positive
+    mode.  A failing stage raises ModularStageFailure with the data of the
+    stages before it.
     """
     md = ModularData()
     stage = "haar-functional"
@@ -571,7 +569,6 @@ def compute_modular_data(qg: QGData, positive_mode: bool) -> ModularData:
         stage = "modular-element"
         md.delta = modular_element(qg, md.phi)
         md.kappa = md.sigma.inverse().compose(antipode_squared(qg))
-        md.kappa_inv = md.kappa.inverse()
         stage = "scaling-constant"
         md.mu = scaling_constant(qg, md.phi, assert_one=positive_mode)
     except HopfForgeError as exc:

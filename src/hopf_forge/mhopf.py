@@ -328,17 +328,19 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     if sol.dimension != 0:
         raise StructureError(
             "antipode is not unique (solution space dimension %d)" % sol.dimension)
-    smat = [[sol.particular[r * n + c] for c in range(n)] for r in range(n)]
+    # the unknown r * n + c is entry (r, c) of S, so column c is every n-th
+    antipode = LinMap.from_images([sol.particular[c::n] for c in range(n)])
 
     if declared_counit is not None and list(declared_counit) != eps:
         raise CheckFailure("declared-counit",
                            "declared counit disagrees with the solved one")
-    if declared_antipode is not None and declared_antipode != smat:
+    if (declared_antipode is not None
+            and LinMap(declared_antipode) != antipode):
         raise CheckFailure("declared-antipode",
                            "declared antipode disagrees with the solved one")
 
     qg.counit = eps
-    qg.antipode = LinMap(smat)
+    qg.antipode = antipode
     return qg
 
 

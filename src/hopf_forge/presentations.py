@@ -42,13 +42,14 @@ def check_word_budget(n_generators: int, degree: int) -> None:
             return
 
 
-def _tadd(acc: dict, word: tuple, coeff: Scalar) -> None:
-    cur = acc.get(word)
+def _tadd(acc: dict, key: tuple, coeff: Scalar) -> None:
+    """acc[key] += coeff, with no zero kept; key is a word or a word pair."""
+    cur = acc.get(key)
     cur = coeff if cur is None else cur + coeff
     if cur.is_zero:
-        acc.pop(word, None)
+        acc.pop(key, None)
     else:
-        acc[word] = cur
+        acc[key] = cur
 
 
 class Presentation:
@@ -347,11 +348,7 @@ class TensorTarget:
         for c, lw, rw in pairs:
             for w1, c1 in self.pres.normal_form_word(tuple(lw)):
                 for w2, c2 in self.pres.normal_form_word(tuple(rw)):
-                    cur = acc.get((w1, w2), SC_ZERO) + c * c1 * c2
-                    if cur.is_zero:
-                        acc.pop((w1, w2), None)
-                    else:
-                        acc[(w1, w2)] = cur
+                    _tadd(acc, (w1, w2), c * c1 * c2)
         return self._canon(acc)
 
     def mul(self, a, b):
@@ -361,21 +358,13 @@ class TensorTarget:
                 c12 = c1 * c2
                 for w1, d1 in self.pres.normal_form_word(l1 + l2):
                     for w2, d2 in self.pres.normal_form_word(r1 + r2):
-                        cur = acc.get((w1, w2), SC_ZERO) + c12 * d1 * d2
-                        if cur.is_zero:
-                            acc.pop((w1, w2), None)
-                        else:
-                            acc[(w1, w2)] = cur
+                        _tadd(acc, (w1, w2), c12 * d1 * d2)
         return self._canon(acc)
 
     def add(self, a, b):
         acc: dict = dict(a)
         for k, c in b:
-            cur = acc.get(k, SC_ZERO) + c
-            if cur.is_zero:
-                acc.pop(k, None)
-            else:
-                acc[k] = cur
+            _tadd(acc, k, c)
         return self._canon(acc)
 
     def scale(self, c: Scalar, a):

@@ -5,6 +5,9 @@ literals with a completely separate engine so the two implementations can
 disagree loudly in tests.  dense_rref is the textbook dense Gauss-Jordan
 elimination, the reference for the library's sparse one, and
 coproduct_matrix the dense n^2 x n matrix of a coproduct's sparse columns.
+dense_form and dense_gram build the form of a functional and its Gram
+matrix from dense products, and orbit_closure closes an orbit under kappa
+and its inverse, for the sparse forms and the Krylov orbit of the library.
 The structure checks below run every basis pair or triple, the loops that
 the library replaces by proofs from a generating set
 (finalg.proved_on_generators), and raise or return what it does.
@@ -17,8 +20,9 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
 
 from hopf_forge.errors import StructureError
-from hopf_forge.exactla import solve_affine
-from hopf_forge.finalg import FinAlgebra, LinMap, _solve_unit, tensor_algebra
+from hopf_forge.exactla import dense_row, rank, rref, solve_affine, sparse_row
+from hopf_forge.finalg import (FinAlgebra, LinMap, _solve_unit,
+                               apply_functional, tensor_algebra)
 from hopf_forge.mhopf import Coproduct, QGData
 from hopf_forge.scalars import SC_ONE, SC_ZERO
 
@@ -88,6 +92,42 @@ def matrix_coproduct(rows):
     n = len(rows[0])
     return Coproduct([{divmod(r, n): row[k] for r, row in enumerate(rows)}
                       for k in range(n)])
+
+
+def dense_form(alg, omega):
+    """B[i][j] = omega(e_i e_j), one dense product per pair."""
+    n = alg.dim
+    return [[apply_functional(omega, alg.basis_product(i, j))
+             for j in range(n)] for i in range(n)]
+
+
+def dense_gram(alg, phi):
+    """G[i][j] = phi(star(e_i) e_j), one dense product per pair."""
+    starred = [alg.apply_star(alg.basis(i)) for i in range(alg.dim)]
+    return [[apply_functional(phi, alg.multiply(starred[i], alg.basis(j)))
+             for j in range(alg.dim)] for i in range(alg.dim)]
+
+
+def orbit_closure(md, a):
+    """The reduced basis of the span of a closed under kappa and its
+    inverse, both applied to every vector found until none is new."""
+    n = len(a)
+    maps = (md.kappa, md.kappa.inverse())
+    vecs = [list(a)]
+    current_rank = rank(vecs)
+    changed = True
+    while changed and current_rank < n:
+        changed = False
+        for m in maps:
+            for v in list(vecs):
+                img = m.apply(v)
+                if rank(vecs + [img]) > current_rank:
+                    vecs.append(img)
+                    current_rank += 1
+                    changed = True
+    reduced = [sparse_row(v) for v in vecs]
+    rref(reduced)
+    return [dense_row(r, n, SC_ZERO) for r in reduced if r]
 
 
 def build_algebra_full(labels, mul, star=None, name=""):

@@ -14,7 +14,7 @@ from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 find_idempotent_basis,
                                 group_table_from_coproduct,
                                 verify_qg_morphism)
-from hopf_forge.exactla import invert, matvec
+from hopf_forge.exactla import matvec
 from hopf_forge.finalg import LinMap, apply_functional
 from hopf_forge.haar_modular import compute_modular_data, solve_left_haar
 from hopf_forge.mhopf import Coproduct, check_sub_mha, derive_counit_antipode
@@ -47,7 +47,7 @@ class TestBuildDual:
         # so B = diag(1/2, 1/2) and the w_i multiply by convolution
         qg, phi, build = dual_of("c_z2")
         half = sc("1/2")
-        assert build.b_matrix == [[half, SC_ZERO], [SC_ZERO, half]]
+        assert build.form.matrix == [[half, SC_ZERO], [SC_ZERO, half]]
         dalg = build.qg.algebra
         w0w1 = dalg.multiply(dalg.basis(0), dalg.basis(1))
         assert w0w1 == [SC_ZERO, half]
@@ -59,7 +59,7 @@ class TestBuildDual:
         for name in HOPF_FIXTURES:
             qg, phi, build = dual_of(name)
             assert build.unit_is_counit, name
-            unit_values = matvec(build.b_matrix, build.qg.algebra.unit)
+            unit_values = matvec(build.form.matrix, build.qg.algebra.unit)
             assert unit_values == qg.counit, name
 
     def test_dual_passes_its_own_validation(self):
@@ -219,7 +219,7 @@ class TestDualImbedding:
                 else [alg.basis(i) for i in range(qg.dim)])
         report = dual_imbedding(check_sub_mha(qg, rows), build)
         assert report.all_ok
-        b_inv = invert(build.b_matrix)
+        b_inv = build.form_inv.matrix
         for a, v in enumerate(rows):
             values = [apply_functional(phi, alg.multiply(alg.basis(t), v))
                       for t in range(qg.dim)]

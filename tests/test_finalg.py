@@ -154,6 +154,7 @@ class TestLinMap:
         assert m.apply(v) == matvec(rows, arg)
         images = [[row[j] for row in rows] for j in range(m.n_in)]
         assert LinMap.from_images(images, conjugate_linear=conj) == m
+        assert m.transpose() == LinMap(images, conjugate_linear=conj)
 
     @pytest.mark.parametrize(
         "outer,inner,conj_f,conj_g",
@@ -188,6 +189,8 @@ class TestLinMap:
         with pytest.raises(StructureError):
             singular.inverse()
         assert not LinMap(DENSE["3x2"]).is_bijective()
+        with pytest.raises(StructureError, match="not invertible"):
+            LinMap(DENSE["3x2"]).inverse()
 
     def test_equality_reads_shape_flag_and_entries(self):
         m = LinMap(DENSE["2x2"])

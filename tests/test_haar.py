@@ -15,7 +15,8 @@ from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
 from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
                                      compute_modular_data,
                                      delta_square_root, orbit_analysis,
-                                     psi_positivity, scaling_constant,
+                                     orbit_span, psi_positivity,
+                                     scaling_constant,
                                      check_sigma_coproduct_rule,
                                      simultaneous_eigenbasis, solve_left_haar,
                                      split_block)
@@ -24,10 +25,17 @@ from hopf_forge.mhopf import (Coproduct, attach_coproduct,
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
 
+from oracles import orbit_closure
 from packaged import packaged
+from test_bench_workloads import WORKLOADS
 from test_mhopf import DERIVED_CASES, derived_structures
 
 HOPF_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")
+# the packaged Hopf examples, and two benchmark variants of sweedler_h4 in
+# which f_gx has an orbit of dimension 2
+ORBIT_DEFINITIONS = [packaged(name) for name in HOPF_FIXTURES] + [
+    WORKLOADS.deformed_definition(packaged("sweedler_h4"), positions)
+    for positions in ((2, 3, 0), (2, 3, 1))]
 
 
 def sc(text):
@@ -214,6 +222,17 @@ class TestOrbitWindow:
         md = compute_modular_data(qg, positive_mode=False)
         report = orbit_analysis(qg, md, qg.algebra.basis(1))
         assert not report.all_ok
+
+
+class TestOrbitSpan:
+    @pytest.mark.parametrize("defn", ORBIT_DEFINITIONS,
+                             ids=[d.name for d in ORBIT_DEFINITIONS])
+    def test_krylov_span_is_the_two_map_closure(self, defn):
+        qg = derive_counit_antipode(build_qg(defn))
+        md = compute_modular_data(qg, positive_mode=False)
+        for i in range(qg.dim):
+            a = qg.algebra.basis(i)
+            assert orbit_span(md, a) == orbit_closure(md, a), (defn.name, i)
 
 
 class TestSplitBlock:

@@ -3,8 +3,9 @@
 The references are the dense forms the kernels replace: the n^2 x n
 coproduct matrix applied with exactla.matvec, a tensor product algebra
 that tabulates all of its structure constants and carries a dense star,
-and, for exact elimination on sparse rows, the textbook dense Gauss-Jordan
-of tests/oracles.py, itself checked against sympy over Q(i).
+the form and Gram matrix of a functional from dense products, and, for
+exact elimination on sparse rows, the textbook dense Gauss-Jordan of
+tests/oracles.py, itself checked against sympy over Q(i).
 """
 
 from fractions import Fraction
@@ -18,16 +19,16 @@ from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.exactla import (LinearAlgebraError, coordinates, invert,
                                 kernel_basis, matmul, matvec, rref,
                                 solve_affine)
-from hopf_forge.finalg import (FinAlgebra, LinMap, tensor_algebra,
-                               transform_basis)
+from hopf_forge.finalg import (FinAlgebra, LinMap, form_map, gram_matrix,
+                               tensor_algebra, transform_basis)
 from hopf_forge.haar_modular import solve_left_haar
 from hopf_forge.mhopf import (attach_coproduct, derive_counit_antipode,
                               tensor_vec)
 from hopf_forge.scalars import (GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
                                 parse_scalar)
 
-from oracles import (coproduct_matrix, dense_rref, gauss_to_sympy,
-                     matrix_coproduct)
+from oracles import (coproduct_matrix, dense_form, dense_gram, dense_rref,
+                     gauss_to_sympy, matrix_coproduct)
 from packaged import packaged
 
 NAMES = ["c_s3", "c_z2", "c_z4", "group_s3", "semilattice2",
@@ -141,6 +142,12 @@ def tensor_case(draw):
     return a, b, draw(vectors(n)), draw(vectors(n))
 
 
+@st.composite
+def algebra_and_functional(draw):
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    return alg, draw(vectors(alg.dim))
+
+
 class TestDeltaColumns:
     @settings(max_examples=60)
     @given(qg_and_vector())
@@ -199,6 +206,18 @@ class TestTensorProduct:
                                          pairs_of(ref.basis(q), m))
                     assert dense_pairs(product, m, m) == \
                         ref.multiply(ref.basis(p), ref.basis(q)), name
+
+
+class TestForms:
+    @settings(max_examples=60, deadline=None)
+    @given(algebra_and_functional())
+    def test_form_and_gram_match_the_dense_products(self, case):
+        alg, omega = case
+        form = form_map(alg, omega)
+        assert form.matrix == dense_form(alg, omega)
+        assert all(stores_no_zero(col) for col in form.columns)
+        # every algebra here has a star
+        assert gram_matrix(alg, omega) == dense_gram(alg, omega)
 
 
 # -- exact elimination on sparse rows ----------------------------------------
@@ -403,10 +422,14 @@ class TestSparseElimination:
                                              for j in range(n)]
                                       for i, row in enumerate(dense)])
         inv = invert(dense)
+        # the same matrix as sparse rows gives sparse rows
+        sparse_inv = invert([to_row(row) for row in dense])
         if pivots[:n] != list(range(n)):
             assert inv is None
+            assert sparse_inv is None
             return
         assert inv == [row[n:] for row in reduced]
+        assert sparse_inv == [to_row(row) for row in inv]
         assert matmul(dense, inv) == [[one if i == j else zero
                                        for j in range(n)] for i in range(n)]
         if is_gaussian(zero):
