@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from .definition import StructureDefinition
 from .errors import StructureError
+from .exactla import dense_row, sparse_row
 from .finalg import FinAlgebra, LinMap, build_algebra
 from .mhopf import Coproduct, QGData, attach_coproduct
+from .scalars import SC_ZERO
 
 
 def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
@@ -18,7 +20,7 @@ def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
     if d.star is not None:
         star = LinMap(d.star, conjugate_linear=True)
     alg = build_algebra(d.labels, d.mul, star=star, name=d.name)
-    if d.unit is not None and alg.unit != list(d.unit):
+    if d.unit is not None and alg.one != sparse_row(d.unit):
         raise StructureError(
             "declared unit of %r disagrees with the solved one" % d.name)
     return alg
@@ -46,9 +48,10 @@ def definition_from_qg(qg: QGData, name: str,
         labels=list(alg.labels),
         mul=mul,
         coproduct=coproduct,
-        unit=list(alg.unit),
+        unit=alg.unit,
         star=alg.star.matrix if alg.star is not None else None,
-        counit=list(qg.counit) if qg.counit is not None else None,
+        counit=(None if qg.counit is None
+                else dense_row(qg.counit, alg.dim, SC_ZERO)),
         antipode=qg.antipode.matrix if qg.antipode is not None else None,
         sub_bases={},
     )

@@ -336,7 +336,7 @@ def _parse_pairing(obj, path) -> PairingDefinition:
         if not isinstance(pair, list) or len(pair) != 2:
             raise DefinitionError("%s must be [action name, row word]" % where)
         aname = pair[0]
-        if aname not in cols.diagonal_actions:
+        if not isinstance(aname, str) or aname not in cols.diagonal_actions:
             raise DefinitionError(
                 "%s: column presentation has no action %r" % (where, aname))
         functionals.append((aname,

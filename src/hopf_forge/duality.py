@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import CheckFailure, NotFaithful, StructureError
-from .finalg import (LinMap, TensorMap, apply_functional, basis_vector,
-                     build_algebra, failing_pairs, form_map, zero_vector)
+from .finalg import (LinMap, TensorMap, apply_functional, build_algebra,
+                     failing_pairs, form_map)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
 from .mhopf import (CheckItem, CheckReport, Coproduct, QGData,
                     attach_coproduct, check_star_compat, check_tmaps,
@@ -26,7 +26,7 @@ from .scalars import SC_ONE, SC_ZERO
 
 
 class DualBuild:
-    def __init__(self, qg: QGData, phi: list, form: LinMap, form_inv: LinMap,
+    def __init__(self, qg: QGData, phi: dict, form: LinMap, form_inv: LinMap,
                  tmaps, star_compat, unit_is_counit: bool):
         self.qg = qg
         self.phi = phi            # the functional the basis w_i = phi(. e_i) is on
@@ -37,7 +37,7 @@ class DualBuild:
         self.unit_is_counit = unit_is_counit  # the dual unit is the counit functional
 
 
-def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
+def build_dual(qg: QGData, phi: dict, name: str = "") -> DualBuild:
     """Construct the dual on the basis w_i = phi(. e_i) and re-run the whole
     structural suite on it.  phi must be faithful; it need not be normalized."""
     alg = qg.algebra
@@ -60,7 +60,7 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
             values.setdefault(pair, {})[k] = c
     mul = {}
     for pair, at_k in sorted(values.items()):
-        entry = form_inv.image(at_k.items())
+        entry = form_inv.apply(at_k)
         if entry:
             mul[pair] = entry
 
@@ -69,20 +69,20 @@ def build_dual(qg: QGData, phi: list, name: str = "") -> DualBuild:
         # w_i*(e_j) = conj(w_i(S(e_j)*)), entry (i, j) of B^T o star o S
         at_j = form_t.compose(alg.star.compose(qg.antipode)).transpose()
         star_lin = LinMap.of_columns(
-            [form_inv.image((j, c.conjugate()) for j, c in col.items())
+            [form_inv.apply({j: c.conjugate() for j, c in col.items()})
              for col in at_j.columns], n, conjugate_linear=True)
 
     dual_alg = build_algebra(labels, mul, star=star_lin,
                              name=name or ("dual of " + alg.name))
 
     counit_coords = form_inv.apply(qg.counit)
-    unit_is_counit = dual_alg.unit == counit_coords
+    unit_is_counit = dual_alg.one == counit_coords
 
     # D(w_k)(w_i (x) w_j) is read off V_k[a, b] = phi(e_b e_a e_k), entry k
     # of B^T(e_b e_a), through B^-1 on both legs
     v_cols = [{} for _ in range(n)]
     for (b, a), ent in alg.mul.items():
-        for k, v in form_t.image(ent.items()).items():
+        for k, v in form_t.apply(ent).items():
             v_cols[k][a, b] = v
     legs = TensorMap(form_inv, form_inv)
     dual_cols = [legs.apply(v) for v in v_cols]
@@ -121,15 +121,15 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
     a, b = src.algebra, dst.algebra
     n = a.dim
     items = []
-    images = [lin.apply(a.basis(k)) for k in range(n)]
+    images = lin.columns
 
     bad = [(a.labels[i], a.labels[j]) for i, j in failing_pairs(
-        a, lambda i, j: (lin.apply(a.basis_product(i, j)),
+        a, lambda i, j: (lin.apply(a.mul.get((i, j), {})),
                          b.multiply(images[i], images[j])), limit=3)]
     items.append(CheckItem("morphism-multiplicative", not bad,
                            "f(xy) = f(x)f(y) on all basis pairs" if not bad
                            else "fails at " + str(bad[:3])))
-    items.append(CheckItem("morphism-unit", lin.apply(a.unit) == b.unit,
+    items.append(CheckItem("morphism-unit", lin.apply(a.one) == b.one,
                            "f(1) = 1"))
     lin2 = TensorMap(lin, lin)
     bad = [a.labels[k] for k in range(n)
@@ -138,20 +138,20 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
                            "(f (x) f) D = D f" if not bad
                            else "fails at " + ", ".join(bad)))
     bad = [a.labels[k] for k in range(n)
-           if apply_functional(dst.counit, images[k]) != src.counit[k]]
+           if apply_functional(dst.counit, images[k])
+           != src.counit.get(k, SC_ZERO)]
     items.append(CheckItem("morphism-counit", not bad,
                            "counit f = counit" if not bad
                            else "fails at " + ", ".join(bad)))
     bad = [a.labels[k] for k in range(n)
-           if lin.apply(src.antipode.apply(a.basis(k)))
+           if lin.apply(src.antipode.columns[k])
            != dst.antipode.apply(images[k])]
     items.append(CheckItem("morphism-antipode", not bad,
                            "f S = S f" if not bad
                            else "fails at " + ", ".join(bad)))
     if a.star is not None and b.star is not None:
         bad = [a.labels[k] for k in range(n)
-               if lin.apply(a.apply_star(a.basis(k)))
-               != b.apply_star(images[k])]
+               if lin.apply(a.star.columns[k]) != b.star.apply(images[k])]
         items.append(CheckItem("morphism-star", not bad,
                                "f(x*) = f(x)*" if not bad
                                else "fails at " + ", ".join(bad)))
@@ -167,10 +167,7 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
 # ---------------------------------------------------------------------------
 
 class BidualityResult:
-    def __init__(self, dual_haar, bidual: DualBuild, gamma: LinMap,
-                 report: CheckReport):
-        self.dual_haar = dual_haar  # HaarSolution on the dual
-        self.bidual = bidual
+    def __init__(self, gamma: LinMap, report: CheckReport):
         self.gamma = gamma
         self.report = report
 
@@ -178,8 +175,7 @@ class BidualityResult:
 def biduality(qg: QGData, dual_build: DualBuild) -> BidualityResult:
     """The canonical map a -> (w -> w(S^(-1) a)) into the double dual,
     verified to be an isomorphism of quantum groups."""
-    haar2 = left_haar(dual_build.qg)
-    bidual = build_dual(dual_build.qg, haar2.phi,
+    bidual = build_dual(dual_build.qg, left_haar(dual_build.qg),
                         name="double dual of " + qg.algebra.name)
     # the values of a -> (w -> w(S^-1 a)) at the w_i are B^T S^-1 a
     gamma = bidual.form_inv.compose(dual_build.form.transpose()).compose(
@@ -190,7 +186,7 @@ def biduality(qg: QGData, dual_build: DualBuild) -> BidualityResult:
             "biduality",
             "; ".join(it.name + ": " + it.detail
                       for it in report.items if not it.ok))
-    return BidualityResult(haar2, bidual, gamma, report)
+    return BidualityResult(gamma, report)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +198,7 @@ def dual_modular_check(qg: QGData, md: ModularData,
     """The modular element of the dual must be the functional counit after
     kappa, in coordinates and against every evaluation pair."""
     dual_qg = dual_build.qg
-    haar2 = left_haar(dual_qg)
-    delta_hat = modular_element(dual_qg, haar2.phi)
+    delta_hat = modular_element(dual_qg, left_haar(dual_qg))
     alg = qg.algebra
     n = alg.dim
     kappa_t = md.kappa.transpose()
@@ -234,9 +229,9 @@ def find_idempotent_basis(qg: QGData, spec_points) -> list:
     algebra, found as the joint eigenbasis of all left multiplications."""
     alg = qg.algebra
     n = alg.dim
-    blocks = [[basis_vector(n, i) for i in range(n)]]
+    blocks = [[{i: SC_ONE} for i in range(n)]]
     for g in range(n):
-        left = alg.left_mul(alg.basis(g))
+        left = alg.left_mul({g: SC_ONE})
         nxt = []
         for vecs in blocks:
             if len(vecs) == 1:
@@ -253,24 +248,23 @@ def find_idempotent_basis(qg: QGData, spec_points) -> list:
     idems = []
     for (v,) in blocks:
         sq = alg.multiply(v, v)
-        t = next((i for i in range(n) if not v[i].is_zero), None)
-        c = sq[t] * v[t].inverse()
-        if c.is_zero or sq != [c * x for x in v]:
+        t = min(v)
+        c = sq.get(t, SC_ZERO) * v[t].inverse()
+        if c.is_zero or sq != {i: c * x for i, x in v.items()}:
             raise CheckFailure(
                 "idempotent-basis",
                 "joint eigenvector does not scale to an idempotent")
         cinv = c.inverse()
-        idems.append([cinv * x for x in v])
+        idems.append({i: cinv * x for i, x in v.items()})
     for i, p in enumerate(idems):
         for j, q in enumerate(idems):
-            want = p if i == j else zero_vector(n)
+            want = p if i == j else {}
             if alg.multiply(p, q) != want:
                 raise CheckFailure("idempotent-basis",
                                    "products are not pointwise")
-    total = zero_vector(n)
-    for p in idems:
-        total = [x + y for x, y in zip(total, p)]
-    if total != alg.unit:
+    total = LinMap.of_columns(idems, n).apply(
+        {k: SC_ONE for k in range(len(idems))})
+    if total != alg.one:
         raise CheckFailure("idempotent-basis",
                            "idempotents do not sum to the unit")
     return idems
@@ -281,7 +275,7 @@ def group_table_from_coproduct(qg: QGData, idems: list):
     support in the idempotent basis.  Returns (table, identity index)."""
     n = qg.dim
     try:
-        p_inv = LinMap.from_images(idems).inverse()
+        p_inv = LinMap.of_columns(idems, n).inverse()
     except StructureError as exc:
         raise CheckFailure("group-recovery",
                            "idempotents do not span") from exc
@@ -355,7 +349,7 @@ def find_group_iso(src: QGData, dst: QGData, spec_points) -> GroupIsoResult:
 
     keys = sorted(classes)
     pools = [itertools.permutations(classes[k][1]) for k in keys]
-    from_src = LinMap.from_images(idems_s).inverse()
+    from_src = LinMap.of_columns(idems_s, n).inverse()
     for choice in itertools.product(*pools):
         beta = [None] * n
         for k, perm in zip(keys, choice):
@@ -365,7 +359,7 @@ def find_group_iso(src: QGData, dst: QGData, spec_points) -> GroupIsoResult:
                for h in range(n) for k in range(n)):
             continue
         # idempotent h of src goes to idempotent beta[h] of dst
-        to_dst = LinMap.from_images([idems_d[beta[h]] for h in range(n)])
+        to_dst = LinMap.of_columns([idems_d[beta[h]] for h in range(n)], n)
         lin = to_dst.compose(from_src)
         report = verify_qg_morphism(src, dst, lin)
         if report.all_ok:
@@ -402,18 +396,22 @@ def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:
     rows = sub.rows
     d = len(rows)
     items = []
+    j_map = LinMap.of_columns(rows, dual_build.qg.dim)
 
-    phi0 = [apply_functional(dual_build.phi, v) for v in rows]
-    nonzero = any(not x.is_zero for x in phi0)
-    items.append(CheckItem("restriction-nonzero", nonzero,
+    # phi0(v_a) = phi(v_a): the restriction is j^T phi
+    phi0 = j_map.transpose().apply(dual_build.phi)
+    items.append(CheckItem("restriction-nonzero", bool(phi0),
                            "phi restricted to the sub-object is nonzero"))
-    if not nonzero:
+    if not phi0:
         return ImbeddingReport(LinMap.identity(0), items)
 
     haar0 = left_haar(qg0)
-    pivot = next(i for i in range(d) if not haar0.phi[i].is_zero)
-    scale = phi0[pivot] * haar0.phi[pivot].inverse()
-    invariant = phi0 == [scale * x for x in haar0.phi]
+    pivot = min(haar0)
+    # phi0 is nonzero, so it is no multiple of haar0 without the pivot
+    invariant = False
+    if pivot in phi0:
+        scale = phi0[pivot] * haar0[pivot].inverse()
+        invariant = phi0 == {i: scale * x for i, x in haar0.items()}
     items.append(CheckItem(
         "restriction-invariant", invariant,
         "the restriction is a left invariant functional of the sub-object"))
@@ -422,24 +420,22 @@ def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:
 
     dual0 = build_dual(qg0, phi0, name="dual of " + qg0.algebra.name)
 
-    j_cols = [list(r) for r in rows]
-    j_map = LinMap.from_images(j_cols)
     items.append(CheckItem("imbedding-injective", True,
                            "j has full rank %d" % d))
 
     d_alg = dual_build.qg.algebra
     d0_alg = dual0.qg.algebra
     bad = [(a, b) for a in range(d) for b in range(d)
-           if j_map.apply(d0_alg.basis_product(a, b))
-           != d_alg.multiply(j_cols[a], j_cols[b])]
+           if j_map.apply(d0_alg.mul.get((a, b), {}))
+           != d_alg.multiply(rows[a], rows[b])]
     items.append(CheckItem("imbedding-multiplicative", not bad,
                            "j(w w') = j(w) j(w')" if not bad
                            else "fails at " + str(bad[:3])))
 
     if d0_alg.star is not None and d_alg.star is not None:
         bad = [a for a in range(d)
-               if j_map.apply(d0_alg.apply_star(d0_alg.basis(a)))
-               != d_alg.apply_star(j_cols[a])]
+               if j_map.apply(d0_alg.star.columns[a])
+               != d_alg.star.apply(rows[a])]
         items.append(CheckItem("imbedding-star", not bad,
                                "j(w*) = j(w)*" if not bad
                                else "fails at " + str(bad)))
@@ -448,13 +444,13 @@ def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:
     bad1, bad2 = [], []
     for a in range(d):
         cop0 = dual0.qg.coproduct.columns[a]
-        cop1 = dual_build.qg.delta(j_cols[a])
+        cop1 = dual_build.qg.delta(rows[a])
         for b in range(d):
             # D(w)(1 (x) w') and (w' (x) 1)D(w)
             for shape, bad in zip((0, 3), (bad1, bad2)):
                 lhs = j2.apply(unit_leg_product(dual0.qg, cop0,
-                                                d0_alg.basis(b), shape))
-                if lhs != unit_leg_product(dual_build.qg, cop1, j_cols[b],
+                                                {b: SC_ONE}, shape))
+                if lhs != unit_leg_product(dual_build.qg, cop1, rows[b],
                                            shape):
                     bad.append((a, b))
     items.append(CheckItem(
@@ -467,8 +463,8 @@ def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:
         else "fails at " + str(bad2[:3])))
 
     bad = [a for a in range(d)
-           if dual0.qg.counit[a]
-           != apply_functional(dual_build.qg.counit, j_cols[a])]
+           if dual0.qg.counit.get(a, SC_ZERO)
+           != apply_functional(dual_build.qg.counit, rows[a])]
     items.append(CheckItem("imbedding-counit", not bad,
                            "counit0 = counit after j" if not bad
                            else "fails at " + str(bad)))

@@ -5,9 +5,11 @@ by Hensel lifting (no integer is factored), eigenvalue splitting with the
 r*s^k ansatz, and Hermitian positivity certificates.  All routines are
 exact, on GaussRat (constant work) or Scalar (s-dependent work) entries.
 Elimination and rank run on sparse rows, {column: value} dicts that store
-no zeros, and take a dense list row as well (sparse_row); invert takes
-either form and returns the one it was given; the other routines take
-dense lists of lists.  The generic routines only use +, -, *,
+no zeros, and take a dense list row as well (sparse_row).  rref, the
+solutions of solve_affine, the coordinates and the eigenvectors come back
+sparse; invert takes either form and returns the one it was given;
+charpoly, eigensplit and the positivity certificates take dense lists of
+lists.  The generic routines only use +, -, *,
 inverse(), is_zero and conjugate(), which both element types provide.
 """
 
@@ -128,8 +130,8 @@ def _subtract(row: dict, f, prow: dict, skip: int) -> None:
 def rref(rows):
     """In-place reduced row echelon form; returns the pivot column list.
 
-    rows are dense lists or sparse dicts and come back in the form they were
-    given in, pivot rows first; the caller's row objects are not written to.
+    rows are dense lists or sparse dicts and come back as sparse dicts,
+    pivot rows first; the caller's row objects are not written to.
     Each incoming row is reduced by the pivot rows found so far, scaled to
     lead with 1, and its leading column is cleared from the earlier pivot
     rows.  Each pivot row then leads with its own column and is zero in the
@@ -150,13 +152,8 @@ def rref(rows):
                 _subtract(prow, prow.pop(lead), row, lead)
         pivots[lead] = row
     order = sorted(pivots)
-    reduced = [pivots[c] for c in order] + [
+    rows[:] = [pivots[c] for c in order] + [
         {} for _ in range(len(rows) - len(order))]
-    if rows and isinstance(rows[0], list):
-        ncols = len(rows[0])
-        zero = _zero_like(rows[0][0]) if ncols else None
-        reduced = [dense_row(row, ncols, zero) for row in reduced]
-    rows[:] = reduced
     return order
 
 
@@ -237,7 +234,7 @@ def rank(rows, ncols=None) -> int:
 class SolutionSpace:
     """Affine solution set {particular + span(kernel)}; empty when particular is None."""
 
-    def __init__(self, particular: list | None, kernel: list):
+    def __init__(self, particular: dict | None, kernel: list):
         self.particular = particular
         self.kernel = kernel
 
@@ -252,11 +249,11 @@ class SolutionSpace:
 
 def solve_affine(a_rows, rhs, ncols=None) -> SolutionSpace:
     """Exact solution space of A x = rhs (kernel always that of A), as
-    dense vectors over the field of rhs.  A's rows are dense lists, or
-    sparse dicts given with ncols, the number of unknowns."""
+    sparse {unknown: value} vectors over the field of rhs.  A's rows are
+    dense lists, or sparse dicts given with ncols, the number of
+    unknowns."""
     ncols = _width(a_rows, ncols)
-    sample = rhs[0] if rhs else SC_ZERO
-    zero, one = _zero_like(sample), _one_like(sample)
+    one = _one_like(rhs[0] if rhs else SC_ZERO)
     aug = []
     for row, b in zip(a_rows, rhs):
         row = sparse_row(row)
@@ -270,16 +267,16 @@ def solve_affine(a_rows, rhs, ncols=None) -> SolutionSpace:
         for j, x in row.items():
             if j in free:
                 free[j][c] = -x
-    kernel = [dense_row(v, ncols, zero) for v in free.values()]
+    kernel = list(free.values())
     if ncols in prows:
         return SolutionSpace(None, kernel)
-    part = {c: row[ncols] for c, row in prows.items() if ncols in row}
-    return SolutionSpace(dense_row(part, ncols, zero), kernel)
+    return SolutionSpace(
+        {c: row[ncols] for c, row in prows.items() if ncols in row}, kernel)
 
 
 def coordinates(vectors, targets) -> list:
-    """Each target's coordinates on the linearly independent vectors, or
-    None for a target outside their span.
+    """Each target's coordinates on the linearly independent vectors, as
+    {vector index: c}, or None for a target outside their span.
 
     The vectors and targets are dense lists or sparse dicts.  The columns
     [vectors | targets] are reduced once, as one sparse row per coordinate.
@@ -299,8 +296,8 @@ def coordinates(vectors, targets) -> list:
         raise LinearAlgebraError(
             "coordinates need linearly independent vectors")
     outside = set(chain.from_iterable(aug[d:]))
-    zero = _zero_like(aug[0][0]) if d else None
-    return [None if c in outside else [row.get(c, zero) for row in aug[:d]]
+    return [None if c in outside else
+            {k: row[c] for k, row in enumerate(aug[:d]) if c in row}
             for c in range(d, d + len(targets))]
 
 
@@ -461,7 +458,7 @@ def rational_roots(coeffs: list) -> tuple:
 class EigenSpace:
     def __init__(self, value: Scalar, basis: list):
         self.value = value
-        self.basis = basis  # list of Scalar coordinate vectors
+        self.basis = basis  # sparse {coordinate: Scalar} vectors
 
     @property
     def dimension(self) -> int:
@@ -490,7 +487,8 @@ def _specialize_matrix(rows, point: Fraction):
 
 
 def eigensplit(rows, spec_points) -> list:
-    """Split a square Scalar matrix into exact eigenspaces.
+    """Split a square Scalar matrix, given as dense rows, into exact
+    eigenspaces with sparse eigenvectors.
 
     Eigenvalues are hypothesized in the form r*s^k (r in Q(i), k an integer)
     by evaluating at two spec points and interpolating the exponent; each
@@ -505,7 +503,7 @@ def eigensplit(rows, spec_points) -> list:
     c = rows[0][0]
     if all(x == (c if i == j else SC_ZERO)
            for i, row in enumerate(rows) for j, x in enumerate(row)):
-        return [EigenSpace(c, identity_matrix(n, SC_ONE, SC_ZERO))]
+        return [EigenSpace(c, [{i: SC_ONE} for i in range(n)])]
     const = _as_constant_matrix(rows)
     candidates = []
     if const is not None:
@@ -548,7 +546,7 @@ def eigensplit(rows, spec_points) -> list:
                    for i, row in enumerate(sparse)]
         kb = solve_affine(shifted, [zero] * n, n).kernel
         if const is not None:
-            kb = [[Scalar.const(x) for x in v] for v in kb]
+            kb = [{j: Scalar.const(x) for j, x in v.items()} for v in kb]
         if kb:
             spaces.append(EigenSpace(lam, kb))
             total += len(kb)

@@ -1,10 +1,14 @@
 """Finite-dimensional *-algebras given by structure constants.
 
 A FinAlgebra stores a basis (labels), a sparse multiplication table, the
-unit in coordinates, and optionally a conjugate-linear star map.  Elements
-are coordinate vectors of Scalars.  build_algebra finds a generating set,
-verifies associativity, solves for the unit and verifies the star axioms,
-raising StructureError with a concrete witness on any violation.
+unit, and optionally a conjugate-linear star map.  An element of A, and a
+functional on A, is the sparse {i: c} of its nonzero coefficients at e_i
+(or values at e_i), the form of a LinMap column and of a table entry; no
+zero is stored, so dict equality is equality.  The dense unit, as a .qg
+file declares it, is a view built on each read.  build_algebra finds a
+generating set, verifies associativity, solves for the unit and verifies
+the star axioms, raising StructureError with a concrete witness on any
+violation.
 
 A LinMap keeps sparse columns, and form_map reads the form omega(e_i e_j)
 of a functional into one.  An element of a tensor product (TensorAlgebra,
@@ -18,8 +22,8 @@ from itertools import islice
 from operator import ne
 
 from .errors import StructureError
-from .exactla import (gram_certificate, insert_mod_p, invert, rank,
-                      solve_affine, terms_mod_p)
+from .exactla import (dense_row, gram_certificate, insert_mod_p, invert,
+                      rank, solve_affine, sparse_row, terms_mod_p)
 from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 
@@ -29,14 +33,12 @@ class LinMap:
     columns[j] is the image of the j-th basis vector as a sparse column
     {row: coefficient} with no zero entries; n_out is the length of an
     image.  LinMap(rows) reads a dense matrix, and .matrix rebuilds one on
-    each read; transpose, compose and inverse work on the columns and read
-    no dense matrix.
+    each read; apply, transpose, compose and inverse work on the columns
+    and read no dense matrix.
     """
 
     def __init__(self, rows: list, conjugate_linear: bool = False):
-        n_in = len(rows[0]) if rows else 0
-        self.columns = [{i: row[j] for i, row in enumerate(rows)
-                         if not row[j].is_zero} for j in range(n_in)]
+        self.columns = [sparse_row(col) for col in zip(*rows)]
         self.n_out = len(rows)
         self.conjugate_linear = conjugate_linear
 
@@ -54,14 +56,6 @@ class LinMap:
     def identity(n: int) -> "LinMap":
         return LinMap.of_columns([{i: SC_ONE} for i in range(n)], n, False)
 
-    @staticmethod
-    def from_images(images: list, conjugate_linear: bool = False) -> "LinMap":
-        """Build from the list of basis-vector images (image j = of e_j)."""
-        return LinMap.of_columns(
-            [{i: x for i, x in enumerate(img) if not x.is_zero}
-             for img in images],
-            len(images[0]) if images else 0, conjugate_linear)
-
     @property
     def n_in(self) -> int:
         return len(self.columns)
@@ -75,28 +69,21 @@ class LinMap:
                 rows[i][j] = c
         return rows
 
-    def image(self, terms) -> dict:
-        """The image of sum x_j e_j over the (j, x_j) pairs of terms, as a
-        sparse column."""
+    def apply(self, x: dict) -> dict:
+        """The image of x = {j: x_j}, the sum of x_j (or conj(x_j)) times
+        column j, as a sparse column."""
         out = {}
-        for j, x in terms:
+        for j, xj in x.items():
             if self.conjugate_linear:
-                x = x.conjugate()
+                xj = xj.conjugate()
             for i, c in self.columns[j].items():
-                out[i] = out.get(i, SC_ZERO) + x * c
+                out[i] = out.get(i, SC_ZERO) + xj * c
         return {i: c for i, c in out.items() if not c.is_zero}
-
-    def apply(self, v: list) -> list:
-        out = [SC_ZERO] * self.n_out
-        for i, c in self.image((j, x) for j, x in enumerate(v)
-                                if not x.is_zero).items():
-            out[i] = c
-        return out
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
         return LinMap.of_columns(
-            [self.image(col.items()) for col in other.columns], self.n_out,
+            [self.apply(col) for col in other.columns], self.n_out,
             self.conjugate_linear != other.conjugate_linear)
 
     def transpose(self) -> "LinMap":
@@ -131,32 +118,14 @@ class LinMap:
                 and self.columns == other.columns)
 
 
-def zero_vector(n: int) -> list:
-    return [SC_ZERO] * n
-
-def basis_vector(n: int, i: int) -> list:
-    v = [SC_ZERO] * n
-    v[i] = SC_ONE
-    return v
-
-
-def vec_combination(coeffs: list, vecs: list, n: int) -> list:
-    """sum c_k v_k over the nonzero c_k, in dimension n."""
-    out = zero_vector(n)
-    for c, v in zip(coeffs, vecs):
-        if not c.is_zero:
-            out = [x + c * y for x, y in zip(out, v)]
-    return out
-
-
-def vec_is_zero(v: list) -> bool:
-    return all(x.is_zero for x in v)
-
-
-def apply_functional(phi: list, v: list) -> Scalar:
+def apply_functional(phi: dict, v: dict) -> Scalar:
+    """phi(v) = sum phi_i v_i, over the indices that both store."""
+    if len(phi) < len(v):
+        phi, v = v, phi
     acc = SC_ZERO
-    for c, x in zip(phi, v):
-        if not (c.is_zero or x.is_zero):
+    for i, x in v.items():
+        c = phi.get(i)
+        if c is not None:
             acc = acc + c * x
     return acc
 
@@ -165,15 +134,16 @@ class FinAlgebra:
     """Associative unital algebra over the scalar field, by structure constants.
 
     mul maps a basis index pair (i, j) to the sparse expansion of e_i e_j
-    as {k: coefficient}.  Absent pairs multiply to zero.  generators are
-    every index, unless build_algebra has proved that fewer generate.
+    as {k: coefficient}.  Absent pairs multiply to zero.  one is the unit
+    as {i: c}.  generators are every index, unless build_algebra has proved
+    that fewer generate.
     """
 
-    def __init__(self, labels: list, mul: dict, unit: list,
+    def __init__(self, labels: list, mul: dict, one: dict | None,
                  star: LinMap | None = None, name: str = ""):
         self.labels = labels
         self.mul = mul
-        self.unit = unit
+        self.one = one
         self.star = star
         self.name = name
         self.generators = list(range(len(labels)))
@@ -187,49 +157,39 @@ class FinAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    def basis(self, i: int) -> list:
-        return basis_vector(self.dim, i)
+    @property
+    def unit(self) -> list:
+        """The unit in dense coordinates, built on each read: the row a .qg
+        file declares and is written with."""
+        return dense_row(self.one, self.dim, SC_ZERO)
 
-    def multiply(self, x: list, y: list) -> list:
-        out = [SC_ZERO] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero]
-        for i, xi in enumerate(x):
-            if xi.is_zero:
-                continue
-            for j, yj in ys:
+    def multiply(self, x: dict, y: dict) -> dict:
+        """The product xy, from the nonzero entries of the table."""
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
                 ent = self.mul.get((i, j))
                 if not ent:
                     continue
                 c = xi * yj
                 for k, coeff in ent.items():
-                    out[k] = out[k] + c * coeff
-        return out
+                    out[k] = out.get(k, SC_ZERO) + c * coeff
+        return {k: c for k, c in out.items() if not c.is_zero}
 
-    def basis_product(self, i: int, j: int) -> list:
-        """e_i e_j as a dense vector, read from the structure constants."""
-        ent = self.mul.get((i, j), {})
-        return [ent.get(k, SC_ZERO) for k in range(self.dim)]
-
-    def apply_star(self, x: list) -> list:
-        if self.star is None:
-            raise StructureError("algebra %r has no star structure" % self.name)
-        return self.star.apply(x)
-
-    def left_mul(self, x: list) -> LinMap:
+    def left_mul(self, x: dict) -> LinMap:
         """The map y -> x y."""
-        return LinMap.from_images([self.multiply(x, self.basis(j))
-                                   for j in range(self.dim)])
+        return LinMap.of_columns([self.multiply(x, {j: SC_ONE})
+                                  for j in range(self.dim)], self.dim)
 
-    def right_mul(self, x: list) -> LinMap:
+    def right_mul(self, x: dict) -> LinMap:
         """The map y -> y x."""
-        return LinMap.from_images([self.multiply(self.basis(j), x)
-                                   for j in range(self.dim)])
+        return LinMap.of_columns([self.multiply({j: SC_ONE}, x)
+                                  for j in range(self.dim)], self.dim)
 
-    def format_element(self, x: list) -> str:
+    def format_element(self, x: dict) -> str:
         terms = []
-        for i, c in enumerate(x):
-            if c.is_zero:
-                continue
+        for i in sorted(x):
+            c = x[i]
             if c.is_one:
                 terms.append(self.labels[i])
             else:
@@ -320,45 +280,36 @@ def failing_pairs(alg: FinAlgebra, sides, limit: int = 1) -> list:
         ((i, j) for i in rows for j in range(n) if ne(*sides(i, j))), limit)))
 
 
-def _sparse_sum(pairs) -> dict:
-    """sum c * ent over the (c, ent) pairs, ent a sparse {k: coefficient}."""
-    out = {}
-    for c, ent in pairs:
-        for q, cq in ent.items():
-            out[q] = out.get(q, SC_ZERO) + c * cq
-    return {q: c for q, c in out.items() if not c.is_zero}
-
-
 def _check_associativity(alg: FinAlgebra) -> None:
     """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, by Light's test
-    (proved_on_generators), compared on the sparse table.  The first
-    failing triple in (i, j, k) order is reported, with both sides rebuilt
-    as dense products for the message."""
+    (proved_on_generators), each side one product of a table entry and a
+    basis element.  The first failing triple in (i, j, k) order is
+    reported."""
     n = alg.dim
     mul, left = alg.mul, alg.left_products
+
+    def sides(i, j, k):
+        return (alg.multiply(mul.get((i, j), {}), {k: SC_ONE}),
+                alg.multiply({i: SC_ONE}, mul.get((j, k), {})))
 
     def associates(i, j, k):
         # both sides are zero when e_i e_j = 0 and e_j e_k = 0
         if j not in left[i] and k not in left[j]:
             return True
-        return (_sparse_sum((c, mul.get((p, k), {}))
-                            for p, c in mul.get((i, j), {}).items())
-                == _sparse_sum((c, mul.get((i, r), {}))
-                               for r, c in mul.get((j, k), {}).items()))
+        lhs, rhs = sides(i, j, k)
+        return lhs == rhs
     bad = proved_on_generators(alg, lambda middle: list(islice(
         ((i, j, k) for i in range(n) for j in middle for k in range(n)
          if not associates(i, j, k)), 1)))
     for i, j, k in bad:
-        ei, ej, ek = alg.basis(i), alg.basis(j), alg.basis(k)
-        lhs = alg.multiply(alg.multiply(ei, ej), ek)
-        rhs = alg.multiply(ei, alg.multiply(ej, ek))
+        lhs, rhs = sides(i, j, k)
         raise StructureError(
             "associativity fails at (%s, %s, %s): (ab)c = %s but a(bc) = %s"
             % (alg.labels[i], alg.labels[j], alg.labels[k],
                alg.format_element(lhs), alg.format_element(rhs)))
 
 
-def _solve_unit(alg: FinAlgebra) -> list:
+def _solve_unit(alg: FinAlgebra) -> dict:
     """The unique u with u e_i = e_i and e_i u = e_i for every i.
 
     The rows are exactly those two laws at every basis element, so a unique
@@ -395,10 +346,10 @@ def _check_star(alg: FinAlgebra) -> None:
     twice = star.compose(star)
     if twice != LinMap.identity(n):
         raise StructureError("star is not an involution")
-    starred = [star.apply(alg.basis(i)) for i in range(n)]
+    starred = star.columns
 
     def sides(i, j):
-        return (star.apply(alg.basis_product(i, j)),
+        return (star.apply(alg.mul.get((i, j), {})),
                 alg.multiply(starred[j], starred[i]))
     for i, j in failing_pairs(alg, sides):
         lhs, rhs = sides(i, j)
@@ -407,7 +358,7 @@ def _check_star(alg: FinAlgebra) -> None:
             "star(ab) = %s but star(b) star(a) = %s"
             % (alg.labels[i], alg.labels[j],
                alg.format_element(lhs), alg.format_element(rhs)))
-    if star.apply(alg.unit) != alg.unit:
+    if star.apply(alg.one) != alg.one:
         raise StructureError("star does not fix the unit")
 
 
@@ -420,7 +371,7 @@ def build_algebra(labels, mul, star=None, name="") -> FinAlgebra:
     alg = FinAlgebra(list(labels), dict(mul), None, star, name=name)
     alg.generators = generating_set(alg)
     _check_associativity(alg)
-    alg.unit = _solve_unit(alg)
+    alg.one = _solve_unit(alg)
     if alg.star is not None:
         _check_star(alg)
     return alg
@@ -508,51 +459,48 @@ def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> TensorAlgebra:
 
 
 def transform_basis(alg: FinAlgebra, p_cols: list, labels=None) -> FinAlgebra:
-    """The same algebra in the basis f_j = sum_i P[i][j] e_i."""
+    """The same algebra in the basis f_j = sum_i P[i][j] e_i, P given as
+    dense rows."""
     n = alg.dim
     pinv_rows = invert(p_cols)
     if pinv_rows is None:
         raise StructureError("basis transform matrix is singular")
     pinv = LinMap(pinv_rows)
+    p = LinMap(p_cols)
     mul = {}
     for i in range(n):
-        fi = [p_cols[t][i] for t in range(n)]
         for j in range(n):
-            fj = [p_cols[t][j] for t in range(n)]
-            prod = pinv.apply(alg.multiply(fi, fj))
-            ent = {k: c for k, c in enumerate(prod) if not c.is_zero}
+            ent = pinv.apply(alg.multiply(p.columns[i], p.columns[j]))
             if ent:
                 mul[(i, j)] = ent
-    unit = pinv.apply(alg.unit)
+    unit = pinv.apply(alg.one)
     star = None
     if alg.star is not None:
-        star = pinv.compose(alg.star).compose(LinMap(p_cols))
+        star = pinv.compose(alg.star).compose(p)
     new_labels = labels if labels is not None else ["f%d" % i for i in range(n)]
     return FinAlgebra(new_labels, mul, unit, star, name=alg.name)
 
 
-def form_map(alg: FinAlgebra, omega: list) -> LinMap:
+def form_map(alg: FinAlgebra, omega: dict) -> LinMap:
     """The form B[i][j] = omega(e_i e_j) of a functional, as the map whose
     column j is {i: B[i][j]}, read from the sparse structure table."""
     cols = [{} for _ in range(alg.dim)]
     for (i, j), ent in alg.mul.items():
-        b = sum((omega[t] * m for t, m in ent.items()
-                 if not omega[t].is_zero), SC_ZERO)
+        b = apply_functional(omega, ent)
         if not b.is_zero:
             cols[j][i] = b
     return LinMap.of_columns(cols, alg.dim)
 
 
-def gram_matrix(alg: FinAlgebra, phi: list) -> list:
+def gram_matrix(alg: FinAlgebra, phi: dict) -> list:
     """G[i][j] = phi(star(e_i) e_j), dense: row i is column i of B^T o star,
     with B the form of phi (form_map)."""
     if alg.star is None:
         raise StructureError("Gram matrix needs a star structure")
-    return [[col.get(j, SC_ZERO) for j in range(alg.dim)] for col in
+    return [dense_row(col, alg.dim, SC_ZERO) for col in
             form_map(alg, phi).transpose().compose(alg.star).columns]
 
 
-def gram_psd(alg: FinAlgebra, phi: list, spec_points):
+def gram_psd(alg: FinAlgebra, phi: dict, spec_points):
     """Positivity certificate for the sesquilinear form phi(star(a) b)."""
-    g = gram_matrix(alg, phi)
-    return g, gram_certificate(g, spec_points)
+    return gram_certificate(gram_matrix(alg, phi), spec_points)

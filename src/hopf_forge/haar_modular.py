@@ -17,19 +17,11 @@ from __future__ import annotations
 import math
 
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
-from .exactla import (coordinates, dense_row, eigensplit, invert, kernel_basis,
-                      rank, rref, sparse_row)
-from .finalg import (LinMap, TensorMap, apply_functional, basis_vector,
-                     form_map, gram_psd, vec_combination, vec_is_zero,
-                     zero_vector)
+from .exactla import (coordinates, eigensplit, invert, kernel_basis, rank,
+                      rref, sparse_row)
+from .finalg import LinMap, TensorMap, apply_functional, form_map, gram_psd
 from .mhopf import CheckItem, CheckReport, QGData
 from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
-
-
-class HaarSolution:
-    def __init__(self, phi: list, dimension: int):
-        self.phi = phi
-        self.dimension = dimension  # of the full solution space (must be 1)
 
 
 class ModularData:
@@ -38,11 +30,11 @@ class ModularData:
     the failed one are to be read."""
 
     def __init__(self):
-        self.phi = None             # list
-        self.psi = None             # list
+        self.phi = None             # {i: phi(e_i)}
+        self.psi = None             # {i: psi(e_i)}
         self.sigma = None           # LinMap
         self.sigma_prime = None     # LinMap
-        self.delta = None           # list
+        self.delta = None           # {i: c}
         self.kappa = None           # LinMap
         self.mu = None              # Scalar
 
@@ -68,7 +60,7 @@ class ModularStageFailure(CheckFailure):
 # Haar functionals
 # ---------------------------------------------------------------------------
 
-def solve_left_haar(qg: QGData) -> HaarSolution:
+def solve_left_haar(qg: QGData) -> dict:
     """Solve (i(x)phi)(D(a)(b(x)1)) = phi(a) b over all basis pairs.
 
     The homogeneous solution space must have dimension exactly 1; the
@@ -99,17 +91,12 @@ def solve_left_haar(qg: QGData) -> HaarSolution:
             "left Haar functional is not unique (solution space dimension %d)"
             % dim)
     phi = kern[0]
-    at_unit = apply_functional(phi, alg.unit)
-    if not at_unit.is_zero:
-        inv = at_unit.inverse()
-    else:
-        lead = next(x for x in phi if not x.is_zero)
-        inv = lead.inverse()
-    phi = [inv * x for x in phi]
-    return HaarSolution(phi, dim)
+    at_unit = apply_functional(phi, alg.one)
+    inv = (phi[min(phi)] if at_unit.is_zero else at_unit).inverse()
+    return {j: inv * x for j, x in phi.items()}
 
 
-def left_haar(qg: QGData) -> HaarSolution:
+def left_haar(qg: QGData) -> dict:
     """The left Haar functional of qg, solved once and kept on qg.
 
     The algebra and the coproduct do not change after attach_coproduct, so
@@ -127,8 +114,9 @@ def antipode_squared(qg: QGData) -> LinMap:
     return qg.antipode_sq
 
 
-def right_haar(qg: QGData, phi: list) -> list:
-    """psi = phi after S, right invariant by a theorem, not a check.
+def right_haar(qg: QGData, phi: dict) -> dict:
+    """psi = phi after S, that is S^T phi, right invariant by a theorem, not
+    a check.
 
     D(S a) = sum S(a_2) (x) S(a_1): D o S and (S(x)S) o D^op are a left and a
     right convolution inverse of D in the maps A -> A(x)A (Sweedler, Hopf
@@ -138,16 +126,14 @@ def right_haar(qg: QGData, phi: list) -> list:
     derive_counit_antipode's docstring, checked where it says, and the left
     invariance of phi, solved by solve_left_haar.
     """
-    alg = qg.algebra
-    return [apply_functional(phi, qg.antipode.apply(alg.basis(i)))
-            for i in range(alg.dim)]
+    return qg.antipode.transpose().apply(phi)
 
 
 # ---------------------------------------------------------------------------
 # modular automorphism, element, scaling constant
 # ---------------------------------------------------------------------------
 
-def modular_automorphism(qg: QGData, omega: list) -> LinMap:
+def modular_automorphism(qg: QGData, omega: dict) -> LinMap:
     """The unique automorphism sigma with omega(ab) = omega(b sigma(a)).
 
     With B[i][j] = omega(e_i e_j) (finalg.form_map) the relation reads
@@ -171,7 +157,7 @@ def modular_automorphism(qg: QGData, omega: list) -> LinMap:
     return LinMap.of_columns(b_inv, qg.dim).compose(form.transpose())
 
 
-def modular_element(qg: QGData, phi: list) -> list:
+def modular_element(qg: QGData, phi: dict) -> dict:
     """delta with (phi(x)i)D(a) = phi(a) delta, read off one coproduct column.
 
     For any functional w, a -> (phi(x)w)D(a) is left invariant by
@@ -186,15 +172,16 @@ def modular_element(qg: QGData, phi: list) -> list:
     phi of left_haar, whose uniqueness solve_left_haar checks.
     """
     alg = qg.algebra
-    n = alg.dim
-    a_idx = next((i for i in range(n) if not phi[i].is_zero), None)
-    if a_idx is None:
+    if not phi:
         raise StructureError("cannot locate a basis element with phi nonzero")
+    a_idx = min(phi)
     inv = phi[a_idx].inverse()
-    delta = zero_vector(n)
+    delta = {}
     for (i, j), c in qg.coproduct.columns[a_idx].items():
-        delta[j] = delta[j] + inv * c * phi[i]
-    if alg.star is not None and alg.apply_star(delta) != delta:
+        if i in phi:
+            delta[j] = delta.get(j, SC_ZERO) + inv * c * phi[i]
+    delta = {j: c for j, c in delta.items() if not c.is_zero}
+    if alg.star is not None and alg.star.apply(delta) != delta:
         raise StructureError("modular element is not self-adjoint")
     return delta
 
@@ -227,8 +214,8 @@ def _positive_sqrt(value: Scalar):
     return Scalar.const(GaussRat(ra, 0, rd)) * Scalar.s_power(k // 2)
 
 
-def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
-                      spec_points) -> list:
+def delta_square_root(qg: QGData, delta: dict, sigma: LinMap,
+                      spec_points) -> dict:
     """The positive square root of delta inside the subalgebra it generates.
 
     Diagonalize left multiplication by delta, keep the eigenvalues that
@@ -250,7 +237,7 @@ def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
     present = []
     start = 0
     for es in spaces:
-        if any(not c.is_zero for c in coords[start:start + len(es.basis)]):
+        if any(start <= k < start + len(es.basis) for k in coords):
             present.append(es.value)
         start += len(es.basis)
     roots = {}
@@ -280,12 +267,10 @@ def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
         w = roots[lam] * denom.inverse()
         for p_i, c in enumerate(basis_poly):
             coeffs[p_i] = coeffs[p_i] + w * c
-    power = list(alg.unit)
-    half = zero_vector(n)
-    for c in coeffs:
-        if not c.is_zero:
-            half = [x + c * y for x, y in zip(half, power)]
-        power = alg.multiply(power, delta)
+    powers = [alg.one]
+    for _ in coeffs[1:]:
+        powers.append(alg.multiply(powers[-1], delta))
+    half = LinMap.of_columns(powers, n).apply(sparse_row(coeffs))
     if alg.multiply(half, half) != delta:
         raise StructureError("internal: square of the interpolant is not delta")
     if sigma.apply(half) != half:
@@ -294,7 +279,7 @@ def delta_square_root(qg: QGData, delta: list, sigma: LinMap,
     return half
 
 
-def scaling_constant(qg: QGData, phi: list, assert_one: bool) -> Scalar:
+def scaling_constant(qg: QGData, phi: dict, assert_one: bool) -> Scalar:
     """mu with phi(S^2(a)) = mu phi(a), read at one pivot.
 
     S^2 is a bijective algebra and coalgebra map, as S is bijective,
@@ -307,11 +292,10 @@ def scaling_constant(qg: QGData, phi: list, assert_one: bool) -> Scalar:
     solve_left_haar.  mu = 1 in positive mode is the paper's result, so it
     stays a verdict.
     """
-    alg = qg.algebra
-    pivot = next((i for i in range(alg.dim) if not phi[i].is_zero), None)
-    if pivot is None:
+    if not phi:
         raise StructureError("zero functional has no scaling constant")
-    mu = (apply_functional(phi, antipode_squared(qg).apply(alg.basis(pivot)))
+    pivot = min(phi)
+    mu = (apply_functional(phi, antipode_squared(qg).columns[pivot])
           * phi[pivot].inverse())
     if assert_one and mu != SC_ONE:
         raise CheckFailure(
@@ -330,7 +314,7 @@ class OrbitReport(CheckReport):
         self.span = span            # basis vectors of the invariant span
 
 
-def orbit_span(md: ModularData, a: list) -> list:
+def orbit_span(md: ModularData, a: dict) -> list:
     """Reduced basis of the span W of the orbit of a under kappa and its
     inverse.
 
@@ -339,13 +323,13 @@ def orbit_span(md: ModularData, a: list) -> list:
     then maps span(a, ..., kappa^(m-1) a) into itself.  kappa = sigma^-1 S^2
     is injective, so kappa W = W by dimension, and kappa^-1 W = W.
     """
-    vecs, v = [], list(a)
-    while rank(vecs + [v]) > len(vecs):
+    n = md.kappa.n_in
+    vecs, v = [], a
+    while rank(vecs + [v], n) > len(vecs):
         vecs.append(v)
         v = md.kappa.apply(v)
-    reduced = list(map(sparse_row, vecs))
-    rref(reduced)
-    return [dense_row(r, len(a), SC_ZERO) for r in reduced]
+    rref(vecs)
+    return vecs
 
 
 def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:
@@ -370,9 +354,7 @@ def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:
         for _ in range(abs(even)):
             m = m.compose(s2_step)
         for b in range(n):
-            prod = alg.multiply(alg.apply_star(alg.basis(b)),
-                                m.apply(alg.basis(b)))
-            if vec_is_zero(prod):
+            if not alg.multiply(alg.star.columns[b], m.columns[b]):
                 failures.append("b = %s, n = %d" % (alg.labels[b], even))
     return [CheckItem(
         "nonvanishing-window", not failures,
@@ -380,7 +362,7 @@ def nonvanishing_window(qg: QGData, md: ModularData, window: int = 4) -> list:
         if not failures else "vanishing at " + "; ".join(failures))]
 
 
-def orbit_analysis(qg: QGData, md: ModularData, a: list,
+def orbit_analysis(qg: QGData, md: ModularData, a: dict,
                    window: int = 4) -> OrbitReport:
     """Span of the kappa-orbit of a, plus the nonvanishing window (which
     does not depend on a)."""
@@ -396,7 +378,7 @@ FIVE_MAP_NAMES = ("sigma", "sigma_prime", "antipode-squared",
 
 
 class EigenRow:
-    def __init__(self, vector: list, values: dict):
+    def __init__(self, vector: dict, values: dict):
         self.vector = vector
         self.values = values        # map name -> Scalar
 
@@ -419,23 +401,23 @@ def _commutes(a: LinMap, b: LinMap) -> bool:
 
 
 def _restrict(m: LinMap, block):
-    """Matrix of m on span(block) in the block's own coordinates, read by
-    exactla.coordinates.  Its premise holds: a block is the standard basis
-    or the eigenvectors of one eigenspace of the previous map lifted from
-    an independent block, so its vectors are independent.
+    """Dense matrix of m on span(block) in the block's own coordinates, read
+    by exactla.coordinates.  Its premise holds: a block is the standard
+    basis or the eigenvectors of one eigenspace of the previous map lifted
+    from an independent block, so its vectors are independent.
     """
     coords = coordinates(block, [m.apply(v) for v in block])
     if None in coords:
         raise StructureError("internal: block is not invariant")
-    return [list(row) for row in zip(*coords)]
+    return LinMap.of_columns(coords, len(block)).matrix
 
 
 def split_block(m: LinMap, block: list, spec_points) -> list:
     """The eigenspaces of m on the m-invariant span of block, as
     (eigenvalue, eigenvectors in full coordinates) pairs in eigensplit's
     order.  StructureError when the span is not invariant."""
-    n = len(block[0])
-    return [(es.value, [vec_combination(coef, block, n) for coef in es.basis])
+    lift = LinMap.of_columns(block, m.n_out)
+    return [(es.value, [lift.apply(coef) for coef in es.basis])
             for es in eigensplit(_restrict(m, block), spec_points)]
 
 
@@ -472,7 +454,7 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
                     "%s does not commute with %s" % (name, clash))
             skipped.append((name, "does not commute with %s" % clash))
 
-    blocks = [([basis_vector(n, i) for i in range(n)], {})]
+    blocks = [([{i: SC_ONE} for i in range(n)], {})]
     for name, m in used:
         nxt = []
         for vecs, values in blocks:
@@ -537,7 +519,7 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
     n = alg.dim
     s2_sigma = TensorMap(antipode_squared(qg), md.sigma)
     bad = [alg.labels[k] for k in range(n)
-           if qg.delta(md.sigma.apply(alg.basis(k)))
+           if qg.delta(md.sigma.columns[k])
            != s2_sigma.apply(qg.coproduct.columns[k])]
     return CheckItem(
         "coproduct-modular-rule", not bad,
@@ -560,7 +542,7 @@ def compute_modular_data(qg: QGData, positive_mode: bool) -> ModularData:
     md = ModularData()
     stage = "haar-functional"
     try:
-        md.phi = left_haar(qg).phi
+        md.phi = left_haar(qg)
         stage = "right-invariance"
         md.psi = right_haar(qg, md.phi)
         stage = "modular-automorphism"

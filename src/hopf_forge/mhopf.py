@@ -5,7 +5,8 @@ checks, grouplike projections.
 The coproduct is a plain linear map A -> A(x)A (the unital finite shadow,
 where the multiplier algebra of the tensor square is the tensor square
 itself).  Every element of the tensor square, D(a) among them, is the
-sparse {(i, j): c} of finalg.TensorAlgebra.  The counit and antipode are
+sparse {(i, j): c} of finalg.TensorAlgebra, and every element of A, and
+the counit, the sparse {i: c} of finalg.  The counit and antipode are
 never taken on faith: they are solved for from their defining laws and
 required to be unique; declared tables, when present, are cross-checked
 against the solved ones.  Once they verify, the four canonical maps
@@ -23,15 +24,13 @@ from .exactla import (LinearAlgebraError, coordinates, solve_affine,
 from .exactla import rank as _rank
 from .finalg import (FinAlgebra, LinMap, TensorAlgebra, apply_functional,
                      build_algebra, failing_pairs, proved_on_generators,
-                     tensor_algebra, vec_combination, vec_is_zero)
+                     tensor_algebra)
 from .scalars import SC_ONE, SC_ZERO
 
 
-def tensor_vec(x: list, y: list) -> dict:
-    """x(x)y as {(i, j): x_i y_j} over the nonzero coordinates."""
-    ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero]
-    return {(i, j): xi * yj for i, xi in enumerate(x) if not xi.is_zero
-            for j, yj in ys}
+def tensor_vec(x: dict, y: dict) -> dict:
+    """x(x)y as {(i, j): x_i y_j}."""
+    return {(i, j): xi * yj for i, xi in x.items() for j, yj in y.items()}
 
 
 class Coproduct:
@@ -50,15 +49,6 @@ class Coproduct:
     def n_in(self) -> int:
         return len(self.columns)
 
-    def combine(self, terms) -> dict:
-        """sum x_k D(e_k) over the (k, x_k) pairs of terms, as {(i, j): c}
-        with no zero entry."""
-        out = {}
-        for k, xk in terms:
-            for key, c in self.columns[k].items():
-                out[key] = out.get(key, SC_ZERO) + (c if xk.is_one else xk * c)
-        return {key: c for key, c in out.items() if not c.is_zero}
-
 
 class QGData:
     """Algebra plus verified coproduct; counit and antipode once derived,
@@ -70,18 +60,22 @@ class QGData:
         self.algebra = algebra
         self.coproduct = coproduct
         self.tensor_sq = tensor_sq
-        self.counit = None          # list
+        self.counit = None          # {i: eps(e_i)}
         self.antipode = None        # LinMap
-        self.haar = None            # HaarSolution
+        self.haar = None            # {i: phi(e_i)}
         self.antipode_sq = None     # LinMap
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
-    def delta(self, x: list) -> dict:
-        return self.coproduct.combine((k, xk) for k, xk in enumerate(x)
-                                      if not xk.is_zero)
+    def delta(self, x: dict) -> dict:
+        """D(x) = sum x_k D(e_k), as {(i, j): c} with no zero entry."""
+        out = {}
+        for k, xk in x.items():
+            for key, c in self.coproduct.columns[k].items():
+                out[key] = out.get(key, SC_ZERO) + (c if xk.is_one else xk * c)
+        return {key: c for key, c in out.items() if not c.is_zero}
 
 
 def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
@@ -99,7 +93,7 @@ def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
     qg = QGData(alg, coproduct, tsq)
     cols = coproduct.columns
     for i, j in failing_pairs(alg, lambda i, j: (
-            coproduct.combine(alg.mul.get((i, j), {}).items()),
+            qg.delta(alg.mul.get((i, j), {})),
             tsq.multiply(cols[i], cols[j]))):
         raise StructureError("coproduct is not multiplicative at (%s, %s)"
                              % (alg.labels[i], alg.labels[j]))
@@ -158,7 +152,7 @@ class TMapReport:
         return [m for m in self.maps if not m.bijective]
 
 
-def unit_leg_product(qg: QGData, x: dict, y: list, shape: int) -> dict:
+def unit_leg_product(qg: QGData, x: dict, y: dict, shape: int) -> dict:
     """x(1(x)y), x(y(x)1), (1(x)y)x or (y(x)1)x for shape 0, 1, 2 or 3.
 
     x and the product are elements of the tensor square, y one of the
@@ -166,7 +160,7 @@ def unit_leg_product(qg: QGData, x: dict, y: list, shape: int) -> dict:
     are all built from these four products (Van Daele, Trans. AMS 342,
     1994).
     """
-    unit = qg.algebra.unit
+    unit = qg.algebra.one
     leg = tensor_vec(unit, y) if shape % 2 == 0 else tensor_vec(y, unit)
     tsq = qg.tensor_sq
     return tsq.multiply(x, leg) if shape < 2 else tsq.multiply(leg, x)
@@ -186,7 +180,7 @@ def _pair_products(qg: QGData, deltas: list, elems: list, shape: int) -> list:
 def _tmap_columns(qg: QGData, which: int) -> list:
     """The images of the basis e_i(x)e_j under T-map number which: T1 to T4
     are the products of shapes 0, 3, 1 and 2."""
-    basis = [qg.algebra.basis(i) for i in range(qg.dim)]
+    basis = [{i: SC_ONE} for i in range(qg.dim)]
     return _pair_products(qg, qg.coproduct.columns, basis,
                           (0, 3, 1, 2)[which])
 
@@ -233,7 +227,7 @@ def check_tmaps(qg: QGData, declared_counit=None,
         # a matrix and its transpose have the same rank
         ranks = [_rank(_tmap_columns(qg, which), n2)
                  for which in range(len(TMAP_FORMULAS))]
-        unit = qg.algebra.unit
+        unit = qg.algebra.one
         unital = qg.delta(unit) == tensor_vec(unit, unit)
     else:
         error = None
@@ -296,7 +290,8 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     eps = sol.particular
 
     for i, j in failing_pairs(alg, lambda i, j: (
-            apply_functional(eps, alg.basis_product(i, j)), eps[i] * eps[j])):
+            apply_functional(eps, alg.mul.get((i, j), {})),
+            eps.get(i, SC_ZERO) * eps.get(j, SC_ZERO))):
         raise StructureError("solved counit is not multiplicative at (%s, %s)"
                              % (alg.labels[i], alg.labels[j]))
 
@@ -319,7 +314,7 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
                     row1[r * n + i] = row1.get(r * n + i, SC_ZERO) + c * m
                 for r, m in by_left[i][t]:
                     row2[r * n + j] = row2.get(r * n + j, SC_ZERO) + c * m
-            target = eps[k] * alg.unit[t]
+            target = eps.get(k, SC_ZERO) * alg.one.get(t, SC_ZERO)
             rows += [sparse_row(row1), sparse_row(row2)]
             rhs += [target, target]
     sol = solve_affine(rows, rhs, n * n)
@@ -328,10 +323,14 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     if sol.dimension != 0:
         raise StructureError(
             "antipode is not unique (solution space dimension %d)" % sol.dimension)
-    # the unknown r * n + c is entry (r, c) of S, so column c is every n-th
-    antipode = LinMap.from_images([sol.particular[c::n] for c in range(n)])
+    # the unknown r * n + c is entry (r, c) of S
+    columns = [{} for _ in range(n)]
+    for rc, x in sol.particular.items():
+        columns[rc % n][rc // n] = x
+    antipode = LinMap.of_columns(columns, n)
 
-    if declared_counit is not None and list(declared_counit) != eps:
+    if (declared_counit is not None
+            and sparse_row(declared_counit) != eps):
         raise CheckFailure("declared-counit",
                            "declared counit disagrees with the solved one")
     if (declared_antipode is not None
@@ -378,7 +377,7 @@ def check_star_compat(qg: QGData) -> CheckReport:
 
     items = []
     bad = [alg.labels[i] for i in range(n)
-           if star.apply(s.apply(star.apply(s.apply(alg.basis(i))))) != alg.basis(i)]
+           if star.apply(s.apply(star.apply(s.columns[i]))) != {i: SC_ONE}]
     items.append(CheckItem(
         "antipode-star-involutivity",
         not bad,
@@ -386,8 +385,8 @@ def check_star_compat(qg: QGData) -> CheckReport:
         else "fails at " + ", ".join(bad)))
 
     bad = [alg.labels[i] for i in proved_on_generators(alg, lambda rows: [
-        i for i in rows if qg.delta(star.apply(alg.basis(i)))
-        != qg.tensor_sq.apply_star(qg.delta(alg.basis(i)))])]
+        i for i in rows if qg.delta(star.columns[i])
+        != qg.tensor_sq.apply_star(qg.coproduct.columns[i])])]
     items.append(CheckItem(
         "coproduct-star-compatibility",
         not bad,
@@ -395,8 +394,8 @@ def check_star_compat(qg: QGData) -> CheckReport:
         else "fails at " + ", ".join(bad)))
 
     bad = [alg.labels[i] for i in range(n)
-           if apply_functional(qg.counit, star.apply(alg.basis(i)))
-           != apply_functional(qg.counit, alg.basis(i)).conjugate()]
+           if apply_functional(qg.counit, star.columns[i])
+           != qg.counit.get(i, SC_ZERO).conjugate()]
     items.append(CheckItem(
         "counit-star-compatibility",
         not bad,
@@ -409,15 +408,15 @@ def check_star_compat(qg: QGData) -> CheckReport:
 # grouplike projections
 # ---------------------------------------------------------------------------
 
-def check_grouplike_projection(qg: QGData, p: list) -> CheckReport:
+def check_grouplike_projection(qg: QGData, p: dict) -> CheckReport:
     """p nonzero, p = p* = p^2, and D(p)(1(x)p) = p(x)p, all exact."""
     alg = qg.algebra
     if alg.star is None:
         raise StructureError("grouplike projection check requires a star structure")
-    items = [CheckItem("nonzero", not vec_is_zero(p))]
+    items = [CheckItem("nonzero", bool(p))]
     items.append(CheckItem("idempotent", alg.multiply(p, p) == p))
-    items.append(CheckItem("self-adjoint", alg.apply_star(p) == p))
-    lhs = qg.tensor_sq.multiply(qg.delta(p), tensor_vec(alg.unit, p))
+    items.append(CheckItem("self-adjoint", alg.star.apply(p) == p))
+    lhs = qg.tensor_sq.multiply(qg.delta(p), tensor_vec(alg.one, p))
     items.append(CheckItem("coproduct-condition", lhs == tensor_vec(p, p),
                            "D(p)(1(x)p) = p(x)p"))
     return CheckReport(items)
@@ -437,7 +436,7 @@ SUB_COMPAT_FORMULAS = ("D0(a)(1(x)b) = D(a)(1(x)b)",
 
 class SubMHAResult:
     def __init__(self, rows: list, labels: list, memberships: list):
-        self.rows = rows                # spanning vectors in big coordinates
+        self.rows = rows                # spanning {i: c} in big coordinates
         self.labels = labels
         self.memberships = memberships  # CheckItems for the four product families
         self.compat = []                # CheckItems for the compression equations
@@ -473,7 +472,8 @@ def _sub_items(kind: str, formulas, bads: list, ok_detail: str) -> list:
 
 
 def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
-    """Verify span(sub_rows) is a compatible sub-quantum-group.
+    """Verify span(sub_rows), sparse {i: c} elements, is a compatible
+    sub-quantum-group.
 
     Requires exact closure under multiplication (and star), membership of
     the four product families in the tensor square of the span (one solve
@@ -515,17 +515,16 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     if bad is not None:
         raise StructureError(
             "not a subalgebra: product of %s and %s leaves the span" % at(bad))
-    mul0 = {pair: col for pair, col
-            in zip(pairs, LinMap.from_images(products).columns) if col}
+    mul0 = {pair: col for pair, col in zip(pairs, products) if col}
 
     star0 = None
     if alg.star is not None:
-        images = coordinates(sub_rows, [alg.apply_star(r) for r in sub_rows])
+        images = coordinates(sub_rows, [alg.star.apply(r) for r in sub_rows])
         bad = _first_outside(images)
         if bad is not None:
             raise StructureError(
                 "span is not star-closed at %s" % sub_labels[bad])
-        star0 = LinMap.from_images(images, conjugate_linear=True)
+        star0 = LinMap.of_columns(images, n0, conjugate_linear=True)
 
     tens = [tensor_vec(sub_rows[a], sub_rows[b]) for a, b in pairs]
     deltas = [qg.delta(r) for r in sub_rows]
@@ -544,13 +543,14 @@ def check_sub_mha(qg: QGData, sub_rows: list, sub_labels=None) -> SubMHAResult:
     except StructureError as exc:
         result.notes.append("span has no unit of its own: %s" % exc)
         return result
-    result.sub_unit = alg0.unit
+    result.sub_unit = alg0.one
     result.compat = _sub_items("compression", SUB_COMPAT_FORMULAS, [None] * 4,
                                "holds on all pairs")
 
+    # D0(v_a) = sum_b u_b D(v_a)(1(x)v_b), in the coordinates of the pairs
     d0 = Coproduct([
-        dict(zip(pairs, vec_combination(alg0.unit, coords[a * n0:(a + 1) * n0],
-                                        m)))
+        {pairs[t]: c for t, c in LinMap.of_columns(
+            coords[a * n0:(a + 1) * n0], m).apply(alg0.one).items()}
         for a in range(n0)])
     induced = attach_coproduct(alg0, d0)
     tmr = check_tmaps(induced)

@@ -19,7 +19,7 @@ from .definition import (PairingDefinition, PresentationDefinition,
                          StructureDefinition, save_definition)
 from .duality import biduality, build_dual, dual_imbedding, dual_modular_check
 from .errors import CheckFailure, DefinitionError, HopfForgeError
-from .exactla import POSITIVE_DEFINITE
+from .exactla import POSITIVE_DEFINITE, dense_row, sparse_row
 from .finalg import gram_psd
 from .haar_modular import (MODULAR_STAGES, ModularStageFailure,
                            check_sigma_coproduct_rule, compute_modular_data,
@@ -30,7 +30,7 @@ from .mhopf import (CheckItem, attach_coproduct, check_star_compat,
                     check_sub_mha, check_tmaps)
 from .presentations import (PairedPresentations, build_presented,
                             check_word_budget)
-from .scalars import DEFAULT_SPEC_POINTS, SC_ONE
+from .scalars import DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO
 
 DEFAULT_CONFLUENCE_DEGREE = 6
 DEFAULT_PAIRING_DEGREE = 4
@@ -72,6 +72,12 @@ class Report:
 
 def fmt_vector(v) -> str:
     return "[" + ", ".join(str(x) for x in v) + "]"
+
+
+def fmt_element(x: dict, n: int) -> str:
+    """An element or functional {i: c} of an n-dimensional algebra, as the
+    dense vector of its coordinates."""
+    return fmt_vector(dense_row(x, n, SC_ZERO))
 
 
 def fmt_matrix(m) -> list:
@@ -222,15 +228,17 @@ def _modular_stages(rep: Report, qg, positive_mode: bool):
         md, failed = exc.data, exc
     passed = (MODULAR_STAGES.index(failed.stage) if failed
               else len(MODULAR_STAGES))
+    n = qg.dim
     if passed > 0:
         rep.add("haar-functional", True,
                 "left invariance has a one-dimensional solution space "
-                "(dimension %d)" % left_haar(qg).dimension)
-        rep.objects.append(("haar-functional", fmt_vector(md.phi)))
+                "(dimension 1)")
+        rep.objects.append(("haar-functional", fmt_element(md.phi, n)))
     if passed > 1:
         rep.add("right-invariance", True,
                 "the antipode image of the left functional is right invariant")
-        rep.objects.append(("right-invariant-functional", fmt_vector(md.psi)))
+        rep.objects.append(("right-invariant-functional",
+                            fmt_element(md.psi, n)))
     if passed > 2:
         rep.add("modular-automorphism", True,
                 "phi(a b) = phi(b sigma(a)) with sigma a bijective algebra "
@@ -241,7 +249,7 @@ def _modular_stages(rep: Report, qg, positive_mode: bool):
         rep.add("modular-element", True,
                 "both intertwining laws hold on every basis pair"
                 + ("; self-adjoint" if qg.algebra.star is not None else ""))
-        rep.objects.append(("modular-element", fmt_vector(md.delta)))
+        rep.objects.append(("modular-element", fmt_element(md.delta, n)))
     if failed is not None:
         rep.fail_from(failed.stage, failed)
         if failed.stage != "scaling-constant":
@@ -302,6 +310,7 @@ def run_validate(defn, source: str, sha256: str, degree=None) -> Report:
 
 def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
     alg = qg.algebra
+    n = alg.dim
 
     positive_mode = False
     if alg.star is not None:
@@ -310,7 +319,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
         except HopfForgeError as exc:
             rep.fail_from("haar-functional", exc)
             return
-        _g, cert = gram_psd(alg, haar_probe.phi, spec_points)
+        cert = gram_psd(alg, haar_probe, spec_points)
         positive_mode = cert.verdict == POSITIVE_DEFINITE
         detail = ("the form phi(a* b) is %s (certified %s)"
                   % (cert.verdict, cert.mode))
@@ -338,7 +347,8 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
         rep.add("modular-square-root", True,
                 "positive square root of the modular element found and "
                 "fixed by the modular automorphism")
-        rep.objects.append(("modular-element-square-root", fmt_vector(half)))
+        rep.objects.append(("modular-element-square-root",
+                            fmt_element(half, n)))
 
     rep.checks.append(check_sigma_coproduct_rule(qg, md))
 
@@ -366,13 +376,13 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
         for row in eigentable.rows:
             values = ", ".join("%s = %s" % (name, row.values[name])
                                for name in eigentable.used_maps)
-            lines.append("%s : %s" % (fmt_vector(row.vector), values))
+            lines.append("%s : %s" % (fmt_element(row.vector, n), values))
         rep.objects.append(("eigentable", lines))
 
     if alg.star is not None:
         cert2 = None
         try:
-            _g2, cert2 = psi_positivity(qg, md, spec_points)
+            cert2 = psi_positivity(qg, md, spec_points)
         except HopfForgeError as exc:
             rep.fail_from("psi-agrees-with-shifted-phi", exc)
         if cert2 is not None:
@@ -387,8 +397,8 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
                 rep.notes.append("psi-positivity: " + detail)
 
     spans = ["%s: dimension %d" % (alg.labels[i],
-                                   len(orbit_span(md, alg.basis(i))))
-             for i in range(alg.dim)]
+                                   len(orbit_span(md, {i: SC_ONE})))
+             for i in range(n)]
     rep.objects.append(("map-orbit-span-dimensions", spans))
     window_items = nonvanishing_window(qg, md)
     if positive_mode:
@@ -473,8 +483,9 @@ def run_dual(defn, source: str, sha256: str, output=None) -> Report:
         return rep
     rep.add("dual-haar-functional", True,
             "left invariance on the dual has a one-dimensional solution "
-            "space (dimension %d)" % haar2.dimension)
-    rep.objects.append(("dual-haar-functional", fmt_vector(haar2.phi)))
+            "space (dimension 1)")
+    rep.objects.append(("dual-haar-functional",
+                        fmt_element(haar2, build.qg.dim)))
 
     try:
         bid = biduality(qg, build)
@@ -538,7 +549,7 @@ def run_subcheck(defn, source: str, sha256: str, sub_name=None) -> Report:
     for name, rows in selected:
         prefix = "sub(%s) " % name
         try:
-            result = check_sub_mha(qg, rows)
+            result = check_sub_mha(qg, [sparse_row(r) for r in rows])
         except HopfForgeError as exc:
             rep.fail_from(prefix + "membership", exc)
             continue

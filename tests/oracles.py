@@ -10,7 +10,10 @@ matrix from dense products, and orbit_closure closes an orbit under kappa
 and its inverse, for the sparse forms and the Krylov orbit of the library.
 The structure checks below run every basis pair or triple, the loops that
 the library replaces by proofs from a generating set
-(finalg.proved_on_generators), and raise or return what it does.
+(finalg.proved_on_generators), and raise or return what it does.  Elements
+and functionals are the library's sparse {i: c}; basis(i) is e_i, and each
+loop forms its products with FinAlgebra.multiply and LinMap.apply on basis
+elements, not from table entries or map columns.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
                                         standard_transformations)
 
 from hopf_forge.errors import StructureError
-from hopf_forge.exactla import dense_row, rank, rref, solve_affine, sparse_row
+from hopf_forge.exactla import rank, rref, solve_affine
 from hopf_forge.finalg import (FinAlgebra, LinMap, _solve_unit,
                                apply_functional, tensor_algebra)
 from hopf_forge.mhopf import Coproduct, QGData
@@ -94,40 +97,45 @@ def matrix_coproduct(rows):
                       for k in range(n)])
 
 
+def basis(i):
+    """The basis element e_i as {i: 1}."""
+    return {i: SC_ONE}
+
+
 def dense_form(alg, omega):
-    """B[i][j] = omega(e_i e_j), one dense product per pair."""
+    """B[i][j] = omega(e_i e_j), one product per pair."""
     n = alg.dim
-    return [[apply_functional(omega, alg.basis_product(i, j))
+    return [[apply_functional(omega, alg.multiply(basis(i), basis(j)))
              for j in range(n)] for i in range(n)]
 
 
 def dense_gram(alg, phi):
-    """G[i][j] = phi(star(e_i) e_j), one dense product per pair."""
-    starred = [alg.apply_star(alg.basis(i)) for i in range(alg.dim)]
-    return [[apply_functional(phi, alg.multiply(starred[i], alg.basis(j)))
+    """G[i][j] = phi(star(e_i) e_j), one product per pair."""
+    starred = [alg.star.apply(basis(i)) for i in range(alg.dim)]
+    return [[apply_functional(phi, alg.multiply(starred[i], basis(j)))
              for j in range(alg.dim)] for i in range(alg.dim)]
 
 
 def orbit_closure(md, a):
     """The reduced basis of the span of a closed under kappa and its
     inverse, both applied to every vector found until none is new."""
-    n = len(a)
+    n = md.kappa.n_in
     maps = (md.kappa, md.kappa.inverse())
-    vecs = [list(a)]
-    current_rank = rank(vecs)
+    vecs = [a]
+    current_rank = rank(vecs, n)
     changed = True
     while changed and current_rank < n:
         changed = False
         for m in maps:
             for v in list(vecs):
                 img = m.apply(v)
-                if rank(vecs + [img]) > current_rank:
+                if rank(vecs + [img], n) > current_rank:
                     vecs.append(img)
                     current_rank += 1
                     changed = True
-    reduced = [sparse_row(v) for v in vecs]
+    reduced = list(vecs)
     rref(reduced)
-    return [dense_row(r, n, SC_ZERO) for r in reduced if r]
+    return [r for r in reduced if r]
 
 
 def build_algebra_full(labels, mul, star=None, name=""):
@@ -135,7 +143,7 @@ def build_algebra_full(labels, mul, star=None, name=""):
     anti-multiplicativity checked on every basis triple or pair."""
     alg = FinAlgebra(list(labels), dict(mul), None, star, name=name)
     n = alg.dim
-    e = alg.basis
+    e = basis
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -147,11 +155,11 @@ def build_algebra_full(labels, mul, star=None, name=""):
                         "a(bc) = %s" % (alg.labels[i], alg.labels[j],
                                         alg.labels[k], alg.format_element(lhs),
                                         alg.format_element(rhs)))
-    alg.unit = _solve_unit(alg)
+    alg.one = _solve_unit(alg)
     for i in range(n):
-        if alg.multiply(alg.unit, e(i)) != e(i):
+        if alg.multiply(alg.one, e(i)) != e(i):
             raise StructureError("left unit law fails at %s" % alg.labels[i])
-        if alg.multiply(e(i), alg.unit) != e(i):
+        if alg.multiply(e(i), alg.one) != e(i):
             raise StructureError("right unit law fails at %s" % alg.labels[i])
     if star is None:
         return alg
@@ -171,7 +179,7 @@ def build_algebra_full(labels, mul, star=None, name=""):
                     "star(ab) = %s but star(b) star(a) = %s"
                     % (alg.labels[i], alg.labels[j], alg.format_element(lhs),
                        alg.format_element(rhs)))
-    if star.apply(alg.unit) != alg.unit:
+    if star.apply(alg.one) != alg.one:
         raise StructureError("star does not fix the unit")
     return alg
 
@@ -239,7 +247,7 @@ def check_counit_full(qg) -> None:
     sol = solve_affine(rows, rhs, n)
     if sol.is_empty or sol.dimension != 0:
         return
-    eps = sol.particular
+    eps = [sol.particular.get(k, SC_ZERO) for k in range(n)]
     for i in range(n):
         for j in range(n):
             value = SC_ZERO
@@ -256,15 +264,15 @@ def star_compat_failures(qg) -> list:
     alg = qg.algebra
     star = alg.star
     return [alg.labels[i] for i in range(alg.dim)
-            if qg.delta(star.apply(alg.basis(i)))
-            != qg.tensor_sq.apply_star(qg.delta(alg.basis(i)))]
+            if qg.delta(star.apply(basis(i)))
+            != qg.tensor_sq.apply_star(qg.delta(basis(i)))]
 
 
 def morphism_failures(src, dst, lin) -> list:
     """The first three basis pairs, as labels, with f(xy) != f(x)f(y)."""
     a, b = src.algebra, dst.algebra
     n = a.dim
-    f = [lin.apply(a.basis(k)) for k in range(n)]
+    f = [lin.apply(basis(k)) for k in range(n)]
     return [(a.labels[i], a.labels[j]) for i in range(n) for j in range(n)
-            if lin.apply(a.multiply(a.basis(i), a.basis(j)))
+            if lin.apply(a.multiply(basis(i), basis(j)))
             != b.multiply(f[i], f[j])][:3]

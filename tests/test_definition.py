@@ -112,3 +112,7 @@ class TestPresentationParsing:
         obj["action_functionals"][0][0] = "ghost"
         with pytest.raises(DefinitionError, match="ghost"):
             parse_definition(json.dumps(obj))
+        # a name that is no string is refused the same way, not hashed
+        obj["action_functionals"][0][0] = []
+        with pytest.raises(DefinitionError, match="no action"):
+            parse_definition(json.dumps(obj))

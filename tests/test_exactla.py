@@ -14,7 +14,8 @@ from hopf_forge import exactla
 from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
                                 POSITIVE_SEMIDEFINITE, LinearAlgebraError,
                                 NotDiagonalizableOverField, coordinates,
-                                eigensplit, gram_certificate, invert,
+                                dense_row, eigensplit, gram_certificate,
+                                invert,
                                 kernel_basis, mat_copy, matmul, matvec, rank,
                                 rank_mod_p, rational_roots, rref,
                                 solve_affine, sparse_row)
@@ -31,6 +32,11 @@ small_fracs = st.fractions(min_value=-5, max_value=5,
 
 def sc(fr) -> Scalar:
     return Scalar.from_fraction(Fraction(fr))
+
+
+def dense(v, n):
+    """A sparse {i: c} vector as its n dense coordinates."""
+    return dense_row(v, n, SC_ZERO)
 
 
 @st.composite
@@ -52,12 +58,13 @@ class TestRowReduction:
     @given(rational_matrices())
     def test_kernel_matches_sympy(self, rows):
         kern = kernel_basis(rows)
+        m = len(rows[0])
         null = matrix_to_sympy(rows).nullspace()
         assert len(kern) == len(null)
         for v in kern:
-            image = matvec(rows, v)
+            image = matvec(rows, dense(v, m))
             assert all(x.is_zero for x in image)
-        assert rank(kern) == len(kern) if kern else True
+        assert rank(kern, m) == len(kern) if kern else True
 
     @settings(max_examples=60)
     @given(rational_matrices(), st.data())
@@ -67,7 +74,7 @@ class TestRowReduction:
         rhs = matvec(rows, x)
         sol = solve_affine(rows, rhs)
         assert not sol.is_empty
-        assert matvec(rows, sol.particular) == rhs
+        assert matvec(rows, dense(sol.particular, m)) == rhs
         assert sol.dimension == len(kernel_basis(rows))
 
     def test_solve_affine_empty(self):
@@ -78,7 +85,8 @@ class TestRowReduction:
     def test_rref_is_idempotent(self):
         rows = [[sc(2), sc(4)], [sc(1), sc(2)]]
         rref(rows)
-        again = [list(r) for r in rows]
+        assert rows == [{0: sc(1), 1: sc(2)}, {}]
+        again = [dict(r) for r in rows]
         rref(again)
         assert again == rows
 
@@ -103,13 +111,14 @@ class TestCoordinates:
             [sc(data.draw(small_fracs)) for _ in range(dim)]
             for _ in range(data.draw(st.integers(0, 3)))]
         found = coordinates(vectors, targets)
-        assert found[0] == coeffs
+        assert found[0] == sparse_row(coeffs)
         for target, coords in zip(targets, found):
             inside = (matrix_to_sympy(vectors + [target]).rank()
                       == len(vectors))
             assert (coords is not None) == inside
             if inside:
-                assert combination(coords, vectors, dim) == target
+                assert combination(dense(coords, len(vectors)), vectors,
+                                   dim) == target
 
     def test_dependent_vectors_raise(self):
         # without the guard, e2 would read as 0 e1 + 1 (2 e1)
@@ -295,7 +304,7 @@ class TestRationalRoots:
             assert residual == 0
             spaces = eigensplit([[Scalar.from_int(pq)]], DEFAULT_SPEC_POINTS)
         assert [(str(es.value), es.basis) for es in spaces] == \
-            [(str(pq), [[SC_ONE]])]
+            [(str(pq), [{0: SC_ONE}])]
 
     @pytest.mark.parametrize("c", [SEMIPRIME, PRIMORIAL_43],
                              ids=["semiprime", "primorial"])
@@ -314,7 +323,7 @@ class TestRationalRoots:
         with deadline(5):
             spaces = eigensplit(rows, DEFAULT_SPEC_POINTS)
         assert [(str(es.value), es.basis) for es in spaces] == [
-            ("1", [[SC_ZERO, SC_ONE]]), (str(c), [[SC_ONE, SC_ZERO]])]
+            ("1", [{1: SC_ONE}]), (str(c), [{0: SC_ONE}])]
 
     def test_roots_colliding_mod_3(self):
         # 1, 4 and 1+3i are one root mod 3, and 4 is a root of x^2 - 2 mod 7,
@@ -405,7 +414,8 @@ class TestEigensplit:
         assert by_value == {"s^2": 2, "1": 1}
         for sp in spaces:
             for v in sp.basis:
-                assert matvec(rows, v) == [sp.value * x for x in v]
+                assert matvec(rows, dense(v, 3)) == [
+                    sp.value * x for x in dense(v, 3)]
 
     @pytest.mark.parametrize("c", ["3", "0", "1+s^2", "i*s/(1-s)"])
     def test_multiple_of_identity_needs_no_polynomial(self, monkeypatch, c):
@@ -418,8 +428,7 @@ class TestEigensplit:
                 for i in range(3)]
         spaces = eigensplit(rows, DEFAULT_SPEC_POINTS)
         assert [(es.value, es.basis) for es in spaces] == [
-            (c, [[SC_ONE if i == j else SC_ZERO for j in range(3)]
-                 for i in range(3)])]
+            (c, [{i: SC_ONE} for i in range(3)])]
 
     def test_permutation_matrix(self):
         z, o = SC_ZERO, SC_ONE

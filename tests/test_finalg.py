@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hopf_forge.errors import StructureError
-from hopf_forge.exactla import POSITIVE_DEFINITE, invert, matmul, matvec
-from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
-                               build_algebra, gram_matrix, gram_psd,
-                               tensor_algebra, transform_basis,
-                               vec_combination, vec_is_zero)
+from hopf_forge.exactla import (POSITIVE_DEFINITE, invert, matmul, matvec,
+                                sparse_row)
+from hopf_forge.finalg import (LinMap, apply_functional, build_algebra,
+                               gram_matrix, gram_psd, tensor_algebra,
+                               transform_basis)
 from hopf_forge.mhopf import tensor_vec
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 GaussRat, Scalar, parse_scalar)
@@ -35,6 +35,7 @@ DENSE = {
     "2x2": [[sc("1+s"), sc("2+i")], [sc("1/s"), sc("-1")]],
 }
 VECTORS = {2: [sc("s"), sc("2+i")], 3: [sc("i"), SC_ZERO, sc("1-s")]}
+I_UNIT = Scalar.const(GaussRat(0, 1))
 # (outer, inner) pairs whose composite is defined
 COMPOSABLE = [("3x2", "2x3"), ("2x3", "3x2"), ("2x2", "2x3"),
               ("3x2", "2x2"), ("2x2", "2x2")]
@@ -54,10 +55,12 @@ def pointwise_mul(n):
 class TestBuildAlgebra:
     def test_solves_unit_of_group_algebra(self):
         alg = build_algebra(["u0", "u1", "u2"], cyclic_group_mul(3))
+        assert alg.one == {0: SC_ONE}
         assert alg.unit == [SC_ONE, SC_ZERO, SC_ZERO]
 
     def test_solves_unit_of_function_algebra(self):
         alg = build_algebra(["e0", "e1"], pointwise_mul(2))
+        assert alg.one == {0: SC_ONE, 1: SC_ONE}
         assert alg.unit == [SC_ONE, SC_ONE]
 
     def test_rejects_nonassociative(self):
@@ -97,48 +100,50 @@ class TestBuildAlgebra:
             build_algebra(["e0", "e1"], pointwise_mul(2), star=star)
 
     def test_accepts_group_inverse_star(self):
-        star = LinMap.from_images([basis_vector(3, 0), basis_vector(3, 2),
-                                   basis_vector(3, 1)])
+        star = LinMap.of_columns([{0: SC_ONE}, {2: SC_ONE}, {1: SC_ONE}], 3)
         star = LinMap(star.matrix, conjugate_linear=True)
         alg = build_algebra(["u0", "u1", "u2"], cyclic_group_mul(3),
                             star=star)
-        assert alg.apply_star(alg.basis(1)) == alg.basis(2)
+        assert alg.star.apply({1: SC_ONE}) == {2: SC_ONE}
 
     def test_multiply_bilinear(self):
         alg = build_algebra(["u0", "u1"], cyclic_group_mul(2))
-        x = vec_combination([SC_ONE, HALF], [alg.basis(0), alg.basis(1)], 2)
-        y = vec_combination([SC_ONE, -SC_ONE], [alg.basis(1), alg.basis(0)], 2)
+        x = {0: SC_ONE, 1: HALF}
+        y = {1: SC_ONE, 0: -SC_ONE}
         left = alg.multiply(x, y)
-        expanded = vec_combination(
-            [SC_ONE, HALF],
-            [alg.multiply(alg.basis(0), y), alg.multiply(alg.basis(1), y)], 2)
+        expanded = LinMap.of_columns(
+            [alg.multiply({0: SC_ONE}, y), alg.multiply({1: SC_ONE}, y)],
+            2).apply(x)
         assert left == expanded
+        assert left == {0: -SC_ONE + HALF, 1: SC_ONE - HALF}
 
 
 class TestLinMap:
-    def test_from_images_and_apply(self):
-        m = LinMap.from_images([[SC_ZERO, SC_ONE], [SC_ONE, SC_ZERO]])
-        assert m.apply([SC_ONE, SC_ZERO]) == [SC_ZERO, SC_ONE]
+    def test_of_columns_and_apply(self):
+        m = LinMap.of_columns([{1: SC_ONE}, {0: SC_ONE}], 2)
+        assert m.apply({0: SC_ONE}) == {1: SC_ONE}
+        # a sum that cancels stores no zero
+        assert m.apply({0: SC_ONE, 1: SC_ZERO - SC_ONE}) == {
+            1: SC_ONE, 0: -SC_ONE}
+        assert LinMap.of_columns([{0: SC_ONE}, {0: -SC_ONE}], 1).apply(
+            {0: SC_ONE, 1: SC_ONE}) == {}
 
     def test_conjugate_linear_apply(self):
-        i_unit = Scalar.const(GaussRat(0, 1))
         m = LinMap([[SC_ONE]], conjugate_linear=True)
-        assert m.apply([i_unit]) == [-i_unit]
+        assert m.apply({0: I_UNIT}) == {0: -I_UNIT}
 
     def test_compose_tracks_conjugation(self):
         c = LinMap([[SC_ONE]], conjugate_linear=True)
         assert c.compose(c).conjugate_linear is False
-        i_unit = Scalar.const(GaussRat(0, 1))
-        m = LinMap([[i_unit]], conjugate_linear=True)
+        m = LinMap([[I_UNIT]], conjugate_linear=True)
         # m(m(x)) = i * conj(i * conj(x)) = i * (-i) * x = x
-        assert m.compose(m).apply([SC_ONE]) == [SC_ONE]
+        assert m.compose(m).apply({0: SC_ONE}) == {0: SC_ONE}
 
     def test_inverse_of_conjugate_linear(self):
-        i_unit = Scalar.const(GaussRat(0, 1))
-        m = LinMap([[i_unit]], conjugate_linear=True)
+        m = LinMap([[I_UNIT]], conjugate_linear=True)
         inv = m.inverse()
-        assert inv.compose(m).apply([Scalar.s_power(1)]) == \
-            [Scalar.s_power(1)]
+        assert inv.compose(m).apply({0: Scalar.s_power(1)}) == \
+            {0: Scalar.s_power(1)}
 
     # The tests below check each operation against exactla.matvec / matmul
     # on the dense rows; a conjugate-linear map is v -> M conj(v).
@@ -151,9 +156,10 @@ class TestLinMap:
         assert m.matrix == rows
         v = VECTORS[m.n_in]
         arg = [x.conjugate() for x in v] if conj else v
-        assert m.apply(v) == matvec(rows, arg)
+        assert m.apply(sparse_row(v)) == sparse_row(matvec(rows, arg))
         images = [[row[j] for row in rows] for j in range(m.n_in)]
-        assert LinMap.from_images(images, conjugate_linear=conj) == m
+        assert LinMap.of_columns([sparse_row(img) for img in images],
+                                 m.n_out, conjugate_linear=conj) == m
         assert m.transpose() == LinMap(images, conjugate_linear=conj)
 
     @pytest.mark.parametrize(
@@ -168,7 +174,7 @@ class TestLinMap:
         fg = f.compose(g)
         assert fg.matrix == want
         assert fg == LinMap(want, conjugate_linear=conj_f != conj_g)
-        v = VECTORS[g.n_in]
+        v = sparse_row(VECTORS[g.n_in])
         assert fg.apply(v) == f.apply(g.apply(v))
 
     @pytest.mark.parametrize("conj", FLAGS)
@@ -217,7 +223,7 @@ class TestTensorAlgebra:
     def test_unit_is_tensor_of_units(self):
         a = build_algebra(["e0", "e1"], pointwise_mul(2))
         t = tensor_algebra(a, a)
-        unit = tensor_vec(a.unit, a.unit)
+        unit = tensor_vec(a.one, a.one)
         assert unit == {(i, j): SC_ONE for i in range(2) for j in range(2)}
         for pair in unit:
             assert t.multiply(unit, {pair: SC_ONE}) == {pair: SC_ONE}
@@ -227,9 +233,8 @@ class TestTensorAlgebra:
         star = LinMap(LinMap.identity(2).matrix, conjugate_linear=True)
         a = build_algebra(["e0", "e1"], pointwise_mul(2), star=star)
         t = tensor_algebra(a, a)
-        i_unit = Scalar.const(GaussRat(0, 1))
-        v = {(0, 0): i_unit}
-        assert t.apply_star(v) == {(0, 0): -i_unit}
+        v = {(0, 0): I_UNIT}
+        assert t.apply_star(v) == {(0, 0): -I_UNIT}
 
 
 class TestTransformBasis:
@@ -238,9 +243,9 @@ class TestTransformBasis:
         # p0 = (u0+u1)/2 and p1 = (u0-u1)/2 are orthogonal idempotents
         p_cols = [[HALF, HALF], [HALF, -HALF]]
         new = transform_basis(alg, p_cols, labels=["p0", "p1"])
-        assert new.multiply(new.basis(0), new.basis(0)) == new.basis(0)
-        assert new.multiply(new.basis(0), new.basis(1)) == \
-            [SC_ZERO, SC_ZERO]
+        assert new.multiply({0: SC_ONE}, {0: SC_ONE}) == {0: SC_ONE}
+        assert new.multiply({0: SC_ONE}, {1: SC_ONE}) == {}
+        assert new.one == {0: SC_ONE, 1: SC_ONE}
         assert new.unit == [SC_ONE, SC_ONE]
 
 
@@ -248,17 +253,16 @@ class TestGram:
     def test_counting_state_on_functions(self):
         star = LinMap(LinMap.identity(2).matrix, conjugate_linear=True)
         alg = build_algebra(["e0", "e1"], pointwise_mul(2), star=star)
-        phi = [HALF, HALF]
+        phi = {0: HALF, 1: HALF}
         g = gram_matrix(alg, phi)
         assert g == [[HALF, SC_ZERO], [SC_ZERO, HALF]]
-        _g, cert = gram_psd(alg, phi, DEFAULT_SPEC_POINTS)
+        cert = gram_psd(alg, phi, DEFAULT_SPEC_POINTS)
         assert cert.verdict == POSITIVE_DEFINITE
 
     def test_apply_functional(self):
-        phi = [SC_ONE, Scalar.s_power(1)]
-        assert apply_functional(phi, [SC_ONE, SC_ONE]) == \
+        phi = {0: SC_ONE, 1: Scalar.s_power(1)}
+        assert apply_functional(phi, {0: SC_ONE, 1: SC_ONE}) == \
             SC_ONE + Scalar.s_power(1)
-
-    def test_vec_is_zero(self):
-        assert vec_is_zero([SC_ZERO, SC_ZERO])
-        assert not vec_is_zero([SC_ZERO, SC_ONE])
+        assert apply_functional(phi, {1: HALF, 2: SC_ONE}) == \
+            HALF * Scalar.s_power(1)
+        assert apply_functional({}, {0: SC_ONE}) == SC_ZERO

@@ -21,7 +21,7 @@ from hopf_forge import finalg
 from hopf_forge.assemble import build_qg
 from hopf_forge.duality import verify_qg_morphism
 from hopf_forge.errors import StructureError
-from hopf_forge.exactla import invert
+from hopf_forge.exactla import invert, sparse_row
 from hopf_forge.finalg import (FinAlgebra, LinMap, build_algebra,
                                generating_set, transform_basis)
 from hopf_forge.fixtures import function_algebra, group_algebra
@@ -61,15 +61,26 @@ class TestGeneratingSet:
         assert generating_set(alg) == [0, 1, 2]
 
     def test_light_test_runs_two_middle_slots(self, monkeypatch):
-        # two sparse sums per triple (i, g, k), g over the two generators
-        real = finalg._sparse_sum
-        calls = []
+        # two products per triple (i, g, k), g over the two generators,
+        # counted while _check_associativity runs
+        real_multiply = finalg.FinAlgebra.multiply
+        real_check = finalg._check_associativity
+        calls, inside = [], []
 
-        def spy(pairs):
-            calls.append(1)
-            return real(pairs)
+        def spy(alg, x, y):
+            if inside:
+                calls.append(1)
+            return real_multiply(alg, x, y)
+
+        def check(alg):
+            inside.append(1)
+            try:
+                real_check(alg)
+            finally:
+                inside.pop()
         defn = group_d16()
-        monkeypatch.setattr(finalg, "_sparse_sum", spy)
+        monkeypatch.setattr(finalg.FinAlgebra, "multiply", spy)
+        monkeypatch.setattr(finalg, "_check_associativity", check)
         build_qg(defn)
         assert len(calls) == 2 * (2 * 32 ** 2)
 
@@ -184,7 +195,7 @@ def planted_structure(source, seed, defect, where):
           for c in range(n)] for r in range(n)]
     pinv = invert(p)
     alg = transform_basis(
-        FinAlgebra(d.labels, d.mul, d.unit,
+        FinAlgebra(d.labels, d.mul, sparse_row(d.unit),
                    LinMap(star, conjugate_linear=True)),
         p, labels=["f%d" % c for c in range(n)])
     mul, star = dict(alg.mul), alg.star

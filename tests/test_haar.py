@@ -9,9 +9,8 @@ import pytest
 from hopf_forge import haar_modular
 from hopf_forge.assemble import build_qg
 from hopf_forge.errors import CheckFailure, StructureError
-from hopf_forge.exactla import mat_copy, rref
-from hopf_forge.finalg import (LinMap, apply_functional, basis_vector,
-                               build_algebra)
+from hopf_forge.exactla import dense_row, mat_copy, rref, sparse_row
+from hopf_forge.finalg import LinMap, apply_functional, build_algebra
 from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
                                      compute_modular_data,
                                      delta_square_root, orbit_analysis,
@@ -25,7 +24,7 @@ from hopf_forge.mhopf import (Coproduct, attach_coproduct,
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
 
-from oracles import orbit_closure
+from oracles import basis, orbit_closure
 from packaged import packaged
 from test_bench_workloads import WORKLOADS
 from test_mhopf import DERIVED_CASES, derived_structures
@@ -47,39 +46,51 @@ def hopf_qg(name):
     return derive_counit_antipode(qg)
 
 
+def dense(x, n):
+    """The element or functional {i: c} as its n dense coordinates."""
+    return dense_row(x, n, SC_ZERO)
+
+
+def scaled(c, x):
+    """c x, storing no zero."""
+    return {} if c.is_zero else {k: c * y for k, y in x.items()}
+
+
 class TestLeftHaar:
     def test_solution_space_is_one_dimensional_everywhere(self):
+        # solve_left_haar raises unless the kernel is one-dimensional
+        # (test_haar_uniqueness_is_checked)
         for name in HOPF_FIXTURES:
-            haar = solve_left_haar(hopf_qg(name))
-            assert haar.dimension == 1, name
+            assert solve_left_haar(hopf_qg(name)), name
 
     def test_uniform_weights_on_function_algebras(self):
         frozen = {"c_z2": "1/2", "c_z4": "1/4", "c_s3": "1/6"}
         for name, w in frozen.items():
-            haar = solve_left_haar(hopf_qg(name))
-            assert haar.phi == [sc(w)] * len(haar.phi), name
+            qg = hopf_qg(name)
+            phi = solve_left_haar(qg)
+            assert phi == {i: sc(w) for i in range(qg.dim)}, name
 
     def test_identity_coefficient_on_group_algebra(self):
-        haar = solve_left_haar(hopf_qg("group_s3"))
-        assert haar.phi == [SC_ONE] + [SC_ZERO] * 5
+        phi = solve_left_haar(hopf_qg("group_s3"))
+        assert phi == {0: SC_ONE}
 
     def test_left_invariance_by_direct_expansion(self):
         # (i (x) phi)(D(a)) = phi(a) 1, expanded without the solver
         qg = hopf_qg("c_s3")
         alg = qg.algebra
         n = alg.dim
-        phi = solve_left_haar(qg).phi
+        phi = dense(solve_left_haar(qg), n)
         for k in range(n):
-            dk = qg.delta(alg.basis(k))
+            dk = qg.delta(basis(k))
             out = [SC_ZERO] * n
             for (i, j), c in dk.items():
                 w = c * phi[j]
-                out = [x + w * y for x, y in zip(out, alg.basis(i))]
+                out = [x + w * y for x, y in zip(out, dense(basis(i), n))]
             assert out == [phi[k] * u for u in alg.unit]
 
     def test_sweedler_haar_is_the_corner_functional(self):
-        haar = solve_left_haar(hopf_qg("sweedler_h4"))
-        assert haar.phi == [SC_ZERO, SC_ZERO, SC_ZERO, SC_ONE]
+        phi = solve_left_haar(hopf_qg("sweedler_h4"))
+        assert phi == {3: SC_ONE}
 
 
 class TestRightHaarAndModularMaps:
@@ -87,13 +98,13 @@ class TestRightHaarAndModularMaps:
         qg = hopf_qg("sweedler_h4")
         md = compute_modular_data(qg, positive_mode=False)
         neg = SC_ZERO - SC_ONE
-        assert md.phi == [SC_ZERO, SC_ZERO, SC_ZERO, SC_ONE]
-        assert md.psi == [SC_ZERO, SC_ZERO, neg, SC_ZERO]
+        assert md.phi == {3: SC_ONE}
+        assert md.psi == {2: neg}
         diag = [SC_ONE, neg, neg, SC_ONE]
         assert md.sigma.matrix == \
             [[diag[i] if i == j else SC_ZERO for j in range(4)]
              for i in range(4)]
-        assert md.delta == [SC_ZERO, SC_ONE, SC_ZERO, SC_ZERO]
+        assert md.delta == {1: SC_ONE}
         assert md.mu == neg
         kdiag = [SC_ONE, neg, SC_ONE, neg]
         assert md.kappa.matrix == \
@@ -108,21 +119,21 @@ class TestRightHaarAndModularMaps:
             ident = [[SC_ONE if i == j else SC_ZERO for j in range(n)]
                      for i in range(n)]
             assert md.sigma.matrix == ident, name
-            assert md.delta == qg.algebra.unit, name
+            assert md.delta == qg.algebra.one, name
             assert md.mu == SC_ONE, name
             assert delta_square_root(qg, md.delta, md.sigma,
                                      DEFAULT_SPEC_POINTS) == \
-                qg.algebra.unit, name
+                qg.algebra.one, name
 
     def test_scaling_constant_matches_brute_force(self):
         for name in HOPF_FIXTURES:
             qg = hopf_qg(name)
-            phi = solve_left_haar(qg).phi
+            phi = solve_left_haar(qg)
             mu = scaling_constant(qg, phi, assert_one=False)
             s2 = qg.antipode.compose(qg.antipode)
-            lhs = [apply_functional(phi, s2.apply(qg.algebra.basis(i)))
+            lhs = [apply_functional(phi, s2.apply(basis(i)))
                    for i in range(qg.dim)]
-            rhs = [mu * phi[i] for i in range(qg.dim)]
+            rhs = [mu * x for x in dense(phi, qg.dim)]
             assert lhs == rhs, name
 
     def test_positive_mode_rejects_sweedler_scaling(self):
@@ -142,9 +153,8 @@ class TestRightHaarAndModularMaps:
         alg = qg.algebra
         for i in range(qg.dim):
             for j in range(qg.dim):
-                ab = alg.multiply(alg.basis(i), alg.basis(j))
-                bsa = alg.multiply(alg.basis(j),
-                                   md.sigma_prime.apply(alg.basis(i)))
+                ab = alg.multiply(basis(i), basis(j))
+                bsa = alg.multiply(basis(j), md.sigma_prime.apply(basis(i)))
                 assert apply_functional(md.psi, ab) == \
                     apply_functional(md.psi, bsa)
 
@@ -200,13 +210,13 @@ class TestPsiPositivity:
         for name in ("c_z2", "c_z4", "c_s3", "group_s3"):
             qg = hopf_qg(name)
             md = compute_modular_data(qg, positive_mode=True)
-            gram, cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
+            cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
             assert cert.verdict == "positive-definite", name
 
     def test_sweedler_psi_gram_is_indefinite(self):
         qg = hopf_qg("sweedler_h4")
         md = compute_modular_data(qg, positive_mode=False)
-        gram, cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
+        cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
         assert cert.verdict == "indefinite"
 
 
@@ -214,13 +224,13 @@ class TestOrbitWindow:
     def test_window_passes_on_group_fixture(self):
         qg = hopf_qg("group_s3")
         md = compute_modular_data(qg, positive_mode=True)
-        report = orbit_analysis(qg, md, qg.algebra.basis(1))
+        report = orbit_analysis(qg, md, basis(1))
         assert report.all_ok
 
     def test_window_vanishes_on_sweedler(self):
         qg = hopf_qg("sweedler_h4")
         md = compute_modular_data(qg, positive_mode=False)
-        report = orbit_analysis(qg, md, qg.algebra.basis(1))
+        report = orbit_analysis(qg, md, basis(1))
         assert not report.all_ok
 
 
@@ -231,8 +241,8 @@ class TestOrbitSpan:
         qg = derive_counit_antipode(build_qg(defn))
         md = compute_modular_data(qg, positive_mode=False)
         for i in range(qg.dim):
-            a = qg.algebra.basis(i)
-            assert orbit_span(md, a) == orbit_closure(md, a), (defn.name, i)
+            assert orbit_span(md, basis(i)) == orbit_closure(md, basis(i)), \
+                (defn.name, i)
 
 
 class TestSplitBlock:
@@ -242,27 +252,27 @@ class TestSplitBlock:
         m = LinMap([[sc("2"), SC_ZERO, SC_ONE],
                     [SC_ZERO, sc("3"), SC_ZERO],
                     [SC_ZERO, SC_ZERO, sc("5")]])
-        plane = [[SC_ONE, SC_ONE, SC_ZERO], [SC_ONE, sc("-1"), SC_ZERO]]
+        plane = [{0: SC_ONE, 1: SC_ONE}, {0: SC_ONE, 1: sc("-1")}]
         assert split_block(m, plane, DEFAULT_SPEC_POINTS) == [
-            (sc("2"), [[sc("2"), SC_ZERO, SC_ZERO]]),
-            (sc("3"), [[SC_ZERO, sc("-2"), SC_ZERO]]),
+            (sc("2"), [{0: sc("2")}]),
+            (sc("3"), [{1: sc("-2")}]),
         ]
         with pytest.raises(StructureError, match="block is not invariant"):
-            split_block(m, [basis_vector(3, 1), basis_vector(3, 2)],
-                        DEFAULT_SPEC_POINTS)
+            split_block(m, [basis(1), basis(2)], DEFAULT_SPEC_POINTS)
 
 
 def leg_action(qg, omega, a, b, right):
     """(omega(x)i) of D(e_a)(1(x)e_b), or of (1(x)e_b)D(e_a) when right,
     expanded term by term."""
     alg = qg.algebra
-    out = [SC_ZERO] * alg.dim
+    n = alg.dim
+    out = [SC_ZERO] * n
     for (i, j), c in qg.coproduct.columns[a].items():
-        leg = (alg.multiply(alg.basis(b), alg.basis(j)) if right
-               else alg.multiply(alg.basis(j), alg.basis(b)))
+        leg = dense(alg.multiply(basis(b), basis(j)) if right
+                    else alg.multiply(basis(j), basis(b)), n)
         w = c * omega[i]
         out = [x + w * y for x, y in zip(out, leg)]
-    return out
+    return sparse_row(out)
 
 
 @pytest.mark.parametrize("name", DERIVED_CASES)
@@ -276,35 +286,37 @@ def test_modular_identities_hold_on_every_basis_pair(name):
         md = compute_modular_data(qg, positive_mode=False)
         alg = qg.algebra
         n = alg.dim
-        basis = [alg.basis(i) for i in range(n)]
+        elems = [basis(i) for i in range(n)]
         phi, psi, delta = md.phi, md.psi, md.delta
+        dphi, dpsi = dense(phi, n), dense(psi, n)
         for a in range(n):
             for b in range(n):
                 # psi is right invariant
-                assert leg_action(qg, psi, a, b, False) == \
-                    [psi[a] * x for x in basis[b]], (a, b)
+                assert leg_action(qg, dpsi, a, b, False) == \
+                    scaled(dpsi[a], elems[b]), (a, b)
                 # both modular-element laws
-                assert leg_action(qg, phi, a, b, False) == \
-                    [phi[a] * x for x in alg.multiply(delta, basis[b])]
-                assert leg_action(qg, phi, a, b, True) == \
-                    [phi[a] * x for x in alg.multiply(basis[b], delta)]
+                assert leg_action(qg, dphi, a, b, False) == \
+                    scaled(dphi[a], alg.multiply(delta, elems[b]))
+                assert leg_action(qg, dphi, a, b, True) == \
+                    scaled(dphi[a], alg.multiply(elems[b], delta))
         for omega, sigma in ((phi, md.sigma), (psi, md.sigma_prime)):
-            images = [sigma.apply(v) for v in basis]
-            assert sigma.apply(alg.unit) == alg.unit
+            images = [sigma.apply(v) for v in elems]
+            assert sigma.apply(alg.one) == alg.one
             for i in range(n):
                 for j in range(n):
-                    prod = alg.basis_product(i, j)
+                    prod = alg.multiply(elems[i], elems[j])
                     assert apply_functional(omega, prod) == apply_functional(
-                        omega, alg.multiply(basis[j], images[i])), (i, j)
+                        omega, alg.multiply(elems[j], images[i])), (i, j)
                     assert sigma.apply(prod) == \
                         alg.multiply(images[i], images[j]), (i, j)
             assert len(rref(mat_copy(sigma.matrix))) == n
         s2 = antipode_squared(qg)
         for i in range(n):
-            assert apply_functional(phi, s2.apply(basis[i])) == md.mu * phi[i]
+            assert apply_functional(phi, s2.apply(elems[i])) == \
+                md.mu * dphi[i]
             # phi(S a) = phi(a delta)
-            assert psi[i] == apply_functional(phi,
-                                              alg.multiply(basis[i], delta))
+            assert dpsi[i] == apply_functional(phi,
+                                               alg.multiply(elems[i], delta))
 
 
 def outcome(call, *args):
@@ -338,7 +350,7 @@ class TestModularPremises:
 
     def test_faithfulness_is_checked(self):
         assert outcome(haar_modular.modular_automorphism, hopf_qg("c_z2"),
-                       [SC_ONE, SC_ZERO]) == (
+                       {0: SC_ONE}) == (
             "NotFaithful: functional is not faithful: its multiplication "
             "form is singular")
 

@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
 no function takes a parameter it never reads, no function is defined only
 for the tests, and no module is imported only by them.  Importing the
-command line pulls in no module that only serves start-up cost.
+command line pulls in no module that only serves start-up cost, and only
+the modules at the .qg file edge read the dense unit.
 
 A name counts as used when it is read anywhere in the module: as an
 ast.Name (which covers the root of an attribute chain) or inside a quoted
@@ -242,6 +243,38 @@ def test_the_scan_sees_an_unreached_module():
                "e.py": "from .d import h\n", "f.py": ""}
     others = {"bench.py": "from hopf_forge.f import k\n"}
     assert unreached_modules(package, ["cli.py"], others) == ["d.py", "e.py"]
+
+
+def unit_reads(source: str):
+    """The lines that read an attribute named unit."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "unit"
+            and isinstance(node.ctx, ast.Load)]
+
+
+# The dense unit is read where a .qg file is read or written: assemble.py
+# checks a declared unit and writes one, and definition.py's .unit is the
+# declared row of a StructureDefinition.  Every other module works on the
+# sparse FinAlgebra.one.
+UNIT_READERS = {"assemble.py", "definition.py"}
+
+
+def test_only_the_file_edge_reads_the_dense_unit():
+    found = {path.name: unit_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name not in UNIT_READERS}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_scan_sees_a_unit_read():
+    source = ("class A:\n"
+              "    @property\n"
+              "    def unit(self):\n"
+              "        return self.one\n"
+              "def f(alg, d):\n"
+              "    d.unit = alg.one\n"
+              "    return list(alg.unit)\n")
+    assert unit_reads(source) == [7]
 
 
 # Stdlib modules that cost start-up time and that the program never needs:

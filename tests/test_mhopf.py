@@ -10,7 +10,7 @@ import pytest
 from hopf_forge import exactla, mhopf
 from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.errors import CheckFailure, StructureError
-from hopf_forge.exactla import invert, mat_copy, rref
+from hopf_forge.exactla import invert, mat_copy, rref, sparse_row
 from hopf_forge.duality import build_dual
 from hopf_forge.haar_modular import solve_left_haar
 from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
@@ -18,11 +18,10 @@ from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
                               check_star_compat, check_sub_mha, check_tmaps,
                               derive_counit_antipode, tensor_vec)
 from hopf_forge.finalg import (LinMap, TensorMap, apply_functional,
-                               basis_vector, build_algebra, transform_basis,
-                               vec_combination)
+                               build_algebra, transform_basis)
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
-from oracles import coproduct_matrix, matrix_coproduct
+from oracles import basis, coproduct_matrix, matrix_coproduct
 from packaged import packaged
 from test_bench_workloads import WORKLOADS
 
@@ -51,8 +50,7 @@ class TestAttachCoproduct:
         # tensor legs, so coassociativity fails.
         alg = build_algebra(
             ["e0", "e1"], {(0, 0): {0: SC_ONE}, (1, 1): {1: SC_ONE}})
-        cols = [tensor_vec(alg.basis(0), alg.basis(1)),
-                tensor_vec(alg.basis(1), alg.basis(0))]
+        cols = [tensor_vec(basis(0), basis(1)), tensor_vec(basis(1), basis(0))]
         with pytest.raises(StructureError):
             attach_coproduct(alg, Coproduct(cols))
 
@@ -171,7 +169,7 @@ class TestModularTMaps:
         assert isinstance(report.error, StructureError)
 
     def test_planted_drop_falls_back_to_the_exact_rank(self, spied):
-        # e is the unit and x^2 = 0; D(e) = e(x)e and D(x) = (s - s0) x(x)x
+        # e is the unit and x^2 = 0; D(e) = basis(x)e and D(x) = (s - s0) x(x)x
         # is multiplicative and coassociative.  Each T-map has rank 3 over
         # Q(i)(s) but rank 2 at s0, where D(x) vanishes.
         alg = build_algebra(["e", "x"], {(0, 0): {0: SC_ONE},
@@ -219,8 +217,9 @@ def derived_structures(case):
         reached = []
         for star in (True, False):
             qg = packaged_qg(name, star)
-            spans = (small_spans(qg.dim)
-                     + list(packaged(name).sub_bases.values()))
+            spans = small_spans(qg.dim) + [
+                [sparse_row(r) for r in rows]
+                for rows in packaged(name).sub_bases.values()]
             for rows in spans:
                 try:
                     result = check_sub_mha(qg, rows)
@@ -237,7 +236,7 @@ def derived_structures(case):
     else:
         defn = packaged(case)
     qg = derive_counit_antipode(build_qg(defn))
-    return [qg, build_dual(qg, solve_left_haar(qg).phi).qg]
+    return [qg, build_dual(qg, solve_left_haar(qg)).qg]
 
 
 class TestCounitAntipode:
@@ -245,10 +244,9 @@ class TestCounitAntipode:
         qg = hopf_qg("c_z4")
         n = qg.dim
         # counit of a function algebra evaluates at the identity point
-        assert qg.counit == [SC_ONE, SC_ZERO, SC_ZERO, SC_ZERO]
+        assert qg.counit == {0: SC_ONE}
         # antipode inverts the group coordinate
-        assert qg.antipode.apply(qg.algebra.basis(1)) == \
-            qg.algebra.basis(3)
+        assert qg.antipode.apply(basis(1)) == basis(3)
 
     def test_declared_mismatch_raises(self):
         defn = packaged("c_z2")
@@ -265,15 +263,15 @@ class TestCounitAntipode:
         assert reached
         for qg in reached:
             alg, s = qg.algebra, qg.antipode
-            assert apply_functional(qg.counit, alg.unit) == SC_ONE
-            assert s.apply(alg.unit) == alg.unit
-            images = [s.apply(alg.basis(i)) for i in range(alg.dim)]
+            assert apply_functional(qg.counit, alg.one) == SC_ONE
+            assert s.apply(alg.one) == alg.one
+            images = [s.apply(basis(i)) for i in range(alg.dim)]
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    assert s.apply(alg.basis_product(i, j)) == \
+                    assert s.apply(alg.multiply(basis(i), basis(j))) == \
                         alg.multiply(images[j], images[i]), (i, j)
             assert len(rref(mat_copy(s.matrix))) == alg.dim
-            assert qg.delta(alg.unit) == tensor_vec(alg.unit, alg.unit)
+            assert qg.delta(alg.one) == tensor_vec(alg.one, alg.one)
 
     def test_counit_multiplicativity_is_checked(self):
         # two orthogonal idempotents with D(e_k) = e_k(x)e_k: D is
@@ -321,17 +319,17 @@ class TestStarCompat:
 class TestGrouplikeProjection:
     def test_identity_element_passes(self):
         qg = hopf_qg("group_s3")
-        report = check_grouplike_projection(qg, qg.algebra.unit)
+        report = check_grouplike_projection(qg, qg.algebra.one)
         assert report.all_ok
 
     def test_identity_point_mass_passes(self):
         qg = hopf_qg("c_z4")
-        report = check_grouplike_projection(qg, qg.algebra.basis(0))
+        report = check_grouplike_projection(qg, basis(0))
         assert report.all_ok
 
     def test_non_projection_fails_idempotency(self):
         qg = hopf_qg("group_s3")
-        report = check_grouplike_projection(qg, qg.algebra.basis(1))
+        report = check_grouplike_projection(qg, basis(1))
         assert not report.all_ok
         by_name = {it.name: it.ok for it in report.items}
         assert not by_name["idempotent"]
@@ -339,7 +337,7 @@ class TestGrouplikeProjection:
     def test_shifted_point_mass_fails_coproduct_condition(self):
         # e2 is a projection but D(e2)(1(x)e2) = e0(x)e2, not e2(x)e2
         qg = hopf_qg("c_z4")
-        report = check_grouplike_projection(qg, qg.algebra.basis(2))
+        report = check_grouplike_projection(qg, basis(2))
         by_name = {it.name: it.ok for it in report.items}
         assert by_name["idempotent"] and by_name["self-adjoint"]
         assert not by_name["coproduct-condition"]
@@ -349,7 +347,7 @@ class TestSubMHA:
     def test_even_subgroup_functions_pass(self):
         defn = packaged("c_z4")
         qg = hopf_qg("c_z4")
-        rows = defn.sub_bases["c_h"]
+        rows = [sparse_row(r) for r in defn.sub_bases["c_h"]]
         result = check_sub_mha(qg, rows)
         assert result.all_ok
         assert all(item.ok for item in result.memberships)
@@ -360,7 +358,7 @@ class TestSubMHA:
 
     def test_unit_span_passes(self):
         qg = hopf_qg("c_z4")
-        rows = [[SC_ONE, SC_ONE, SC_ONE, SC_ONE]]
+        rows = [sparse_row([SC_ONE, SC_ONE, SC_ONE, SC_ONE])]
         result = check_sub_mha(qg, rows)
         assert result.all_ok
         assert result.induced.dim == 1
@@ -373,29 +371,27 @@ class TestSubMHA:
         # span{e1} in the four-point function algebra is a subalgebra and
         # star-closed, but D(e1)(1(x)e1) = e0(x)e1 escapes its tensor square
         qg = hopf_qg("c_z4")
-        rows = [basis_vector(4, 1)]
+        rows = [basis(1)]
         with pytest.raises(StructureError, match="membership"):
             check_sub_mha(qg, rows)
 
     def test_induced_structure_is_the_small_group(self):
         defn = packaged("c_z4")
         qg = hopf_qg("c_z4")
-        result = check_sub_mha(qg, defn.sub_bases["c_h"])
+        result = check_sub_mha(qg, [sparse_row(r)
+                                    for r in defn.sub_bases["c_h"]])
         sub = result.induced
         # the induced object is the function algebra on two points
-        prod = sub.algebra.multiply(sub.algebra.basis(0),
-                                    sub.algebra.basis(0))
-        assert prod == sub.algebra.basis(0)
-        assert sub.algebra.multiply(sub.algebra.basis(0),
-                                    sub.algebra.basis(1)) == \
-            [SC_ZERO, SC_ZERO]
+        prod = sub.algebra.multiply(basis(0), basis(0))
+        assert prod == basis(0)
+        assert sub.algebra.multiply(basis(0), basis(1)) == {}
 
 
 def named_products(qg, elems):
     """Every product a membership or T-map formula names, keyed by its
-    text, over the pairs (a, b) of elems in (a, b) order, formed from dense
+    text, over the pairs (a, b) of elems in (a, b) order, formed from
     tensor_vec legs independently of unit_leg_product."""
-    one, tsq = qg.algebra.unit, qg.tensor_sq
+    one, tsq = qg.algebra.one, qg.tensor_sq
     d = [qg.delta(v) for v in elems]
     pairs = [(a, b) for a in range(len(elems)) for b in range(len(elems))]
     legs = {"D(a)(1(x)b)": lambda a, b: (d[a], tensor_vec(one, elems[b])),
@@ -414,7 +410,8 @@ def packaged_qg(name, star=True):
 
 
 def ints(rows):
-    return [[Scalar.from_int(x) for x in row] for row in rows]
+    """Integer rows as sparse {i: c} elements."""
+    return [sparse_row([Scalar.from_int(x) for x in row]) for row in rows]
 
 
 def sub_outcome(name, star, rows):
@@ -483,8 +480,8 @@ class TestSubObjectFormulas:
 
     def test_tmap_columns_are_the_named_products(self):
         qg = hopf_qg("sweedler_h4")
-        basis = [qg.algebra.basis(i) for i in range(qg.dim)]
-        named = named_products(qg, basis)
+        elems = [basis(i) for i in range(qg.dim)]
+        named = named_products(qg, elems)
         for which, formula in enumerate(TMAP_FORMULAS):
             assert mhopf._tmap_columns(qg, which) == named[formula], formula
 
@@ -509,7 +506,7 @@ class TestSubObjectFormulas:
         # the membership products, in formula order, and no other: the
         # compression equations are proved, not formed
         qg = hopf_qg("sweedler_h4")
-        rows = [qg.algebra.basis(i) for i in range(qg.dim)]
+        rows = [basis(i) for i in range(qg.dim)]
         named = named_products(qg, rows)
         formed = []
         real = mhopf.unit_leg_product
@@ -538,10 +535,10 @@ class TestSubObjectFormulas:
                     if result.induced is None:
                         continue
                     reached += 1
-                    u = vec_combination(result.sub_unit, rows, qg.dim)
-                    uu = tensor_vec(u, u)
                     # v_c(x)v_d goes to rows[c](x)rows[d]
-                    inclusion = LinMap.from_images(rows)
+                    inclusion = LinMap.of_columns(rows, qg.dim)
+                    u = inclusion.apply(result.sub_unit)
+                    uu = tensor_vec(u, u)
                     for a, col in enumerate(result.induced.coproduct.columns):
                         d0 = TensorMap(inclusion, inclusion).apply(col)
                         assert d0 == tsq.multiply(

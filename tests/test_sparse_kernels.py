@@ -16,20 +16,25 @@ from hypothesis import given, settings, strategies as st
 
 from hopf_forge import finalg, haar_modular, mhopf
 from hopf_forge.assemble import algebra_from_definition, build_qg
+from hopf_forge.duality import build_dual
+from hopf_forge.errors import CheckFailure
 from hopf_forge.exactla import (LinearAlgebraError, coordinates, invert,
                                 kernel_basis, matmul, matvec, rref,
-                                solve_affine)
+                                solve_affine, sparse_row)
 from hopf_forge.finalg import (FinAlgebra, LinMap, form_map, gram_matrix,
                                tensor_algebra, transform_basis)
-from hopf_forge.haar_modular import solve_left_haar
-from hopf_forge.mhopf import (attach_coproduct, derive_counit_antipode,
-                              tensor_vec)
-from hopf_forge.scalars import (GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
-                                parse_scalar)
+from hopf_forge.haar_modular import (compute_modular_data, delta_square_root,
+                                     left_haar, simultaneous_eigenbasis,
+                                     solve_left_haar)
+from hopf_forge.mhopf import (attach_coproduct, check_tmaps,
+                              derive_counit_antipode, tensor_vec)
+from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, GR_ZERO, SC_ONE, SC_ZERO,
+                                GaussRat, Scalar, parse_scalar)
 
 from oracles import (coproduct_matrix, dense_form, dense_gram, dense_rref,
                      gauss_to_sympy, matrix_coproduct)
 from packaged import packaged
+from test_bench_workloads import WORKLOADS
 
 NAMES = ["c_s3", "c_z2", "c_z4", "group_s3", "semilattice2",
          "sweedler_h4"]
@@ -96,7 +101,8 @@ def reference_tensor(a, b):
         star = LinMap(kron(a.star.matrix, b.star.matrix),
                       conjugate_linear=True)
     return FinAlgebra(["t%d" % k for k in range(na * nb)], mul,
-                      [x * y for x in a.unit for y in b.unit], star)
+                      sparse_row([x * y for x in a.unit for y in b.unit]),
+                      star)
 
 
 def dense_pairs(terms, na, nb):
@@ -153,7 +159,7 @@ class TestDeltaColumns:
     @given(qg_and_vector())
     def test_delta_is_the_dense_matvec(self, case):
         qg, dense, x = case
-        image = qg.delta(x)
+        image = qg.delta(sparse_row(x))
         assert dense_pairs(image, qg.dim, qg.dim) == matvec(dense, x)
         assert stores_no_zero(image)
 
@@ -177,8 +183,9 @@ class TestTensorProduct:
         a, b, x, y = case
         product = tensor_algebra(a, b).multiply(pairs_of(x, b.dim),
                                                 pairs_of(y, b.dim))
-        assert dense_pairs(product, a.dim, b.dim) == \
-            reference_tensor(a, b).multiply(x, y)
+        assert dense_pairs(product, a.dim, b.dim) == to_dense(
+            reference_tensor(a, b).multiply(sparse_row(x), sparse_row(y)),
+            len(x), SC_ZERO)
         assert stores_no_zero(product)
 
     @settings(max_examples=60)
@@ -188,8 +195,9 @@ class TestTensorProduct:
         if a.star is None or b.star is None:
             return
         starred = tensor_algebra(a, b).apply_star(pairs_of(x, b.dim))
-        assert dense_pairs(starred, a.dim, b.dim) == \
-            reference_tensor(a, b).apply_star(x)
+        assert dense_pairs(starred, a.dim, b.dim) == to_dense(
+            reference_tensor(a, b).star.apply(sparse_row(x)), len(x),
+            SC_ZERO)
         assert stores_no_zero(starred)
 
     def test_unit_and_basis_products(self):
@@ -197,15 +205,16 @@ class TestTensorProduct:
             t = tensor_algebra(alg, alg)
             ref = reference_tensor(alg, alg)
             m = alg.dim
-            assert dense_pairs(tensor_vec(alg.unit, alg.unit), m, m) == \
+            assert dense_pairs(tensor_vec(alg.one, alg.one), m, m) == \
                 ref.unit, name
             n = ref.dim
             for p in range(0, n, 5):
                 for q in range(0, n, 7):
-                    product = t.multiply(pairs_of(ref.basis(p), m),
-                                         pairs_of(ref.basis(q), m))
-                    assert dense_pairs(product, m, m) == \
-                        ref.multiply(ref.basis(p), ref.basis(q)), name
+                    product = t.multiply({divmod(p, m): SC_ONE},
+                                         {divmod(q, m): SC_ONE})
+                    assert dense_pairs(product, m, m) == to_dense(
+                        ref.multiply({p: SC_ONE}, {q: SC_ONE}), n,
+                        SC_ZERO), name
 
 
 class TestForms:
@@ -213,6 +222,7 @@ class TestForms:
     @given(algebra_and_functional())
     def test_form_and_gram_match_the_dense_products(self, case):
         alg, omega = case
+        omega = sparse_row(omega)
         form = form_map(alg, omega)
         assert form.matrix == dense_form(alg, omega)
         assert all(stores_no_zero(col) for col in form.columns)
@@ -327,10 +337,11 @@ class TestSparseElimination:
         assert all(stores_no_zero(row) for row in got)
         assert got[len(want_pivots):] == [{}] * (len(rows) - len(want_pivots))
         assert rows == originals  # the caller's rows are not written to
-        # dense rows come back dense
+        # dense rows come back sparse
         again = [list(row) for row in dense]
         assert rref(again) == want_pivots
-        assert again == want
+        assert [to_dense(row, ncols, zero) for row in again] == want
+        assert all(stores_no_zero(row) for row in again)
 
     @settings(max_examples=80, deadline=None)
     @given(sparse_systems(), st.data())
@@ -347,19 +358,27 @@ class TestSparseElimination:
             rhs = [data.draw(value) for _ in rows]
         part, kernel = reference_solution(dense, rhs, ncols, zero, one)
         sol = solve_affine(rows, rhs, ncols)
+
+        def dense_vectors(vs):
+            return [to_dense(v, ncols, zero) for v in vs]
         # the field is read off rhs, and is Q(i)(s) when there is no row
         typed = rendered if not rows else (lambda x: x)
-        assert typed(sol.particular) == typed(part)
-        assert typed(sol.kernel) == typed(kernel)
+        assert (sol.particular is None) == (part is None)
+        if part is not None:
+            assert stores_no_zero(sol.particular)
+            assert typed(to_dense(sol.particular, ncols, zero)) == \
+                typed(part)
+        assert all(stores_no_zero(v) for v in sol.kernel)
+        assert typed(dense_vectors(sol.kernel)) == typed(kernel)
         if part is not None and dense:
             assert matvec(dense, part) == rhs
         for v in kernel:
             assert not dense or all(x.is_zero for x in matvec(dense, v))
         if rows:
-            assert solve_affine(dense, rhs).kernel == kernel
+            assert dense_vectors(solve_affine(dense, rhs).kernel) == kernel
         # kernel_basis reads the field off the first stored entry, and
         # falls back on Q(i)(s) when no row stores one
-        found = kernel_basis(rows, ncols)
+        found = dense_vectors(kernel_basis(rows, ncols))
         typed = rendered if not any(rows) else (lambda x: x)
         assert typed(found) == typed(kernel)
 
@@ -387,14 +406,16 @@ class TestSparseElimination:
         found = coordinates(vectors, targets)
         assert len(found) == len(targets)
         if d:
-            assert found[0] == coeffs
+            assert found[0] == dict(enumerate(coeffs))
         for target, coords in zip(targets, found):
             want = to_dense(to_row(target), ncols, zero)
             inside = len(dense_rref(dense + [want])[1]) == d
             assert (coords is not None) == inside
             if inside:
-                assert to_dense(sparse_combination(coords, [
-                    to_row(v) for v in vectors]), ncols, zero) == want
+                assert stores_no_zero(coords)
+                assert to_dense(sparse_combination(
+                    to_dense(coords, d, zero),
+                    [to_row(v) for v in vectors]), ncols, zero) == want
 
     def test_sparse_rows_need_the_number_of_unknowns(self):
         with pytest.raises(LinearAlgebraError, match="number of unknowns"):
@@ -404,8 +425,8 @@ class TestSparseElimination:
         e1 = [SC_ONE, SC_ZERO]
         assert coordinates([], []) == []
         assert coordinates([e1], []) == []
-        assert coordinates([], [[SC_ZERO, SC_ZERO], e1]) == [[], None]
-        assert coordinates([], [{}, {1: SC_ONE}]) == [[], None]
+        assert coordinates([], [[SC_ZERO, SC_ZERO], e1]) == [{}, None]
+        assert coordinates([], [{}, {1: SC_ONE}]) == [{}, None]
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_systems(max_rows=4, max_cols=4), st.data())
@@ -465,3 +486,65 @@ def test_structure_solves_hand_elimination_sparse_rows(monkeypatch):
     for where, rows in handed:
         assert rows, where
         assert all(stores_no_zero(row) for row in rows), where
+
+
+# -- the no-zero invariant -----------------------------------------------------
+
+# every packaged structure, the benchmark's D6 pair and its twelve
+# s-deformed variants, as "name~index"
+STORED_CASES = NAMES + ["c_d6", "group_d6"] + [
+    "%s~%d" % (name, index) for name in WORKLOADS.DEFORMED_EXAMPLES
+    for index in range(WORKLOADS.DEFORM_VARIANTS)]
+
+
+def stored_elements(case):
+    """{name: list of elements} for every element and functional of A that
+    the structure, modular and dual stages keep, as far as they succeed."""
+    if "~" in case:
+        name, index = case.split("~")
+        defn = WORKLOADS.deformed_variant(name, int(index))
+    elif case in ("c_d6", "group_d6"):
+        defn = {d.name: d for d in WORKLOADS.dihedral_definitions(6)}[case]
+    else:
+        defn = packaged(case)
+    qg = build_qg(defn)
+    alg = qg.algebra
+    found = {"unit": [alg.one]}
+    if alg.star is not None:
+        found["star"] = alg.star.columns
+    tmaps = check_tmaps(qg, defn.counit, defn.antipode)
+    if not tmaps.all_bijective or tmaps.error is not None:
+        return found
+    found["counit"] = [qg.counit]
+    found["antipode"] = qg.antipode.columns
+    md = compute_modular_data(qg, positive_mode=False)
+    found.update(phi=[md.phi], psi=[md.psi], delta=[md.delta])
+    try:
+        found["delta-half"] = [delta_square_root(qg, md.delta, md.sigma,
+                                                 DEFAULT_SPEC_POINTS)]
+    except CheckFailure:
+        pass
+    found["eigentable"] = [row.vector for row in simultaneous_eigenbasis(
+        qg, md, DEFAULT_SPEC_POINTS, positive_mode=False).rows]
+    dual = build_dual(qg, md.phi).qg
+    found["dual unit"] = [dual.algebra.one]
+    found["dual phi"] = [left_haar(dual)]
+    return found
+
+
+@pytest.mark.parametrize("case", STORED_CASES)
+def test_stored_elements_hold_no_zero(case):
+    """Every check compares elements as dicts, so a stored zero would make
+    a true identity fail."""
+    found = stored_elements(case)
+    want = {"unit", "star"}
+    if case != "semilattice2":
+        want |= {"counit", "antipode", "phi", "psi", "delta", "delta-half",
+                 "eigentable", "dual unit", "dual phi"}
+    if case.startswith("sweedler_h4"):
+        want.remove("delta-half")  # delta has no positive square root
+    assert set(found) == want
+    for name, elements in found.items():
+        assert elements, (case, name)
+        for x in elements:
+            assert stores_no_zero(x), (case, name, x)
