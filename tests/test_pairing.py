@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopf_forge.cli import main
+from hopf_forge.definition import PairingDefinition, PresentationDefinition
 from hopf_forge.errors import StructureError
 from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.presentations import (PairedPresentations, Presentation,
                                       build_presented)
-from hopf_forge.report import run_pair
+from hopf_forge.report import render, run_pair
 from hopf_forge.scalars import SC_ONE, SC_ZERO, parse_scalar
 
 from packaged import packaged
@@ -113,6 +114,20 @@ class TestAxioms:
             assert direct == PAIRING.pair_words(("E", "F"), c)
 
 
+@pytest.fixture
+def product_calls(monkeypatch):
+    """The names of the presentations whose word_products is called."""
+    calls = []
+    word_products = Presentation.word_products
+
+    def products_spy(self, words):
+        calls.append(self.name)
+        return word_products(self, words)
+
+    monkeypatch.setattr(Presentation, "word_products", products_spy)
+    return calls
+
+
 class TestProducts:
     def test_products_rewrite_only_irreducible_words_times_a_generator(
             self, monkeypatch):
@@ -136,6 +151,10 @@ class TestProducts:
 
         monkeypatch.setattr(Presentation, "word_products", products_spy)
         monkeypatch.setattr(Presentation, "normal_form_word", normal_form_spy)
+        # a passing pairing proves pairing-product-right without forming
+        # products, so the proof is refused here to reach the full loop
+        monkeypatch.setattr(PairedPresentations, "_product_right_proved",
+                            lambda self: False)
         rep = run_pair(packaged("pairing-uqsu2-suq2"), "pairing", "0", degree=4)
         assert rep.ok
         assert ("columns: critical-pairs", True) in [
@@ -146,6 +165,133 @@ class TestProducts:
         for w in seen:
             assert len(w) >= 1
             assert col.normal_form_word(w[:-1]) == ((w[:-1], SC_ONE),), w
+
+    def test_a_passing_pairing_forms_no_products(self, product_calls):
+        rep = run_pair(packaged("pairing-uqsu2-suq2"), "pairing", "0", degree=4)
+        assert rep.ok
+        assert product_calls == []
+
+
+class FullLoop(PairedPresentations):
+    """The pairing with pairing-product-right always checked product by
+    product: the reference the proof must agree with."""
+
+    def _product_right_proved(self):
+        return False
+
+
+def word(text):
+    return tuple(text.split(".")) if text else ()
+
+
+def small_presentation(name, rules, coproduct, counit, antipode=None):
+    """A presentation written with strings: a word is its letters joined by
+    '.' ('' is the empty word) and a term leads with its coefficient.  The
+    generators are the coproduct's keys, in order; the antipode defaults to
+    g -> -g."""
+    gens = list(coproduct)
+    if antipode is None:
+        antipode = {g: [("-1", g)] for g in gens}
+    return PresentationDefinition(
+        name, name, gens,
+        [(word(lhs), [(sc(c), word(w)) for c, w in rhs])
+         for lhs, rhs in rules],
+        {g: [(sc(c), word(l), word(r)) for c, l, r in terms]
+         for g, terms in coproduct.items()},
+        {g: sc(v) for g, v in counit.items()},
+        {g: [(sc(c), word(w)) for c, w in terms]
+         for g, terms in antipode.items()})
+
+
+def axioms(defn, degree, cls=PairedPresentations):
+    """(name, ok, detail) of check_axioms, run as pair runs it: after both
+    presentations' confluence checks."""
+    row, col = build_presented(defn.rows), build_presented(defn.cols)
+    row.pres.check_confluence(degree)
+    col.pres.check_confluence(degree)
+    return [(it.name, it.ok, it.detail)
+            for it in cls(defn, row, col).check_axioms(degree)]
+
+
+# Each pairing breaks one premise of _product_right_proved, and every other
+# premise holds.  pairing-product-right fails at the listed products c.d, so
+# a proof that skipped the broken premise would pass it.
+PRIMITIVE = [("1", "y", ""), ("1", "", "y")]
+PREMISE_BREAKERS = {
+    # x mimics y^3 but with y (x) yy alone: (D (x) id)D(x) and
+    # (id (x) D)D(x) differ by 2 y (x) y (x) y
+    "coassociativity": (
+        small_presentation(
+            "x-y", [], {"x": [("1", "x", ""), ("1", "", "x"),
+                              ("1", "y", "y.y")], "y": PRIMITIVE},
+            {"x": "0", "y": "0"}),
+        small_presentation("free-a", [], {"a": [("1", "a", ""),
+                                                ("1", "", "a")]},
+                           {"a": "0"}),
+        {("x", "a"): "0", ("y", "a"): "1"},
+        "fails at (x, a.a.a)"),
+    # x is group-like with counit 4; <x, a.a> = <x, 1> holds, yet
+    # <x, a.a.b> = <x, b> needs (counit (x) id)D(x) = x
+    "counit": (
+        small_presentation("x", [], {"x": [("1", "x", "x")]}, {"x": "4"}),
+        small_presentation("a2-b", [("a.a", [("1", "")])],
+                           {"a": [("1", "a", "a")], "b": [("1", "b", "b")]},
+                           {"a": "1", "b": "1"}),
+        {("x", "a"): "2", ("x", "b"): "1"},
+        "fails at (x, a.a.b), (x, b.a.a), (x, b.a.a.b)"),
+    # x mimics y^3 / 6, so D(x) has the leg y.y; the rule b.a = -a.b holds
+    # at x and y but not at y.y
+    "relations at every leg": (
+        small_presentation(
+            "x-y", [], {"x": [("1", "x", ""), ("1", "", "x"),
+                              ("1/2", "y", "y.y"), ("1/2", "y.y", "y")],
+                        "y": PRIMITIVE},
+            {"x": "0", "y": "0"}),
+        small_presentation("anti-ab", [("b.a", [("-1", "a.b")])],
+                           {"a": [], "b": []}, {"a": "0", "b": "0"}),
+        {("x", "a"): "0", ("x", "b"): "0", ("y", "a"): "1",
+         ("y", "b"): "1"},
+        "fails at (x, b.a.b), (x, a.b.a)"),
+}
+
+
+class TestProductRightProof:
+    @pytest.mark.parametrize("premise", sorted(PREMISE_BREAKERS))
+    def test_a_broken_premise_keeps_the_full_loop(self, premise):
+        rows, cols, table, detail = PREMISE_BREAKERS[premise]
+        defn = PairingDefinition("breaker", "", rows, cols,
+                                 {k: sc(v) for k, v in table.items()})
+        got = axioms(defn, 2)
+        assert got == axioms(defn, 2, FullLoop)
+        assert got[1] == ("pairing-product-right", False, detail)
+
+    def test_unresolved_row_pairs_keep_the_full_loop(self, product_calls):
+        # y.z = y and z.y = z leave y.z.y at y.y or y: the row normal forms
+        # are not unique, though D and the counit respect both rules and
+        # every other premise holds
+        rows = small_presentation(
+            "band", [("y.z", [("1", "y")]), ("z.y", [("1", "z")])],
+            {"y": [("1", "y", "y")], "z": [("1", "z", "z")]},
+            {"y": "1", "z": "1"}, antipode={"y": [], "z": []})
+        cols = small_presentation("free-a", [], {"a": [("1", "a", "a")]},
+                                  {"a": "1"})
+        defn = PairingDefinition("band-a", "", rows, cols,
+                                 {("y", "a"): SC_ONE, ("z", "a"): SC_ONE})
+        got = axioms(defn, 2)
+        assert product_calls == ["free-a"]
+        assert ("pairing-product-right", True) == got[1][:2]
+
+    @given(st.dictionaries(
+        st.sampled_from(sorted(PAIRING.table)),
+        st.sampled_from(["0", "1", "-1", "2", "s", "1/s", "-s^2"]),
+        max_size=2))
+    @settings(max_examples=25)
+    def test_proof_agrees_with_the_full_loop(self, perturbed):
+        # a perturbed entry often breaks a column relation at a generator,
+        # and a rescaled E or F keeps them, so both paths are reached
+        defn = packaged("pairing-uqsu2-suq2")
+        defn.table.update({k: sc(v) for k, v in perturbed.items()})
+        assert axioms(defn, 2) == axioms(defn, 2, FullLoop)
 
 
 class TestActionFunctional:
@@ -205,3 +351,52 @@ class TestReportBytes:
         out = capsys.readouterr().out
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == self.PAIR_DEGREE_3_SHA256
+
+    # sha256 of the text and JSON reports of `pair --degree D`, taken on
+    # the program that checked pairing-product-right product by product
+    PAIR_REPORTS_SHA256 = {
+        ("4", "text"):
+            "2682f591d3f060ade9f46a657569b4fe05836affe804edfd826baa54ebf73b00",
+        ("4", "json"):
+            "3280958db82ec8f82df73a15cfc167a2fd1b5fc6b32afa30bf1061e26d6184b2",
+        ("5", "text"):
+            "b7a838ee33babdbce64af56aede8ed74cb0a7196170b7fb5e77eb5d1c32304f0",
+        ("5", "json"):
+            "74a86f1a2cc202e590a027c4c849828cd95d7cb24998827367c83917277da72f",
+        ("6", "text"):
+            "a4578ade858f5a39138eb0888a9ef90aa6063e3b2cc7c92ca4ad7e10813aee85",
+        ("6", "json"):
+            "47bd99bcbcf719d9ccc79f46a53697ab6fd679d8e68e46aa6c62c529235e1360",
+    }
+
+    @pytest.mark.parametrize("degree", ["4", "5", "6"])
+    def test_pair_reports_are_pinned(self, degree, tmp_path, monkeypatch,
+                                     capsys):
+        name = "pairing-uqsu2-suq2.qg"
+        shutil.copyfile(packaged_fixture_path("pairing-uqsu2-suq2"),
+                        tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        for fmt in ("text", "json"):
+            assert main(["pair", name, "--degree", degree,
+                         "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+                self.PAIR_REPORTS_SHA256[(degree, fmt)], fmt
+
+    def test_perturbed_table_failure_is_pinned(self):
+        # confluence has run, so the premises of the proof hold; <K, b> = 1
+        # breaks a column relation at K, and the full loop names where
+        defn = packaged("pairing-uqsu2-suq2")
+        defn.table[("K", "b")] = SC_ONE
+        rep = run_pair(defn, "perturbed", "0", degree=3)
+        details = {item.name: item.detail for item in rep.checks}
+        assert details["pairing-product-right"] == \
+            "fails at (K, a.b), (K, a.b.b), (K, a.b.a)"
+        digests = {fmt: hashlib.sha256(render(rep, fmt).encode("utf-8"))
+                   .hexdigest() for fmt in ("text", "json")}
+        assert digests == {
+            "text":
+                "6a525b450d6da02aaa6bd189efd546b2b862369efc420a16168a35a0a5435979",
+            "json":
+                "df45f35c4025add7c32af1a288cab569a494778312c8da429c86674d71e1000b",
+        }
