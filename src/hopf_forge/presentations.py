@@ -12,6 +12,7 @@ presentations is evaluated by the canonical splitting recursion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .definition import PairingDefinition, PresentationDefinition
@@ -25,6 +26,10 @@ EMPTY_WORD = ()
 # The most words a degree bound may enumerate, counting every word of every
 # degree up to it: 4^0 + ... + 4^9, so four generators go up to degree 9.
 WORD_BUDGET = 349525
+
+# The most rounds of coproduct legs taken from the row generators before
+# the product proofs of a pairing give way to checking word by word.
+LEG_ROUNDS = 4
 
 
 def check_word_budget(n_generators: int, degree: int) -> None:
@@ -582,24 +587,30 @@ class PairedPresentations:
         elif not c:
             out = self.row.counit.apply_word(x)
         elif len(c) > 1:
-            head, rest = (c[0],), c[1:]
-            out = SC_ZERO
-            for (w1, w2), coef in self.row.coproduct.apply_word(x):
-                left = self.pair_words(w1, head)
-                if left.is_zero:
-                    continue
-                out = out + coef * left * self.pair_words(w2, rest)
+            out = self._split_row(x, c[:1], c[1:])
         elif len(x) > 1:
-            head, rest = (x[0],), x[1:]
-            out = SC_ZERO
-            for (w1, w2), coef in self.col.coproduct.apply_word(c):
-                left = self.pair_words(head, w1)
-                if left.is_zero:
-                    continue
-                out = out + coef * left * self.pair_words(rest, w2)
+            out = self._split_column(x[:1], x[1:], c)
         else:
             out = self.table[(x[0], c[0])]
         self._memo[key] = out
+        return out
+
+    def _split_row(self, x: tuple, c: tuple, d: tuple) -> Scalar:
+        """<D(x), c (x) d>: the sum over D(x) of <x1, c> <x2, d>."""
+        out = SC_ZERO
+        for (w1, w2), coef in self.row.coproduct.apply_word(x):
+            left = self.pair_words(w1, c)
+            if not left.is_zero:
+                out = out + coef * left * self.pair_words(w2, d)
+        return out
+
+    def _split_column(self, x: tuple, y: tuple, c: tuple) -> Scalar:
+        """<x (x) y, D(c)>: the sum over D(c) of <x, c1> <y, c2>."""
+        out = SC_ZERO
+        for (w1, w2), coef in self.col.coproduct.apply_word(c):
+            left = self.pair_words(x, w1)
+            if not left.is_zero:
+                out = out + coef * left * self.pair_words(y, w2)
         return out
 
     def pair_terms(self, tx, tc) -> Scalar:
@@ -611,33 +622,23 @@ class PairedPresentations:
                     acc = acc + cx * cc * v
         return acc
 
-    def _product_right_proved(self) -> bool:
-        """Whether <X, cd> = <D(X), c (x) d> is proved for every row
-        generator X and all nonempty column words c, d, with cd in any form
-        that rewriting reaches from the word c.d.
+    @functools.cached_property
+    def _row_legs(self):
+        """W, the row generators and the legs of D of every word in W, once
+        the premises that both product proofs share hold; None otherwise.
 
-        Write P for pair_words.  Its len(c) > 1 branch is, by definition,
-        P(x, g.d) = sum_D(x) P(x1, g) P(x2, d); for x = 1 its first branch
-        gives the same, as the column counit is multiplicative.  When D is
-        coassociative, induction on len(c) gives P(x, c.d) = sum P(x1, c)
-        P(x2, d) for every row word x and all nonempty column words c, d,
-        reducible or not.  Then a rewrite step u.lhs.v -> u.rhs.v keeps P(X, .) once
-        P(y, lhs) = sum r P(y, rw) for every y in Y: X, each leg of D(X)
-        and each leg of D of those legs; an empty rw takes the counit laws.
-        So P(X, NF(cd)) = P(X, cd) = sum P(X1, c) P(X2, d) at every degree.
-        This is how a pairing given on generators descends to the quotient
-        once it kills the relations (Jantzen, Lectures on Quantum Groups,
-        AMS 1996, ch. 6; Klimyk & Schmuedgen, Quantum Groups and Their
-        Representations, Springer 1997, 1.2.5).
-
-        The premises, each checked here: the row critical pairs resolve, so
-        row normal forms are unique and D and the counit, which
-        build_presented has checked against every row rule, are
-        homomorphisms; D is coassociative on each generator, compared as
-        triples of normal words; both counit laws hold on each generator."""
+        Write P for pair_words.  The premises, each checked here: the row
+        critical pairs resolve, so row normal forms are unique and D and
+        the counit, which build_presented has checked against every row
+        rule, are homomorphisms; D is coassociative on each generator,
+        compared as triples of normal words; both counit laws hold on each
+        generator with the generator itself as the result, so (counit (x)
+        id)D(w) = w = (id (x) counit)D(w) for every normal word w, the
+        generators included; W closes within LEG_ROUNDS rounds of legs; and
+        P(w, lhs) = P(w, rhs) for every w in W and every column rule."""
         row = self.row
         if not row.pres._pairs_resolve:
-            return False
+            return None
         cop, eps = row.coproduct.apply_word, row.counit.apply_word
         for g in row.pres.generators:
             left, right, first, second = {}, {}, {}, {}
@@ -648,16 +649,72 @@ class PairedPresentations:
                     _tadd(right, (w1, a, b), coef * k)
                 _tadd(first, w2, coef * eps(w1))
                 _tadd(second, w1, coef * eps(w2))
-            gf = dict(row.pres.normal_form_word((g,)))
-            if left != right or first != gf or second != gf:
-                return False
-        ys = {(g,) for g in row.pres.generators}
-        for _ in range(2):
-            ys |= {w for y in ys for (w1, w2), _c in cop(y) for w in (w1, w2)}
-        return all(self.pair_words(y, lhs)
-                   == self.pair_terms(((y, SC_ONE),), rhs)
-                   for y in sorted(ys, key=row.pres.word_key)
-                   for lhs, rhs in self.col.pres.rules)
+            # legs are normal words, so this also refuses a reducible g
+            if left != right or not first == second == {(g,): SC_ONE}:
+                return None
+        ws, new = set(), {(g,) for g in row.pres.generators}
+        for _ in range(LEG_ROUNDS):
+            ws |= new
+            new = {w for y in new for (w1, w2), _c in cop(y)
+                   for w in (w1, w2) if w} - ws
+            if not new:
+                break
+        else:
+            return None
+        ws = sorted(ws, key=row.pres.word_key)
+        return ws if all(
+            self.pair_words(y, lhs) == self.pair_terms(((y, SC_ONE),), rhs)
+            for y in ws for lhs, rhs in self.col.pres.rules) else None
+
+    def _product_right_proved(self) -> bool:
+        """Whether <X, cd> = <D(X), c (x) d> is proved for every row
+        generator X and all nonempty column words c, d, with cd in any form
+        that rewriting reaches from the word c.d.
+
+        With P for pair_words, its len(c) > 1 branch is P(x, g.d) = sum_D(x)
+        P(x1, g) P(x2, d); for x = 1 its first branch gives the same, as
+        the column counit is multiplicative.  When D is coassociative,
+        induction on len(c) gives P(x, c.d) = sum P(x1, c) P(x2, d) for
+        every row word x and all nonempty column words c, d, reducible or
+        not.  Then a rewrite step u.lhs.v -> u.rhs.v keeps P(w, .) for w in
+        W once P(y, lhs) = sum r P(y, rw) for every y in W: the middle legs
+        of w lie in W, and an empty rw takes the counit laws.  So P(X,
+        NF(cd)) = P(X, cd) = sum P(X1, c) P(X2, d) at every degree.  This is
+        how a pairing given on generators descends to the quotient once it
+        kills the relations (Jantzen, Lectures on Quantum Groups, AMS 1996,
+        ch. 6; Klimyk & Schmuedgen, Quantum Groups and Their
+        Representations, Springer 1997, 1.2.5).  Its premises are those of
+        _row_legs."""
+        return self._row_legs is not None
+
+    def _product_left_proved(self) -> bool:
+        """Whether <NF(XY), c> = <X (x) Y, D(c)> is proved for all row
+        generators X, Y and every column normal word c.
+
+        Write lhs(a, b, c) = P(NF(ab), c) and rhs(a, b, c) = sum_D(c)
+        P(a, c1) P(b, c2) for a, b in W u {1}, W from _row_legs, and induct
+        on len(c).  len(c) = 0 holds as both counits are multiplicative;
+        len(c) = 1 is checked here.  For c = g.d, P's len(c) > 1 branch
+        splits over D(NF(ab)), which is NF(D(a) D(b)) as the row pairs
+        resolve, so lhs(a, b, c) = sum lhs(a1, b1, g) lhs(a2, b2, d) over
+        D(a) and D(b).  When the column pairs resolve, D(g.d) = NF(D(g)
+        D(d)); P(a, .) kills the column relations (_product_right_proved),
+        so P(a, NF(g1 d1)) = P(a, g1.d1) = sum_D(a) P(a1, g1) P(a2, d1), by
+        a counit law when g1 or d1 is empty, and likewise for b; so rhs(a,
+        b, c) = sum rhs(a1, b1, g) rhs(a2, b2, d).  The legs lie in W u {1},
+        which closes the induction.  This is the same descent, now to the
+        quotient by the column relations (Jantzen, ch. 6; Klimyk &
+        Schmuedgen, 1.2.5).  Column coassociativity is not needed, and the
+        pairs with an empty word stand in for the column counit laws."""
+        ws = self._row_legs
+        if ws is None or not self.col.pres._pairs_resolve:
+            return False
+        ws = [EMPTY_WORD] + ws
+        nf = self.row.pres.normal_form_word
+        return all(self.pair_terms(ab, (((g,), SC_ONE),))
+                   == self._split_column(a, b, (g,))
+                   for a in ws for b in ws for ab in (nf(a + b),)
+                   for g in self.col.pres.generators)
 
     def check_axioms(self, degree: int) -> list:
         """Duality of product and coproduct in both directions plus the unit,
@@ -666,31 +723,28 @@ class PairedPresentations:
         The outer product factors range over the generators and the other
         slot ranges over every irreducible word within the degree; products
         of irreducible words are rewritten to normal form before pairing.
-        pairing-product-right is proved for all words by
-        _product_right_proved; only when a premise fails are the column
-        products c.d formed, by Presentation.word_products, and checked one
-        by one.  The unit items hold by the definition of pair_words, whose
+        pairing-product-left and pairing-product-right are proved for all
+        words by _product_left_proved and _product_right_proved; only when
+        a premise fails is the other slot run over the words, the column
+        products c.d formed by Presentation.word_products, and each case
+        checked.  The unit items hold by the definition of pair_words, whose
         first two branches return the counits; each reports its word count."""
         row_gens = [(g,) for g in self.row.pres.generators]
         col_words = self.col.normal_words(degree)
         items = []
 
         bad = []
-        for x in row_gens:
-            for y in row_gens:
-                xy = self.row.pres.normal_form_word(x + y)
-                for c in col_words:
-                    lhs = self.pair_terms(xy, ((c, SC_ONE),))
-                    rhs = SC_ZERO
-                    for (w1, w2), coef in self.col.coproduct.apply_word(c):
-                        v = self.pair_words(x, w1)
-                        if not v.is_zero:
-                            rhs = rhs + coef * v * self.pair_words(y, w2)
-                    if lhs != rhs:
-                        bad.append("(%s.%s, %s)"
-                                   % (self.row.pres.format_word(x),
-                                      self.row.pres.format_word(y),
-                                      self.col.pres.format_word(c)))
+        if not self._product_left_proved():
+            for x in row_gens:
+                for y in row_gens:
+                    xy = self.row.pres.normal_form_word(x + y)
+                    for c in col_words:
+                        if (self.pair_terms(xy, ((c, SC_ONE),))
+                                != self._split_column(x, y, c)):
+                            bad.append("(%s.%s, %s)"
+                                       % (self.row.pres.format_word(x),
+                                          self.row.pres.format_word(y),
+                                          self.col.pres.format_word(c)))
         items.append(CheckItem(
             "pairing-product-left", not bad,
             "<XY, c> = <X (x) Y, D(c)> for generators X, Y and all words c"
@@ -701,15 +755,9 @@ class PairedPresentations:
             # the normal forms of the products cd do not depend on X
             products = self.col.pres.word_products(col_words)
             for x in row_gens:
-                dx = self.row.coproduct.apply_word(x)
                 for c, d, cd in products:
-                    lhs = self.pair_terms(((x, SC_ONE),), cd)
-                    rhs = SC_ZERO
-                    for (w1, w2), coef in dx:
-                        v = self.pair_words(w1, c)
-                        if not v.is_zero:
-                            rhs = rhs + coef * v * self.pair_words(w2, d)
-                    if lhs != rhs:
+                    if (self.pair_terms(((x, SC_ONE),), cd)
+                            != self._split_row(x, c, d)):
                         bad.append("(%s, %s.%s)"
                                    % (self.row.pres.format_word(x),
                                       self.col.pres.format_word(c),

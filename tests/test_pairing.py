@@ -173,8 +173,12 @@ class TestProducts:
 
 
 class FullLoop(PairedPresentations):
-    """The pairing with pairing-product-right always checked product by
-    product: the reference the proof must agree with."""
+    """The pairing with pairing-product-left and pairing-product-right
+    always checked word by word: the reference the proofs must agree
+    with."""
+
+    def _product_left_proved(self):
+        return False
 
     def _product_right_proved(self):
         return False
@@ -201,6 +205,12 @@ def small_presentation(name, rules, coproduct, counit, antipode=None):
         {g: sc(v) for g, v in counit.items()},
         {g: [(sc(c), word(w)) for c, w in terms]
          for g, terms in antipode.items()})
+
+
+def pairing(rows, cols, table):
+    """A pairing definition with the table written as strings."""
+    return PairingDefinition("breaker", "", rows, cols,
+                             {k: sc(v) for k, v in table.items()})
 
 
 def axioms(defn, degree, cls=PairedPresentations):
@@ -252,6 +262,19 @@ PREMISE_BREAKERS = {
         {("x", "a"): "0", ("x", "b"): "0", ("y", "a"): "1",
          ("y", "b"): "1"},
         "fails at (x, b.a.b), (x, a.b.a)"),
+    # the rule y = x makes y reducible, and <y, b> = 2 != <x, b> = 1; the
+    # counit laws give x where y is asked for, and every column rule holds
+    # at x and y, yet <y, NF(a.a.b)> = <y, b> needs <y, .> = <x, .>
+    "a normal word at each generator": (
+        small_presentation("y-is-x", [("y", [("1", "x")])],
+                           {"x": [("1", "x", "x")], "y": [("1", "y", "y")]},
+                           {"x": "1", "y": "1"}),
+        small_presentation("a2-b", [("a.a", [("1", "")])],
+                           {"a": [("1", "a", "a")], "b": [("1", "b", "b")]},
+                           {"a": "1", "b": "1"}),
+        {("x", "a"): "1", ("y", "a"): "1", ("x", "b"): "1",
+         ("y", "b"): "2"},
+        "fails at (y, a.a.b), (y, b.a.a)"),
 }
 
 
@@ -259,10 +282,8 @@ class TestProductRightProof:
     @pytest.mark.parametrize("premise", sorted(PREMISE_BREAKERS))
     def test_a_broken_premise_keeps_the_full_loop(self, premise):
         rows, cols, table, detail = PREMISE_BREAKERS[premise]
-        defn = PairingDefinition("breaker", "", rows, cols,
-                                 {k: sc(v) for k, v in table.items()})
-        got = axioms(defn, 2)
-        assert got == axioms(defn, 2, FullLoop)
+        got = axioms(pairing(rows, cols, table), 2)
+        assert got == axioms(pairing(rows, cols, table), 2, FullLoop)
         assert got[1] == ("pairing-product-right", False, detail)
 
     def test_unresolved_row_pairs_keep_the_full_loop(self, product_calls):
@@ -292,6 +313,102 @@ class TestProductRightProof:
         defn = packaged("pairing-uqsu2-suq2")
         defn.table.update({k: sc(v) for k, v in perturbed.items()})
         assert axioms(defn, 2) == axioms(defn, 2, FullLoop)
+
+
+def column_coproduct_words(defn, degree):
+    """The column words whose coproduct GenMap.apply_word is asked for
+    while check_axioms runs, after both presentations' confluence checks."""
+    row, col = build_presented(defn.rows), build_presented(defn.cols)
+    row.pres.check_confluence(degree)
+    col.pres.check_confluence(degree)
+    paired = PairedPresentations(defn, row, col)
+    seen, apply_word = [], col.coproduct.apply_word
+    col.coproduct.apply_word = lambda w: seen.append(w) or apply_word(w)
+    paired.check_axioms(degree)
+    return seen
+
+
+# Each pairing breaks a premise of _product_left_proved, and
+# pairing-product-left fails at the listed words in the full loop, so a
+# proof that skipped the broken premise would pass it.
+LEFT_PREMISE_BREAKERS = {
+    # D(a) = 0 breaks the column counit laws: the base case holds at (y, y,
+    # a), where both sides are 0, but fails at the pairs with the empty
+    # word, as <y, a> = 1 != <1 (x) y, D(a)> = 0; no column rule exists
+    "the base case at pairs with the empty word": (
+        small_presentation("y", [], {"y": PRIMITIVE}, {"y": "0"}),
+        small_presentation("a-zero", [], {"a": []}, {"a": "0"}),
+        {("y", "a"): "1"},
+        "fails at (y.y, a.a)"),
+    # b.a = -a.b fails at the leg y.y of D(x) but at neither generator;
+    # D = 0 on the columns also fails the base case at the empty word
+    "relations at every leg": (
+        PREMISE_BREAKERS["relations at every leg"][:3]
+        + ("fails at (y.y, a.a), (y.y, a.b), (y.y, b.b)",)),
+}
+
+
+class TestProductLeftProof:
+    @pytest.mark.parametrize("premise", sorted(LEFT_PREMISE_BREAKERS))
+    def test_a_broken_premise_keeps_the_full_loop(self, premise):
+        rows, cols, table, detail = LEFT_PREMISE_BREAKERS[premise]
+        got = axioms(pairing(rows, cols, table), 2)
+        assert got == axioms(pairing(rows, cols, table), 2, FullLoop)
+        assert got[0] == ("pairing-product-left", False, detail)
+
+    def test_unresolved_column_pairs_keep_the_full_loop(self):
+        # a.b = a and b.a = b leave a.b.a at a.a or a, and a.b.a is a leg
+        # of D(e.b.e); every other premise holds.  <k, .> kills both rules
+        # in each leg, so pairing-product-left holds all the same, and the
+        # full loop is seen by the coproducts of longer column words
+        rows = small_presentation("k", [], {"k": [("1", "k", "k")]},
+                                  {"k": "1"})
+        cols = small_presentation(
+            "band-e", [("a.b", [("1", "a")]), ("b.a", [("1", "b")])],
+            {"a": [("1", "a", "a")], "b": [("1", "b", "b")],
+             "e": [("1", "e", "a"), ("1", "b", "e")]},
+            {"a": "1", "b": "1", "e": "0"},
+            antipode={"a": [], "b": [], "e": []})
+        defn = pairing(rows, cols,
+                       {("k", "a"): "1", ("k", "b"): "1", ("k", "e"): "2"})
+        assert not Presentation(cols).check_confluence(3)[0].ok
+        got = axioms(defn, 3)
+        assert got == axioms(defn, 3, FullLoop)
+        assert got[0][:2] == ("pairing-product-left", True)
+        assert max(map(len, column_coproduct_words(defn, 3))) == 3
+
+    def test_the_legs_close_past_the_first_round(self):
+        # D(e) = e (x) k + l (x) e and z mimics e.e, so k.l and l.k are legs
+        # of the legs e.l, k.e, l.e and e.k of D(z) but no leg of a
+        # generator; W must hold them, and every leg of a word in W
+        rows = small_presentation("k-l-e-z", [], {
+            "k": [("1", "k", "k")], "l": [("1", "l", "l")],
+            "e": [("1", "e", "k"), ("1", "l", "e")],
+            "z": [("1", "z", "k.k"), ("1", "e.l", "k.e"),
+                  ("1", "l.e", "e.k"), ("1", "l.l", "z")]},
+            {"k": "1", "l": "1", "e": "0", "z": "0"})
+        cols = small_presentation("free-a", [], {"a": [("1", "a", "a")]},
+                                  {"a": "1"})
+        defn = pairing(rows, cols, {("k", "a"): "2", ("l", "a"): "3",
+                                    ("e", "a"): "1", ("z", "a"): "1"})
+        assert axioms(defn, 2) == axioms(defn, 2, FullLoop)
+        row, col = build_presented(rows), build_presented(cols)
+        row.pres.check_confluence(2)
+        legs = set(PairedPresentations(defn, row, col)._row_legs)
+        cop = row.coproduct.apply_word
+        first = {w for g in rows.generators for (w1, w2), _c in cop((g,))
+                 for w in (w1, w2)}
+        assert {("k", "l"), ("l", "k")} <= legs - first
+        for w in legs:
+            for (w1, w2), _c in cop(w):
+                assert {w1, w2} <= legs | {()}, w
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_a_passing_pairing_forms_no_column_word_coproduct(self, degree):
+        # the full loop forms D(c) for every column word c; the proof only
+        # splits the column generators
+        words = column_coproduct_words(packaged("pairing-uqsu2-suq2"), degree)
+        assert words and max(map(len, words)) <= 1
 
 
 class TestActionFunctional:
@@ -352,9 +469,19 @@ class TestReportBytes:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == self.PAIR_DEGREE_3_SHA256
 
-    # sha256 of the text and JSON reports of `pair --degree D`, taken on
-    # the program that checked pairing-product-right product by product
+    # sha256 of the text and JSON reports of `pair --degree D`, taken at
+    # degrees 4-6 on the program that checked pairing-product-right product
+    # by product, and at degrees 0 and 1 on the one that checked
+    # pairing-product-left word by word
     PAIR_REPORTS_SHA256 = {
+        ("0", "text"):
+            "9eb27f51c7b0e3d72ced03a1fa5300e224fea6f5d1dc879c74b7ca9e41216868",
+        ("0", "json"):
+            "3b068860fa1121c5ed0b2408139adcb239eebbc2ddcfc8d86b208cadcfab35f4",
+        ("1", "text"):
+            "e605442c0015ab24781ac17095f665973a5ab083f4ade495ee8845bd4346d04b",
+        ("1", "json"):
+            "e6c00f05a265cfc4d9d06cfe1d31130bb8800563b05b4da480ae3cf4972b2fd1",
         ("4", "text"):
             "2682f591d3f060ade9f46a657569b4fe05836affe804edfd826baa54ebf73b00",
         ("4", "json"):
@@ -369,7 +496,7 @@ class TestReportBytes:
             "47bd99bcbcf719d9ccc79f46a53697ab6fd679d8e68e46aa6c62c529235e1360",
     }
 
-    @pytest.mark.parametrize("degree", ["4", "5", "6"])
+    @pytest.mark.parametrize("degree", ["0", "1", "4", "5", "6"])
     def test_pair_reports_are_pinned(self, degree, tmp_path, monkeypatch,
                                      capsys):
         name = "pairing-uqsu2-suq2.qg"
@@ -399,4 +526,24 @@ class TestReportBytes:
                 "6a525b450d6da02aaa6bd189efd546b2b862369efc420a16168a35a0a5435979",
             "json":
                 "df45f35c4025add7c32af1a288cab569a494778312c8da429c86674d71e1000b",
+        }
+
+    def test_perturbed_base_case_failure_is_pinned(self):
+        # <E, bs> = 2 rescales E, so every column relation still holds at
+        # W, but <NF(F.E), a> = <F (x) E, D(a)> fails: the base case of the
+        # product-left proof fails and the full loop names where.  Pinned
+        # on the program that checked pairing-product-left word by word
+        defn = packaged("pairing-uqsu2-suq2")
+        defn.table[("E", "bs")] = sc("2")
+        rep = run_pair(defn, "perturbed", "0", degree=3)
+        details = {item.name: item.detail for item in rep.checks}
+        assert details["pairing-product-left"] == \
+            "fails at (F.E, a), (F.E, as), (F.E, a.a)"
+        digests = {fmt: hashlib.sha256(render(rep, fmt).encode("utf-8"))
+                   .hexdigest() for fmt in ("text", "json")}
+        assert digests == {
+            "text":
+                "2b5203fd2d0a1cfb1e9b9b2f68ce88e506c57cd0ea3cd3d471a9b5e611189049",
+            "json":
+                "0065a45ef336b0bed8ff226d43c609807e2e36f7586e8206179e5e33092c8d69",
         }
