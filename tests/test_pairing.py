@@ -1,5 +1,6 @@
 """The bilinear pairing between the two shipped presentations."""
 
+import collections
 import hashlib
 import shutil
 
@@ -13,7 +14,7 @@ from hopf_forge.fixtures import packaged_fixture_path
 from hopf_forge.presentations import (PairedPresentations, Presentation,
                                       build_presented)
 from hopf_forge.report import render, run_pair
-from hopf_forge.scalars import SC_ONE, SC_ZERO, parse_scalar
+from hopf_forge.scalars import SC_ONE, SC_ZERO, Scalar, parse_scalar
 
 from packaged import packaged
 
@@ -227,6 +228,8 @@ def axioms(defn, degree, cls=PairedPresentations):
 # premise holds.  pairing-product-right fails at the listed products c.d, so
 # a proof that skipped the broken premise would pass it.
 PRIMITIVE = [("1", "y", ""), ("1", "", "y")]
+PRIMITIVE_X = [("1", "x", ""), ("1", "", "x")]
+PRIMITIVE_A = [("1", "a", ""), ("1", "", "a")]
 PREMISE_BREAKERS = {
     # x mimics y^3 but with y (x) yy alone: (D (x) id)D(x) and
     # (id (x) D)D(x) differ by 2 y (x) y (x) y
@@ -436,6 +439,141 @@ class TestEvaluationRank:
     def test_rank_pin_degree_four(self):
         assert PAIRING.gram_rank(4) == (55, 55, 55)
 
+    # taken on the program that ranked the whole evaluation matrix
+    @pytest.mark.parametrize("degree,size", [(0, 1), (1, 5), (2, 14),
+                                             (5, 91), (6, 140)])
+    def test_rank_pins(self, degree, size):
+        assert PAIRING.gram_rank(degree) == (size, size, size)
+
+
+class OneBlock(PairedPresentations):
+    """The pairing with the trivial grading, so gram_rank ranks the whole
+    evaluation matrix: the reference the blocks must agree with."""
+
+    def _weight(self, side, w):
+        return SC_ZERO
+
+
+def paired(defn, cls=PairedPresentations):
+    return cls(defn, build_presented(defn.rows), build_presented(defn.cols))
+
+
+def blocks(pairing_, degree):
+    """[(row words, column words)] of each weight the words take."""
+    out = {}
+    for side, qg in enumerate((pairing_.row, pairing_.col)):
+        for w in qg.normal_words(degree):
+            out.setdefault(pairing_._weight(side, w), ([], []))[side].append(w)
+    return list(out.values())
+
+
+def off_block_entries(pairing_, degree):
+    """The nonzero entries <x, c> of the evaluation matrix whose row and
+    column words lie in different blocks."""
+    found = []
+    parts = blocks(pairing_, degree)
+    for i, (xs, _cs) in enumerate(parts):
+        for j, (_xs, cs) in enumerate(parts):
+            found += [(x, c) for x in xs for c in cs if i != j
+                      and not pairing_.pair_words(x, c).is_zero]
+    return found
+
+
+# Each pairing has a block that one family of equations alone decides:
+# without it the grading has one more dimension, and the entry named lies
+# off the blocks.  (rows, columns, table, degree, the entry, its value)
+GRADING_DECIDERS = {
+    # f.k.e is irreducible, but its legs f.e rewrite to e.f + k, so D(f.k.e)
+    # holds 2 k (x) k: wt(k) = wt(e) + wt(f) comes from the rule alone
+    "rules": (
+        small_presentation(
+            "lie-k-e-f", [("f.e", [("1", "e.f"), ("1", "k")])],
+            {"k": [("1", "k", ""), ("1", "", "k")],
+             "e": [("1", "e", ""), ("1", "", "e")],
+             "f": [("1", "f", ""), ("1", "", "f")]},
+            {"k": "0", "e": "0", "f": "0"}),
+        small_presentation("free-a", [], {"a": PRIMITIVE_A}, {"a": "0"}),
+        {("k", "a"): "1", ("e", "a"): "0", ("f", "a"): "0"},
+        3, ("f.k.e", "a.a"), "2"),
+    # x and a are group-like with counit 0: wt(x) = 0 comes from D(x)
+    "coproduct": (
+        small_presentation("x", [], {"x": [("1", "x", "x")]}, {"x": "0"}),
+        small_presentation("a", [], {"a": [("1", "a", "a")]}, {"a": "0"}),
+        {("x", "a"): "1"},
+        2, ("x", "a.a"), "1"),
+    # x and a are primitive with counit 1: wt(x) = 0 comes from the counit,
+    # and <x, 1> = 1 pairs x against the empty column word
+    "counit": (
+        small_presentation("x", [], {"x": PRIMITIVE_X}, {"x": "1"}),
+        small_presentation("a", [], {"a": PRIMITIVE_A}, {"a": "1"}),
+        {("x", "a"): "1"},
+        1, ("x", ""), "1"),
+    # x and a are primitive with counit 0: only <x, a> ties their weights
+    "table": (
+        small_presentation("x", [], {"x": PRIMITIVE_X}, {"x": "0"}),
+        small_presentation("a", [], {"a": PRIMITIVE_A}, {"a": "0"}),
+        {("x", "a"): "1"},
+        1, ("x", "a"), "1"),
+}
+
+
+class TestWeightGrading:
+    def test_the_packaged_grading(self):
+        # E -> 1, F -> -1, bs -> 1, b -> -1 and 0 on K, Kinv, a and as, up
+        # to one common scale t
+        t = PAIRING._weight(0, ("E",))
+        assert t.constant_value() is not None and not t.is_zero
+        expected = [{"K": 0, "Kinv": 0, "E": 1, "F": -1},
+                    {"b": -1, "bs": 1, "a": 0, "as": 0}]
+        for side, weights in enumerate(expected):
+            for g, k in weights.items():
+                assert PAIRING._weight(side, (g,)) == \
+                    Scalar.from_int(k) * t, g
+        assert PAIRING._weight(1, ("a", "bs", "b", "bs")) == t
+        assert PAIRING._weight(0, ()) == SC_ZERO
+
+    def test_the_blocks_at_degree_four(self):
+        # the weight of a word counts E minus F, or bs minus b
+        parts = blocks(PAIRING, 4)
+        assert len(parts) == 9
+        assert sum(len(xs) * len(cs) for xs, cs in parts) == 517
+        rows = collections.Counter(
+            x.count("E") - x.count("F") for x in PAIRING.row.normal_words(4))
+        cols = collections.Counter(
+            c.count("bs") - c.count("b") for c in PAIRING.col.normal_words(4))
+        assert rows == cols
+        assert sorted((len(xs), len(cs)) for xs, cs in parts) == \
+            sorted((n, n) for n in rows.values())
+
+    def test_no_entry_off_the_blocks_is_nonzero(self):
+        assert off_block_entries(PAIRING, 3) == []
+
+    @pytest.mark.parametrize("family", sorted(GRADING_DECIDERS))
+    def test_each_equation_family_decides_a_block(self, family):
+        rows, cols, table, degree, (x, c), value = GRADING_DECIDERS[family]
+        defn = pairing(rows, cols, table)
+        split = paired(defn)
+        assert split.pair_words(word(x), word(c)) == sc(value)
+        assert off_block_entries(split, degree) == []
+        assert split.gram_rank(degree) == \
+            paired(defn, OneBlock).gram_rank(degree)
+
+    @given(st.dictionaries(
+        st.sampled_from(sorted(PAIRING.table)),
+        st.sampled_from(["0", "1", "-1", "2", "s", "1/s", "-s^2"]),
+        max_size=2))
+    @settings(max_examples=25)
+    def test_blocks_agree_with_one_block(self, perturbed):
+        # a perturbed entry often leaves the trivial grading, and a
+        # rescaled one keeps E -> 1, F -> -1, so both are reached.  With two
+        # entries perturbed, the exact rank at degree 3 can take seconds on
+        # either side, so those tables are compared at degree 2
+        defn = packaged("pairing-uqsu2-suq2")
+        defn.table.update({k: sc(v) for k, v in perturbed.items()})
+        for degree in (2, 3) if len(perturbed) < 2 else (2,):
+            assert paired(defn).gram_rank(degree) == \
+                paired(defn, OneBlock).gram_rank(degree)
+
 
 class TestFiniteShadow:
     def test_high_powers_of_k_are_distinct_normal_words(self):
@@ -526,6 +664,24 @@ class TestReportBytes:
                 "6a525b450d6da02aaa6bd189efd546b2b862369efc420a16168a35a0a5435979",
             "json":
                 "df45f35c4025add7c32af1a288cab569a494778312c8da429c86674d71e1000b",
+        }
+
+    def test_perturbed_rank_deficient_report_is_pinned(self):
+        # <K, a> = 1 keeps the grading E -> 1, F -> -1 and lowers the rank,
+        # so the blocks are ranked by rref.  Pinned on the program that
+        # ranked the whole evaluation matrix
+        defn = packaged("pairing-uqsu2-suq2")
+        defn.table[("K", "a")] = SC_ONE
+        rep = run_pair(defn, "perturbed", "0", degree=3)
+        assert ("evaluation-rank",
+                "rank 25 of the 30 x 30 evaluation matrix") in rep.objects
+        digests = {fmt: hashlib.sha256(render(rep, fmt).encode("utf-8"))
+                   .hexdigest() for fmt in ("text", "json")}
+        assert digests == {
+            "text":
+                "803e258bbaa609c927e6cfade55d6ffad2c78af402ce8569ece929fd271b1357",
+            "json":
+                "a3c7852d5bf27e831228956047d65f12c3d5e6d6c74d888726ed7fecce9658e8",
         }
 
     def test_perturbed_base_case_failure_is_pinned(self):
