@@ -7,9 +7,10 @@ unknown name, unreadable input, unwritable output), 3 for internal errors.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+import types
 
 from .definition import read_definition
 from .errors import DefinitionError, HopfForgeError
@@ -27,76 +28,147 @@ def degree_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "invalid int value: %r" % text) from None
+        raise ValueError("invalid int value: %r" % text) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            "must be 0 or more, got %d" % value)
+        raise ValueError("must be 0 or more, got %d" % value)
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hopf-forge",
-        description="Construct and verify algebraic quantum groups in "
-                    "exact arithmetic.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's help line and its options.  An option is (flag, metavar,
+# default, check): metavar None marks a switch, and check is a function
+# that raises ValueError, a tuple of choices or None.  A field is named by
+# its flag without the dashes.
+FORMAT = ("--format", "{text,json}", "text", ("text", "json"))
+DEGREE = ("--degree", "N", None, degree_arg)
+OUTPUT = ("--output", "PATH", None, None)
+HELP = ("-h/--help", None, None, None)
+COMMANDS = {
+    "validate": ("check the algebra, coproduct, canonical maps, counit, "
+                 "antipode and star of one definition",
+                 (FORMAT, DEGREE, OUTPUT)),
+    "analyze": ("derive invariant functionals, modular data and "
+                "eigenstructure on top of validate",
+                (FORMAT, DEGREE, ("--spec-points", "LIST", None, None),
+                 ("--no-star-assert", None, False, None), OUTPUT)),
+    "dual": ("build the dual quantum group, verify it and the canonical map "
+             "into the double dual", (FORMAT, OUTPUT)),
+    "subcheck": ("verify declared sub-bases as compatible sub-objects and "
+                 "imbed their duals",
+                 (FORMAT, OUTPUT, ("--sub", "NAME", None, None))),
+    "pair": ("evaluate a generator pairing, its axioms and its declared "
+             "action functionals", (FORMAT, DEGREE, OUTPUT)),
+    "examples": ("write the packaged example definitions to a directory",
+                 (("--output", "DIR", "examples", None),)),
+}
+NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    def common(p, output_help, degree=False, positivity=False):
-        p.add_argument("input",
-                       help="packaged definition name or path to a .qg file")
-        p.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default: text)")
-        if degree:
-            p.add_argument("--degree", type=degree_arg, default=None,
-                           metavar="N",
-                           help="degree bound for word enumeration")
-        if positivity:
-            p.add_argument("--spec-points", default=None, metavar="LIST",
-                           help="comma-separated rationals in (0,1) used to "
-                                "certify positivity, e.g. 1/3,1/2,2/3 "
-                                "(default: env %s or 1/3,1/2,2/3)"
-                                % SPEC_POINTS_ENV)
-            p.add_argument("--no-star-assert", action="store_true",
-                           help="record positivity of the invariant state "
-                                "as a note instead of a required check")
-        p.add_argument("--output", default=None, metavar="PATH",
-                       help=output_help)
 
-    p = sub.add_parser("validate",
-                       help="check the algebra, coproduct, canonical maps, "
-                            "counit, antipode and star of one definition")
-    common(p, "also write the report to this file", degree=True)
+class CommandLineExit(Exception):
+    """The (exit code, text) of a run that ends before the pipeline: 0 and
+    the help for stdout, or 2 and a usage error for stderr."""
 
-    p = sub.add_parser("analyze",
-                       help="derive invariant functionals, modular data and "
-                            "eigenstructure on top of validate")
-    common(p, "also write the report to this file", degree=True,
-           positivity=True)
 
-    p = sub.add_parser("dual",
-                       help="build the dual quantum group, verify it and "
-                            "the canonical map into the double dual")
-    common(p, "write the dual as a .qg definition to this file")
+def _usage(command) -> str:
+    if command is None:
+        return "usage: hopf-forge [-h] {%s} ..." % ",".join(COMMANDS)
+    return " ".join(["usage: hopf-forge", command, "[-h]"] + [
+        "[%s]" % " ".join(opt[:2] if opt[1] else opt[:1])
+        for opt in COMMANDS[command][1]]
+        + ["input"] * (command != "examples"))
 
-    p = sub.add_parser("subcheck",
-                       help="verify declared sub-bases as compatible "
-                            "sub-objects and imbed their duals")
-    common(p, "also write the report to this file")
-    p.add_argument("--sub", default=None, metavar="NAME",
-                   help="check only this declared sub-basis")
 
-    p = sub.add_parser("pair",
-                       help="evaluate a generator pairing, its axioms and "
-                            "its declared action functionals")
-    common(p, "also write the report to this file", degree=True)
+def _help(command) -> str:
+    return "\n".join([_usage(command), ""] + [
+        "  %-9s %s" % (name, entry[0]) for name, entry in COMMANDS.items()
+        if command in (None, name)]) + "\n"
 
-    p = sub.add_parser("examples",
-                       help="write the packaged example definitions to a "
-                            "directory")
-    p.add_argument("--output", default="examples", metavar="DIR",
-                   help="target directory (default: examples)")
-    return parser
+
+def _fail(command, message):
+    raise CommandLineExit(2, "%s\nhopf-forge%s: error: %s\n" % (
+        _usage(command), " " + command if command else "", message))
+
+
+def _checked(command, name, check, value):
+    try:
+        if isinstance(check, tuple) and value not in check:
+            raise ValueError("invalid choice: %r (choose from %s)"
+                             % (value, ", ".join(map(repr, check))))
+        return check(value) if callable(check) else value
+    except ValueError as exc:
+        _fail(command, "argument %s: %s" % (name, exc))
+
+
+def _option(command, options, token):
+    """None when token is a positional: "-", "--", a negative number or a
+    word with a space.  Else (the option, or None when no flag of options
+    matches, and the value after = or None).  A --flag may be shortened to
+    any unique prefix, and -hVALUE is -h=VALUE."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if token[1] != "-":
+        name, eq, value = token[:2], token[2:], token[2 + (token[2:3] == "="):]
+    flags = [flag for flag in options if flag == name
+             or name[1] == "-" and flag.startswith(name)]
+    if len(flags) > 1:
+        _fail(command, "ambiguous option: %s could match %s"
+              % (token, ", ".join(flags)))
+    if flags:
+        return options[flags[0]], value if eq else None
+    if NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_args(argv) -> types.SimpleNamespace:
+    """The command and its fields, read from argv against COMMANDS as
+    argparse read them with one subparser per command: before the command
+    only -h is an option, and after it options and the input come in any
+    order until a --.  Help and usage errors raise CommandLineExit."""
+    options, fields, extras = {"-h": HELP, "--help": HELP}, {}, []
+    command, wanted, ended, i, at = None, "command", False, 0, None
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        found = None if ended else _option(command, options, token)
+        if token == "--" and not ended and (command or i == len(argv)):
+            ended = True  # and dropped next to the input, as argparse did
+            if not wanted and at != i - 2:
+                extras.append(token)
+        elif found is None and command is None:
+            command = _checked(None, "command", tuple(COMMANDS), token)
+            options.update((opt[0], opt) for opt in COMMANDS[command][1])
+            fields = {opt[0]: opt[2] for opt in COMMANDS[command][1]}
+            fields["command"] = command
+            wanted = "input" if command != "examples" else ""
+        elif found is None and wanted:
+            fields["input"], wanted, at = token, "", i - 1
+        elif found is None or found[0] is None:
+            extras.append(token)
+        else:
+            (flag, metavar, _, check), value = found
+            if metavar is None:  # a switch, and -hh is -h twice
+                if value is not None and token[1] == "h":
+                    value = value.lstrip("h") or (None if value else "")
+                if value is not None:
+                    _fail(command, "argument %s: ignored explicit argument "
+                          "%r" % (flag, value))
+                if flag == HELP[0]:
+                    raise CommandLineExit(0, _help(command))
+                fields[flag] = True
+                continue
+            if value is None:
+                if i == len(argv) or argv[i] == "--" or _option(
+                        command, options, argv[i]):
+                    _fail(command, "argument %s: expected one argument"
+                          % flag)
+                value, i = argv[i], i + 1
+            fields[flag] = _checked(command, flag, check, value)
+    if wanted:
+        _fail(command, "the following arguments are required: " + wanted)
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return types.SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
+                                    for name, value in fields.items()})
 
 
 def resolve_input(name: str) -> str:
@@ -166,12 +238,12 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(exc.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except CommandLineExit as stop:
+        code, text = stop.args
+        (sys.stdout if code == 0 else sys.stderr).write(text)
+        return code
     try:
         return _dispatch(args)
     except DefinitionError as exc:

@@ -61,27 +61,28 @@ class ModularStageFailure(CheckFailure):
 # ---------------------------------------------------------------------------
 
 def solve_left_haar(qg: QGData) -> dict:
-    """Solve (i(x)phi)(D(a)(b(x)1)) = phi(a) b over all basis pairs.
+    """Solve (i(x)phi)D(a) = phi(a) 1 over the basis: n^2 rows, n unknowns.
 
-    The homogeneous solution space must have dimension exactly 1; the
-    solution is normalized to phi(1) = 1 when possible, otherwise its first
-    nonzero value is set to 1.
+    This is the law (i(x)phi)(D(a)(b(x)1)) = phi(a) b at b = 1, and it gives
+    the law at every b, since (i(x)phi)(D(a)(b(x)1)) = ((i(x)phi)D(a)) b.
+    That needs alg.one to be the unit, which build_algebra has proved.  The
+    homogeneous solution space must have dimension exactly 1; the solution
+    is normalized to phi(1) = 1 when possible, otherwise its first nonzero
+    value is set to 1.
     """
     alg = qg.algebra
     n = alg.dim
     rows = []
     for k in range(n):
-        dk = qg.coproduct.columns[k]
-        for b in range(n):
-            # sum_{i,j} dk[i,j] phi_j (e_i e_b) = phi_k e_b, coordinatewise:
-            # coeff[t] is the sparse row of coordinate t in the unknowns phi_j
-            coeff = [{} for _ in range(n)]
-            for (i, j), c in dk.items():
-                for t, m in alg.mul.get((i, b), {}).items():
-                    coeff[t][j] = coeff[t].get(j, SC_ZERO) + c * m
-            coeff[b][k] = coeff[b].get(k, SC_ZERO) - SC_ONE
-            # a zero row states nothing about a kernel
-            rows += [row for row in map(sparse_row, coeff) if row]
+        # coordinate t of sum_{i,j} dk[i,j] phi_j e_i - phi_k 1: coeff[t] is
+        # its sparse row in the unknowns phi_j
+        coeff = [{} for _ in range(n)]
+        for (i, j), c in qg.coproduct.columns[k].items():
+            coeff[i][j] = c
+        for t, u in alg.one.items():
+            coeff[t][k] = coeff[t].get(k, SC_ZERO) - u
+        # a zero row states nothing about a kernel
+        rows += [row for row in map(sparse_row, coeff) if row]
     kern = kernel_basis(rows, n)
     dim = len(kern)
     if dim == 0:

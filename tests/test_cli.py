@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hopf_forge.fixtures import packaged_fixture_names, packaged_fixture_path
 
 from deadline import deadline
+from test_bench_workloads import WORKLOADS
 
 
 def run_cli(*args, env_extra=None):
@@ -28,6 +29,264 @@ def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "hopf_forge", *args],
         capture_output=True, text=True, env=env)
+
+
+# What the command line reads from argv, pinned on the behaviour of the
+# argparse parser it replaced: the fields handed to the pipeline, or the
+# exit code and the last line of stderr.
+VALIDATE = {"command": "validate", "input": "c_z2", "degree": None,
+            "format": "text", "output": None}
+ANALYZE = {"command": "analyze", "input": "c_z2", "degree": None,
+           "format": "text", "no_star_assert": False, "output": None,
+           "spec_points": None}
+DEFAULTS = {
+    "validate": VALIDATE,
+    "analyze": ANALYZE,
+    "dual": {"command": "dual", "input": "c_z2", "format": "text",
+             "output": None},
+    "subcheck": {"command": "subcheck", "input": "c_z2", "format": "text",
+                 "output": None, "sub": None},
+    "pair": {"command": "pair", "input": "c_z2", "degree": None,
+             "format": "text", "output": None},
+    "examples": {"command": "examples", "output": "examples"},
+}
+CHOICES = ("(choose from 'validate', 'analyze', 'dual', 'subcheck', 'pair', "
+           "'examples')")
+HELP = (0, "")
+
+
+def usage_error(command, message):
+    prog = "hopf-forge" + (" " + command if command else "")
+    return 2, "%s: error: %s" % (prog, message)
+
+
+def unrecognized(text):
+    return usage_error(None, "unrecognized arguments: " + text)
+
+
+PARSES = [
+    # every command's defaults
+    *[([command] + ([] if command == "examples" else ["c_z2"]), fields)
+      for command, fields in DEFAULTS.items()],
+    # the README's examples
+    ("validate c_s3", {**VALIDATE, "input": "c_s3"}),
+    ("analyze group_s3", {**ANALYZE, "input": "group_s3"}),
+    ("analyze sweedler_h4 --no-star-assert",
+     {**ANALYZE, "input": "sweedler_h4", "no_star_assert": True}),
+    ("dual group_s3 --output dual_s3.qg",
+     {**DEFAULTS["dual"], "input": "group_s3", "output": "dual_s3.qg"}),
+    ("subcheck c_z4 --sub c_h",
+     {**DEFAULTS["subcheck"], "input": "c_z4", "sub": "c_h"}),
+    ("pair pairing-uqsu2-suq2 --degree 3",
+     {**DEFAULTS["pair"], "input": "pairing-uqsu2-suq2", "degree": 3}),
+    ("examples --output ./examples",
+     {"command": "examples", "output": "./examples"}),
+    # options before or after the input, --opt VALUE and --opt=VALUE, the
+    # last of a repeated option
+    ("validate --degree 3 c_z2", {**VALIDATE, "degree": 3}),
+    ("validate c_z2 --degree=3", {**VALIDATE, "degree": 3}),
+    ("validate c_z2 --degree 3 --degree 4", {**VALIDATE, "degree": 4}),
+    ("validate c_z2 --format json --format text", VALIDATE),
+    ("validate --format=json c_z2", {**VALIDATE, "format": "json"}),
+    ("analyze c_z2 --no-star-assert --no-star-assert",
+     {**ANALYZE, "no_star_assert": True}),
+    ("validate c_z2 --degree +3", {**VALIDATE, "degree": 3}),
+    (["validate", "c_z2", "--output", ""], {**VALIDATE, "output": ""}),
+    ("validate c_z2 --output=", {**VALIDATE, "output": ""}),
+    (["validate", "c_z2", "--output", "a b"], {**VALIDATE, "output": "a b"}),
+    ("validate c_z2 --output -", {**VALIDATE, "output": "-"}),
+    # a unique prefix
+    ("validate c_z2 --deg 3", {**VALIDATE, "degree": 3}),
+    ("analyze c_z2 --no-star", {**ANALYZE, "no_star_assert": True}),
+    ("validate c_z2 --o f", {**VALIDATE, "output": "f"}),
+    ("validate c_z2 --outp=f", {**VALIDATE, "output": "f"}),
+    ("examples --out d", {"command": "examples", "output": "d"}),
+    ("subcheck c_z4 --s c_h",
+     {**DEFAULTS["subcheck"], "input": "c_z4", "sub": "c_h"}),
+    ("analyze c_z2 --spec=1/2", {**ANALYZE, "spec_points": "1/2"}),
+    # -- ends the options; a dash alone, a negative number and a word with
+    # a space are positionals
+    ("validate -- c_z2", VALIDATE),
+    ("validate c_z2 --", VALIDATE),
+    ("validate --degree 3 c_z2 --", {**VALIDATE, "degree": 3}),
+    ("validate --format=json -- c_z2", {**VALIDATE, "format": "json"}),
+    ("validate -- --degree", {**VALIDATE, "input": "--degree"}),
+    ("validate -- -h", {**VALIDATE, "input": "-h"}),
+    ("validate -", {**VALIDATE, "input": "-"}),
+    ("validate - --", {**VALIDATE, "input": "-"}),
+    ("validate -1", {**VALIDATE, "input": "-1"}),
+    (["validate", "--with space"], {**VALIDATE, "input": "--with space"}),
+    # help, at the top level or after a command
+    ("-h", HELP),
+    ("--help", HELP),
+    ("--he", HELP),
+    ("--bogus --help", HELP),
+    ("-h bogus", HELP),
+    ("validate c_z2 -h", HELP),
+    ("validate c_z2 --help", HELP),
+    ("validate --h", HELP),
+    ("validate -hh", HELP),
+    ("examples -h", HELP),
+    ("validate c_z2 -h --degree -1", HELP),
+    # usage errors
+    ("validate c_z2 --degree -1",
+     usage_error("validate", "argument --degree: must be 0 or more, got -1")),
+    ("validate --degree -1",
+     usage_error("validate", "argument --degree: must be 0 or more, got -1")),
+    ("validate c_z2 --degree x",
+     usage_error("validate", "argument --degree: invalid int value: 'x'")),
+    ("validate c_z2 --degree=",
+     usage_error("validate", "argument --degree: invalid int value: ''")),
+    ("validate c_z2 --degree -1.5",
+     usage_error("validate", "argument --degree: invalid int value: '-1.5'")),
+    ("validate c_z2 --degree -1 -h",
+     usage_error("validate", "argument --degree: must be 0 or more, got -1")),
+    ("validate --format xml --degree -1",
+     usage_error("validate", "argument --format: invalid choice: 'xml' "
+                             "(choose from 'text', 'json')")),
+    ("validate --bogus --degree -1",
+     usage_error("validate", "argument --degree: must be 0 or more, got -1")),
+    ("validate", usage_error("validate",
+                             "the following arguments are required: input")),
+    ("validate --degree 3", usage_error(
+        "validate", "the following arguments are required: input")),
+    ("validate --format json --", usage_error(
+        "validate", "the following arguments are required: input")),
+    ("", usage_error(None, "the following arguments are required: command")),
+    ("--bogus", usage_error(
+        None, "the following arguments are required: command")),
+    ("bogus", usage_error(
+        None, "argument command: invalid choice: 'bogus' " + CHOICES)),
+    ("bogus -h", usage_error(
+        None, "argument command: invalid choice: 'bogus' " + CHOICES)),
+    ([""], usage_error(None, "argument command: invalid choice: '' "
+                       + CHOICES)),
+    ("-1", usage_error(None, "argument command: invalid choice: '-1' "
+                       + CHOICES)),
+    ("-- validate c_z2", usage_error(
+        None, "argument command: invalid choice: '--' " + CHOICES)),
+    ("--format json validate c_z2", usage_error(
+        None, "argument command: invalid choice: 'json' " + CHOICES)),
+    ("validate c_z2 --format xml",
+     usage_error("validate", "argument --format: invalid choice: 'xml' "
+                             "(choose from 'text', 'json')")),
+    ("validate c_z2 --format=",
+     usage_error("validate", "argument --format: invalid choice: '' "
+                             "(choose from 'text', 'json')")),
+    ("validate c_z2 --degree",
+     usage_error("validate", "argument --degree: expected one argument")),
+    ("validate c_z2 --degree --format json",
+     usage_error("validate", "argument --degree: expected one argument")),
+    ("validate c_z2 --output --",
+     usage_error("validate", "argument --output: expected one argument")),
+    ("validate c_z2 --output -x",
+     usage_error("validate", "argument --output: expected one argument")),
+    ("examples --output",
+     usage_error("examples", "argument --output: expected one argument")),
+    ("analyze c_z2 --no-star-assert=x",
+     usage_error("analyze", "argument --no-star-assert: ignored explicit "
+                            "argument 'x'")),
+    ("analyze c_z2 --no-star-assert=",
+     usage_error("analyze", "argument --no-star-assert: ignored explicit "
+                            "argument ''")),
+    ("validate c_z2 --help=x", usage_error(
+        "validate", "argument -h/--help: ignored explicit argument 'x'")),
+    ("validate c_z2 -h=x", usage_error(
+        "validate", "argument -h/--help: ignored explicit argument 'x'")),
+    ("validate c_z2 -hx", usage_error(
+        "validate", "argument -h/--help: ignored explicit argument 'x'")),
+    ("--help=x", usage_error(
+        None, "argument -h/--help: ignored explicit argument 'x'")),
+    ("--=x", usage_error(
+        None, "argument -h/--help: ignored explicit argument 'x'")),
+    ("validate c_z2 --=x", usage_error(
+        "validate", "ambiguous option: --=x could match --help, --format, "
+                    "--degree, --output")),
+    # each command accepts only its own options, and one input
+    ("dual x --degree 3", unrecognized("--degree 3")),
+    ("dual --degree 3", unrecognized("--degree")),
+    ("validate x --no-star-assert", unrecognized("--no-star-assert")),
+    ("examples --output d --format json", unrecognized("--format json")),
+    ("validate c_z2 extra", unrecognized("extra")),
+    ("dual x extra --bogus", unrecognized("extra --bogus")),
+    ("examples extra", unrecognized("extra")),
+    ("--bogus validate c_z2", unrecognized("--bogus")),
+    ("validate c_z2 --bogus=1", unrecognized("--bogus=1")),
+    ("validate c_z2 -x", unrecognized("-x")),
+    ("validate x -1", unrecognized("-1")),
+    ("validate c_z2 -", unrecognized("-")),
+    ("validate x -- -", unrecognized("-")),
+    # -- is dropped next to the input, and is otherwise one more argument
+    ("validate c_z2 -- --degree 3", unrecognized("--degree 3")),
+    ("validate x --degree 3 -- y", unrecognized("-- y")),
+    ("validate c_z2 --format json --", unrecognized("--")),
+    ("validate x --format json extra --", unrecognized("extra --")),
+    ("validate x y --", unrecognized("y --")),
+    ("validate x -- y --", unrecognized("y --")),
+    ("validate -- x --", unrecognized("--")),
+    ("validate -- x y", unrecognized("y")),
+    ("validate -- -- x", unrecognized("x")),
+    ("validate x -- --", unrecognized("--")),
+    ("examples --", unrecognized("--")),
+    ("examples -- --", unrecognized("-- --")),
+]
+
+
+def read_argv(monkeypatch, capsys, argv):
+    """What cli.main makes of argv: the fields it hands the pipeline, or
+    (exit code, last line of stderr) when it ends before."""
+    from hopf_forge import cli
+    handed = []
+    monkeypatch.setattr(cli, "_dispatch",
+                        lambda args: handed.append(vars(args)) or 0)
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    if handed:
+        assert (code, out, err) == (0, "", "")
+        return handed[0]
+    # help goes to stdout, usage errors to stderr alone
+    assert out.startswith("usage: hopf-forge") if code == 0 else out == ""
+    return code, (err.splitlines() or [""])[-1]
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv, expected", PARSES, ids=[
+        argv if isinstance(argv, str) and argv else repr(argv)
+        for argv, _ in PARSES])
+    def test_argv(self, monkeypatch, capsys, argv, expected):
+        if isinstance(argv, str):
+            argv = argv.split()
+        assert read_argv(monkeypatch, capsys, argv) == expected
+
+    # the workloads' option tuples, as the parser must read them
+    EXTRA = {(): {}, ("--no-star-assert",): {"no_star_assert": True},
+             ("--sub", "c_h"): {"sub": "c_h"},
+             ("--degree", "3"): {"degree": 3},
+             ("--degree", "4"): {"degree": 4},
+             ("--degree", "5"): {"degree": 5}}
+
+    @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+    def test_every_benchmark_case(self, monkeypatch, capsys, tmp_path,
+                                  workload):
+        cases = WORKLOADS.build_workload(workload, 2, str(tmp_path))
+        for case in cases:
+            for fmt in ("text", "json"):
+                # the benchmark's worker appends the format to each argv
+                expected = {**DEFAULTS[case["command"]],
+                            "input": case["input"],
+                            **self.EXTRA[tuple(case["extra"])],
+                            "format": fmt}
+                assert read_argv(monkeypatch, capsys, case["argv"] + [
+                    "--format", fmt]) == expected, case["id"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h", "validate"]])
+    def test_help_names_every_command(self, capsys, argv):
+        from hopf_forge import cli
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for command in DEFAULTS:
+            assert command in out
 
 
 class TestValidate:

@@ -348,24 +348,49 @@ class TestModularPremises:
             "StructureError: left Haar functional is not unique "
             "(solution space dimension 2)")
 
+    def test_the_unit_rows_give_the_law_at_every_b(self):
+        # (i(x)phi)(D(a)(b(x)1)) = phi(a) b on every basis pair, expanded
+        # from the multiplication table: solve_left_haar keeps only the rows
+        # at b = 1, which rests on alg.one being the unit
+        for name in HOPF_FIXTURES:
+            qg = hopf_qg(name)
+            alg = qg.algebra
+            try:
+                phi = haar_modular.solve_left_haar(qg)
+            except StructureError as exc:
+                raise AssertionError("%s: %s" % (name, exc)) from None
+            for a in range(qg.dim):
+                for b in range(qg.dim):
+                    lhs = {}
+                    for (i, j), c in qg.coproduct.columns[a].items():
+                        for t, m in alg.mul.get((i, b), {}).items():
+                            lhs[t] = lhs.get(t, SC_ZERO) + c * m * phi.get(
+                                j, SC_ZERO)
+                    assert {t: x for t, x in lhs.items() if not x.is_zero} \
+                        == scaled(phi.get(a, SC_ZERO), basis(b)), (name, a, b)
+
     def test_faithfulness_is_checked(self):
         assert outcome(haar_modular.modular_automorphism, hopf_qg("c_z2"),
                        {0: SC_ONE}) == (
             "NotFaithful: functional is not faithful: its multiplication "
             "form is singular")
 
-    @pytest.mark.parametrize("func, guard, test", [
-        ("solve_left_haar", "if dim > 1:", "test_haar_uniqueness_is_checked"),
-        ("modular_automorphism", "if b_inv is None:",
+    @pytest.mark.parametrize("func, original, mutant, test", [
+        ("solve_left_haar", "if dim > 1:", "if False:",
+         "test_haar_uniqueness_is_checked"),
+        ("modular_automorphism", "if b_inv is None:", "if False:",
          "test_faithfulness_is_checked"),
-    ], ids=["uniqueness", "faithfulness"])
+        # e_0 is the unit of a group algebra, not of a function algebra
+        ("solve_left_haar", "alg.one.items()", "{0: SC_ONE}.items()",
+         "test_the_unit_rows_give_the_law_at_every_b"),
+    ], ids=["uniqueness", "faithfulness", "unit"])
     def test_dropping_a_premise_check_is_caught(self, monkeypatch, func,
-                                                guard, test):
+                                                original, mutant, test):
         source = textwrap.dedent(inspect.getsource(getattr(haar_modular,
                                                            func)))
-        assert source.count(guard) == 1
+        assert source.count(original) == 1
         scope = {}
-        exec(source.replace(guard, "if False:"), vars(haar_modular), scope)
+        exec(source.replace(original, mutant), vars(haar_modular), scope)
         monkeypatch.setattr(haar_modular, func, scope[func])
         with pytest.raises(AssertionError):
             getattr(self, test)()

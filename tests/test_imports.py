@@ -278,10 +278,11 @@ def test_the_scan_sees_a_unit_read():
 
 
 # Stdlib modules that cost start-up time and that the program never needs:
-# dataclasses brings inspect, ast, dis and tokenize with it, and
-# importlib.resources brings typing, pathlib and tempfile.
+# dataclasses brings inspect, ast, dis and tokenize with it,
+# importlib.resources brings typing, pathlib and tempfile, and argparse
+# brings gettext, whose first lookup imports locale.
 SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize",
-                "importlib.resources", "typing")
+                "importlib.resources", "typing", "argparse", "gettext")
 
 
 def test_the_cli_imports_no_slow_module():
@@ -293,3 +294,17 @@ def test_the_cli_imports_no_slow_module():
                           cwd=PACKAGE_DIR.parent, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def test_a_run_imports_no_parser_or_locale_module():
+    # a whole command: argv read, the pipeline run and the report rendered
+    code = ("import contextlib, io, sys\n"
+            "from hopf_forge import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['validate', 'c_z2'])\n"
+            "print(code, *(m for m in ('argparse', 'gettext', 'locale')\n"
+            "              if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          cwd=PACKAGE_DIR.parent, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0"]
