@@ -13,14 +13,16 @@ from .scalars import SC_ZERO
 def algebra_from_definition(d: StructureDefinition) -> FinAlgebra:
     """Build and verify the underlying *-algebra of a definition.
 
-    A declared unit is verified (build_algebra solves for the unit and the
-    solved one must match); the star matrix is wrapped conjugate-linearly.
+    A declared unit is build_algebra's candidate and must match the unit
+    it verifies or solves for; the star matrix is wrapped conjugate-linearly.
     """
     star = None
     if d.star is not None:
         star = LinMap(d.star, conjugate_linear=True)
-    alg = build_algebra(d.labels, d.mul, star=star, name=d.name)
-    if d.unit is not None and alg.one != sparse_row(d.unit):
+    declared = None if d.unit is None else sparse_row(d.unit)
+    alg = build_algebra(d.labels, d.mul, star=star, name=d.name,
+                        unit=declared)
+    if declared is not None and alg.one != declared:
         raise StructureError(
             "declared unit of %r disagrees with the solved one" % d.name)
     return alg

@@ -218,8 +218,17 @@ def rank(rows, ncols=None) -> int:
     - A nonzero minor of phi(M) is therefore phi of a nonzero minor of M,
       so rank phi(M) <= rank M <= min(m, n).  A full rank mod p is a
       proof; a smaller one proves nothing.
+    - An exactly-zero row or column lies in no nonzero minor, so m and n
+      count only the rows and columns with a nonzero entry, each tested
+      for zero exactly.  A row that is zero only mod p still counts.
     """
-    full = min(len(rows), _width(rows, ncols))
+    _width(rows, ncols)
+    live, cols = 0, set()
+    for row in rows:
+        nonzero = [j for j, x in _entries(row) if not x.is_zero]
+        live += bool(nonzero)
+        cols.update(nonzero)
+    full = min(live, len(cols))
     if not full:
         return 0
     for s0 in RANK_POINTS:

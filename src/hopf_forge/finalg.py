@@ -6,9 +6,9 @@ functional on A, is the sparse {i: c} of its nonzero coefficients at e_i
 (or values at e_i), the form of a LinMap column and of a table entry; no
 zero is stored, so dict equality is equality.  The dense unit, as a .qg
 file declares it, is a view built on each read.  build_algebra finds a
-generating set, verifies associativity, solves for the unit and verifies
-the star axioms, raising StructureError with a concrete witness on any
-violation.
+generating set, verifies associativity, verifies a known unit or solves
+for it, and verifies the star axioms, raising StructureError with a
+concrete witness on any violation.
 
 A LinMap keeps sparse columns, and form_map reads the form omega(e_i e_j)
 of a functional into one.  An element of a tensor product (TensorAlgebra,
@@ -257,7 +257,8 @@ def proved_on_generators(alg: FinAlgebra, failures) -> list:
       (mhopf.derive_counit_antipode) and f(ab) = f(a)f(b)
       (duality.verify_qg_morphism), slot a: D(aa'b) = D(a)D(a'b) =
       D(a)D(a')D(b) = D(aa')D(b), and likewise for eps and f.  Premise:
-      associative algebras (build_algebra), and so A(x)A.
+      associative algebras, for f the target as well (build_algebra), and
+      so A(x)A.
     - (ab)* = b*a* (_check_star), slot a: ((aa')b)* = (a'b)*a* = b*a'*a*
       = b*(aa')*.  Premise: associativity, checked before it.
     - (D(x)i)D = (i(x)D)D (attach_coproduct) and D(a*) = D(a)*
@@ -362,16 +363,24 @@ def _check_star(alg: FinAlgebra) -> None:
         raise StructureError("star does not fix the unit")
 
 
-def build_algebra(labels, mul, star=None, name="") -> FinAlgebra:
+def build_algebra(labels, mul, star=None, name="", unit=None) -> FinAlgebra:
     """Construct and fully verify a finite-dimensional (*-)algebra.
 
-    The generating set is found first, the unit is solved for and must be
-    unique, and star, when given, is a LinMap.
+    The generating set is found first, then associativity, the unit and
+    the star, a LinMap when given.  A candidate unit u, when given, is the
+    unit if u e_i = e_i = e_i u for every i, as a unit is unique (u' =
+    u'u = u; Bourbaki, Algebra I, ch. I, 2.1); otherwise the unit is
+    solved for and must be unique.
     """
     alg = FinAlgebra(list(labels), dict(mul), None, star, name=name)
     alg.generators = generating_set(alg)
     _check_associativity(alg)
-    alg.one = _solve_unit(alg)
+    if unit is None or any(
+            alg.multiply(unit, {i: SC_ONE}) != {i: SC_ONE}
+            or alg.multiply({i: SC_ONE}, unit) != {i: SC_ONE}
+            for i in range(alg.dim)):
+        unit = _solve_unit(alg)
+    alg.one = unit
     if alg.star is not None:
         _check_star(alg)
     return alg

@@ -7,11 +7,11 @@ where the multiplier algebra of the tensor square is the tensor square
 itself).  Every element of the tensor square, D(a) among them, is the
 sparse {(i, j): c} of finalg.TensorAlgebra, and every element of A, and
 the counit, the sparse {i: c} of finalg.  The counit and antipode are
-never taken on faith: they are solved for from their defining laws and
-required to be unique; declared tables, when present, are cross-checked
-against the solved ones.  Once they verify, the four canonical maps
-(T-maps) are bijective by their explicit inverses, so the maps are built
-and ranked only when the derivation fails (check_tmaps).
+never taken on faith: a known one is checked against its defining laws,
+whose solution is unique, and others are solved for from them; declared
+tables, when present, are cross-checked.  Once they verify, the four
+canonical maps (T-maps) are bijective by their explicit inverses, so the
+maps are built and ranked only when the derivation fails (check_tmaps).
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .errors import CheckFailure, HopfForgeError, StructureError
 from .exactla import (LinearAlgebraError, coordinates, solve_affine,
                       sparse_row)
 from .exactla import rank as _rank
-from .finalg import (FinAlgebra, LinMap, TensorAlgebra, apply_functional,
-                     build_algebra, failing_pairs, proved_on_generators,
-                     tensor_algebra)
+from .finalg import (FinAlgebra, LinMap, TensorAlgebra, TensorMap,
+                     apply_functional, build_algebra, failing_pairs,
+                     proved_on_generators, tensor_algebra)
 from .scalars import SC_ONE, SC_ZERO
 
 
@@ -186,7 +186,7 @@ def _tmap_columns(qg: QGData, which: int) -> list:
 
 
 def check_tmaps(qg: QGData, declared_counit=None,
-                declared_antipode=None) -> TMapReport:
+                declared_antipode=None, candidate=None) -> TMapReport:
     """Bijectivity of the four canonical maps on the tensor square, with the
     counit and antipode derived on the way (qg gets them on success).
 
@@ -195,7 +195,8 @@ def check_tmaps(qg: QGData, declared_counit=None,
     when the derivation fails, and true by the theorem in
     derive_counit_antipode's docstring when it verifies.
 
-    derive_counit_antipode runs first, with the declared tables.  When it
+    derive_counit_antipode runs first, with the declared tables and the
+    candidate (eps, S), when known (duality.build_dual).  When it
     verifies, the four maps have explicit inverses, and each is reported at
     rank n^2 of n^2 without being built:
     - T1(a(x)b) = D(a)(1(x)b) has T1^-1(a(x)b) = sum a_1 (x) S(a_2) b;
@@ -210,10 +211,10 @@ def check_tmaps(qg: QGData, declared_counit=None,
     laws for T1 and T2; for T3 and T4, the antipode laws of S^-1 for D^op
     follow by applying S^-1 to those of S, which needs S anti-multiplicative,
     unital and bijective.  Coassociativity is checked by attach_coproduct,
-    and both one-sided counit and antipode laws by construction in
-    derive_counit_antipode; S is anti-multiplicative, unital and bijective
-    by the theorem in its docstring, whose premises are checked there and
-    by attach_coproduct.
+    and both one-sided counit and antipode laws by derive_counit_antipode,
+    by its candidate checks or its solves; S is anti-multiplicative,
+    unital and bijective by the theorem in its docstring, whose premises
+    are checked there and by attach_coproduct.
 
     When derive_counit_antipode raises, the maps are built over Q(i)(s) and
     ranked exactly, and its error is kept in the report: the callers report
@@ -221,7 +222,8 @@ def check_tmaps(qg: QGData, declared_counit=None,
     """
     n2 = qg.dim ** 2
     try:
-        derive_counit_antipode(qg, declared_counit, declared_antipode)
+        derive_counit_antipode(qg, declared_counit, declared_antipode,
+                               candidate)
     except HopfForgeError as exc:
         error = exc
         # a matrix and its transpose have the same rank
@@ -243,13 +245,20 @@ def check_tmaps(qg: QGData, declared_counit=None,
 # ---------------------------------------------------------------------------
 
 def derive_counit_antipode(qg: QGData, declared_counit=None,
-                           declared_antipode=None) -> QGData:
-    """Solve the counit and antipode laws; each solution must be unique.
+                           declared_antipode=None, candidate=None) -> QGData:
+    """The counit and antipode, each the unique solution of its laws.
 
-    Both one-sided laws are stacked into a single linear system, so the
-    solved map satisfies the two-sided law by construction.  The solved
-    counit is verified multiplicative.  Declared tables, if any, must agree
-    exactly with the solved ones.
+    A known (eps, S), candidate or else the declared tables, is checked
+    exactly with products only, in the convolution monoid f*g = m(f(x)g)D
+    of maps A -> A with unit 1eps: eps against 1eps*i = i = i*1eps, S
+    against S*i = 1eps = i*S.  The monoid is associative and unital, as A
+    is, D is coassociative and eps a counit, all checked before; so each
+    law has at most one solution, eps' = (eps'(x)eps)D = eps and S' =
+    S'*(i*S) = (S'*i)*S = S (Sweedler, Hopf Algebras, 1969, ch. 4), and a
+    candidate that holds is it.  A missing or failing one is solved for,
+    both one-sided laws stacked into one linear system, and must be unique.
+    The counit is verified multiplicative.  Declared tables, if any, must
+    agree exactly with the result.
 
     The rest is a theorem, not a check (Sweedler, Hopf Algebras, 1969,
     ch. 4; Larson & Sweedler, Amer. J. Math. 91, 1969):
@@ -263,31 +272,48 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     - A is then a finite-dimensional Hopf algebra, so S is bijective
       (Larson-Sweedler).
     Each premise is checked first: D multiplicative and coassociative by
-    attach_coproduct, the only constructor of QGData; A associative and
-    unital by build_algebra, and nonzero, as the definition loader takes
-    only nonempty bases and sub bases and a dual keeps its original's
-    dimension; eps multiplicative by the loop below; the counit and
-    antipode laws by the solves, whose solutions are unique.
+    attach_coproduct, which builds every QGData passed here (the double
+    dual of duality.biduality, carried over by transport, never is); A
+    associative and unital by build_algebra, and nonzero, as the
+    definition loader takes only nonempty bases and sub bases and a dual
+    keeps its original's dimension; eps multiplicative by the loop below;
+    the counit and antipode laws by the candidate checks or the solves.
     """
     alg = qg.algebra
     n = alg.dim
     cols = qg.coproduct.columns
+    ident = LinMap.identity(n)
 
-    # row (k, t, 0) holds D(e_k)[i, t] at i, and row (k, t, 1) D(e_k)[t, j]
-    laws = {(k, t, side): {} for k in range(n) for t in range(n)
-            for side in (0, 1)}
-    for k in range(n):
-        for (i, j), c in cols[k].items():
-            laws[k, j, 0][i] = c
-            laws[k, i, 1][j] = c
-    sol = solve_affine(list(laws.values()), [
-        SC_ONE if t == k else SC_ZERO for k, t, _side in laws], n)
-    if sol.is_empty:
-        raise StructureError("counit laws have no solution")
-    if sol.dimension != 0:
-        raise StructureError(
-            "counit is not unique (solution space dimension %d)" % sol.dimension)
-    eps = sol.particular
+    def unit_times(e):
+        """x -> e(x)1."""
+        return LinMap.of_columns([{i: e[k] * c for i, c in alg.one.items()}
+                                  if k in e else {} for k in range(n)], n)
+
+    def holds(f, target):
+        """f*i = target = i*f."""
+        return (_convolution(qg, f, ident) == target
+                == _convolution(qg, ident, f))
+
+    eps, antipode = candidate or (
+        declared_counit and sparse_row(declared_counit),
+        declared_antipode and LinMap(declared_antipode))
+    if eps is None or not holds(unit_times(eps), ident):
+        # row (k, t, 0) holds D(e_k)[i, t] at i, and row (k, t, 1)
+        # D(e_k)[t, j]
+        laws = {(k, t, side): {} for k in range(n) for t in range(n)
+                for side in (0, 1)}
+        for k in range(n):
+            for (i, j), c in cols[k].items():
+                laws[k, j, 0][i] = c
+                laws[k, i, 1][j] = c
+        sol = solve_affine(list(laws.values()), [
+            SC_ONE if t == k else SC_ZERO for k, t, _side in laws], n)
+        if sol.is_empty:
+            raise StructureError("counit laws have no solution")
+        if sol.dimension != 0:
+            raise StructureError("counit is not unique (solution space "
+                                 "dimension %d)" % sol.dimension)
+        eps = sol.particular
 
     for i, j in failing_pairs(alg, lambda i, j: (
             apply_functional(eps, alg.mul.get((i, j), {})),
@@ -295,39 +321,40 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
         raise StructureError("solved counit is not multiplicative at (%s, %s)"
                              % (alg.labels[i], alg.labels[j]))
 
-    # e_r e_j and e_i e_r have coefficient m at e_t:
-    # by_right[j][t] and by_left[i][t] list those (r, m)
-    by_right = [[[] for _ in range(n)] for _ in range(n)]
-    by_left = [[[] for _ in range(n)] for _ in range(n)]
-    for (a, b), ent in alg.mul.items():
-        for t, m in ent.items():
-            by_right[b][t].append((a, m))
-            by_left[a][t].append((b, m))
-    rows = []
-    rhs = []
-    for k in range(n):
-        for t in range(n):
-            row1 = {}
-            row2 = {}
-            for (i, j), c in cols[k].items():
-                for r, m in by_right[j][t]:
-                    row1[r * n + i] = row1.get(r * n + i, SC_ZERO) + c * m
-                for r, m in by_left[i][t]:
-                    row2[r * n + j] = row2.get(r * n + j, SC_ZERO) + c * m
-            target = eps.get(k, SC_ZERO) * alg.one.get(t, SC_ZERO)
-            rows += [sparse_row(row1), sparse_row(row2)]
-            rhs += [target, target]
-    sol = solve_affine(rows, rhs, n * n)
-    if sol.is_empty:
-        raise StructureError("antipode laws have no solution")
-    if sol.dimension != 0:
-        raise StructureError(
-            "antipode is not unique (solution space dimension %d)" % sol.dimension)
-    # the unknown r * n + c is entry (r, c) of S
-    columns = [{} for _ in range(n)]
-    for rc, x in sol.particular.items():
-        columns[rc % n][rc // n] = x
-    antipode = LinMap.of_columns(columns, n)
+    if antipode is None or not holds(antipode, unit_times(eps)):
+        # e_r e_j and e_i e_r have coefficient m at e_t:
+        # by_right[j][t] and by_left[i][t] list those (r, m)
+        by_right = [[[] for _ in range(n)] for _ in range(n)]
+        by_left = [[[] for _ in range(n)] for _ in range(n)]
+        for (a, b), ent in alg.mul.items():
+            for t, m in ent.items():
+                by_right[b][t].append((a, m))
+                by_left[a][t].append((b, m))
+        rows = []
+        rhs = []
+        for k in range(n):
+            for t in range(n):
+                row1 = {}
+                row2 = {}
+                for (i, j), c in cols[k].items():
+                    for r, m in by_right[j][t]:
+                        row1[r * n + i] = row1.get(r * n + i, SC_ZERO) + c * m
+                    for r, m in by_left[i][t]:
+                        row2[r * n + j] = row2.get(r * n + j, SC_ZERO) + c * m
+                target = eps.get(k, SC_ZERO) * alg.one.get(t, SC_ZERO)
+                rows += [sparse_row(row1), sparse_row(row2)]
+                rhs += [target, target]
+        sol = solve_affine(rows, rhs, n * n)
+        if sol.is_empty:
+            raise StructureError("antipode laws have no solution")
+        if sol.dimension != 0:
+            raise StructureError("antipode is not unique (solution space "
+                                 "dimension %d)" % sol.dimension)
+        # the unknown r * n + c is entry (r, c) of S
+        columns = [{} for _ in range(n)]
+        for rc, x in sol.particular.items():
+            columns[rc % n][rc // n] = x
+        antipode = LinMap.of_columns(columns, n)
 
     if (declared_counit is not None
             and sparse_row(declared_counit) != eps):
@@ -341,6 +368,19 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     qg.counit = eps
     qg.antipode = antipode
     return qg
+
+
+def _convolution(qg: QGData, f: LinMap, g: LinMap) -> LinMap:
+    """f*g = m(f(x)g)D, read column by column off the coproduct."""
+    legs = TensorMap(f, g)
+    cols = []
+    for col in qg.coproduct.columns:
+        out = {}
+        for pair, c in legs.apply(col).items():
+            for k, x in qg.algebra.mul.get(pair, {}).items():
+                out[k] = out.get(k, SC_ZERO) + c * x
+        cols.append({k: x for k, x in out.items() if not x.is_zero})
+    return LinMap.of_columns(cols, qg.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,16 @@ from hopf_forge.duality import (biduality, build_dual, dual_imbedding,
                                 verify_qg_morphism)
 from hopf_forge.exactla import dense_row, matvec, sparse_row
 from hopf_forge.finalg import LinMap, apply_functional
-from hopf_forge.haar_modular import compute_modular_data, solve_left_haar
+from hopf_forge.errors import StructureError
+from hopf_forge.haar_modular import (compute_modular_data, left_haar,
+                                     solve_left_haar)
 from hopf_forge.mhopf import Coproduct, check_sub_mha, derive_counit_antipode
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
 
 from oracles import basis
 from packaged import packaged
+from test_bench_workloads import WORKLOADS
 
 HOPF_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")
 
@@ -100,6 +103,114 @@ class TestBiduality:
         result = biduality(qg, build)
         two = sc("2")
         assert result.gamma.matrix == [[two, SC_ZERO], [SC_ZERO, two]]
+
+
+def declared_qg(defn):
+    """The quantum group of a definition with its declared counit and
+    antipode as the candidates, as the command line builds it."""
+    return derive_counit_antipode(build_qg(defn), defn.counit, defn.antipode)
+
+
+# the packaged Hopf examples, every s-deformed menu variant and the
+# function and group algebras of D3 to D6
+TRANSPORT_CASES = (HOPF_FIXTURES
+                   + tuple("%s~%d" % (name, index)
+                           for name in WORKLOADS.DEFORMED_EXAMPLES
+                           for index in range(WORKLOADS.DEFORM_VARIANTS))
+                   + tuple("%s%d" % (kind, n) for n in range(3, 7)
+                           for kind in ("c_d", "group_d")))
+
+
+def transport_case(case):
+    if "~" in case:
+        name, index = case.split("~")
+        return WORKLOADS.deformed_variant(name, int(index))
+    if case in HOPF_FIXTURES:
+        return packaged(case)
+    kind, n = case[:-1], int(case[-1])
+    return WORKLOADS.dihedral_definitions(n)[kind == "group_d"]
+
+
+class TestTransportedBidual:
+    @pytest.mark.parametrize("case", TRANSPORT_CASES)
+    def test_transport_matches_the_full_build(self, case, monkeypatch):
+        # the double dual built and checked from scratch, and gamma
+        # verified against it as before the transport
+        defn = transport_case(case)
+        assert defn.name.startswith(case.split("~")[0])
+        qg = declared_qg(defn)
+        build = build_dual(qg, left_haar(qg))
+        full = build_dual(build.qg, left_haar(build.qg))
+        gamma = full.form_inv.compose(build.form.transpose()).compose(
+            qg.antipode.inverse())
+        want = verify_qg_morphism(qg, full.qg, gamma)
+        # the transported double dual is the target gamma is checked
+        # against, and the check half never runs
+        targets, checked = [], []
+        verify = duality.verify_qg_morphism
+        monkeypatch.setattr(duality, "verify_qg_morphism",
+                            lambda src, dst, *args, **kw: targets.append(dst)
+                            or verify(src, dst, *args, **kw))
+        monkeypatch.setattr(duality, "_check_dual",
+                            lambda *args: checked.append(args))
+        result = biduality(qg, build)
+        assert checked == [] and len(targets) == 1
+        assert result.gamma == gamma
+        got = targets[0]
+        assert got.algebra.one == full.qg.algebra.one
+        assert got.counit == full.qg.counit
+        assert got.antipode == full.qg.antipode
+        assert full.tmaps.all_bijective and full.tmaps.error is None
+        assert [(it.name, it.ok, it.detail) for it in result.report.items] \
+            == [(it.name, it.ok, it.detail) for it in want.items]
+        assert want.all_ok
+
+    @staticmethod
+    def break_a_product(monkeypatch):
+        """Doubles the first product e_2 e_q of the double dual's table;
+        gamma is diagonal on group_s3, whose generators are e_1 and e_3, so
+        the generators' slot never reaches row 2."""
+        tables = duality._dual_tables
+
+        def broken(qg, phi, name):
+            form, form_inv, alg, coproduct = tables(qg, phi, name)
+            if name.startswith("double dual"):
+                key = min(k for k in alg.mul if k[0] == 2)
+                alg.mul[key] = {k: c + c for k, c in alg.mul[key].items()}
+                alg = duality.FinAlgebra(alg.labels, alg.mul, None,
+                                         alg.star, alg.name)
+            return form, form_inv, alg, coproduct
+        monkeypatch.setattr(duality, "_dual_tables", broken)
+
+    def test_a_broken_product_outside_the_generators_fails(self,
+                                                           monkeypatch):
+        qg = declared_qg(packaged("group_s3"))
+        build = build_dual(qg, left_haar(qg))
+        assert qg.algebra.generators == [1, 3]
+        self.break_a_product(monkeypatch)
+        # the text build_dual's checks gave on the double dual before the
+        # transport
+        with pytest.raises(StructureError) as info:
+            biduality(qg, build)
+        assert str(info.value) == (
+            "associativity fails at (w_w_u_r1, w_w_u_r1, w_w_u_id): "
+            "(ab)c = (1/18)*w_w_u_r2 but a(bc) = (1/36)*w_w_u_r2")
+
+    def test_the_generators_slot_in_place_of_all_pairs_is_caught(
+            self, monkeypatch):
+        # the shortcut assumes the target associative, which is what the
+        # transport proves: it misses the broken product
+        source = textwrap.dedent(inspect.getsource(duality.biduality))
+        check = "target_associative=False"
+        assert source.count(check) == 1
+        scope = {}
+        exec(source.replace(check, "target_associative=True"),
+             vars(duality), scope)
+        monkeypatch.setattr(duality, "biduality", scope["biduality"])
+        monkeypatch.setitem(globals(), "biduality", scope["biduality"])
+        with pytest.raises(pytest.fail.Exception):
+            self.test_a_broken_product_outside_the_generators_fails(
+                monkeypatch)
 
 
 class TestDualModular:

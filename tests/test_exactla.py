@@ -163,6 +163,23 @@ def planted_rank_matrices():
     return draw_matrix()
 
 
+def planted_zero_matrices():
+    """planted_rank_matrices as sparse rows with ncols, with zero rows and
+    zero columns put in at drawn places."""
+    @st.composite
+    def draw_matrix(draw):
+        rows = draw(planted_rank_matrices())
+        m = len(rows[0])
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), [SC_ZERO] * m)
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(rows[0])))
+            for row in rows:
+                row.insert(at, SC_ZERO)
+        return [sparse_row(row) for row in rows], len(rows[0])
+    return draw_matrix()
+
+
 class TestModularRankCertificate:
     """exactla.rank returns a full rank found mod p at a point of
     RANK_POINTS and runs the exact rref for anything else."""
@@ -188,6 +205,37 @@ class TestModularRankCertificate:
     @given(planted_rank_matrices())
     def test_matches_exact_elimination(self, rows):
         assert rank(rows) == len(rref(mat_copy(rows)))
+
+    @settings(max_examples=60)
+    @given(planted_zero_matrices())
+    def test_zero_rows_and_columns_match_exact_elimination(self, matrix):
+        rows, ncols = matrix
+        assert rank(rows, ncols) == len(rref(list(rows)))
+
+    def test_zero_rows_and_columns_need_no_exact_elimination(self, counted):
+        # rank 2 on three rows and three columns, full once the zero row
+        # and the zero column are dropped
+        rows = [{0: S, 2: SC_ONE}, {}, {0: SC_ONE, 2: S}]
+        assert rank(rows, 3) == 2
+        assert counted == {"points": {RANK_POINTS[0]}, "rref": 0}
+
+    def test_a_row_zero_only_mod_p_is_kept(self):
+        # p and p s vanish at every point, so the image has rank 1 on its
+        # one nonzero row; over Q(i)(s) the rank is 2
+        p = Scalar.from_int(P)
+        assert rank([[p, p * S], [SC_ONE, SC_ONE]]) == 2
+
+    def test_pruning_rows_by_their_image_is_caught(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(exactla.rank))
+        exact = "[j for j, x in _entries(row) if not x.is_zero]"
+        assert source.count(exact) == 1
+        scope = {}
+        exec(source.replace(exact, "list(terms_mod_p(_entries(row), "
+                                   "RANK_POINTS[0]) or ())"),
+             vars(exactla), scope)
+        monkeypatch.setattr(sys.modules[__name__], "rank", scope["rank"])
+        with pytest.raises(AssertionError):
+            self.test_a_row_zero_only_mod_p_is_kept()
 
     def test_rank_mod_p(self):
         assert rank_mod_p([]) == 0

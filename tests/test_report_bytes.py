@@ -7,10 +7,13 @@ relative path, so the checkout path does not enter the report.
 """
 
 import hashlib
+import inspect
 import shutil
+import textwrap
 
 import pytest
 
+from hopf_forge import assemble, finalg, mhopf
 from hopf_forge.cli import main
 from hopf_forge.definition import save_definition
 from hopf_forge.fixtures import (function_algebra, group_algebra,
@@ -241,3 +244,68 @@ def test_declared_antipode_failure_follows_bijective_tmaps(tmp_path,
         for formula in TMAP_FORMULAS] + [
         "[FAIL] declared-antipode: declared-antipode: declared antipode "
         "disagrees with the solved one"]
+
+
+# a wrong declared unit or counit of c_z4: the candidate fails its laws,
+# the solve runs, and the declared table disagrees with the solution.  The
+# digests were taken on the program that solved for the unit, counit and
+# antipode whatever the definition declared.
+WRONG_DECLARED = {
+    "unit": {
+        "text":
+            "dc3a107ed34fff188e4e8ca9fcc7f10a01533e9ff924b474bf95581d5e955c50",
+        "json":
+            "9786cdd89c41925cb2bae7cd89af70d6c4435152334aed1d5c338eac7fa1e32b",
+    },
+    "counit": {
+        "text":
+            "684895282ce54e7989839954be912229e0150343a2fb1abd4ec88829526c42d8",
+        "json":
+            "47e575f8f58f169af872e78298a4de20df8d3c3be8a7186342469cb15f84edf1",
+    },
+}
+
+
+@pytest.mark.parametrize("table", sorted(WRONG_DECLARED))
+def test_wrong_declared_table_is_pinned(table, tmp_path, monkeypatch,
+                                        capsys):
+    defn = packaged("c_z4")
+    defn.name = "c_z4_wrong_" + table
+    # the unit is the sum of the four point masses, the counit the
+    # evaluation at the identity point e0
+    wrong = [SC_ONE] + [SC_ZERO] * (defn.dim - 1)
+    if table == "counit":
+        wrong = wrong[-1:] + wrong[:-1]
+    setattr(defn, table, wrong)
+    save_definition(defn, str(tmp_path / ("wrong_%s.qg" % table)))
+    monkeypatch.chdir(tmp_path)
+    got = {fmt: report_digest("validate", "wrong_" + table, (), fmt, capsys)
+           for fmt in FORMATS}
+    assert got == WRONG_DECLARED[table]
+
+
+@pytest.mark.parametrize("module, function, check, test", [
+    (finalg, "build_algebra", "unit is None or any(",
+     lambda **kw: test_wrong_declared_table_is_pinned("unit", **kw)),
+    (mhopf, "derive_counit_antipode",
+     "eps is None or not holds(unit_times(eps), ident)",
+     lambda **kw: test_wrong_declared_table_is_pinned("counit", **kw)),
+    (mhopf, "derive_counit_antipode",
+     "antipode is None or not holds(antipode, unit_times(eps))",
+     test_declared_antipode_failure_follows_bijective_tmaps),
+], ids=["unit", "counit", "antipode"])
+def test_skipping_a_candidate_law_check_is_caught(module, function, check,
+                                                  test, tmp_path,
+                                                  monkeypatch, capsys):
+    # the mutant takes a declared table as the solution unchecked, so the
+    # wrong declaration is accepted and the pinned report changes
+    source = textwrap.dedent(inspect.getsource(getattr(module, function)))
+    assert source.count(check) == 1
+    scope = {}
+    exec(source.replace(check, check.replace(" or ", " or False and ")),
+         vars(module), scope)
+    # the definition's algebra is built through assemble's name for it
+    monkeypatch.setattr(assemble if module is finalg else module, function,
+                        scope[function])
+    with pytest.raises(AssertionError):
+        test(tmp_path=tmp_path, monkeypatch=monkeypatch, capsys=capsys)
