@@ -17,6 +17,7 @@ import itertools
 from operator import ne
 
 from .errors import CheckFailure, NotFaithful, StructureError
+from .exactla import eigensplit
 from .finalg import (FinAlgebra, LinMap, TensorMap, apply_functional,
                      build_algebra, failing_pairs, form_map, tensor_algebra)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
@@ -292,8 +293,8 @@ def find_idempotent_basis(qg: QGData, spec_points) -> list:
             if len(vecs) == 1:
                 nxt.append(vecs)
                 continue
-            nxt.extend(lifted for _value, lifted
-                       in split_block(left, vecs, spec_points))
+            nxt.extend(lifted for _value, lifted in split_block(
+                left, vecs, lambda rows: eigensplit(rows, spec_points)))
         blocks = nxt
     if any(len(vecs) != 1 for vecs in blocks):
         raise CheckFailure(

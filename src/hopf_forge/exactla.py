@@ -1,16 +1,17 @@
 """Exact linear algebra over the scalar field and its Gaussian rational core.
 
-Row reduction, affine solving, characteristic polynomials, roots in Q(i)
-by Hensel lifting (no integer is factored), eigenvalue splitting with the
-r*s^k ansatz, and Hermitian positivity certificates.  All routines are
-exact, on GaussRat (constant work) or Scalar (s-dependent work) entries.
-Elimination and rank run on sparse rows, {column: value} dicts that store
-no zeros, and take a dense list row as well (sparse_row).  rref, the
-solutions of solve_affine, the coordinates and the eigenvectors come back
-sparse; invert takes either form and returns the one it was given;
-charpoly, eigensplit and the positivity certificates take dense lists of
-lists.  The generic routines only use +, -, *,
-inverse(), is_zero and conjugate(), which both element types provide.
+Row reduction, affine solving, eigenspaces at known eigenvalues, the
+eigenvalue search of eigensplit (characteristic polynomials, roots in Q(i)
+by Hensel lifting with no integer factored, an r*s^k ansatz), and
+Hermitian positivity certificates.  All routines are exact, on GaussRat
+(constant work) or Scalar (s-dependent work) entries.  Elimination and
+rank run on sparse rows, {column: value} dicts that store no zeros, and
+take a dense list row as well (sparse_row).  rref, the solutions of
+solve_affine, the coordinates and the eigenvectors come back sparse;
+invert takes either form and returns the one it was given; charpoly, the
+eigenspace splitters and the positivity certificates take dense lists of
+lists.  The generic routines only use +, -, *, inverse(), is_zero and
+conjugate(), which both element types provide.
 """
 
 from __future__ import annotations
@@ -495,64 +496,28 @@ def _specialize_matrix(rows, point: Fraction):
     return [[x.substitute(p) for x in row] for row in rows]
 
 
-def eigensplit(rows, spec_points) -> list:
-    """Split a square Scalar matrix, given as dense rows, into exact
-    eigenspaces with sparse eigenvectors.
+def eigenspaces(rows, candidates) -> list:
+    """The eigenspaces of a square Scalar matrix, given as dense rows, at
+    the candidate eigenvalues, sorted by Scalar.sort_key.
 
-    Eigenvalues are hypothesized in the form r*s^k (r in Q(i), k an integer)
-    by evaluating at two spec points and interpolating the exponent; each
-    candidate is confirmed by an exact kernel computation over the function
-    field.  Raises NotDiagonalizableOverField when the confirmed eigenspaces
-    do not span.  A matrix c*I, for any scalar c, is one eigenspace with
-    value c and the standard basis, and needs no polynomial.
+    Each candidate's eigenspace is the exact kernel of M - lam, taken over
+    Q(i) when the matrix is constant; the candidates are tried in their
+    order until the kernels span.  Raises NotDiagonalizableOverField when
+    they do not, with the nonzero kernels found.
     """
     n = len(rows)
-    if n == 0:
-        return []
-    c = rows[0][0]
-    if all(x == (c if i == j else SC_ZERO)
-           for i, row in enumerate(rows) for j, x in enumerate(row)):
-        return [EigenSpace(c, [{i: SC_ONE} for i in range(n)])]
     const = _as_constant_matrix(rows)
-    candidates = []
-    if const is not None:
-        root_list, _residual = rational_roots(charpoly(const))
-        candidates = [Scalar.const(r) for r, _m in root_list]
-    else:
-        if len(spec_points) < 2:
-            raise LinearAlgebraError(
-                "eigensplit of an s-dependent matrix needs at least two spec points")
-        p1, p2 = spec_points[0], spec_points[1]
-        m1 = _specialize_matrix(rows, p1)
-        m2 = _specialize_matrix(rows, p2)
-        roots1, _ = rational_roots(charpoly(m1))
-        roots2 = {r for r, _m in rational_roots(charpoly(m2))[0]}
-        seen = set()
-        for e1, _mult in roots1:
-            for k in range(-_EXPONENT_WINDOW, _EXPONENT_WINDOW + 1):
-                p1k = GaussRat(p1.numerator ** abs(k), 0, p1.denominator ** abs(k))
-                if k < 0:
-                    p1k = p1k.inverse()
-                r = e1 / p1k
-                p2k = GaussRat(p2.numerator ** abs(k), 0, p2.denominator ** abs(k))
-                if k < 0:
-                    p2k = p2k.inverse()
-                if r * p2k not in roots2:
-                    continue
-                lam = Scalar.const(r) * Scalar.s_power(k)
-                if lam not in seen:
-                    seen.add(lam)
-                    candidates.append(lam)
+    sparse = [sparse_row(row) for row in (rows if const is None else const)]
     spaces = []
     total = 0
-    # over Q(i) when the matrix is constant; rhs fixes the field when every
-    # shifted row is zero
-    sparse = [sparse_row(row) for row in (rows if const is None else const)]
-    for lam in sorted(candidates, key=Scalar.sort_key):
+    for lam in candidates:
+        if total == n:
+            break
         mu = lam if const is None else lam.constant_value()
         zero = _zero_like(mu)
         shifted = [sparse_row({**row, i: row.get(i, zero) - mu})
                    for i, row in enumerate(sparse)]
+        # rhs fixes the field when every shifted row is zero
         kb = solve_affine(shifted, [zero] * n, n).kernel
         if const is not None:
             kb = [{j: Scalar.const(x) for j, x in v.items()} for v in kb]
@@ -566,6 +531,46 @@ def eigensplit(rows, spec_points) -> list:
             % (total, n, [str(es.value) for es in spaces]),
             found=spaces, residual_dimension=n - total)
     return spaces
+
+
+def eigensplit(rows, spec_points) -> list:
+    """eigenspaces of a square Scalar matrix at every eigenvalue in Q(i)
+    and every r*s^k (r in Q(i), k an integer).
+
+    The constant eigenvalues are the roots in Q(i) of the characteristic
+    polynomial; an s-dependent one is hypothesized as r*s^k from the roots
+    at two spec points, the exponent interpolated.  eigenspaces confirms
+    each candidate by an exact kernel.  A matrix c*I, for any scalar c, is
+    one eigenspace with value c and the standard basis, and needs no
+    polynomial.
+    """
+    n = len(rows)
+    if n == 0:
+        return []
+    c = rows[0][0]
+    if all(x == (c if i == j else SC_ZERO)
+           for i, row in enumerate(rows) for j, x in enumerate(row)):
+        return [EigenSpace(c, [{i: SC_ONE} for i in range(n)])]
+    const = _as_constant_matrix(rows)
+    if const is not None:
+        root_list, _residual = rational_roots(charpoly(const))
+        candidates = {Scalar.const(r) for r, _m in root_list}
+    else:
+        if len(spec_points) < 2:
+            raise LinearAlgebraError(
+                "eigensplit of an s-dependent matrix needs at least two spec points")
+        p1, p2 = spec_points[0], spec_points[1]
+        m1 = _specialize_matrix(rows, p1)
+        m2 = _specialize_matrix(rows, p2)
+        roots1, _ = rational_roots(charpoly(m1))
+        roots2 = {r for r, _m in rational_roots(charpoly(m2))[0]}
+        candidates = set()
+        for e1, _mult in roots1:
+            for k in range(-_EXPONENT_WINDOW, _EXPONENT_WINDOW + 1):
+                r = e1 / GaussRat.from_fraction(p1 ** k)
+                if r * GaussRat.from_fraction(p2 ** k) in roots2:
+                    candidates.add(Scalar.const(r) * Scalar.s_power(k))
+    return eigenspaces(rows, sorted(candidates, key=Scalar.sort_key))
 
 
 # ---------------------------------------------------------------------------

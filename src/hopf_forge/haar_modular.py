@@ -9,19 +9,20 @@ simultaneous eigentable of the five structure maps.  The identities that
 define psi, sigma, delta and mu follow from the uniqueness of phi and are
 proved in the docstrings below (Van Daele, "An algebraic framework for
 group duality", Adv. Math. 140, 1998, section 3), not re-checked on basis
-pairs.
+pairs.  The eigentable maps and left multiplication by delta have finite
+order, so their eigenvalues are among +-1 and +-i (ROOTS_OF_UNITY): they
+split by four exact kernels, with no characteristic polynomial and no
+spec point.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
-from .exactla import (coordinates, eigensplit, invert, kernel_basis, rank,
+from .exactla import (coordinates, eigenspaces, invert, kernel_basis, rank,
                       rref, sparse_row)
 from .finalg import LinMap, TensorMap, apply_functional, form_map, gram_psd
 from .mhopf import CheckItem, CheckReport, QGData
-from .scalars import GaussRat, SC_ONE, SC_ZERO, Scalar
+from .scalars import SC_I, SC_ONE, SC_ZERO, Scalar
 
 
 class ModularData:
@@ -187,97 +188,58 @@ def modular_element(qg: QGData, phi: dict) -> dict:
     return delta
 
 
-def _monomial_parts(sc: Scalar):
-    """(r, k) with sc = r * s^k for a monomial scalar, else None."""
-    num, den = sc.num, sc.den
-    if not num:
-        return None
-    if any(not c.is_zero for c in num[:-1]):
-        return None
-    if any(not c.is_zero for c in den[:-1]):
-        return None
-    r = num[-1] / den[-1]
-    return r, (len(num) - 1) - (len(den) - 1)
+ROOTS_OF_UNITY = (SC_ONE, -SC_ONE, SC_I, -SC_I)
+"""The candidate eigenvalues of the five eigentable maps and of L_delta,
+left multiplication by delta, tried in this order: no other value in
+Q(i)(s) can be an eigenvalue, because each map has finite order.
+
+- S^2 has finite order (Radford, "The order of the antipode of a finite
+  dimensional Hopf algebra is finite", Amer. J. Math. 98, 1976).
+- delta is grouplike, D(delta) = delta (x) delta by coassociativity (Van
+  Daele 1998, section 3).  The grouplikes are linearly independent, so
+  they form a finite group, and L_delta and R_delta have finite order.
+- Applying (i(x)eps) to D(sigma a) = (S^2 (x) sigma) D(a), which
+  check_sigma_coproduct_rule checks, gives sigma = S^2 T with
+  T a = sum a_1 chi(a_2), the translation by the character chi =
+  eps o sigma.  chi is grouplike in the dual, so T has finite order, and
+  T commutes with S^2 as chi o S^2 = chi.  So sigma has finite order.
+- The same rule at delta gives sigma(delta) = chi(delta) delta, so sigma
+  commutes with Ad delta = L_delta R_delta^-1, and sigma' = Ad delta o
+  sigma (psi(x) = phi(x delta), psi_positivity) has finite order.
+- A restriction to an invariant block (split_block) keeps a finite order.
+
+So an eigenvalue is a root of unity in Q(i)(s).  It is algebraic over
+Q(i), which a nonconstant rational function is not, so it is a constant
+and one of +-1 and +-i, the roots of unity in Q(i).  Where the kernels of
+M - lam at these four do not span, they are still all the eigenspaces of
+M, those exactla.eigensplit finds, and its failure text is the same.  The
+premise, a finite-dimensional Hopf algebra, is what the structure checks
+prove before the modular stage runs.
+"""
 
 
-def _positive_sqrt(value: Scalar):
-    """Exact positive square root r^(1/2) s^(k/2) of a monomial, or None."""
-    parts = _monomial_parts(value)
-    if parts is None:
-        return None
-    r, k = parts
-    if r.b != 0 or r.a <= 0 or k % 2 != 0:
-        return None
-    ra = math.isqrt(r.a)
-    rd = math.isqrt(r.d)
-    if ra * ra != r.a or rd * rd != r.d:
-        return None
-    return Scalar.const(GaussRat(ra, 0, rd)) * Scalar.s_power(k // 2)
+def delta_square_root(qg: QGData, delta: dict) -> dict:
+    """The positive square root of delta inside the subalgebra it generates:
+    the unit when delta = 1, else the delta-half failure.
 
-
-def delta_square_root(qg: QGData, delta: dict, sigma: LinMap,
-                      spec_points) -> dict:
-    """The positive square root of delta inside the subalgebra it generates.
-
-    Diagonalize left multiplication by delta, keep the eigenvalues that
-    actually carry a component of delta, and evaluate the interpolation
-    polynomial sending each eigenvalue to its positive square root on delta
-    itself.  Its square is exactly delta because the defect polynomial is a
-    multiple of delta's minimal polynomial.  delta's coordinates on the
-    eigenvectors come from exactla.coordinates, whose premise holds: the
-    eigenspace bases are independent and belong to distinct eigenvalues.
+    L_delta, left multiplication by delta, splits over the eigenvalues in
+    ROOTS_OF_UNITY, and each of them carries a component of delta =
+    L_delta(1): the projection onto the lam-eigenspace is a polynomial
+    p(L_delta) = L_p(delta), nonzero, so its value lam p(delta) at delta is
+    nonzero.  Of +-1 and +-i only 1 has a positive square root, so a square
+    root exists exactly when every eigenvalue is 1, that is L_delta = I and
+    delta = 1, whose root is 1.  Otherwise the failure names the least
+    eigenvalue other than 1.
     """
     alg = qg.algebra
-    n = alg.dim
-    spaces = eigensplit(alg.left_mul(delta).matrix, spec_points)
-    coords = coordinates([v for es in spaces for v in es.basis], [delta])[0]
-    if coords is None:
-        raise StructureError("internal: eigenbasis does not span")
-    # delta has a component in an eigenspace exactly when one of its
-    # coordinates there is nonzero, the eigenvectors being independent
-    present = []
-    start = 0
-    for es in spaces:
-        if any(start <= k < start + len(es.basis) for k in coords):
-            present.append(es.value)
-        start += len(es.basis)
-    roots = {}
-    for lam in present:
-        rt = _positive_sqrt(lam)
-        if rt is None:
-            raise CheckFailure(
-                "delta-half",
-                "eigenvalue %s of the modular element has no positive "
-                "square root in the scalar field" % lam)
-        roots[lam] = rt
-    # Lagrange interpolation p with p(lam) = sqrt(lam) on present eigenvalues
-    coeffs = [SC_ZERO] * len(present)
-    for lam in present:
-        basis_poly = [SC_ONE]
-        denom = SC_ONE
-        for other in present:
-            if other == lam:
-                continue
-            # multiply basis_poly by (t - other)
-            nxt = [SC_ZERO] * (len(basis_poly) + 1)
-            for p_i, c in enumerate(basis_poly):
-                nxt[p_i] = nxt[p_i] - c * other
-                nxt[p_i + 1] = nxt[p_i + 1] + c
-            basis_poly = nxt
-            denom = denom * (lam - other)
-        w = roots[lam] * denom.inverse()
-        for p_i, c in enumerate(basis_poly):
-            coeffs[p_i] = coeffs[p_i] + w * c
-    powers = [alg.one]
-    for _ in coeffs[1:]:
-        powers.append(alg.multiply(powers[-1], delta))
-    half = LinMap.of_columns(powers, n).apply(sparse_row(coeffs))
-    if alg.multiply(half, half) != delta:
-        raise StructureError("internal: square of the interpolant is not delta")
-    if sigma.apply(half) != half:
-        raise CheckFailure("delta-half",
-                           "modular map does not fix the square root of delta")
-    return half
+    if delta == alg.one:
+        return alg.one
+    spaces = eigenspaces(alg.left_mul(delta).matrix, ROOTS_OF_UNITY)
+    lam = next(es.value for es in spaces if es.value != SC_ONE)
+    raise CheckFailure(
+        "delta-half",
+        "eigenvalue %s of the modular element has no positive square root "
+        "in the scalar field" % lam)
 
 
 def scaling_constant(qg: QGData, phi: dict, assert_one: bool) -> Scalar:
@@ -413,25 +375,26 @@ def _restrict(m: LinMap, block):
     return LinMap.of_columns(coords, len(block)).matrix
 
 
-def split_block(m: LinMap, block: list, spec_points) -> list:
+def split_block(m: LinMap, block: list, split) -> list:
     """The eigenspaces of m on the m-invariant span of block, as
-    (eigenvalue, eigenvectors in full coordinates) pairs in eigensplit's
-    order.  StructureError when the span is not invariant."""
+    (eigenvalue, eigenvectors in full coordinates) pairs in the order of
+    split, which takes m's dense matrix on the block to its EigenSpaces.
+    StructureError when the span is not invariant."""
     lift = LinMap.of_columns(block, m.n_out)
     return [(es.value, [lift.apply(coef) for coef in es.basis])
-            for es in eigensplit(_restrict(m, block), spec_points)]
+            for es in split(_restrict(m, block))]
 
 
-def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
+def simultaneous_eigenbasis(qg: QGData, md: ModularData,
                             positive_mode: bool) -> EigentableReport:
     """Common eigenbasis of sigma, sigma', S^2 and two-sided multiplication
-    by delta.
+    by delta, split over ROOTS_OF_UNITY.
 
     In the positive case all five maps must commute and every eigenvalue
-    must be self-adjoint and positive at every configured point (fatal
-    otherwise).  Without positivity the maps are taken greedily in a fixed
-    order, each kept only if it commutes with all maps already used, and
-    non-positive eigenvalues become recorded obstructions.
+    must be positive at every spec point, which among +-1 and +-i only 1
+    is (fatal otherwise).  Without positivity the maps are taken greedily in a
+    fixed order, each kept only if it commutes with all maps already used,
+    and the other eigenvalues become recorded obstructions.
     """
     alg = qg.algebra
     n = alg.dim
@@ -459,7 +422,8 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
     for name, m in used:
         nxt = []
         for vecs, values in blocks:
-            for value, lifted in split_block(m, vecs, spec_points):
+            for value, lifted in split_block(
+                    m, vecs, lambda rows: eigenspaces(rows, ROOTS_OF_UNITY)):
                 tagged = dict(values)
                 tagged[name] = value
                 nxt.append((lifted, tagged))
@@ -472,17 +436,8 @@ def simultaneous_eigenbasis(qg: QGData, md: ModularData, spec_points,
 
     positivity = []
     for name, _m in used:
-        bad = []
-        for vecs, values in blocks:
-            lam = values[name]
-            ok = lam.is_self_adjoint()
-            if ok:
-                for p in spec_points:
-                    if lam.substitute(p).sign() <= 0:
-                        ok = False
-                        break
-            if not ok:
-                bad.append(str(lam))
+        bad = [str(values[name]) for _vecs, values in blocks
+               if values[name] != SC_ONE]
         item = CheckItem(
             "positivity " + name, not bad,
             "all eigenvalues positive at every spec point" if not bad

@@ -337,7 +337,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
 
     half = None
     try:
-        half = delta_square_root(qg, md.delta, md.sigma, spec_points)
+        half = delta_square_root(qg, md.delta)
     except HopfForgeError as exc:
         if positive_mode:
             rep.fail_from("modular-square-root", exc)
@@ -354,8 +354,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
 
     eigentable = None
     try:
-        eigentable = simultaneous_eigenbasis(qg, md, spec_points,
-                                             positive_mode)
+        eigentable = simultaneous_eigenbasis(qg, md, positive_mode)
     except HopfForgeError as exc:
         rep.fail_from("eigentable", exc)
     if eigentable is not None:

@@ -438,9 +438,6 @@ class Scalar:
             return self.num[0] if self.num else GR_ZERO
         return None
 
-    def is_self_adjoint(self) -> bool:
-        return self.conjugate() == self
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":

@@ -131,15 +131,13 @@ def test_criterion_05_joint_eigenbasis_and_positivity_obstruction():
     for name in GOOD_FIXTURES:
         qg = hopf_qg(name)
         md = compute_modular_data(qg, positive_mode=True)
-        rep = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
-                                      positive_mode=True)
+        rep = simultaneous_eigenbasis(qg, md, positive_mode=True)
         assert len(rep.rows) == qg.dim, name
         assert rep.all_positive, name
         assert all(it.ok for it in rep.positivity), name
     qg = hopf_qg("sweedler_h4")
     md = compute_modular_data(qg, positive_mode=False)
-    rep = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
-                                  positive_mode=False)
+    rep = simultaneous_eigenbasis(qg, md, positive_mode=False)
     neg = SC_ZERO - SC_ONE
     assert neg in [row.values["antipode-squared"] for row in rep.rows]
     assert not rep.all_positive

@@ -10,15 +10,16 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopf_forge import exactla
+from hopf_forge import exactla, haar_modular
 from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
                                 POSITIVE_SEMIDEFINITE, LinearAlgebraError,
                                 NotDiagonalizableOverField, coordinates,
-                                dense_row, eigensplit, gram_certificate,
-                                invert,
+                                dense_row, eigensplit, eigenspaces,
+                                gram_certificate, invert,
                                 kernel_basis, mat_copy, matmul, matvec, rank,
                                 rank_mod_p, rational_roots, rref,
                                 solve_affine, sparse_row)
+from hopf_forge.haar_modular import ROOTS_OF_UNITY
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, RANK_POINTS, SC_ONE,
                                 SC_ZERO, GaussRat, Scalar, parse_scalar,
                                 pmul)
@@ -495,6 +496,105 @@ class TestEigensplit:
         rows = [[z, -o], [o, z]]
         spaces = eigensplit(rows, DEFAULT_SPEC_POINTS)
         assert sorted(str(sp.value) for sp in spaces) == ["-i", "i"]
+
+
+# companion matrices of x^2 + x + 1 and x^2 - x + 1, of orders 3 and 6: their
+# eigenvalues are roots of unity outside Q(i)
+ROOTLESS_BLOCKS = ([["0", "-1"], ["1", "-1"]], [["0", "-1"], ["1", "1"]])
+CONJUGATOR_ENTRIES = tuple(map(parse_scalar, ("0", "1", "-1", "i", "2")))
+S_ENTRIES = tuple(map(parse_scalar, ("s", "1+s", "i*s")))
+ROTATION = [[SC_ZERO, -SC_ONE], [SC_ONE, SC_ZERO]]
+
+
+@st.composite
+def finite_order_matrices(draw):
+    """P D P^-1 of size at most 4, with D block diagonal: entries of
+    ROOTS_OF_UNITY and companion blocks of ROOTLESS_BLOCKS.  P = L U with L
+    and U unitriangular, so P^-1 has no pole; its entries are constant or,
+    over Q(i)(s), polynomials in s."""
+    blocks = [[[c]] for c in draw(st.lists(st.sampled_from(ROOTS_OF_UNITY),
+                                          min_size=1, max_size=4))]
+    if len(blocks) <= 2 and draw(st.booleans()):
+        blocks.append([list(map(parse_scalar, row))
+                       for row in draw(st.sampled_from(ROOTLESS_BLOCKS))])
+    n = sum(len(b) for b in blocks)
+    d = [[SC_ZERO] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            d[start + i][start:start + len(b)] = row
+        start += len(b)
+    entries = st.sampled_from(CONJUGATOR_ENTRIES + (
+        S_ENTRIES if draw(st.booleans()) else ()))
+    lower = [[SC_ONE if i == j else draw(entries) if i > j else SC_ZERO
+              for j in range(n)] for i in range(n)]
+    upper = [[SC_ONE if i == j else draw(entries) if i < j else SC_ZERO
+              for j in range(n)] for i in range(n)]
+    p = matmul(lower, upper)
+    return matmul(matmul(p, d), invert(p))
+
+
+def split_outcome(split, rows):
+    """The (value, basis) pairs of a split, or its failure text and the
+    pairs it found."""
+    try:
+        spaces = split(rows)
+    except NotDiagonalizableOverField as exc:
+        return str(exc), [(es.value, es.basis) for es in exc.found]
+    return [(es.value, es.basis) for es in spaces]
+
+
+def assert_same_split(rows):
+    with deadline(10):
+        four = split_outcome(lambda r: eigenspaces(r, ROOTS_OF_UNITY), rows)
+        general = split_outcome(
+            lambda r: eigensplit(r, DEFAULT_SPEC_POINTS), rows)
+    assert four == general
+
+
+class TestFiniteOrderSplit:
+    @given(finite_order_matrices())
+    @example(ROTATION)
+    @example([[parse_scalar(x) for x in row] for row in ROOTLESS_BLOCKS[1]])
+    @settings(max_examples=60)
+    def test_four_roots_split_as_the_general_path(self, rows):
+        # a finite-order map over Q(i) or Q(i)(s) has no eigenvalue in the
+        # field outside +-1, +-i, so both splits agree, in their failures too
+        assert_same_split(rows)
+
+    def test_a_map_of_infinite_order_splits_differently(self):
+        # diag(1, 2) breaks the premise: 2 is no root of unity
+        rows = [[SC_ONE, SC_ZERO], [SC_ZERO, sc(2)]]
+        with pytest.raises(NotDiagonalizableOverField,
+                           match=r"span 1 of 2 dimensions .*\['1'\]"):
+            eigenspaces(rows, ROOTS_OF_UNITY)
+        assert [(str(es.value), es.basis) for es in eigensplit(
+            rows, DEFAULT_SPEC_POINTS)] == [("1", [{0: SC_ONE}]),
+                                            ("2", [{1: SC_ONE}])]
+
+    def test_span_check_mutant_is_caught(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(exactla.eigenspaces))
+        assert source.count("if total != n:") == 1
+        scope = {}
+        exec(source.replace("if total != n:", "if False:"), vars(exactla),
+             scope)
+        monkeypatch.setattr(exactla, "eigenspaces", scope["eigenspaces"])
+        monkeypatch.setattr(sys.modules[__name__], "eigenspaces",
+                            exactla.eigenspaces)
+        with pytest.raises(pytest.fail.Exception):
+            self.test_a_map_of_infinite_order_splits_differently()
+
+    def test_candidate_mutant_is_caught(self, monkeypatch):
+        # the same candidates without -i
+        line = next(line for line in inspect.getsource(
+            haar_modular).splitlines() if line.startswith("ROOTS_OF_UNITY"))
+        assert line.count(", -SC_I)") == 1
+        scope = {}
+        exec(line.replace(", -SC_I)", ")"), vars(haar_modular), scope)
+        monkeypatch.setattr(sys.modules[__name__], "ROOTS_OF_UNITY",
+                            scope["ROOTS_OF_UNITY"])
+        with pytest.raises(AssertionError):
+            assert_same_split(ROTATION)
 
 
 def constant_hermitian(entries):

@@ -9,7 +9,8 @@ import pytest
 from hopf_forge import haar_modular
 from hopf_forge.assemble import build_qg
 from hopf_forge.errors import CheckFailure, StructureError
-from hopf_forge.exactla import dense_row, mat_copy, rref, sparse_row
+from hopf_forge.exactla import (dense_row, eigensplit, mat_copy, rref,
+                                sparse_row)
 from hopf_forge.finalg import LinMap, apply_functional, build_algebra
 from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
                                      compute_modular_data,
@@ -121,9 +122,7 @@ class TestRightHaarAndModularMaps:
             assert md.sigma.matrix == ident, name
             assert md.delta == qg.algebra.one, name
             assert md.mu == SC_ONE, name
-            assert delta_square_root(qg, md.delta, md.sigma,
-                                     DEFAULT_SPEC_POINTS) == \
-                qg.algebra.one, name
+            assert delta_square_root(qg, md.delta) == qg.algebra.one, name
 
     def test_scaling_constant_matches_brute_force(self):
         for name in HOPF_FIXTURES:
@@ -145,7 +144,7 @@ class TestRightHaarAndModularMaps:
         qg = hopf_qg("sweedler_h4")
         md = compute_modular_data(qg, positive_mode=False)
         with pytest.raises(CheckFailure, match="delta-half"):
-            delta_square_root(qg, md.delta, md.sigma, DEFAULT_SPEC_POINTS)
+            delta_square_root(qg, md.delta)
 
     def test_sigma_prime_is_modular_for_psi(self):
         qg = hopf_qg("sweedler_h4")
@@ -171,8 +170,7 @@ class TestEigentable:
     def test_commutative_fixture_has_all_ones(self):
         qg = hopf_qg("c_s3")
         md = compute_modular_data(qg, positive_mode=True)
-        report = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
-                                         positive_mode=True)
+        report = simultaneous_eigenbasis(qg, md, positive_mode=True)
         assert report.used_maps == list(FIVE_MAP_NAMES)
         assert report.skipped == []
         assert len(report.rows) == 6
@@ -184,8 +182,7 @@ class TestEigentable:
     def test_sweedler_skips_delta_multiplications(self):
         qg = hopf_qg("sweedler_h4")
         md = compute_modular_data(qg, positive_mode=False)
-        report = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
-                                         positive_mode=False)
+        report = simultaneous_eigenbasis(qg, md, positive_mode=False)
         skipped_names = [name for name, _reason in report.skipped]
         assert "left-mult-delta" in skipped_names
         assert "right-mult-delta" in skipped_names
@@ -194,8 +191,7 @@ class TestEigentable:
     def test_sweedler_records_negative_eigenvalue(self):
         qg = hopf_qg("sweedler_h4")
         md = compute_modular_data(qg, positive_mode=False)
-        report = simultaneous_eigenbasis(qg, md, DEFAULT_SPEC_POINTS,
-                                         positive_mode=False)
+        report = simultaneous_eigenbasis(qg, md, positive_mode=False)
         neg = SC_ZERO - SC_ONE
         s2_values = [row.values["antipode-squared"] for row in report.rows]
         assert neg in s2_values
@@ -253,12 +249,16 @@ class TestSplitBlock:
                     [SC_ZERO, sc("3"), SC_ZERO],
                     [SC_ZERO, SC_ZERO, sc("5")]])
         plane = [{0: SC_ONE, 1: SC_ONE}, {0: SC_ONE, 1: sc("-1")}]
-        assert split_block(m, plane, DEFAULT_SPEC_POINTS) == [
+
+        def split(rows):
+            return eigensplit(rows, DEFAULT_SPEC_POINTS)
+
+        assert split_block(m, plane, split) == [
             (sc("2"), [{0: sc("2")}]),
             (sc("3"), [{1: sc("-2")}]),
         ]
         with pytest.raises(StructureError, match="block is not invariant"):
-            split_block(m, [basis(1), basis(2)], DEFAULT_SPEC_POINTS)
+            split_block(m, [basis(1), basis(2)], split)
 
 
 def leg_action(qg, omega, a, b, right):

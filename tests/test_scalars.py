@@ -124,12 +124,6 @@ class TestScalarArithmetic:
             x.conjugate(),
             to_sympy(x).subs(sympy.I, -sympy.I))
 
-    def test_self_adjoint(self):
-        assert Scalar.s_power(3).is_self_adjoint()
-        assert not Scalar.const(GaussRat(0, 1)).is_self_adjoint()
-        mixed = Scalar.s_power(1) + Scalar.const(GaussRat(2, 0, 3))
-        assert mixed.is_self_adjoint()
-
     @given(scalars(), st.sampled_from(DEFAULT_SPEC_POINTS))
     @settings(max_examples=40)
     def test_substitute_matches_sympy(self, x, point):

@@ -28,8 +28,8 @@ from hopf_forge.haar_modular import (compute_modular_data, delta_square_root,
                                      solve_left_haar)
 from hopf_forge.mhopf import (attach_coproduct, check_tmaps,
                               derive_counit_antipode, tensor_vec)
-from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, GR_ZERO, SC_ONE, SC_ZERO,
-                                GaussRat, Scalar, parse_scalar)
+from hopf_forge.scalars import (GR_ZERO, SC_ONE, SC_ZERO, GaussRat, Scalar,
+                                parse_scalar)
 
 from oracles import (coproduct_matrix, dense_form, dense_gram, dense_rref,
                      gauss_to_sympy, matrix_coproduct)
@@ -520,12 +520,11 @@ def stored_elements(case):
     md = compute_modular_data(qg, positive_mode=False)
     found.update(phi=[md.phi], psi=[md.psi], delta=[md.delta])
     try:
-        found["delta-half"] = [delta_square_root(qg, md.delta, md.sigma,
-                                                 DEFAULT_SPEC_POINTS)]
+        found["delta-half"] = [delta_square_root(qg, md.delta)]
     except CheckFailure:
         pass
     found["eigentable"] = [row.vector for row in simultaneous_eigenbasis(
-        qg, md, DEFAULT_SPEC_POINTS, positive_mode=False).rows]
+        qg, md, positive_mode=False).rows]
     dual = build_dual(qg, md.phi).qg
     found["dual unit"] = [dual.algebra.one]
     found["dual phi"] = [left_haar(dual)]
