@@ -100,13 +100,20 @@ def _want(obj, key, kind, path, optional=False):
     return val
 
 
+# literal -> Scalar, parsed in the parse_definition call in progress
+_LITERALS = {}
+
+
 def _scalar(text, path) -> Scalar:
     if not isinstance(text, str):
         _fail(path, "scalar literals must be strings, got %r" % (text,))
-    try:
-        return parse_scalar(text)
-    except ScalarParseError as exc:
-        _fail(path, str(exc))
+    c = _LITERALS.get(text)
+    if c is None:
+        try:
+            c = _LITERALS[text] = parse_scalar(text)
+        except ScalarParseError as exc:
+            _fail(path, str(exc))
+    return c
 
 
 def _index(value, dim, path):
@@ -360,13 +367,15 @@ def parse_definition(text: str, path: str = "<definition>"):
     if fmt != FORMAT_TAG:
         _fail(path, "unsupported format %r (expected %r)" % (fmt, FORMAT_TAG))
     kind = _want(obj, "kind", str, path)
-    if kind == KIND_STRUCTURE:
-        return _parse_structure(obj, path)
-    if kind == KIND_PRESENTATION:
-        return _parse_presentation(obj, path)
-    if kind == KIND_PAIRING:
-        return _parse_pairing(obj, path)
-    _fail(path, "unknown kind %r" % kind)
+    parse = {KIND_STRUCTURE: _parse_structure,
+             KIND_PRESENTATION: _parse_presentation,
+             KIND_PAIRING: _parse_pairing}.get(kind)
+    if parse is None:
+        _fail(path, "unknown kind %r" % kind)
+    try:
+        return parse(obj, path)
+    finally:
+        _LITERALS.clear()
 
 
 def read_definition(path: str):

@@ -266,6 +266,13 @@ def proved_on_generators(alg: FinAlgebra, failures) -> list:
       anti-multiplicative, so they agree on a subalgebra.  Premises: D
       multiplicative, checked first in attach_coproduct, and the star
       anti-multiplicative (build_algebra), and so that of A(x)A.
+    - e^a e^b = sum_k D(e_k)[a, b] e^k on A' (mhopf._proved_transposed):
+      A' associative is D coassociative, as the same scalar equations (the
+      bialgebra axioms are self-dual; Sweedler, Hopf Algebras, 1969, ch. 1;
+      Abe, 1980, 2.1); by the first bullet, slot b over G' of A'.
+    - D'(e^k) = sum m^k_ij e^i (x) e^j on A', for e_i e_j = sum m^k_ij e_k:
+      D'(ab) = D'(a)D'(b) is D multiplicative, likewise; slot a over G', as
+      in the D bullet.  Premise: A' associative, checked first.
     """
     found = failures(alg.generators)
     if found and len(alg.generators) < alg.dim:

@@ -23,7 +23,8 @@ from .exactla import (LinearAlgebraError, coordinates, solve_affine,
                       sparse_row)
 from .exactla import rank as _rank
 from .finalg import (FinAlgebra, LinMap, TensorAlgebra, TensorMap,
-                     apply_functional, build_algebra, failing_pairs,
+                     _check_associativity, _rows_of, apply_functional,
+                     build_algebra, failing_pairs, generating_set,
                      proved_on_generators, tensor_algebra)
 from .scalars import SC_ONE, SC_ZERO
 
@@ -81,6 +82,11 @@ class QGData:
 def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
     """Verify the coproduct is an algebra morphism and coassociative.
 
+    Both are proved on the transposed table A' (_proved_transposed) when
+    |G'| times its nonzero entries is below the column terms visited by
+    coassociativity over A's generators, G' found only if A' wins at
+    |G'| = 1; else, or if A' fails, they run on A, multiplicativity first.
+
     Unitality of the coproduct is deliberately not required here; it is
     re-examined with the T-maps, so that morphism-level acceptance and
     bijectivity-level rejection stay separate stages.
@@ -92,6 +98,8 @@ def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
     tsq = tensor_algebra(alg, alg)
     qg = QGData(alg, coproduct, tsq)
     cols = coproduct.columns
+    if _proved_transposed(alg, cols):
+        return qg
     for i, j in failing_pairs(alg, lambda i, j: (
             qg.delta(alg.mul.get((i, j), {})),
             tsq.multiply(cols[i], cols[j]))):
@@ -102,6 +110,31 @@ def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
         raise StructureError(
             "coproduct is not coassociative at %s" % alg.labels[k])
     return qg
+
+
+def _proved_transposed(alg: FinAlgebra, cols: list) -> bool:
+    """Whether A' is cheaper and proves D (finalg.proved_on_generators)."""
+    work = sum(len(cols[i]) + len(cols[j])
+               for k in alg.generators for i, j in cols[k])
+    terms = sum(map(len, cols))
+    if work <= terms:
+        return False
+    mul = _rows_of({(key, k): c for k, col in enumerate(cols)
+                    for key, c in col.items()})
+    dual = FinAlgebra(alg.labels, mul, None)
+    dual.generators = generating_set(dual)
+    if work <= len(dual.generators) * terms:
+        return False
+    try:
+        _check_associativity(dual)
+    except StructureError:
+        return False
+    mcols = [{key: ent[k] for key, ent in alg.mul.items() if k in ent}
+             for k in range(alg.dim)]
+    qd = QGData(dual, Coproduct(mcols), tensor_algebra(dual, dual))
+    return not failing_pairs(dual, lambda a, b: (
+        qd.delta(mul.get((a, b), {})),
+        qd.tensor_sq.multiply(mcols[a], mcols[b])))
 
 
 def _coassoc_defect(qg: QGData, k: int) -> bool:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from hopf_forge import definition
 from hopf_forge.definition import (load_definition, parse_definition,
                                    read_definition, render_definition,
                                    save_definition)
@@ -94,6 +95,60 @@ class TestParseErrors:
     def test_error_carries_the_source_path(self):
         with pytest.raises(DefinitionError, match="my_file.qg"):
             parse_definition("{ nope", "my_file.qg")
+
+
+class TestLiteralCache:
+    """Each distinct scalar literal is parsed once per parse_definition
+    call."""
+
+    def spied(self, monkeypatch):
+        occurrences, parses = [], []
+        real_scalar, real_parse = definition._scalar, definition.parse_scalar
+
+        def scalar(text, path):
+            occurrences.append(text)
+            return real_scalar(text, path)
+
+        def parse(text):
+            parses.append(text)
+            return real_parse(text)
+        monkeypatch.setattr(definition, "_scalar", scalar)
+        monkeypatch.setattr(definition, "parse_scalar", parse)
+        return occurrences, parses
+
+    def test_a_packaged_fixture_parses_each_literal_once(self, monkeypatch):
+        path = packaged_fixture_path("sweedler_h4")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        obj = json.loads(text)
+        # the last entry of each table row, and the unit and counit rows
+        literals = [row[-1] for key in ("mul", "coproduct", "star",
+                                        "antipode") for row in obj[key]]
+        literals += obj["unit"] + obj["counit"]
+        occurrences, parses = self.spied(monkeypatch)
+        first = parse_definition(text, path)
+        assert sorted(occurrences) == sorted(literals)
+        assert len(literals) == 34
+        assert sorted(parses) == sorted(set(literals)) == ["-1", "0", "1"]
+        # the cache lasts one call: the next one parses them again
+        again = parse_definition(text, path)
+        assert len(parses) == 6 and definition._LITERALS == {}
+        assert render_definition(again) == render_definition(first)
+
+    def test_a_bad_literal_fails_at_its_first_occurrence(self,
+                                                         monkeypatch):
+        obj = minimal_structure()
+        obj["mul"] = [[0, 0, 0, "s^"]]
+        obj["coproduct"] = [[0, 0, 0, "s^"]]
+        occurrences, parses = self.spied(monkeypatch)
+        with pytest.raises(DefinitionError) as info:
+            parse_definition(json.dumps(obj), "bad.qg")
+        assert str(info.value).startswith("bad.qg: mul[0]: ")
+        assert parses == ["s^"] and definition._LITERALS == {}
+        # a literal that failed is not cached: a fixed file parses
+        obj["mul"] = [[0, 0, 0, "1"]]
+        obj["coproduct"] = [[0, 0, 0, "1"]]
+        assert parse_definition(json.dumps(obj)).dim == 1
 
 
 class TestPresentationParsing:

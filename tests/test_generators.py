@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hopf_forge import finalg
+from hopf_forge import finalg, mhopf
 from hopf_forge.assemble import build_qg
 from hopf_forge.duality import verify_qg_morphism
 from hopf_forge.errors import StructureError
@@ -263,3 +263,97 @@ def verdicts(structure, lin, full):
 def test_every_verdict_matches_the_full_loops(source, seed, defect, where):
     structure, lin = planted_structure(source, seed, defect, where)
     assert verdicts(structure, lin, False) == verdicts(structure, lin, True)
+
+
+# -- the transposed table ----------------------------------------------------
+
+def magma_coproduct():
+    """The functions on the magma {0, 1, 2} with x*y = 0 but 1*2 = 1, and
+    the pullback D(e_k) = sum over x*y = k of e_x (x) e_y: an algebra map,
+    coassociative exactly when * is associative, which it is not: (1*2)*2
+    = 1 and 1*(2*2) = 0.  Its transposed table is the magma algebra e^x e^y
+    = e^(x*y), generated by e^1 and e^2.  The words of e^1 alone span e^0
+    and e^1, which lie in the middle nucleus, so Light's test over e^1
+    alone passes, and so does D' multiplicative, as D'(e^k) = e^k (x) e^k."""
+    alg = build_algebra(["e0", "e1", "e2"],
+                        {(i, i): {i: SC_ONE} for i in range(3)})
+    cols = [{}, {}, {}]
+    for x in range(3):
+        for y in range(3):
+            cols[int((x, y) == (1, 2))][x, y] = SC_ONE
+    return alg, Coproduct(cols)
+
+
+class TestTransposedTable:
+    """attach_coproduct proves D on the transposed table A' when that side
+    is cheaper (mhopf._proved_transposed)."""
+
+    def spy_sides(self, monkeypatch):
+        """The side of each attach_coproduct call, in order: A', when Light's
+        test runs on the transposed table, else A."""
+        taken = []
+        real_proved = mhopf._proved_transposed
+        real_check = mhopf._check_associativity
+
+        def proved(alg, cols):
+            taken.append("A")
+            return real_proved(alg, cols)
+
+        def check(alg):
+            taken[-1] = "A'"
+            return real_check(alg)
+        monkeypatch.setattr(mhopf, "_proved_transposed", proved)
+        monkeypatch.setattr(mhopf, "_check_associativity", check)
+        return taken
+
+    def test_a_non_associative_magma_fails_coassociativity(self,
+                                                           monkeypatch):
+        sides = self.spy_sides(monkeypatch)
+        alg, coproduct = magma_coproduct()
+        with pytest.raises(StructureError) as info:
+            attach_coproduct(alg, coproduct)
+        assert str(info.value) == "coproduct is not coassociative at e0"
+        assert sides == ["A'"]
+
+    def test_skipping_the_span_certificate_of_g_prime_is_caught(
+            self, monkeypatch):
+        # the mutant G' is the closure of the first generator, e^1
+        source = textwrap.dedent(inspect.getsource(finalg.generating_set))
+        scope = {}
+        exec(source.replace("if len(pivots) == n:", "if gens:"),
+             vars(finalg), scope)
+        monkeypatch.setattr(mhopf, "generating_set", scope["generating_set"])
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.test_a_non_associative_magma_fails_coassociativity(
+                monkeypatch)
+
+    def test_checking_d_prime_before_associativity_is_caught(
+            self, monkeypatch):
+        # the mutant decides on D' over G' with A' not proved associative
+        source = textwrap.dedent(inspect.getsource(mhopf._proved_transposed))
+        check = "        _check_associativity(dual)\n"
+        assert source.count(check) == 1
+        scope = {}
+        exec(source.replace(check, "        pass\n"), vars(mhopf), scope)
+        monkeypatch.setattr(mhopf, "_proved_transposed",
+                            scope["_proved_transposed"])
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.test_a_non_associative_magma_fails_coassociativity(
+                monkeypatch)
+
+    @pytest.mark.parametrize("source, seed, defect, side", [
+        (("z2", "group"), 0, "coproduct", "A"),
+        (("z2", "group"), 1, "coproduct", "A'"),
+        (("z3", "group"), 0, "twist", "A"),
+        (("z3", "group"), 1, "twist", "A'"),
+    ])
+    def test_planted_coproduct_defects_reach_each_side(
+            self, monkeypatch, source, seed, defect, side):
+        # the draws of test_every_verdict_matches_the_full_loops take both
+        # sides; each of these fails attach_coproduct
+        sides = self.spy_sides(monkeypatch)
+        structure, lin = planted_structure(source, seed, defect, 0)
+        found = verdicts(structure, lin, False)
+        assert sides == [side]
+        assert found.startswith("coproduct is not")
+        assert found == verdicts(structure, lin, True)

@@ -352,6 +352,54 @@ class TestKnownCandidates:
             "subcheck c_z4 --sub c_h": ["finalg", "mhopf", "mhopf"]}
 
 
+class TestTransposedSide:
+    def test_benchmark_cases_take_the_side_their_tables_favour(
+            self, tmp_path, monkeypatch, capsys):
+        # A function algebra's generating set is every index, but its
+        # transposed table is a group algebra with two or one generators:
+        # c_*, their deformations and sub-object, and the duals of group_*
+        # and sweedler_h4 are proved on A'; group_*, sweedler_h4 and
+        # semilattice2, their deformations and the duals of c_* stay on A,
+        # where the coassociativity loop runs.
+        calls = []
+        real_proved = mhopf._proved_transposed
+        real_check = mhopf._check_associativity
+        real_defect = mhopf._coassoc_defect
+
+        def proved(alg, cols):
+            calls.append({"name": alg.name, "side": "A", "defects": 0})
+            calls[-1]["proved"] = real_proved(alg, cols)
+            return calls[-1]["proved"]
+
+        def check(alg):
+            calls[-1]["side"] = "A'"
+            return real_check(alg)
+
+        def defect(qg, k):
+            calls[-1]["defects"] += 1
+            return real_defect(qg, k)
+        monkeypatch.setattr(mhopf, "_proved_transposed", proved)
+        monkeypatch.setattr(mhopf, "_check_associativity", check)
+        monkeypatch.setattr(mhopf, "_coassoc_defect", defect)
+
+        def side(name):
+            dual = name.startswith("dual of ")
+            return "A'" if name.split()[-1].startswith("c_") != dual else "A"
+        sides = set()
+        for case in benchmark_cases(tmp_path):
+            del calls[:]
+            assert main(case["argv"]) == case["expect"], case["id"]
+            capsys.readouterr()
+            for call in calls:
+                sides.add(call["side"])
+                assert call["side"] == side(call["name"]), case["id"]
+                if call["side"] == "A'":
+                    assert call["proved"] and not call["defects"]
+                else:
+                    assert not call["proved"] and call["defects"]
+        assert sides == {"A", "A'"}
+
+
 class TestStarCompat:
     def test_hopf_fixtures_pass(self):
         for name in ("c_z2", "c_s3", "group_s3", "sweedler_h4"):
