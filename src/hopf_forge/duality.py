@@ -138,7 +138,6 @@ def _check_dual(qg: QGData, phi: dict, form: LinMap, form_inv: LinMap,
 # ---------------------------------------------------------------------------
 
 def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
-                       require_bijective: bool = True,
                        target_associative: bool = True) -> CheckReport:
     """Check that lin respects product, unit, coproduct, counit, antipode
     and star (when both sides have one), and that it is bijective.  The
@@ -184,10 +183,9 @@ def verify_qg_morphism(src: QGData, dst: QGData, lin: LinMap,
         items.append(CheckItem("morphism-star", not bad,
                                "f(x*) = f(x)*" if not bad
                                else "fails at " + ", ".join(bad)))
-    if require_bijective:
-        items.append(CheckItem("morphism-bijective", lin.is_bijective(),
-                               "dimension %d onto dimension %d"
-                               % (lin.n_in, lin.n_out)))
+    items.append(CheckItem("morphism-bijective", lin.is_bijective(),
+                           "dimension %d onto dimension %d"
+                           % (lin.n_in, lin.n_out)))
     return CheckReport(items)
 
 

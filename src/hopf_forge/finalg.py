@@ -22,8 +22,9 @@ from itertools import islice
 from operator import ne
 
 from .errors import StructureError
-from .exactla import (dense_row, gram_certificate, insert_mod_p, invert,
-                      rank, solve_affine, sparse_row, terms_mod_p)
+from .exactla import (SolutionSpace, dense_row, gram_certificate,
+                      insert_mod_p, invert, rank, solve_affine, sparse_row,
+                      terms_mod_p)
 from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 
@@ -295,20 +296,16 @@ def _check_associativity(alg: FinAlgebra) -> None:
     reported."""
     n = alg.dim
     mul, left = alg.mul, alg.left_products
+    # when e_i e_j = 0, only the k with e_j e_k != 0 can fail
+    after = [sorted(row) for row in left]
 
     def sides(i, j, k):
         return (alg.multiply(mul.get((i, j), {}), {k: SC_ONE}),
                 alg.multiply({i: SC_ONE}, mul.get((j, k), {})))
-
-    def associates(i, j, k):
-        # both sides are zero when e_i e_j = 0 and e_j e_k = 0
-        if j not in left[i] and k not in left[j]:
-            return True
-        lhs, rhs = sides(i, j, k)
-        return lhs == rhs
     bad = proved_on_generators(alg, lambda middle: list(islice(
-        ((i, j, k) for i in range(n) for j in middle for k in range(n)
-         if not associates(i, j, k)), 1)))
+        ((i, j, k) for i in range(n) for j in middle
+         for k in (range(n) if j in left[i] else after[j])
+         if ne(*sides(i, j, k))), 1)))
     for i, j, k in bad:
         lhs, rhs = sides(i, j, k)
         raise StructureError(
@@ -317,12 +314,14 @@ def _check_associativity(alg: FinAlgebra) -> None:
                alg.format_element(lhs), alg.format_element(rhs)))
 
 
-def _solve_unit(alg: FinAlgebra) -> dict:
-    """The unique u with u e_i = e_i and e_i u = e_i for every i.
+def _solve_unit(alg: FinAlgebra) -> SolutionSpace:
+    """The u with u e_i = e_i and e_i u = e_i for every i, as the solution
+    space of those laws; the caller names an empty or a larger one.
 
     The rows are exactly those two laws at every basis element, so a unique
     solution is a two-sided unit by linearity, and no unit law needs a
-    check of its own.
+    check of its own.  On the transposed table of a coproduct they are the
+    counit laws (mhopf.derive_counit_antipode).
     """
     n = alg.dim
     # row (i, k, 0) of e_i u = e_i and row (i, k, 1) of u e_i = e_i hold
@@ -333,15 +332,8 @@ def _solve_unit(alg: FinAlgebra) -> dict:
         for k, c in ent.items():
             laws[i, k, 0][j] = c
             laws[j, k, 1][i] = c
-    sol = solve_affine(list(laws.values()), [
+    return solve_affine(list(laws.values()), [
         SC_ONE if k == i else SC_ZERO for i, k, _side in laws], n)
-    if sol.is_empty:
-        raise StructureError("algebra %r has no unit" % alg.name)
-    if sol.dimension != 0:
-        raise StructureError(
-            "unit of algebra %r is not unique (solution space dimension %d)"
-            % (alg.name, sol.dimension))
-    return sol.particular
 
 
 def _check_star(alg: FinAlgebra) -> None:
@@ -386,7 +378,14 @@ def build_algebra(labels, mul, star=None, name="", unit=None) -> FinAlgebra:
             alg.multiply(unit, {i: SC_ONE}) != {i: SC_ONE}
             or alg.multiply({i: SC_ONE}, unit) != {i: SC_ONE}
             for i in range(alg.dim)):
-        unit = _solve_unit(alg)
+        sol = _solve_unit(alg)
+        if sol.is_empty:
+            raise StructureError("algebra %r has no unit" % alg.name)
+        if sol.dimension != 0:
+            raise StructureError(
+                "unit of algebra %r is not unique (solution space dimension "
+                "%d)" % (alg.name, sol.dimension))
+        unit = sol.particular
     alg.one = unit
     if alg.star is not None:
         _check_star(alg)

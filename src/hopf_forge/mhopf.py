@@ -7,11 +7,13 @@ where the multiplier algebra of the tensor square is the tensor square
 itself).  Every element of the tensor square, D(a) among them, is the
 sparse {(i, j): c} of finalg.TensorAlgebra, and every element of A, and
 the counit, the sparse {i: c} of finalg.  The counit and antipode are
-never taken on faith: a known one is checked against its defining laws,
-whose solution is unique, and others are solved for from them; declared
-tables, when present, are cross-checked.  Once they verify, the four
-canonical maps (T-maps) are bijective by their explicit inverses, so the
-maps are built and ranked only when the derivation fails (check_tmaps).
+never taken on faith: each is checked against its defining laws, whose
+solution is unique.  A missing or failing known one is replaced by the
+unit of the transposed table (the counit) or by Van Daele's formula from
+the left Haar functional (the antipode), then checked the same way;
+declared tables, when present, are cross-checked.  Once they verify, the
+four canonical maps (T-maps) are bijective by their explicit inverses, so
+the maps are built and ranked only when the derivation fails (check_tmaps).
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import CheckFailure, HopfForgeError, StructureError
-from .exactla import (LinearAlgebraError, coordinates, solve_affine,
-                      sparse_row)
+from .exactla import LinearAlgebraError, coordinates, sparse_row
 from .exactla import rank as _rank
 from .finalg import (FinAlgebra, LinMap, TensorAlgebra, TensorMap,
-                     _check_associativity, _rows_of, apply_functional,
-                     build_algebra, failing_pairs, generating_set,
-                     proved_on_generators, tensor_algebra)
+                     _check_associativity, _rows_of, _solve_unit,
+                     apply_functional, build_algebra, failing_pairs,
+                     form_map, generating_set, proved_on_generators,
+                     tensor_algebra)
 from .scalars import SC_ONE, SC_ZERO
 
 
@@ -119,9 +121,7 @@ def _proved_transposed(alg: FinAlgebra, cols: list) -> bool:
     terms = sum(map(len, cols))
     if work <= terms:
         return False
-    mul = _rows_of({(key, k): c for k, col in enumerate(cols)
-                    for key, c in col.items()})
-    dual = FinAlgebra(alg.labels, mul, None)
+    dual = _transposed(alg, cols)
     dual.generators = generating_set(dual)
     if work <= len(dual.generators) * terms:
         return False
@@ -133,8 +133,16 @@ def _proved_transposed(alg: FinAlgebra, cols: list) -> bool:
              for k in range(alg.dim)]
     qd = QGData(dual, Coproduct(mcols), tensor_algebra(dual, dual))
     return not failing_pairs(dual, lambda a, b: (
-        qd.delta(mul.get((a, b), {})),
+        qd.delta(dual.mul.get((a, b), {})),
         qd.tensor_sq.multiply(mcols[a], mcols[b])))
+
+
+def _transposed(alg: FinAlgebra, cols: list) -> FinAlgebra:
+    """A', with e^a e^b = sum_k D(e_k)[a, b] e^k for D(e_k) = cols[k], as a
+    FinAlgebra with no unit."""
+    return FinAlgebra(alg.labels, _rows_of({
+        (key, k): c for k, col in enumerate(cols) for key, c in col.items()}),
+        None)
 
 
 def _coassoc_defect(qg: QGData, k: int) -> bool:
@@ -244,10 +252,10 @@ def check_tmaps(qg: QGData, declared_counit=None,
     laws for T1 and T2; for T3 and T4, the antipode laws of S^-1 for D^op
     follow by applying S^-1 to those of S, which needs S anti-multiplicative,
     unital and bijective.  Coassociativity is checked by attach_coproduct,
-    and both one-sided counit and antipode laws by derive_counit_antipode,
-    by its candidate checks or its solves; S is anti-multiplicative,
-    unital and bijective by the theorem in its docstring, whose premises
-    are checked there and by attach_coproduct.
+    and both one-sided counit and antipode laws by derive_counit_antipode's
+    law checks; S is anti-multiplicative, unital and bijective by the
+    theorem in its docstring, whose premises are checked there and by
+    attach_coproduct.
 
     When derive_counit_antipode raises, the maps are built over Q(i)(s) and
     ranked exactly, and its error is kept in the report: the callers report
@@ -288,10 +296,22 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     is, D is coassociative and eps a counit, all checked before; so each
     law has at most one solution, eps' = (eps'(x)eps)D = eps and S' =
     S'*(i*S) = (S'*i)*S = S (Sweedler, Hopf Algebras, 1969, ch. 4), and a
-    candidate that holds is it.  A missing or failing one is solved for,
-    both one-sided laws stacked into one linear system, and must be unique.
-    The counit is verified multiplicative.  Declared tables, if any, must
-    agree exactly with the result.
+    candidate that holds is it.  A missing or failing one is replaced, and
+    the replacement is checked by the same laws:
+    - the counit laws are the unit laws of the transposed table A' (e^a e^b
+      = sum_k D(e_k)[a, b] e^k), row for row, so eps is the unit of A',
+      solved by finalg._solve_unit, and must be unique;
+    - S is Van Daele's S((i(x)phi)(D(a)(1(x)b))) = (i(x)phi)((1(x)a)D(b))
+      at the b_eps with phi(x b_eps) = eps(x), where the left side is S(a):
+      S(e_a) = sum D(b_eps)[i, j] phi(e_a e_j) e_i, for the left Haar
+      functional phi (Van Daele, Adv. Math. 140, 1998, section 3).
+    When phi is not unique, its form B (b_eps = B^-1 eps) is singular or
+    the formula's S fails its laws, the antipode laws have no solution: an
+    antipode would make A a finite-dimensional Hopf algebra, whose left
+    integral is unique and faithful (Larson & Sweedler, Amer. J. Math. 91,
+    1969; Van Daele 1998, section 3), and the formula would give it.  The
+    counit is verified multiplicative.  Declared tables, if any, must agree
+    exactly with the result.
 
     The rest is a theorem, not a check (Sweedler, Hopf Algebras, 1969,
     ch. 4; Larson & Sweedler, Amer. J. Math. 91, 1969):
@@ -310,11 +330,10 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     associative and unital by build_algebra, and nonzero, as the
     definition loader takes only nonempty bases and sub bases and a dual
     keeps its original's dimension; eps multiplicative by the loop below;
-    the counit and antipode laws by the candidate checks or the solves.
+    the counit and antipode laws by the law checks.
     """
     alg = qg.algebra
     n = alg.dim
-    cols = qg.coproduct.columns
     ident = LinMap.identity(n)
 
     def unit_times(e):
@@ -331,16 +350,7 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
         declared_counit and sparse_row(declared_counit),
         declared_antipode and LinMap(declared_antipode))
     if eps is None or not holds(unit_times(eps), ident):
-        # row (k, t, 0) holds D(e_k)[i, t] at i, and row (k, t, 1)
-        # D(e_k)[t, j]
-        laws = {(k, t, side): {} for k in range(n) for t in range(n)
-                for side in (0, 1)}
-        for k in range(n):
-            for (i, j), c in cols[k].items():
-                laws[k, j, 0][i] = c
-                laws[k, i, 1][j] = c
-        sol = solve_affine(list(laws.values()), [
-            SC_ONE if t == k else SC_ZERO for k, t, _side in laws], n)
+        sol = _solve_unit(_transposed(alg, qg.coproduct.columns))
         if sol.is_empty:
             raise StructureError("counit laws have no solution")
         if sol.dimension != 0:
@@ -355,39 +365,9 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
                              % (alg.labels[i], alg.labels[j]))
 
     if antipode is None or not holds(antipode, unit_times(eps)):
-        # e_r e_j and e_i e_r have coefficient m at e_t:
-        # by_right[j][t] and by_left[i][t] list those (r, m)
-        by_right = [[[] for _ in range(n)] for _ in range(n)]
-        by_left = [[[] for _ in range(n)] for _ in range(n)]
-        for (a, b), ent in alg.mul.items():
-            for t, m in ent.items():
-                by_right[b][t].append((a, m))
-                by_left[a][t].append((b, m))
-        rows = []
-        rhs = []
-        for k in range(n):
-            for t in range(n):
-                row1 = {}
-                row2 = {}
-                for (i, j), c in cols[k].items():
-                    for r, m in by_right[j][t]:
-                        row1[r * n + i] = row1.get(r * n + i, SC_ZERO) + c * m
-                    for r, m in by_left[i][t]:
-                        row2[r * n + j] = row2.get(r * n + j, SC_ZERO) + c * m
-                target = eps.get(k, SC_ZERO) * alg.one.get(t, SC_ZERO)
-                rows += [sparse_row(row1), sparse_row(row2)]
-                rhs += [target, target]
-        sol = solve_affine(rows, rhs, n * n)
-        if sol.is_empty:
+        antipode = _haar_antipode(qg, eps)
+        if not holds(antipode, unit_times(eps)):
             raise StructureError("antipode laws have no solution")
-        if sol.dimension != 0:
-            raise StructureError("antipode is not unique (solution space "
-                                 "dimension %d)" % sol.dimension)
-        # the unknown r * n + c is entry (r, c) of S
-        columns = [{} for _ in range(n)]
-        for rc, x in sol.particular.items():
-            columns[rc % n][rc // n] = x
-        antipode = LinMap.of_columns(columns, n)
 
     if (declared_counit is not None
             and sparse_row(declared_counit) != eps):
@@ -401,6 +381,23 @@ def derive_counit_antipode(qg: QGData, declared_counit=None,
     qg.counit = eps
     qg.antipode = antipode
     return qg
+
+
+def _haar_antipode(qg: QGData, eps: dict) -> LinMap:
+    """S(e_a) = sum D(b_eps)[i, j] phi(e_a e_j) e_i, derive_counit_antipode's
+    candidate, for phi = haar_modular.left_haar(qg) and b_eps = B^-1 eps, B
+    the form of phi; StructureError when phi is not unique or B singular."""
+    # haar_modular imports this module
+    from .haar_modular import left_haar
+    try:
+        form = form_map(qg.algebra, left_haar(qg))
+        b_eps = form.inverse().apply(eps)
+    except StructureError:
+        raise StructureError("antipode laws have no solution") from None
+    # column j of M is {i: D(b_eps)[i, j]}, and S = M B^T
+    m = _rows_of({(j, i): c for (i, j), c in qg.delta(b_eps).items()})
+    return LinMap.of_columns([m.get(j, {}) for j in range(qg.dim)],
+                             qg.dim).compose(form.transpose())
 
 
 def _convolution(qg: QGData, f: LinMap, g: LinMap) -> LinMap:

@@ -155,7 +155,14 @@ def build_algebra_full(labels, mul, star=None, name=""):
                         "a(bc) = %s" % (alg.labels[i], alg.labels[j],
                                         alg.labels[k], alg.format_element(lhs),
                                         alg.format_element(rhs)))
-    alg.one = _solve_unit(alg)
+    sol = _solve_unit(alg)
+    if sol.is_empty:
+        raise StructureError("algebra %r has no unit" % name)
+    if sol.dimension != 0:
+        raise StructureError(
+            "unit of algebra %r is not unique (solution space dimension %d)"
+            % (name, sol.dimension))
+    alg.one = sol.particular
     for i in range(n):
         if alg.multiply(alg.one, e(i)) != e(i):
             raise StructureError("left unit law fails at %s" % alg.labels[i])

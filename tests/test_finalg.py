@@ -1,10 +1,13 @@
 """Structure-constant algebras, linear maps and Gram forms."""
 
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+from hopf_forge import finalg
 from hopf_forge.errors import StructureError
 from hopf_forge.exactla import (POSITIVE_DEFINITE, invert, matmul, matvec,
                                 sparse_row)
@@ -84,6 +87,44 @@ class TestBuildAlgebra:
         assert str(info.value) == (
             "associativity fails at (y, y, z): (ab)c = (-1)*y + "
             "((-s - 1)/(s - 1))*z but a(bc) = y")
+
+    # Two tables with no unit whose failing triples all have one product
+    # zero: with e_i e_j = 0, (a, a, d) and (a, b, c) fail, as a d = d and
+    # b c = d; with e_j e_k = 0, (a, b, d) and (c, d, d) fail, as a b = c
+    # and c d = c.  The triple loop visits every k when e_i e_j != 0, and
+    # else the k with e_j e_k != 0; either half missing reports no unit.
+    ONE_SIDED_FAILURES = {
+        "left-zero": ({(1, 2): {3: SC_ONE}, (0, 3): {3: SC_ONE}},
+                      "associativity fails at (a, a, d): (ab)c = 0 but "
+                      "a(bc) = d"),
+        "right-zero": ({(0, 1): {2: SC_ONE}, (2, 3): {2: SC_ONE}},
+                       "associativity fails at (a, b, d): (ab)c = c but "
+                       "a(bc) = 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ONE_SIDED_FAILURES))
+    def test_a_failure_with_one_zero_product_is_found(self, case):
+        mul, text = self.ONE_SIDED_FAILURES[case]
+        with pytest.raises(StructureError) as info:
+            build_algebra(["a", "b", "c", "d"], mul)
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("case, mutant", [
+        ("left-zero", "for k in (range(n) if j in left[i] else ())"),
+        ("right-zero", "for k in after[j]"),
+    ])
+    def test_skipping_either_half_of_the_triples_is_caught(self, monkeypatch,
+                                                           case, mutant):
+        source = textwrap.dedent(
+            inspect.getsource(finalg._check_associativity))
+        check = "for k in (range(n) if j in left[i] else after[j])"
+        assert source.count(check) == 1
+        scope = {}
+        exec(source.replace(check, mutant), vars(finalg), scope)
+        monkeypatch.setattr(finalg, "_check_associativity",
+                            scope["_check_associativity"])
+        with pytest.raises(AssertionError):
+            self.test_a_failure_with_one_zero_product_is_found(case)
 
     def test_rejects_unitless(self):
         mul = {(0, 0): {0: SC_ZERO}}

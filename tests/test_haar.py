@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from hopf_forge import haar_modular
+from hopf_forge import haar_modular, mhopf
 from hopf_forge.assemble import build_qg
 from hopf_forge.errors import CheckFailure, StructureError
 from hopf_forge.exactla import (dense_row, eigensplit, mat_copy, rref,
@@ -43,8 +43,10 @@ def sc(text):
 
 
 def hopf_qg(name):
-    qg = build_qg(packaged(name))
-    return derive_counit_antipode(qg)
+    # the declared tables are verified candidates, so no Haar functional is
+    # solved on the way (TestModularPremises mutates that solve)
+    defn = packaged(name)
+    return derive_counit_antipode(build_qg(defn), defn.counit, defn.antipode)
 
 
 def dense(x, n):
@@ -368,6 +370,13 @@ class TestModularPremises:
                                 j, SC_ZERO)
                     assert {t: x for t, x in lhs.items() if not x.is_zero} \
                         == scaled(phi.get(a, SC_ZERO), basis(b)), (name, a, b)
+
+    def test_a_haar_functional_that_is_not_unique_means_no_antipode(self):
+        # the antipode formula needs the unique left integral every
+        # finite-dimensional Hopf algebra has
+        assert outcome(mhopf._haar_antipode, every_functional_invariant(),
+                       {0: SC_ONE}) == (
+            "StructureError: antipode laws have no solution")
 
     def test_faithfulness_is_checked(self):
         assert outcome(haar_modular.modular_automorphism, hopf_qg("c_z2"),

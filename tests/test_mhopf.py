@@ -25,6 +25,7 @@ from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 from oracles import basis, coproduct_matrix, matrix_coproduct
 from packaged import packaged
 from test_bench_workloads import WORKLOADS
+from test_finite_order import taft_t4
 
 # the packaged structure examples whose counit and antipode verify
 HOPF_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "sweedler_h4")
@@ -322,20 +323,23 @@ class TestKnownCandidates:
 
     def test_benchmark_cases_solve_only_where_no_candidate_holds(
             self, tmp_path, monkeypatch, capsys):
-        # semilattice2 has no antipode, so its solves are the failure path,
-        # and the sub-object of subcheck has no candidate.  Every other
-        # unit, counit and antipode, the dual's among them, is a verified
-        # candidate: a dual antipode taken as the transpose of S, not of
-        # S^-1, fails on the sweedler_h4 cases, where S^2 is not the
-        # identity.
+        # semilattice2 declares no counit, so its counit solve is the
+        # failure path, and the sub-object of subcheck has no candidate.
+        # Every other unit, counit and antipode, the dual's among them, is
+        # a verified candidate: a dual antipode taken as the transpose of S,
+        # not of S^-1, fails on the sweedler_h4 cases, where S^2 is not the
+        # identity.  A missing antipode comes from the Haar functional and
+        # solves nothing here.
         seen = []
-        # the unit, counit and antipode solves are the only solve_affine
-        # calls of finalg and mhopf
-        for module in (finalg, mhopf):
-            def spy(*args, real=module.solve_affine, name=module.__name__):
-                seen.append(name.rsplit(".", 1)[1])
-                return real(*args)
-            monkeypatch.setattr(module, "solve_affine", spy)
+        # the unit and counit solves (finalg._solve_unit, on A and on the
+        # transposed table) are the only solve_affine calls of finalg, and
+        # mhopf has none
+        assert not hasattr(mhopf, "solve_affine")
+
+        def spy(*args, real=finalg.solve_affine):
+            seen.append("finalg")
+            return real(*args)
+        monkeypatch.setattr(finalg, "solve_affine", spy)
         cases = benchmark_cases(tmp_path)
         assert len(cases) == 21 + 4 * 9
         solved = {}
@@ -347,9 +351,99 @@ class TestKnownCandidates:
                 assert seen, case["id"]
             elif seen:
                 solved[case["id"]] = list(seen)
-        # the sub-object's unit, then its counit and antipode
-        assert solved == {
-            "subcheck c_z4 --sub c_h": ["finalg", "mhopf", "mhopf"]}
+        # the sub-object's unit, then its counit
+        assert solved == {"subcheck c_z4 --sub c_h": ["finalg", "finalg"]}
+
+
+def no_candidate_corpus():
+    """{id: definition} of every declared Hopf structure the no-candidate
+    property runs on: the packaged examples, the s-deformed menu variants,
+    the dihedral pairs for n = 3 to 6 and Taft's T_4."""
+    corpus = {name: packaged(name) for name in HOPF_EXAMPLES}
+    corpus.update(("%s~%d" % (name, index),
+                   WORKLOADS.deformed_variant(name, index))
+                  for name in WORKLOADS.DEFORMED_EXAMPLES
+                  for index in range(WORKLOADS.DEFORM_VARIANTS))
+    corpus.update((d.name, d) for n in range(3, 7)
+                  for d in WORKLOADS.dihedral_definitions(n))
+    corpus["taft_t4"] = taft_t4()
+    return corpus
+
+
+NO_CANDIDATE_CORPUS = no_candidate_corpus()
+
+
+class TestNoCandidate:
+    """With no candidate, the counit is the unit of the transposed table
+    and the antipode Van Daele's formula from the left Haar functional."""
+
+    @pytest.mark.parametrize("case", sorted(NO_CANDIDATE_CORPUS))
+    def test_derivation_matches_the_verified_candidates(self, case):
+        # the declared tables, and on the dual the candidates of build_dual,
+        # are verified; the derivation without them gives the same maps
+        defn = NO_CANDIDATE_CORPUS[case]
+        assert defn.counit is not None and defn.antipode is not None
+        known = derive_counit_antipode(build_qg(defn), defn.counit,
+                                       defn.antipode)
+        bare = derive_counit_antipode(build_qg(defn))
+        assert (bare.counit, bare.antipode) == (known.counit, known.antipode)
+        dual = build_dual(known, solve_left_haar(known)).qg
+        bare = derive_counit_antipode(attach_coproduct(dual.algebra,
+                                                       dual.coproduct))
+        assert (bare.counit, bare.antipode) == (dual.counit, dual.antipode)
+
+    def test_a_singular_haar_form_has_no_antipode(self):
+        # the monoid algebra of {1, 0}: a bialgebra with counit eps = 1 on
+        # both grouplikes, whose left Haar functional, the point mass at 1,
+        # is not faithful
+        alg = build_algebra(["one", "zero"], {
+            (0, 0): {0: SC_ONE}, (0, 1): {1: SC_ONE}, (1, 0): {1: SC_ONE},
+            (1, 1): {1: SC_ONE}})
+        qg = attach_coproduct(alg, Coproduct([{(0, 0): SC_ONE},
+                                              {(1, 1): SC_ONE}]))
+        assert str(check_tmaps(qg).error) == "antipode laws have no solution"
+
+    def test_no_invariant_functional_means_no_antipode(self):
+        # the functions on the monoid {1, 0}: left invariance admits no
+        # nonzero functional
+        alg = build_algebra(["d1", "d0"], {(0, 0): {0: SC_ONE},
+                                           (1, 1): {1: SC_ONE}})
+        qg = attach_coproduct(alg, Coproduct([
+            {(0, 0): SC_ONE},
+            {(1, 1): SC_ONE, (1, 0): SC_ONE, (0, 1): SC_ONE}]))
+        assert str(check_tmaps(qg).error) == "antipode laws have no solution"
+
+    def test_a_failing_formula_candidate_is_rejected(self):
+        # C[Z3] with (g0 - g1) (x) (g0 - g2) added to D(g1), built without
+        # attach_coproduct: the counit laws still hold and the left Haar
+        # functional is unique and faithful, but D is not coassociative and
+        # the formula's candidate fails the antipode laws
+        n = 3
+        alg = build_algebra(["g%d" % a for a in range(n)], {
+            (a, b): {(a + b) % n: SC_ONE} for a in range(n)
+            for b in range(n)})
+        cols = [{(0, 0): SC_ONE},
+                {(1, 1): SC_ONE, (0, 0): SC_ONE, (0, 2): -SC_ONE,
+                 (1, 0): -SC_ONE, (1, 2): SC_ONE},
+                {(2, 2): SC_ONE}]
+        qg = mhopf.QGData(alg, Coproduct(cols),
+                          finalg.tensor_algebra(alg, alg))
+        assert mhopf._coassoc_defect(qg, 1)
+        candidate = mhopf._haar_antipode(qg, {a: SC_ONE for a in range(n)})
+        assert candidate.n_in == n
+        assert str(check_tmaps(qg).error) == "antipode laws have no solution"
+
+    def test_accepting_the_formula_unchecked_is_caught(self, monkeypatch):
+        source = textwrap.dedent(
+            inspect.getsource(mhopf.derive_counit_antipode))
+        check = "if not holds(antipode, unit_times(eps)):"
+        assert source.count(check) == 1
+        scope = {}
+        exec(source.replace(check, "if False:"), vars(mhopf), scope)
+        monkeypatch.setattr(mhopf, "derive_counit_antipode",
+                            scope["derive_counit_antipode"])
+        with pytest.raises(AssertionError):
+            self.test_a_failing_formula_candidate_is_rejected()
 
 
 class TestTransposedSide:
