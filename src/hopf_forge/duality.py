@@ -41,10 +41,11 @@ class DualBuild:
         self.unit_is_counit = unit_is_counit  # the dual unit is the counit functional
 
 
-def build_dual(qg: QGData, phi: dict, name: str = "") -> DualBuild:
+def build_dual(qg: QGData, phi: dict) -> DualBuild:
     """Construct the dual on the basis w_i = phi(. e_i) and re-run the whole
     structural suite on it.  phi must be faithful; it need not be normalized."""
-    form, form_inv, alg, coproduct = _dual_tables(qg, phi, name)
+    form, form_inv, alg, coproduct = _dual_tables(
+        qg, phi, "dual of " + qg.algebra.name)
     return _check_dual(qg, phi, form, form_inv, alg, coproduct)
 
 
@@ -91,8 +92,7 @@ def _dual_tables(qg: QGData, phi: dict, name: str):
             v_cols[k][a, b] = v
     legs = TensorMap(form_inv, form_inv)
     coproduct = Coproduct([legs.apply(v) for v in v_cols])
-    dual_alg = FinAlgebra(labels, mul, None, star_lin,
-                          name=name or ("dual of " + alg.name))
+    dual_alg = FinAlgebra(labels, mul, None, star_lin, name=name)
     return form, form_inv, dual_alg, coproduct
 
 
@@ -472,7 +472,7 @@ def dual_imbedding(sub, dual_build: DualBuild) -> ImbeddingReport:
     if not invariant:
         return ImbeddingReport(LinMap.identity(0), items)
 
-    dual0 = build_dual(qg0, phi0, name="dual of " + qg0.algebra.name)
+    dual0 = build_dual(qg0, phi0)
 
     items.append(CheckItem("imbedding-injective", True,
                            "j has full rank %d" % d))

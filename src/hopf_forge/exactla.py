@@ -252,10 +252,6 @@ class SolutionSpace:
     def is_empty(self) -> bool:
         return self.particular is None
 
-    @property
-    def dimension(self) -> int:
-        return -1 if self.particular is None else len(self.kernel)
-
 
 def solve_affine(a_rows, rhs, ncols=None) -> SolutionSpace:
     """Exact solution space of A x = rhs (kernel always that of A), as
@@ -469,10 +465,6 @@ class EigenSpace:
     def __init__(self, value: Scalar, basis: list):
         self.value = value
         self.basis = basis  # sparse {coordinate: Scalar} vectors
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 _EXPONENT_WINDOW = 24

@@ -316,12 +316,14 @@ def _check_associativity(alg: FinAlgebra) -> None:
 
 def _solve_unit(alg: FinAlgebra) -> SolutionSpace:
     """The u with u e_i = e_i and e_i u = e_i for every i, as the solution
-    space of those laws; the caller names an empty or a larger one.
+    space of those laws; the caller names an empty one.
 
-    The rows are exactly those two laws at every basis element, so a unique
-    solution is a two-sided unit by linearity, and no unit law needs a
-    check of its own.  On the transposed table of a coproduct they are the
-    counit laws (mhopf.derive_counit_antipode).
+    A two-sided unit is unique, u' = u'u = u, with no associativity needed,
+    so a nonempty solution space has dimension 0.  The rows are exactly
+    those two laws at every basis element, so the solution is a two-sided
+    unit by linearity, and no unit law needs a check of its own.  On the
+    transposed table of a coproduct they are the counit laws
+    (mhopf.derive_counit_antipode).
     """
     n = alg.dim
     # row (i, k, 0) of e_i u = e_i and row (i, k, 1) of u e_i = e_i hold
@@ -369,7 +371,7 @@ def build_algebra(labels, mul, star=None, name="", unit=None) -> FinAlgebra:
     the star, a LinMap when given.  A candidate unit u, when given, is the
     unit if u e_i = e_i = e_i u for every i, as a unit is unique (u' =
     u'u = u; Bourbaki, Algebra I, ch. I, 2.1); otherwise the unit is
-    solved for and must be unique.
+    solved for (_solve_unit).
     """
     alg = FinAlgebra(list(labels), dict(mul), None, star, name=name)
     alg.generators = generating_set(alg)
@@ -381,10 +383,6 @@ def build_algebra(labels, mul, star=None, name="", unit=None) -> FinAlgebra:
         sol = _solve_unit(alg)
         if sol.is_empty:
             raise StructureError("algebra %r has no unit" % alg.name)
-        if sol.dimension != 0:
-            raise StructureError(
-                "unit of algebra %r is not unique (solution space dimension "
-                "%d)" % (alg.name, sol.dimension))
         unit = sol.particular
     alg.one = unit
     if alg.star is not None:

@@ -17,7 +17,7 @@ spec point.
 
 from __future__ import annotations
 
-from .errors import CheckFailure, HopfForgeError, NotFaithful, StructureError
+from .errors import CheckFailure, NotFaithful, StructureError
 from .exactla import (coordinates, eigenspaces, invert, kernel_basis, rank,
                       rref, sparse_row)
 from .finalg import LinMap, TensorMap, apply_functional, form_map, gram_psd
@@ -26,35 +26,18 @@ from .scalars import SC_I, SC_ONE, SC_ZERO, Scalar
 
 
 class ModularData:
-    """The objects of compute_modular_data, filled in stage by stage.  In
-    the data of a ModularStageFailure only the fields of the stages before
-    the failed one are to be read."""
+    """The objects of compute_modular_data."""
 
-    def __init__(self):
-        self.phi = None             # {i: phi(e_i)}
-        self.psi = None             # {i: psi(e_i)}
-        self.sigma = None           # LinMap
-        self.sigma_prime = None     # LinMap
-        self.delta = None           # {i: c}
-        self.kappa = None           # LinMap
-        self.mu = None              # Scalar
-
-
-MODULAR_STAGES = ("haar-functional", "right-invariance",
-                  "modular-automorphism", "modular-element",
-                  "scaling-constant")
-
-
-class ModularStageFailure(CheckFailure):
-    """A failed stage of compute_modular_data, read as its cause: the
-    cause's own check name (else the stage's) and message.  data holds what
-    the stages before it computed."""
-
-    def __init__(self, stage: str, cause: HopfForgeError, data: ModularData):
-        HopfForgeError.__init__(self, str(cause))
-        self.check = getattr(cause, "check", stage)
-        self.stage = stage
-        self.data = data
+    def __init__(self, phi: dict, psi: dict, sigma: LinMap,
+                 sigma_prime: LinMap, delta: dict, kappa: LinMap,
+                 mu: Scalar):
+        self.phi = phi                  # {i: phi(e_i)}
+        self.psi = psi                  # {i: psi(e_i)}
+        self.sigma = sigma
+        self.sigma_prime = sigma_prime
+        self.delta = delta              # {i: c}
+        self.kappa = kappa              # sigma^-1 S^2
+        self.mu = mu
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +225,7 @@ def delta_square_root(qg: QGData, delta: dict) -> dict:
         "in the scalar field" % lam)
 
 
-def scaling_constant(qg: QGData, phi: dict, assert_one: bool) -> Scalar:
+def scaling_constant(qg: QGData, phi: dict) -> Scalar:
     """mu with phi(S^2(a)) = mu phi(a), read at one pivot.
 
     S^2 is a bijective algebra and coalgebra map, as S is bijective,
@@ -252,19 +235,14 @@ def scaling_constant(qg: QGData, phi: dict, assert_one: bool) -> Scalar:
     left invariant functionals, so phi o S^2 = mu phi, and mu is the ratio
     at any e_a with phi(e_a) != 0.  The premises are checked where
     derive_counit_antipode's docstring says, and the uniqueness of phi by
-    solve_left_haar.  mu = 1 in positive mode is the paper's result, so it
-    stays a verdict.
+    solve_left_haar.  mu = 1 in positive mode is the paper's result, so
+    the report asserts it (report._modular_stages).
     """
     if not phi:
         raise StructureError("zero functional has no scaling constant")
     pivot = min(phi)
-    mu = (apply_functional(phi, antipode_squared(qg).columns[pivot])
-          * phi[pivot].inverse())
-    if assert_one and mu != SC_ONE:
-        raise CheckFailure(
-            "scaling-constant",
-            "positive case requires mu = 1 but mu = %s" % mu)
-    return mu
+    return (apply_functional(phi, antipode_squared(qg).columns[pivot])
+            * phi[pivot].inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -487,28 +465,36 @@ def check_sigma_coproduct_rule(qg: QGData, md: ModularData) -> CheckItem:
 # orchestration
 # ---------------------------------------------------------------------------
 
-def compute_modular_data(qg: QGData, positive_mode: bool) -> ModularData:
-    """The modular pipeline that every structure command runs.
+def compute_modular_data(qg: QGData) -> ModularData:
+    """The modular pipeline that every structure command runs: phi, psi,
+    sigma, sigma', delta, kappa = sigma^-1 S^2 and mu, in that order.
 
-    Its stages, in MODULAR_STAGES order, give phi, psi, sigma and sigma',
-    delta with kappa = sigma^-1 S^2, and mu, which must be 1 in positive
-    mode.  A failing stage raises ModularStageFailure with the data of the
-    stages before it.
+    No step can fail on the qg that report._structure_checks passes on, a
+    finite-dimensional Hopf algebra over Q(i)(s), with a compatible star
+    when it has one; each step is a theorem there.
+    - A left integral phi exists, is unique up to a scalar and is faithful
+      (Larson and Sweedler, "An associative orthogonal bilinear form for
+      Hopf algebras", Amer. J. Math. 91, 1969): the kernel solve_left_haar
+      finds is one-dimensional and the form B of phi is invertible.
+    - psi = phi o S is faithful too, as S is bijective.
+    - delta is read off one coproduct column, as phi != 0.
+    - With a star, delta* = delta.  phi'(x) = conj(phi(x*)) is left
+      invariant, as D(a*) = D(a)* and 1* = 1, so phi' = c phi, and
+      phi'' = phi gives c conj(c) = 1.  The star of (phi(x)i)D(a) =
+      phi(a) delta is (phi'(x)i)D(a*) = conj(phi(a)) delta*, that is
+      c phi(a*) delta = c phi(a*) delta*, at an a with phi(a*) != 0.
+    - sigma = B^-1 B^T is invertible.
+    The identities that define psi, sigma, delta and mu follow from the
+    uniqueness of phi (Van Daele 1998, section 3; the docstrings above).
+    Each function still checks its own premise (the uniqueness of phi, a
+    faithful functional, a self-adjoint delta), so a violated one, a bug,
+    ends the command with its error.
     """
-    md = ModularData()
-    stage = "haar-functional"
-    try:
-        md.phi = left_haar(qg)
-        stage = "right-invariance"
-        md.psi = right_haar(qg, md.phi)
-        stage = "modular-automorphism"
-        md.sigma = modular_automorphism(qg, md.phi)
-        md.sigma_prime = modular_automorphism(qg, md.psi)
-        stage = "modular-element"
-        md.delta = modular_element(qg, md.phi)
-        md.kappa = md.sigma.inverse().compose(antipode_squared(qg))
-        stage = "scaling-constant"
-        md.mu = scaling_constant(qg, md.phi, assert_one=positive_mode)
-    except HopfForgeError as exc:
-        raise ModularStageFailure(stage, exc, md) from exc
-    return md
+    phi = left_haar(qg)
+    psi = right_haar(qg, phi)
+    sigma = modular_automorphism(qg, phi)
+    sigma_prime = modular_automorphism(qg, psi)
+    delta = modular_element(qg, phi)
+    kappa = sigma.inverse().compose(antipode_squared(qg))
+    return ModularData(phi, psi, sigma, sigma_prime, delta, kappa,
+                       scaling_constant(qg, phi))

@@ -4,8 +4,11 @@ Each CLI command maps to one run_* function here.  A pipeline appends named
 check items to a report in a fixed order, records the certified objects it
 computed (functionals, matrices, tables) as canonical literals, and never
 consults the clock, so rendering the same input twice gives byte-identical
-output.  Errors raised by the library become failed checks; the stages that
-depend on the failed one are skipped rather than reported as passing.
+output.  Errors raised by the structure checks become failed checks; the
+stages that depend on the failed one are skipped rather than reported as
+passing.  The modular stages run unguarded: on a verified quantum group
+they cannot fail (haar_modular.compute_modular_data), so an error there is
+a bug and ends the command.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from .duality import biduality, build_dual, dual_imbedding, dual_modular_check
 from .errors import CheckFailure, DefinitionError, HopfForgeError
 from .exactla import POSITIVE_DEFINITE, dense_row, sparse_row
 from .finalg import gram_psd
-from .haar_modular import (MODULAR_STAGES, ModularStageFailure,
-                           check_sigma_coproduct_rule, compute_modular_data,
+from .haar_modular import (check_sigma_coproduct_rule, compute_modular_data,
                            delta_square_root, left_haar, nonvanishing_window,
                            orbit_span, psi_positivity,
                            simultaneous_eigenbasis)
@@ -215,50 +217,37 @@ def _structure_checks(rep: Report, defn: StructureDefinition):
 
 
 def _modular_stages(rep: Report, qg, positive_mode: bool):
-    """Run compute_modular_data with one check per stage.
-
-    Returns the modular data, or None when a stage before the scaling
-    constant fails.  A failed scaling constant is recorded and the run goes
-    on without mu.  Its PASS line is asserted only in positive mode, and its
-    value is an object whenever it is known.
+    """Run compute_modular_data, which cannot fail on the qg that
+    _structure_checks passes on, and report its four stages and objects.
+    In positive mode the scaling constant is the paper's verdict mu = 1:
+    its PASS line is asserted, and mu is an object only when it holds.
     """
-    try:
-        md, failed = compute_modular_data(qg, positive_mode), None
-    except ModularStageFailure as exc:
-        md, failed = exc.data, exc
-    passed = (MODULAR_STAGES.index(failed.stage) if failed
-              else len(MODULAR_STAGES))
+    md = compute_modular_data(qg)
     n = qg.dim
-    if passed > 0:
-        rep.add("haar-functional", True,
-                "left invariance has a one-dimensional solution space "
-                "(dimension 1)")
-        rep.objects.append(("haar-functional", fmt_element(md.phi, n)))
-    if passed > 1:
-        rep.add("right-invariance", True,
-                "the antipode image of the left functional is right invariant")
-        rep.objects.append(("right-invariant-functional",
-                            fmt_element(md.psi, n)))
-    if passed > 2:
-        rep.add("modular-automorphism", True,
-                "phi(a b) = phi(b sigma(a)) with sigma a bijective algebra "
-                "automorphism, and likewise for the right functional")
-        rep.objects.append(("modular-automorphism",
-                            fmt_matrix(md.sigma.matrix)))
-    if passed > 3:
-        rep.add("modular-element", True,
-                "both intertwining laws hold on every basis pair"
-                + ("; self-adjoint" if qg.algebra.star is not None else ""))
-        rep.objects.append(("modular-element", fmt_element(md.delta, n)))
-    if failed is not None:
-        rep.fail_from(failed.stage, failed)
-        if failed.stage != "scaling-constant":
-            return None
-    elif positive_mode:
+    rep.add("haar-functional", True,
+            "left invariance has a one-dimensional solution space "
+            "(dimension 1)")
+    rep.objects.append(("haar-functional", fmt_element(md.phi, n)))
+    rep.add("right-invariance", True,
+            "the antipode image of the left functional is right invariant")
+    rep.objects.append(("right-invariant-functional", fmt_element(md.psi, n)))
+    rep.add("modular-automorphism", True,
+            "phi(a b) = phi(b sigma(a)) with sigma a bijective algebra "
+            "automorphism, and likewise for the right functional")
+    rep.objects.append(("modular-automorphism", fmt_matrix(md.sigma.matrix)))
+    rep.add("modular-element", True,
+            "both intertwining laws hold on every basis pair"
+            + ("; self-adjoint" if qg.algebra.star is not None else ""))
+    rep.objects.append(("modular-element", fmt_element(md.delta, n)))
+    if positive_mode and md.mu != SC_ONE:
+        rep.fail_from("scaling-constant", CheckFailure(
+            "scaling-constant",
+            "positive case requires mu = 1 but mu = %s" % md.mu))
+        return md
+    if positive_mode:
         rep.add("scaling-constant", True,
                 "phi is invariant under the squared antipode")
-    if md.mu is not None:
-        rep.objects.append(("scaling-constant", str(md.mu)))
+    rep.objects.append(("scaling-constant", str(md.mu)))
     return md
 
 
@@ -314,12 +303,7 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
 
     positive_mode = False
     if alg.star is not None:
-        try:
-            haar_probe = left_haar(qg)
-        except HopfForgeError as exc:
-            rep.fail_from("haar-functional", exc)
-            return
-        cert = gram_psd(alg, haar_probe, spec_points)
+        cert = gram_psd(alg, left_haar(qg), spec_points)
         positive_mode = cert.verdict == POSITIVE_DEFINITE
         detail = ("the form phi(a* b) is %s (certified %s)"
                   % (cert.verdict, cert.mode))
@@ -332,8 +316,6 @@ def _analyze_structure(rep: Report, qg, spec_points, star_assert: bool):
             "no star structure declared: positivity does not apply")
 
     md = _modular_stages(rep, qg, positive_mode)
-    if md is None:
-        return
 
     half = None
     try:
@@ -455,11 +437,8 @@ def run_dual(defn, source: str, sha256: str, output=None) -> Report:
         return rep
 
     md = _modular_stages(rep, qg, positive_mode=False)
-    if md is None:
-        return rep
-
     try:
-        build = build_dual(qg, md.phi, name="dual of " + defn.name)
+        build = build_dual(qg, md.phi)
     except HopfForgeError as exc:
         rep.fail_from("dual-build", exc)
         return rep
@@ -475,16 +454,11 @@ def run_dual(defn, source: str, sha256: str, output=None) -> Report:
     rep.add("dual-unit-is-counit", build.unit_is_counit,
             "the unit of the dual is the counit functional")
 
-    try:
-        haar2 = left_haar(build.qg)
-    except HopfForgeError as exc:
-        rep.fail_from("dual-haar-functional", exc)
-        return rep
     rep.add("dual-haar-functional", True,
             "left invariance on the dual has a one-dimensional solution "
             "space (dimension 1)")
     rep.objects.append(("dual-haar-functional",
-                        fmt_element(haar2, build.qg.dim)))
+                        fmt_element(left_haar(build.qg), build.qg.dim)))
 
     try:
         bid = biduality(qg, build)
@@ -495,11 +469,7 @@ def run_dual(defn, source: str, sha256: str, output=None) -> Report:
         for item in bid.report.items:
             rep.add("biduality %s" % item.name, item.ok, item.detail)
 
-    try:
-        for item in dual_modular_check(qg, md, build):
-            rep.checks.append(item)
-    except HopfForgeError as exc:
-        rep.fail_from("dual-modular-element", exc)
+    rep.checks.extend(dual_modular_check(qg, md, build))
 
     if output is not None:
         out_defn = definition_from_qg(
@@ -537,10 +507,8 @@ def run_subcheck(defn, source: str, sha256: str, sub_name=None) -> Report:
         return rep
 
     md = _modular_stages(rep, qg, positive_mode=False)
-    if md is None:
-        return rep
     try:
-        build = build_dual(qg, md.phi, name="dual of " + defn.name)
+        build = build_dual(qg, md.phi)
     except HopfForgeError as exc:
         rep.fail_from("dual-build", exc)
         return rep

@@ -158,10 +158,10 @@ def build_algebra_full(labels, mul, star=None, name=""):
     sol = _solve_unit(alg)
     if sol.is_empty:
         raise StructureError("algebra %r has no unit" % name)
-    if sol.dimension != 0:
+    if sol.kernel:
         raise StructureError(
             "unit of algebra %r is not unique (solution space dimension %d)"
-            % (name, sol.dimension))
+            % (name, len(sol.kernel)))
     alg.one = sol.particular
     for i in range(n):
         if alg.multiply(alg.one, e(i)) != e(i):
@@ -252,7 +252,7 @@ def check_counit_full(qg) -> None:
             rows.append({j: c for (i, j), c in col.items() if i == t})
             rhs += [SC_ONE if t == k else SC_ZERO] * 2
     sol = solve_affine(rows, rhs, n)
-    if sol.is_empty or sol.dimension != 0:
+    if sol.is_empty or sol.kernel:
         return
     eps = [sol.particular.get(k, SC_ZERO) for k in range(n)]
     for i in range(n):

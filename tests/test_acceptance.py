@@ -90,7 +90,7 @@ def test_criterion_02_left_invariant_space_is_one_dimensional():
 def test_criterion_03_commutative_and_cocommutative_modular_data():
     for name in ("c_s3", "group_s3"):
         qg = hopf_qg(name)
-        md = compute_modular_data(qg, positive_mode=True)
+        md = compute_modular_data(qg)
         n = qg.dim
         ident = [[SC_ONE if i == j else SC_ZERO for j in range(n)]
                  for i in range(n)]
@@ -112,12 +112,12 @@ def test_criterion_04_scaling_constant_one_iff_positive():
         phi = solve_left_haar(qg)
         cert = gram_psd(qg.algebra, phi, DEFAULT_SPEC_POINTS)
         assert cert.verdict == POSITIVE_DEFINITE, name
-        assert scaling_constant(qg, phi, assert_one=True) == SC_ONE, name
+        assert scaling_constant(qg, phi) == SC_ONE, name
     qg = hopf_qg("sweedler_h4")
     phi = solve_left_haar(qg)
     cert = gram_psd(qg.algebra, phi, DEFAULT_SPEC_POINTS)
     assert cert.verdict == INDEFINITE
-    mu = scaling_constant(qg, phi, assert_one=False)
+    mu = scaling_constant(qg, phi)
     neg = SC_ZERO - SC_ONE
     assert mu == neg
     # independent brute force: phi(S^2(e_k)) = mu phi(e_k) on all four
@@ -130,13 +130,14 @@ def test_criterion_04_scaling_constant_one_iff_positive():
 def test_criterion_05_joint_eigenbasis_and_positivity_obstruction():
     for name in GOOD_FIXTURES:
         qg = hopf_qg(name)
-        md = compute_modular_data(qg, positive_mode=True)
+        md = compute_modular_data(qg)
+        assert md.mu == SC_ONE, name
         rep = simultaneous_eigenbasis(qg, md, positive_mode=True)
         assert len(rep.rows) == qg.dim, name
         assert rep.all_positive, name
         assert all(it.ok for it in rep.positivity), name
     qg = hopf_qg("sweedler_h4")
-    md = compute_modular_data(qg, positive_mode=False)
+    md = compute_modular_data(qg)
     rep = simultaneous_eigenbasis(qg, md, positive_mode=False)
     neg = SC_ZERO - SC_ONE
     assert neg in [row.values["antipode-squared"] for row in rep.rows]
@@ -148,7 +149,8 @@ def test_criterion_05_joint_eigenbasis_and_positivity_obstruction():
 def test_criterion_06_right_functional_is_the_shifted_left_one():
     for name in GOOD_FIXTURES:
         qg = hopf_qg(name)
-        md = compute_modular_data(qg, positive_mode=True)
+        md = compute_modular_data(qg)
+        assert md.mu == SC_ONE, name
         alg = qg.algebra
         # direct identity check, element by element
         for i in range(qg.dim):
@@ -184,7 +186,7 @@ def test_criterion_07_duality_suite():
         build = build_dual(qg, phi)
         bi = biduality(qg, build)
         assert bi.report.all_ok, name
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         items = dual_modular_check(qg, md, build)
         assert all(it.ok for it in items), \
             (name, [(it.name, it.detail) for it in items if not it.ok])

@@ -217,7 +217,7 @@ class TestDualModular:
     def test_dual_modular_items_pass(self):
         for name in ("c_z2", "group_s3", "sweedler_h4"):
             qg, phi, build = dual_of(name)
-            md = compute_modular_data(qg, positive_mode=False)
+            md = compute_modular_data(qg)
             items = dual_modular_check(qg, md, build)
             assert [it.name for it in items] == \
                 ["dual-modular-element", "dual-modular-pairing"], name

@@ -76,7 +76,7 @@ class TestRowReduction:
         sol = solve_affine(rows, rhs)
         assert not sol.is_empty
         assert matvec(rows, dense(sol.particular, m)) == rhs
-        assert sol.dimension == len(kernel_basis(rows))
+        assert len(sol.kernel) == len(kernel_basis(rows))
 
     def test_solve_affine_empty(self):
         rows = [[SC_ONE], [SC_ONE]]
@@ -459,7 +459,7 @@ class TestEigensplit:
                 [SC_ZERO, s2, SC_ZERO],
                 [SC_ZERO, SC_ZERO, SC_ONE]]
         spaces = eigensplit(rows, DEFAULT_SPEC_POINTS)
-        by_value = {str(sp.value): sp.dimension for sp in spaces}
+        by_value = {str(sp.value): len(sp.basis) for sp in spaces}
         assert by_value == {"s^2": 2, "1": 1}
         for sp in spaces:
             for v in sp.basis:

@@ -8,6 +8,7 @@ import pytest
 
 from hopf_forge import haar_modular, mhopf
 from hopf_forge.assemble import build_qg
+from hopf_forge.duality import build_dual
 from hopf_forge.errors import CheckFailure, StructureError
 from hopf_forge.exactla import (dense_row, eigensplit, mat_copy, rref,
                                 sparse_row)
@@ -22,13 +23,14 @@ from hopf_forge.haar_modular import (FIVE_MAP_NAMES, antipode_squared,
                                      split_block)
 from hopf_forge.mhopf import (Coproduct, attach_coproduct,
                               derive_counit_antipode)
+from hopf_forge.report import Report, _modular_stages
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, SC_ONE, SC_ZERO,
                                 parse_scalar)
 
 from oracles import basis, orbit_closure
 from packaged import packaged
 from test_bench_workloads import WORKLOADS
-from test_mhopf import DERIVED_CASES, derived_structures
+from test_mhopf import DERIVED_CASES, NO_CANDIDATE_CORPUS, derived_structures
 
 HOPF_FIXTURES = ("c_z2", "c_z4", "c_s3", "group_s3", "sweedler_h4")
 # the packaged Hopf examples, and two benchmark variants of sweedler_h4 in
@@ -99,7 +101,7 @@ class TestLeftHaar:
 class TestRightHaarAndModularMaps:
     def test_sweedler_frozen_data(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         neg = SC_ZERO - SC_ONE
         assert md.phi == {3: SC_ONE}
         assert md.psi == {2: neg}
@@ -117,7 +119,7 @@ class TestRightHaarAndModularMaps:
     def test_commutative_fixtures_have_trivial_modular_data(self):
         for name in ("c_z2", "c_z4", "c_s3"):
             qg = hopf_qg(name)
-            md = compute_modular_data(qg, positive_mode=True)
+            md = compute_modular_data(qg)
             n = qg.dim
             ident = [[SC_ONE if i == j else SC_ZERO for j in range(n)]
                      for i in range(n)]
@@ -130,7 +132,7 @@ class TestRightHaarAndModularMaps:
         for name in HOPF_FIXTURES:
             qg = hopf_qg(name)
             phi = solve_left_haar(qg)
-            mu = scaling_constant(qg, phi, assert_one=False)
+            mu = scaling_constant(qg, phi)
             s2 = qg.antipode.compose(qg.antipode)
             lhs = [apply_functional(phi, s2.apply(basis(i)))
                    for i in range(qg.dim)]
@@ -139,18 +141,21 @@ class TestRightHaarAndModularMaps:
 
     def test_positive_mode_rejects_sweedler_scaling(self):
         qg = hopf_qg("sweedler_h4")
-        with pytest.raises(CheckFailure, match="scaling-constant"):
-            compute_modular_data(qg, positive_mode=True)
+        rep = Report("analyze", "sweedler_h4", "", "")
+        _modular_stages(rep, qg, positive_mode=True)
+        assert [(c.name, c.detail) for c in rep.checks if not c.ok] == [
+            ("scaling-constant", "scaling-constant: positive case requires "
+             "mu = 1 but mu = -1")]
 
     def test_delta_square_root_obstruction_on_sweedler(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         with pytest.raises(CheckFailure, match="delta-half"):
             delta_square_root(qg, md.delta)
 
     def test_sigma_prime_is_modular_for_psi(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         alg = qg.algebra
         for i in range(qg.dim):
             for j in range(qg.dim):
@@ -162,7 +167,7 @@ class TestRightHaarAndModularMaps:
     def test_sigma_coproduct_rule(self):
         for name in HOPF_FIXTURES:
             qg = hopf_qg(name)
-            md = compute_modular_data(qg, positive_mode=False)
+            md = compute_modular_data(qg)
             item = check_sigma_coproduct_rule(qg, md)
             assert item.name == "coproduct-modular-rule"
             assert item.ok, name
@@ -171,7 +176,8 @@ class TestRightHaarAndModularMaps:
 class TestEigentable:
     def test_commutative_fixture_has_all_ones(self):
         qg = hopf_qg("c_s3")
-        md = compute_modular_data(qg, positive_mode=True)
+        md = compute_modular_data(qg)
+        assert md.mu == SC_ONE
         report = simultaneous_eigenbasis(qg, md, positive_mode=True)
         assert report.used_maps == list(FIVE_MAP_NAMES)
         assert report.skipped == []
@@ -183,7 +189,7 @@ class TestEigentable:
 
     def test_sweedler_skips_delta_multiplications(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         report = simultaneous_eigenbasis(qg, md, positive_mode=False)
         skipped_names = [name for name, _reason in report.skipped]
         assert "left-mult-delta" in skipped_names
@@ -192,7 +198,7 @@ class TestEigentable:
 
     def test_sweedler_records_negative_eigenvalue(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         report = simultaneous_eigenbasis(qg, md, positive_mode=False)
         neg = SC_ZERO - SC_ONE
         s2_values = [row.values["antipode-squared"] for row in report.rows]
@@ -207,13 +213,14 @@ class TestPsiPositivity:
     def test_shifted_identity_and_positivity(self):
         for name in ("c_z2", "c_z4", "c_s3", "group_s3"):
             qg = hopf_qg(name)
-            md = compute_modular_data(qg, positive_mode=True)
+            md = compute_modular_data(qg)
+            assert md.mu == SC_ONE, name
             cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
             assert cert.verdict == "positive-definite", name
 
     def test_sweedler_psi_gram_is_indefinite(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         cert = psi_positivity(qg, md, DEFAULT_SPEC_POINTS)
         assert cert.verdict == "indefinite"
 
@@ -221,13 +228,14 @@ class TestPsiPositivity:
 class TestOrbitWindow:
     def test_window_passes_on_group_fixture(self):
         qg = hopf_qg("group_s3")
-        md = compute_modular_data(qg, positive_mode=True)
+        md = compute_modular_data(qg)
+        assert md.mu == SC_ONE
         report = orbit_analysis(qg, md, basis(1))
         assert report.all_ok
 
     def test_window_vanishes_on_sweedler(self):
         qg = hopf_qg("sweedler_h4")
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         report = orbit_analysis(qg, md, basis(1))
         assert not report.all_ok
 
@@ -237,7 +245,7 @@ class TestOrbitSpan:
                              ids=[d.name for d in ORBIT_DEFINITIONS])
     def test_krylov_span_is_the_two_map_closure(self, defn):
         qg = derive_counit_antipode(build_qg(defn))
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         for i in range(qg.dim):
             assert orbit_span(md, basis(i)) == orbit_closure(md, basis(i)), \
                 (defn.name, i)
@@ -285,7 +293,7 @@ def test_modular_identities_hold_on_every_basis_pair(name):
     reached = derived_structures(name)
     assert reached
     for qg in reached:
-        md = compute_modular_data(qg, positive_mode=False)
+        md = compute_modular_data(qg)
         alg = qg.algebra
         n = alg.dim
         elems = [basis(i) for i in range(n)]
@@ -319,6 +327,20 @@ def test_modular_identities_hold_on_every_basis_pair(name):
             # phi(S a) = phi(a delta)
             assert dpsi[i] == apply_functional(phi,
                                                alg.multiply(elems[i], delta))
+
+
+@pytest.mark.parametrize("case", sorted(NO_CANDIDATE_CORPUS))
+def test_the_modular_stages_cannot_fail_on_a_hopf_algebra(case):
+    # compute_modular_data has no failure path: each of its stages is a
+    # theorem on a verified Hopf (*-)algebra (its docstring), here each
+    # declared structure and its dual; on taft_t4 sigma has order 4 and
+    # S^2 != id
+    defn = NO_CANDIDATE_CORPUS[case]
+    qg = derive_counit_antipode(build_qg(defn), defn.counit, defn.antipode)
+    md = compute_modular_data(qg)
+    dual = build_dual(qg, md.phi).qg
+    for md in (md, compute_modular_data(dual)):
+        assert md.phi and md.delta and not md.mu.is_zero, case
 
 
 def outcome(call, *args):

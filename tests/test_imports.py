@@ -14,7 +14,8 @@ perfbench/ outside its own def: as an ast.Name, an attribute, a name
 imported from a module, or a name in the benchmark tracer's SPANS.  Dunder
 methods are exempt.  A module counts as imported when hopf_forge.cli or a
 perfbench/ script reaches it by `from .x import` or `from hopf_forge.x
-import`, directly or through other modules of the package.
+import`, directly or through other modules of the package.  The report
+calls the modular pipeline outside any try, as it cannot fail there.
 """
 
 import ast
@@ -275,6 +276,48 @@ def test_the_scan_sees_a_unit_read():
               "    d.unit = alg.one\n"
               "    return list(alg.unit)\n")
     assert unit_reads(source) == [7]
+
+
+def call_sites(source: str, names):
+    """(name, line, guarded) for every call of a function or method named
+    in names, guarded when the call lies in the body of a try statement."""
+    tree = ast.parse(source)
+    guarded = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Try)
+               for stmt in node.body for n in ast.walk(stmt)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in names:
+                sites.append((name, node.lineno, id(node) in guarded))
+    return sorted(sites, key=lambda site: site[1])
+
+
+# On the verified quantum group that the structure checks pass on, the
+# modular pipeline, the dual's Haar functional and the dual modular check
+# cannot fail (haar_modular.compute_modular_data), so the report has no
+# failure path for them.
+UNGUARDED_CALLS = ("compute_modular_data", "left_haar", "dual_modular_check")
+
+
+def test_the_report_runs_the_modular_pipeline_unguarded():
+    sites = call_sites((PACKAGE_DIR / "report.py").read_text(encoding="utf-8"),
+                       UNGUARDED_CALLS)
+    assert {name for name, _, _ in sites} == set(UNGUARDED_CALLS)
+    assert [site for site in sites if site[2]] == []
+
+
+def test_the_scan_sees_a_guarded_call():
+    source = ("def f(qg):\n"
+              "    try:\n"
+              "        g(left_haar(qg))\n"
+              "    except E:\n"
+              "        left_haar(None)\n"
+              "    return mod.left_haar(qg), right_haar(qg)\n")
+    assert call_sites(source, ("left_haar",)) == [
+        ("left_haar", 3, True), ("left_haar", 5, False),
+        ("left_haar", 6, False)]
 
 
 # Stdlib modules that cost start-up time and that the program never needs:

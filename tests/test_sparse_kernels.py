@@ -517,7 +517,7 @@ def stored_elements(case):
         return found
     found["counit"] = [qg.counit]
     found["antipode"] = qg.antipode.columns
-    md = compute_modular_data(qg, positive_mode=False)
+    md = compute_modular_data(qg)
     found.update(phi=[md.phi], psi=[md.psi], delta=[md.delta])
     try:
         found["delta-half"] = [delta_square_root(qg, md.delta)]
