@@ -19,7 +19,7 @@ from operator import ne
 from .errors import CheckFailure, NotFaithful, StructureError
 from .exactla import eigensplit
 from .finalg import (FinAlgebra, LinMap, TensorMap, apply_functional,
-                     build_algebra, failing_pairs, form_map, tensor_algebra)
+                     build_algebra, failing_pairs, form_map)
 from .haar_modular import ModularData, left_haar, modular_element, split_block
 from .mhopf import (CheckItem, CheckReport, Coproduct, QGData,
                     attach_coproduct, check_star_compat, check_tmaps,
@@ -227,7 +227,7 @@ def biduality(qg: QGData, dual_build: DualBuild) -> BidualityResult:
     gamma_inv = qg.antipode.compose(
         dual_build.form_inv.transpose()).compose(form2)
     alg2.one = gamma.apply(qg.algebra.one)
-    bidual = QGData(alg2, coproduct2, tensor_algebra(alg2, alg2))
+    bidual = QGData(alg2, coproduct2)
     bidual.counit = gamma_inv.transpose().apply(qg.counit)
     bidual.antipode = gamma.compose(qg.antipode).compose(gamma_inv)
     report = verify_qg_morphism(qg, bidual, gamma, target_associative=False)

@@ -7,10 +7,11 @@ Hermitian positivity certificates.  All routines are exact, on GaussRat
 (constant work) or Scalar (s-dependent work) entries.  Elimination and
 rank run on sparse rows, {column: value} dicts that store no zeros, and
 take a dense list row as well (sparse_row).  rref, the solutions of
-solve_affine, the coordinates and the eigenvectors come back sparse;
-invert takes either form and returns the one it was given; charpoly, the
-eigenspace splitters and the positivity certificates take dense lists of
-lists.  The generic routines only use +, -, *, inverse(), is_zero and
+solve_affine and the eigenvectors come back sparse, and coordinates on a
+span are read from one rref by finalg.LinMap.left_inverse; invert takes
+either form and returns the one it was given; charpoly, the eigenspace
+splitters and the positivity certificates take dense lists of lists.
+The generic routines only use +, -, *, inverse(), is_zero and
 conjugate(), which both element types provide.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from .scalars import (_MOD_P, GR_ONE, GR_ZERO, RANK_POINTS, SC_ONE, SC_ZERO,
                       GaussRat, Scalar, ScalarError, image_mod_p, pdivmod,
@@ -278,33 +278,6 @@ def solve_affine(a_rows, rhs, ncols=None) -> SolutionSpace:
         return SolutionSpace(None, kernel)
     return SolutionSpace(
         {c: row[ncols] for c, row in prows.items() if ncols in row}, kernel)
-
-
-def coordinates(vectors, targets) -> list:
-    """Each target's coordinates on the linearly independent vectors, as
-    {vector index: c}, or None for a target outside their span.
-
-    The vectors and targets are dense lists or sparse dicts.  The columns
-    [vectors | targets] are reduced once, as one sparse row per coordinate.
-    The vectors are independent exactly when the first len(vectors) pivots
-    are their own columns; a target then lies in their span exactly when
-    its reduced column is zero below row len(vectors), and its rows above
-    that are its coordinates.  Raises LinearAlgebraError when the vectors
-    are dependent.
-    """
-    d = len(vectors)
-    by_coordinate = {}
-    for k, v in enumerate(chain(vectors, targets)):
-        for t, x in sparse_row(v).items():
-            by_coordinate.setdefault(t, {})[k] = x
-    aug = list(by_coordinate.values())
-    if rref(aug)[:d] != list(range(d)):
-        raise LinearAlgebraError(
-            "coordinates need linearly independent vectors")
-    outside = set(chain.from_iterable(aug[d:]))
-    return [None if c in outside else
-            {k: row[c] for k, row in enumerate(aug[:d]) if c in row}
-            for c in range(d, d + len(targets))]
 
 
 def kernel_basis(a_rows, ncols=None):

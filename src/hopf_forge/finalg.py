@@ -22,9 +22,9 @@ from itertools import islice
 from operator import ne
 
 from .errors import StructureError
-from .exactla import (SolutionSpace, dense_row, gram_certificate,
-                      insert_mod_p, invert, rank, solve_affine, sparse_row,
-                      terms_mod_p)
+from .exactla import (SolutionSpace, _one_like, dense_row, gram_certificate,
+                      insert_mod_p, invert, rank, rref, solve_affine,
+                      sparse_row, terms_mod_p)
 from .scalars import _MOD_P, RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 
@@ -34,7 +34,7 @@ class LinMap:
     columns[j] is the image of the j-th basis vector as a sparse column
     {row: coefficient} with no zero entries; n_out is the length of an
     image.  LinMap(rows) reads a dense matrix, and .matrix rebuilds one on
-    each read; apply, transpose, compose and inverse work on the columns
+    each read; apply, transpose, compose and left_inverse work on the columns
     and read no dense matrix.
     """
 
@@ -95,16 +95,33 @@ class LinMap:
                 rows[i][j] = c
         return LinMap.of_columns(rows, self.n_in, self.conjugate_linear)
 
+    def left_inverse(self) -> "LinMap":
+        """The L with L M = id for an injective M, reading x off Mx at M's
+        pivot rows, so y lies in the image exactly when M(Ly) = y.
+
+        The rows [c_a | e_a] of the columns c_a are reduced once; a row that
+        leads past n_out is a vanishing combination of columns, and raises
+        StructureError.  Pivot row r, leading at p_r, is sum_a T[r][a] [c_a |
+        e_a], so column p_r of L is T[r].  The entries keep their field, as
+        exactla.invert's do, and a conjugate-linear L has them conjugated.
+        """
+        n, conj = self.n_out, self.conjugate_linear
+        one = _one_like(next(
+            (x for col in self.columns for x in col.values()), SC_ZERO))
+        aug = [{**col, n + a: one} for a, col in enumerate(self.columns)]
+        lead = dict(zip(rref(aug), aug))
+        if any(p >= n for p in lead):
+            raise StructureError("map is not injective")
+        return LinMap.of_columns([
+            {j - n: x.conjugate() if conj else x
+             for j, x in lead.get(p, {}).items() if j >= n}
+            for p in range(n)], self.n_in, conj)
+
     def inverse(self) -> "LinMap":
-        """The inverse, reduced on the columns: they are the rows of M^T,
-        and the rows of (M^T)^-1 are the columns of M^-1."""
-        cols = invert(self.columns) if self.n_in == self.n_out else None
-        if cols is None:
+        """The left inverse of a square map."""
+        if self.n_in != self.n_out:
             raise StructureError("map is not invertible")
-        if self.conjugate_linear:
-            cols = [{i: x.conjugate() for i, x in col.items()}
-                    for col in cols]
-        return LinMap.of_columns(cols, self.n_in, self.conjugate_linear)
+        return self.left_inverse()
 
     def is_bijective(self) -> bool:
         # the rank of the columns is the rank of the matrix

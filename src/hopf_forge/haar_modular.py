@@ -18,8 +18,8 @@ spec point.
 from __future__ import annotations
 
 from .errors import CheckFailure, NotFaithful, StructureError
-from .exactla import (coordinates, eigenspaces, invert, kernel_basis, rank,
-                      rref, sparse_row)
+from .exactla import (eigenspaces, invert, kernel_basis, rank, rref,
+                      sparse_row)
 from .finalg import LinMap, TensorMap, apply_functional, form_map, gram_psd
 from .mhopf import CheckItem, CheckReport, QGData
 from .scalars import SC_I, SC_ONE, SC_ZERO, Scalar
@@ -341,16 +341,16 @@ def _commutes(a: LinMap, b: LinMap) -> bool:
     return a.compose(b) == b.compose(a)
 
 
-def _restrict(m: LinMap, block):
-    """Dense matrix of m on span(block) in the block's own coordinates, read
-    by exactla.coordinates.  Its premise holds: a block is the standard
-    basis or the eigenvectors of one eigenspace of the previous map lifted
-    from an independent block, so its vectors are independent.
-    """
-    coords = coordinates(block, [m.apply(v) for v in block])
-    if None in coords:
+def _restrict(m: LinMap, lift: LinMap):
+    """Dense matrix L m lift of m on the block, lift's columns, for L =
+    lift.left_inverse(), whose premise holds: a block is the standard basis
+    or the eigenvectors of one eigenspace of the previous map lifted from
+    an independent block, so its vectors are independent."""
+    image = m.compose(lift)
+    on_block = lift.left_inverse().compose(image)
+    if lift.compose(on_block) != image:
         raise StructureError("internal: block is not invariant")
-    return LinMap.of_columns(coords, len(block)).matrix
+    return on_block.matrix
 
 
 def split_block(m: LinMap, block: list, split) -> list:
@@ -360,7 +360,7 @@ def split_block(m: LinMap, block: list, split) -> list:
     StructureError when the span is not invariant."""
     lift = LinMap.of_columns(block, m.n_out)
     return [(es.value, [lift.apply(coef) for coef in es.basis])
-            for es in split(_restrict(m, block))]
+            for es in split(_restrict(m, lift))]
 
 
 def simultaneous_eigenbasis(qg: QGData, md: ModularData,

@@ -21,9 +21,9 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import CheckFailure, HopfForgeError, StructureError
-from .exactla import LinearAlgebraError, coordinates, sparse_row
+from .exactla import sparse_row
 from .exactla import rank as _rank
-from .finalg import (FinAlgebra, LinMap, TensorAlgebra, TensorMap,
+from .finalg import (FinAlgebra, LinMap, TensorMap,
                      _check_associativity, _rows_of, _solve_unit,
                      apply_functional, build_algebra, failing_pairs,
                      form_map, generating_set, proved_on_generators,
@@ -58,11 +58,9 @@ class QGData:
     the left Haar functional once solved (haar_modular.left_haar) and S^2
     once composed (haar_modular.antipode_squared)."""
 
-    def __init__(self, algebra: FinAlgebra, coproduct: Coproduct,
-                 tensor_sq: TensorAlgebra):
+    def __init__(self, algebra: FinAlgebra, coproduct: Coproduct):
         self.algebra = algebra
         self.coproduct = coproduct
-        self.tensor_sq = tensor_sq
         self.counit = None          # {i: eps(e_i)}
         self.antipode = None        # LinMap
         self.haar = None            # {i: phi(e_i)}
@@ -97,11 +95,11 @@ def attach_coproduct(alg: FinAlgebra, coproduct: Coproduct) -> QGData:
     if coproduct.n_in != n:
         raise StructureError(
             "coproduct must map the %d-dim algebra into its tensor square" % n)
-    tsq = tensor_algebra(alg, alg)
-    qg = QGData(alg, coproduct, tsq)
+    qg = QGData(alg, coproduct)
     cols = coproduct.columns
     if _proved_transposed(alg, cols):
         return qg
+    tsq = tensor_algebra(alg, alg)
     for i, j in failing_pairs(alg, lambda i, j: (
             qg.delta(alg.mul.get((i, j), {})),
             tsq.multiply(cols[i], cols[j]))):
@@ -131,10 +129,11 @@ def _proved_transposed(alg: FinAlgebra, cols: list) -> bool:
         return False
     mcols = [{key: ent[k] for key, ent in alg.mul.items() if k in ent}
              for k in range(alg.dim)]
-    qd = QGData(dual, Coproduct(mcols), tensor_algebra(dual, dual))
+    qd = QGData(dual, Coproduct(mcols))
+    tsq = tensor_algebra(dual, dual)
     return not failing_pairs(dual, lambda a, b: (
         qd.delta(dual.mul.get((a, b), {})),
-        qd.tensor_sq.multiply(mcols[a], mcols[b])))
+        tsq.multiply(mcols[a], mcols[b])))
 
 
 def _transposed(alg: FinAlgebra, cols: list) -> FinAlgebra:
@@ -199,12 +198,21 @@ def unit_leg_product(qg: QGData, x: dict, y: dict, shape: int) -> dict:
     x and the product are elements of the tensor square, y one of the
     algebra.  The canonical maps and the sub-object and imbedding checks
     are all built from these four products (Van Daele, Trans. AMS 342,
-    1994).
+    1994).  Each multiplies one leg, x(1(x)y) = sum x_ij e_i (x) e_j y and
+    likewise, so y goes into it straight from the table; no unit is read.
     """
-    unit = qg.algebra.one
-    leg = tensor_vec(unit, y) if shape % 2 == 0 else tensor_vec(y, unit)
-    tsq = qg.tensor_sq
-    return tsq.multiply(x, leg) if shape < 2 else tsq.multiply(leg, x)
+    mul, right = qg.algebra.mul, shape % 2 == 0
+    out = {}
+    for (i, j), c in x.items():
+        kept, leg = (i, j) if right else (j, i)
+        for k, yk in y.items():
+            ent = mul.get((leg, k) if shape < 2 else (k, leg))
+            if ent:
+                cy = c * yk
+                for m, cm in ent.items():
+                    t = (kept, m) if right else (m, kept)
+                    out[t] = out.get(t, SC_ZERO) + cy * cm
+    return {t: c for t, c in out.items() if not c.is_zero}
 
 
 def _pair_products(qg: QGData, deltas: list, elems: list, shape: int) -> list:
@@ -451,9 +459,10 @@ def check_star_compat(qg: QGData) -> CheckReport:
         "S(S(a)*)* = a on every basis element" if not bad
         else "fails at " + ", ".join(bad)))
 
+    tsq = tensor_algebra(alg, alg)
     bad = [alg.labels[i] for i in proved_on_generators(alg, lambda rows: [
         i for i in rows if qg.delta(star.columns[i])
-        != qg.tensor_sq.apply_star(qg.coproduct.columns[i])])]
+        != tsq.apply_star(qg.coproduct.columns[i])])]
     items.append(CheckItem(
         "coproduct-star-compatibility",
         not bad,
@@ -483,7 +492,7 @@ def check_grouplike_projection(qg: QGData, p: dict) -> CheckReport:
     items = [CheckItem("nonzero", bool(p))]
     items.append(CheckItem("idempotent", alg.multiply(p, p) == p))
     items.append(CheckItem("self-adjoint", alg.star.apply(p) == p))
-    lhs = qg.tensor_sq.multiply(qg.delta(p), tensor_vec(alg.one, p))
+    lhs = unit_leg_product(qg, qg.delta(p), p, 0)
     items.append(CheckItem("coproduct-condition", lhs == tensor_vec(p, p),
                            "D(p)(1(x)p) = p(x)p"))
     return CheckReport(items)
@@ -520,9 +529,12 @@ class SubMHAResult:
                 and self.induced_tmaps.all_bijective)
 
 
-def _first_outside(coords: list):
-    """The index of the first None in coords, or None when there is none."""
-    return next((k for k, c in enumerate(coords) if c is None), None)
+def _read(coords, lift, ys: list) -> tuple:
+    """[coords(y) for y in ys], coords a left inverse of lift, and the first
+    k with lift(coords(ys[k])) != ys[k], off lift's span, or None."""
+    xs = [coords.apply(y) for y in ys]
+    return xs, next((k for k, (x, y) in enumerate(zip(xs, ys))
+                     if lift.apply(x) != y), None)
 
 
 def _sub_items(kind: str, formulas, bads: list, ok_detail: str) -> list:
@@ -543,16 +555,16 @@ def check_sub_mha(qg: QGData, sub_rows: list) -> SubMHAResult:
     sub-quantum-group.
 
     Requires exact closure under multiplication (and star), membership of
-    the four product families in the tensor square of the span (one solve
-    for all four), and, when the span has its own unit, derives the
-    induced structure (coproduct, T-maps, counit, antipode).  Every
-    coordinate on the span or its tensor square is read by
-    exactla.coordinates.  Its premise, independent sub_rows (and so
-    independent v_a(x)v_b), is proved by the pivots of the first call.
+    the four product families in the tensor square of the span, and, when
+    the span has its own unit, derives the induced structure (coproduct,
+    T-maps, counit, antipode).  A coordinate on the span B is read by L =
+    lift.left_inverse(), lift: v_a -> sub_rows[a], which checks that the
+    sub_rows are independent, and y lies in B exactly when lift(Ly) = y.
+    On B(x)B it is read leg by leg, with L(x)L and lift(x)lift alike.
 
     D0 is read off the memberships, and the compression equations (Van
     Daele, Trans. AMS 342, 1994, for the four products) follow from them.
-    Write B for the span and u for its unit; every Y in B(x)B has
+    Write u for the unit of B; every Y in B(x)B has
     (u(x)1)Y = Y(1(x)u) = Y.  Membership D(a)(1(x)b) at b = u puts
     X = D(a)(1(x)u) in B(x)B, so (u(x)u)D(a)(u(x)u) = (u(x)u)X(u(x)1) = X,
     which is D0(a) = sum_b u_b D(a)(1(x)v_b); likewise (a(x)1)D(b) gives
@@ -572,12 +584,13 @@ def check_sub_mha(qg: QGData, sub_rows: list) -> SubMHAResult:
     def at(k):
         return None if k is None else tuple(sub_labels[a] for a in pairs[k])
 
-    targets = [alg.multiply(sub_rows[a], sub_rows[b]) for a, b in pairs]
+    lift = LinMap.of_columns(sub_rows, alg.dim)
     try:
-        products = coordinates(sub_rows, targets)
-    except LinearAlgebraError:
+        coords = lift.left_inverse()
+    except StructureError:
         raise StructureError("sub basis vectors are linearly dependent")
-    bad = _first_outside(products)
+    products, bad = _read(coords, lift, [
+        alg.multiply(sub_rows[a], sub_rows[b]) for a, b in pairs])
     if bad is not None:
         raise StructureError(
             "not a subalgebra: product of %s and %s leaves the span" % at(bad))
@@ -585,21 +598,18 @@ def check_sub_mha(qg: QGData, sub_rows: list) -> SubMHAResult:
 
     star0 = None
     if alg.star is not None:
-        images = coordinates(sub_rows, [alg.star.apply(r) for r in sub_rows])
-        bad = _first_outside(images)
+        images, bad = _read(coords, lift, list(map(alg.star.apply, sub_rows)))
         if bad is not None:
             raise StructureError(
                 "span is not star-closed at %s" % sub_labels[bad])
         star0 = LinMap.of_columns(images, n0, conjugate_linear=True)
 
-    tens = [tensor_vec(sub_rows[a], sub_rows[b]) for a, b in pairs]
     deltas = [qg.delta(r) for r in sub_rows]
-    m = len(pairs)
-    coords = coordinates(tens, [p for shape in (0, 1, 3, 2)
-                                for p in _pair_products(qg, deltas, sub_rows,
-                                                        shape)])
+    legs, lift2 = TensorMap(coords, coords), TensorMap(lift, lift)
+    families = [_read(legs, lift2, _pair_products(qg, deltas, sub_rows, s))
+                for s in (0, 1, 3, 2)]
     memberships = _sub_items("membership", SUB_MEMBERSHIP_FORMULAS, [
-        at(_first_outside(coords[k * m:(k + 1) * m])) for k in range(4)],
+        at(bad) for _coords, bad in families],
         "all products lie in the tensor square of the span")
     result = SubMHAResult(sub_rows, sub_labels, memberships)
 
@@ -613,10 +623,9 @@ def check_sub_mha(qg: QGData, sub_rows: list) -> SubMHAResult:
     result.compat = _sub_items("compression", SUB_COMPAT_FORMULAS, [None] * 4,
                                "holds on all pairs")
 
-    # D0(v_a) = sum_b u_b D(v_a)(1(x)v_b), in the coordinates of the pairs
-    d0 = Coproduct([
-        {pairs[t]: c for t, c in LinMap.of_columns(
-            coords[a * n0:(a + 1) * n0], m).apply(alg0.one).items()}
+    # D0(v_a) = sum_b u_b D(v_a)(1(x)v_b), columns keyed by the pairs
+    d0 = Coproduct([LinMap.of_columns(
+        families[0][0][a * n0:(a + 1) * n0], n0 * n0).apply(alg0.one)
         for a in range(n0)])
     induced = attach_coproduct(alg0, d0)
     tmr = check_tmaps(induced)

@@ -238,7 +238,7 @@ def attach_coproduct_full(alg, coproduct):
         if _sparse(left) != _sparse(right):
             raise StructureError(
                 "coproduct is not coassociative at %s" % alg.labels[k])
-    return QGData(alg, coproduct, tensor_algebra(alg, alg))
+    return QGData(alg, coproduct)
 
 
 def check_counit_full(qg) -> None:
@@ -270,9 +270,10 @@ def star_compat_failures(qg) -> list:
     """The labels of the basis elements with D(a*) != D(a)*."""
     alg = qg.algebra
     star = alg.star
+    tsq = tensor_algebra(alg, alg)
     return [alg.labels[i] for i in range(alg.dim)
             if qg.delta(star.apply(basis(i)))
-            != qg.tensor_sq.apply_star(qg.delta(basis(i)))]
+            != tsq.apply_star(qg.delta(basis(i)))]
 
 
 def morphism_failures(src, dst, lin) -> list:

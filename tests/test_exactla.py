@@ -10,15 +10,17 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopf_forge import exactla, haar_modular
+from hopf_forge import exactla, finalg, haar_modular
 from hopf_forge.exactla import (INDEFINITE, POSITIVE_DEFINITE,
-                                POSITIVE_SEMIDEFINITE, LinearAlgebraError,
-                                NotDiagonalizableOverField, coordinates,
+                                POSITIVE_SEMIDEFINITE,
+                                NotDiagonalizableOverField,
                                 dense_row, eigensplit, eigenspaces,
                                 gram_certificate, invert,
                                 kernel_basis, mat_copy, matmul, matvec, rank,
                                 rank_mod_p, rational_roots, rref,
                                 solve_affine, sparse_row)
+from hopf_forge.errors import StructureError
+from hopf_forge.finalg import LinMap
 from hopf_forge.haar_modular import ROOTS_OF_UNITY
 from hopf_forge.scalars import (DEFAULT_SPEC_POINTS, RANK_POINTS, SC_ONE,
                                 SC_ZERO, GaussRat, Scalar, parse_scalar,
@@ -97,11 +99,12 @@ def combination(coeffs, vectors, dim):
             for t in range(dim)]
 
 
-class TestCoordinates:
+class TestLeftInverse:
     @settings(max_examples=60)
     @given(rational_matrices(max_size=5), st.data())
-    def test_span_and_coordinates_match_sympy(self, rows, data):
-        # the rows that raise the sympy rank are independent vectors
+    def test_image_and_coordinates_match_sympy(self, rows, data):
+        # the rows that raise the sympy rank are independent vectors, the
+        # columns of an injective map
         vectors = []
         for row in rows:
             if matrix_to_sympy(vectors + [row]).rank() > len(vectors):
@@ -111,33 +114,36 @@ class TestCoordinates:
         targets = [combination(coeffs, vectors, dim)] + [
             [sc(data.draw(small_fracs)) for _ in range(dim)]
             for _ in range(data.draw(st.integers(0, 3)))]
-        found = coordinates(vectors, targets)
+        lift = LinMap.of_columns([sparse_row(v) for v in vectors], dim)
+        left = lift.left_inverse()
+        assert left.compose(lift) == LinMap.identity(len(vectors))
+        found = [left.apply(sparse_row(t)) for t in targets]
         assert found[0] == sparse_row(coeffs)
         for target, coords in zip(targets, found):
             inside = (matrix_to_sympy(vectors + [target]).rank()
                       == len(vectors))
-            assert (coords is not None) == inside
+            assert (lift.apply(coords) == sparse_row(target)) == inside
             if inside:
                 assert combination(dense(coords, len(vectors)), vectors,
                                    dim) == target
 
-    def test_dependent_vectors_raise(self):
-        # without the guard, e2 would read as 0 e1 + 1 (2 e1)
-        e1, e2 = [SC_ONE, SC_ZERO], [SC_ZERO, SC_ONE]
-        with pytest.raises(LinearAlgebraError, match="independent"):
-            coordinates([e1, [sc(2), SC_ZERO]], [e2])
+    def test_dependent_columns_raise(self):
+        # without the guard, the columns e1 and 2 e1 get an L that reads
+        # e1 as (1/2)(2 e1) and is no left inverse
+        m = LinMap([[SC_ONE, sc(2)], [SC_ZERO, SC_ZERO]])
+        with pytest.raises(StructureError, match="not injective"):
+            m.left_inverse()
 
-    def test_skipping_the_independence_guard_is_caught(self, monkeypatch):
-        source = textwrap.dedent(inspect.getsource(exactla.coordinates))
-        mutant = source.replace("if rref(aug)[:d] != list(range(d)):",
-                                "if rref(aug) and False:")
+    def test_skipping_the_injectivity_guard_is_caught(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(LinMap.left_inverse))
+        mutant = source.replace("if any(p >= n for p in lead):",
+                                "if False:")
         assert mutant != source
         scope = {}
-        exec(mutant, vars(exactla), scope)
-        monkeypatch.setattr(sys.modules[__name__], "coordinates",
-                            scope["coordinates"])
+        exec(mutant, vars(finalg), scope)
+        monkeypatch.setattr(LinMap, "left_inverse", scope["left_inverse"])
         with pytest.raises(pytest.fail.Exception):
-            self.test_dependent_vectors_raise()
+            self.test_dependent_columns_raise()
 
 
 P = 998244353

@@ -15,7 +15,8 @@ imported from a module, or a name in the benchmark tracer's SPANS.  Dunder
 methods are exempt.  A module counts as imported when hopf_forge.cli or a
 perfbench/ script reaches it by `from .x import` or `from hopf_forge.x
 import`, directly or through other modules of the package.  The report
-calls the modular pipeline outside any try, as it cannot fail there.
+calls the modular pipeline outside any try, as it cannot fail there, and
+the sub-object check and the eigenblock restriction call no exactla solver.
 """
 
 import ast
@@ -318,6 +319,34 @@ def test_the_scan_sees_a_guarded_call():
     assert call_sites(source, ("left_haar",)) == [
         ("left_haar", 3, True), ("left_haar", 5, False),
         ("left_haar", 6, False)]
+
+
+# Coordinates on a span come only from LinMap.left_inverse: the sub-object
+# check and the restriction to an eigenblock call no exactla solver.
+SOLVERS = ("rref", "solve_affine", "kernel_basis", "invert")
+SPAN_READERS = {"mhopf.py": "check_sub_mha", "haar_modular.py": "_restrict"}
+
+
+def function_source(source: str, name: str) -> str:
+    """The source of the top-level function name in source."""
+    node = next(n for n in ast.parse(source).body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+    return ast.get_source_segment(source, node)
+
+
+def test_span_coordinates_come_only_from_the_left_inverse():
+    for module, func in SPAN_READERS.items():
+        source = (PACKAGE_DIR / module).read_text(encoding="utf-8")
+        assert call_sites(function_source(source, func), SOLVERS) == [], func
+
+
+def test_the_scan_sees_a_solver_call():
+    source = ("def _restrict(m, lift):\n"
+              "    return exactla.rref(lift.columns), invert(m)\n"
+              "def other(rows):\n"
+              "    return kernel_basis(rows)\n")
+    assert call_sites(function_source(source, "_restrict"), SOLVERS) == [
+        ("rref", 2, False), ("invert", 2, False)]
 
 
 # Stdlib modules that cost start-up time and that the program never needs:

@@ -1,5 +1,6 @@
 """Coproducts, canonical maps, counit/antipode derivation, sub-objects."""
 
+import copy
 import inspect
 import itertools
 import sys
@@ -19,13 +20,14 @@ from hopf_forge.mhopf import (TMAP_FORMULAS, Coproduct, _tmap_columns,
                               check_star_compat, check_sub_mha, check_tmaps,
                               derive_counit_antipode, tensor_vec)
 from hopf_forge.finalg import (LinMap, TensorMap, apply_functional,
-                               build_algebra, transform_basis)
+                               build_algebra, tensor_algebra, transform_basis)
 from hopf_forge.scalars import RANK_POINTS, SC_ONE, SC_ZERO, Scalar
 
 from oracles import basis, coproduct_matrix, matrix_coproduct
 from packaged import packaged
 from test_bench_workloads import WORKLOADS
 from test_finite_order import taft_t4
+from test_report_bytes import dihedral_sub_rows
 
 # the packaged structure examples whose counit and antipode verify
 HOPF_EXAMPLES = ("c_s3", "c_z2", "c_z4", "group_s3", "sweedler_h4")
@@ -426,8 +428,7 @@ class TestNoCandidate:
                 {(1, 1): SC_ONE, (0, 0): SC_ONE, (0, 2): -SC_ONE,
                  (1, 0): -SC_ONE, (1, 2): SC_ONE},
                 {(2, 2): SC_ONE}]
-        qg = mhopf.QGData(alg, Coproduct(cols),
-                          finalg.tensor_algebra(alg, alg))
+        qg = mhopf.QGData(alg, Coproduct(cols))
         assert mhopf._coassoc_defect(qg, 1)
         candidate = mhopf._haar_antipode(qg, {a: SC_ONE for a in range(n)})
         assert candidate.n_in == n
@@ -583,7 +584,7 @@ def named_products(qg, elems):
     """Every product a membership or T-map formula names, keyed by its
     text, over the pairs (a, b) of elems in (a, b) order, formed from
     tensor_vec legs independently of unit_leg_product."""
-    one, tsq = qg.algebra.one, qg.tensor_sq
+    one, tsq = qg.algebra.one, tensor_algebra(qg.algebra, qg.algebra)
     d = [qg.delta(v) for v in elems]
     pairs = [(a, b) for a in range(len(elems)) for b in range(len(elems))]
     legs = {"D(a)(1(x)b)": lambda a, b: (d[a], tensor_vec(one, elems[b])),
@@ -677,6 +678,24 @@ class TestSubObjectFormulas:
         for which, formula in enumerate(TMAP_FORMULAS):
             assert mhopf._tmap_columns(qg, which) == named[formula], formula
 
+    @pytest.mark.parametrize("name", HOPF_EXAMPLES + ("pole-deformed",))
+    def test_unit_leg_products_read_no_unit(self, name):
+        # each product multiplies one leg from the table, so a copy of the
+        # algebra with no unit forms the named products all the same
+        qg = (pole_deformed("sweedler_h4") if name == "pole-deformed"
+              else hopf_qg(name))
+        elems = [basis(i) for i in range(qg.dim)]
+        elems.append({i: Scalar.from_int(i + 1) for i in range(qg.dim)})
+        named = named_products(qg, elems)
+        blind = copy.copy(qg)
+        blind.algebra = copy.copy(qg.algebra)
+        blind.algebra.one = None
+        deltas = [qg.delta(v) for v in elems]
+        for shape, formula in zip((0, 1, 3, 2),
+                                  mhopf.SUB_MEMBERSHIP_FORMULAS):
+            assert mhopf._pair_products(blind, deltas, elems, shape) == \
+                named[formula], formula
+
     def test_failure_texts(self):
         for name, star, rows, text in SUB_OBJECT_FAILURES:
             assert sub_outcome(name, star, rows) == "StructureError: " + text, \
@@ -711,14 +730,25 @@ class TestSubObjectFormulas:
         assert formed == [p for f in mhopf.SUB_MEMBERSHIP_FORMULAS
                           for p in named[f]]
 
-    def test_induced_coproduct_is_the_compression(self):
+    @staticmethod
+    def assert_compression(qg, rows, result, context):
         # D0 is read off membership D(a)(1(x)b); the oracle is the
         # compression (u(x)u)D(a)(u(x)u), formed here in the big algebra
+        tsq = tensor_algebra(qg.algebra, qg.algebra)
+        # v_c(x)v_d goes to rows[c](x)rows[d]
+        inclusion = LinMap.of_columns(rows, qg.dim)
+        u = inclusion.apply(result.sub_unit)
+        uu = tensor_vec(u, u)
+        for a, col in enumerate(result.induced.coproduct.columns):
+            d0 = TensorMap(inclusion, inclusion).apply(col)
+            assert d0 == tsq.multiply(
+                uu, tsq.multiply(qg.delta(rows[a]), uu)), (context, a)
+
+    def test_induced_coproduct_is_the_compression(self):
         reached = 0
         for name in ("c_s3", "group_s3", "sweedler_h4"):
             for star in (True, False):
                 qg = packaged_qg(name, star)
-                tsq = qg.tensor_sq
                 for rows in small_spans(qg.dim):
                     try:
                         result = mhopf.check_sub_mha(qg, rows)
@@ -727,16 +757,22 @@ class TestSubObjectFormulas:
                     if result.induced is None:
                         continue
                     reached += 1
-                    # v_c(x)v_d goes to rows[c](x)rows[d]
-                    inclusion = LinMap.of_columns(rows, qg.dim)
-                    u = inclusion.apply(result.sub_unit)
-                    uu = tensor_vec(u, u)
-                    for a, col in enumerate(result.induced.coproduct.columns):
-                        d0 = TensorMap(inclusion, inclusion).apply(col)
-                        assert d0 == tsq.multiply(
-                            uu, tsq.multiply(qg.delta(rows[a]), uu)), \
-                            (name, star, rows, a)
+                    self.assert_compression(qg, rows, result,
+                                            (name, star, rows))
         assert reached == 134
+
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_dihedral_induced_coproducts_are_the_compressions(self, n):
+        # the rotations in group_d_n and the functions on D_n / {1, r^(n/2)}
+        # in c_d_n, as subcheck reads them from a sub_bases entry
+        spans = dihedral_sub_rows(n)
+        for defn in WORKLOADS.dihedral_definitions(n):
+            qg = derive_counit_antipode(build_qg(defn))
+            rows = ints(spans["quot" if defn.name.startswith("c_") else
+                              "rot"])
+            result = mhopf.check_sub_mha(qg, rows)
+            assert result.all_ok and result.induced.dim == n, defn.name
+            self.assert_compression(qg, rows, result, defn.name)
 
     @pytest.mark.parametrize("func, shapes, swapped, test", [
         ("_tmap_columns", "(0, 3, 1, 2)", "(0, 3, 2, 1)",

@@ -1,9 +1,12 @@
 """Report bytes of the structure-constant pipelines, pinned by sha256.
 
 Each digest was taken on the program before the coproduct was stored as
-sparse columns and the tensor square stopped keeping a product table.  An
-input is copied (or written) into a temporary directory and named by a
-relative path, so the checkout path does not enter the report.
+sparse columns and the tensor square stopped keeping a product table,
+except the subcheck digests of the D6 sub-objects, taken on the program
+that solved for coordinates on a span and its tensor square jointly,
+before LinMap.left_inverse read them.  An input is copied (or written)
+into a temporary directory and named by a relative path, so the checkout
+path does not enter the report.
 """
 
 import hashlib
@@ -107,11 +110,23 @@ PINNED = {
         "json":
             "7dc4e4508439dec63dc99535a14462af9733f96c8139cb5d3f0021def383721c",
     },
+    ("subcheck", "c_d6_quot", "--sub", "quot"): {
+        "text":
+            "50a9ed610f207ddda5d6a0741ef143c57d8073cddd476c27788020aeecdd537d",
+        "json":
+            "9bc94cfa74c07bd124c279cbb830a4f1e5d9bf03c158b22d75724fb32e50c856",
+    },
     ("subcheck", "c_z4", "--sub", "c_h"): {
         "text":
             "63d16aede387d4bc770aac40cea202bac3c96600f68120048bb12422ede37aff",
         "json":
             "8f7b0fd3120305f0d4fcee13f73a5574321cc1a37dee22360cf8709de4015a23",
+    },
+    ("subcheck", "group_d6_rot", "--sub", "rot"): {
+        "text":
+            "324fa5d6e6ae9330fd7d4d3416f81d777b9f9870b2e88594b26848c9ce2205ef",
+        "json":
+            "2a08c12bdf69eb543b1d0d9bdde7505d71e3b7d5903b20de4fddf0700f5f6368",
     },
     ("validate", "c_d6"): {
         "text":
@@ -182,17 +197,40 @@ def dihedral_group(n):
     return labels, list(range(len(elems))), compose, inverse
 
 
+def dihedral_sub_rows(n):
+    """Two sub-objects of D_n as 0/1 rows over the basis r^a t^b at a + nb:
+    "rot", the n rotations in group_d_n, and "quot", the n functions
+    constant on the cosets of the centre {1, r^(n/2)} in c_d_n."""
+    def indicator(support):
+        return [int(k in support) for k in range(2 * n)]
+    return {"rot": [indicator({a}) for a in range(n)],
+            "quot": [indicator({a + n * b, a + n // 2 + n * b})
+                     for b in range(2) for a in range(n // 2)]}
+
+
+# the stems that declare a D6 sub-object, apart from the pinned validate
+# inputs c_d6 and group_d6, whose bytes stay as they are
+D6_SUBS = {"c_d6_quot": "quot", "group_d6_rot": "rot"}
+
+
 def d6_definition(stem):
     group = dihedral_group(6)
-    if stem == "c_d6":
-        return function_algebra(
+    if stem.startswith("c_d6"):
+        defn = function_algebra(
             "c_d6", "functions on the dihedral group of order 12", *group)
-    return group_algebra(
-        "group_d6", "group algebra of the dihedral group of order 12", *group)
+    else:
+        defn = group_algebra(
+            "group_d6", "group algebra of the dihedral group of order 12",
+            *group)
+    if stem in D6_SUBS:
+        kind = D6_SUBS[stem]
+        defn.sub_bases = {kind: [[SC_ONE if x else SC_ZERO for x in row]
+                                 for row in dihedral_sub_rows(6)[kind]]}
+    return defn
 
 
 def write_input(stem, directory):
-    if stem in ("c_d6", "group_d6"):
+    if stem.startswith(("c_d6", "group_d6")):
         save_definition(d6_definition(stem), str(directory / (stem + ".qg")))
     else:
         shutil.copyfile(packaged_fixture_path(stem),

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from hopf_forge import finalg, haar_modular
 from hopf_forge.assemble import algebra_from_definition, build_qg
 from hopf_forge.duality import build_dual
-from hopf_forge.errors import CheckFailure
-from hopf_forge.exactla import (LinearAlgebraError, coordinates, invert,
+from hopf_forge.errors import CheckFailure, StructureError
+from hopf_forge.exactla import (LinearAlgebraError, invert,
                                 kernel_basis, matmul, matvec, rref,
                                 solve_affine, sparse_row)
 from hopf_forge.finalg import (FinAlgebra, LinMap, form_map, gram_matrix,
@@ -384,8 +384,9 @@ class TestSparseElimination:
 
     @settings(max_examples=80, deadline=None)
     @given(sparse_systems(max_rows=4), st.data())
-    def test_coordinates_match_the_dense_reference(self, case, data):
-        # the drawn rows are the vectors, so dependent ones are planted
+    def test_left_inverse_matches_the_dense_reference(self, case, data):
+        # the drawn rows are the columns of the map, so dependent ones are
+        # planted
         vectors, ncols, pool, zero = case
         dense = [to_dense(v, ncols, zero) for v in vectors]
         d = len(vectors)
@@ -395,38 +396,48 @@ class TestSparseElimination:
             {j: data.draw(st.sampled_from(pool))
              for j in data.draw(st.sets(st.integers(0, ncols - 1)))}
             for _ in range(data.draw(st.integers(0, 2)))]
-        # half the calls pass dense vectors and targets
-        if data.draw(st.booleans()):
-            vectors = dense
-            targets = [to_dense(t, ncols, zero) for t in targets]
+        # half the maps are read from dense rows
+        lift = (LinMap([[v[t] for v in dense] for t in range(ncols)])
+                if data.draw(st.booleans())
+                else LinMap.of_columns(vectors, ncols))
         if not independent:
-            with pytest.raises(LinearAlgebraError, match="independent"):
-                coordinates(vectors, targets)
+            with pytest.raises(StructureError, match="not injective"):
+                lift.left_inverse()
             return
-        found = coordinates(vectors, targets)
-        assert len(found) == len(targets)
+        left = lift.left_inverse()
+        assert (left.n_in, left.n_out) == (ncols, d)
+        assert all(stores_no_zero(col) for col in left.columns)
+        # the entries keep the field of the map's
+        assert all(type(x) is type(pool[0])
+                   for col in left.columns for x in col.values())
+        found = [left.apply(t) for t in targets]
         if d:
             assert found[0] == dict(enumerate(coeffs))
         for target, coords in zip(targets, found):
-            want = to_dense(to_row(target), ncols, zero)
+            want = to_dense(target, ncols, zero)
             inside = len(dense_rref(dense + [want])[1]) == d
-            assert (coords is not None) == inside
+            assert (lift.apply(coords) == target) == inside
             if inside:
                 assert stores_no_zero(coords)
                 assert to_dense(sparse_combination(
-                    to_dense(coords, d, zero),
-                    [to_row(v) for v in vectors]), ncols, zero) == want
+                    to_dense(coords, d, zero), vectors), ncols, zero) == want
 
     def test_sparse_rows_need_the_number_of_unknowns(self):
         with pytest.raises(LinearAlgebraError, match="number of unknowns"):
             solve_affine([{0: SC_ONE}], [SC_ONE])
 
-    def test_coordinates_of_empty_inputs(self):
-        e1 = [SC_ONE, SC_ZERO]
-        assert coordinates([], []) == []
-        assert coordinates([e1], []) == []
-        assert coordinates([], [[SC_ZERO, SC_ZERO], e1]) == [{}, None]
-        assert coordinates([], [{}, {1: SC_ONE}]) == [{}, None]
+    def test_left_inverse_of_empty_maps(self):
+        # no column: L reads every y as the empty x, which lifts back to y
+        # only when y = 0
+        empty = LinMap.of_columns([], 2)
+        left = empty.left_inverse()
+        assert (left.n_in, left.n_out, left.columns) == (2, 0, [{}, {}])
+        assert [empty.apply(left.apply(y)) for y in ({}, {1: SC_ONE})] == \
+            [{}, {}]
+        assert LinMap.of_columns([], 0).left_inverse() == LinMap.identity(0)
+        # the columns of a zero map are dependent
+        with pytest.raises(StructureError, match="not injective"):
+            LinMap.of_columns([{}], 2).left_inverse()
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_systems(max_rows=4, max_cols=4), st.data())
